@@ -36,6 +36,58 @@ func TestTailQuantileLeavesTenBeyond(t *testing.T) {
 	}
 }
 
+func TestGroupSizeGivesEveryGroupEnoughSamples(t *testing.T) {
+	for _, c := range []struct {
+		counts []int
+		need   int
+		want   int
+	}{
+		{counts: []int{5, 5, 5, 5}, need: 5, want: 1},
+		{counts: []int{9, 5, 1, 5}, need: 5, want: 2},
+		{counts: []int{9, 9, 9, 1}, need: 11, want: 4}, // 3 does not divide 4
+		{counts: []int{9, 1, 1, 1, 1, 9}, need: 5, want: 3},
+		{counts: []int{1, 1, 1, 1}, need: 5, want: 4}, // the whole window
+	} {
+		if got := groupSize(c.counts, c.need); got != c.want {
+			t.Errorf("groupSize(%v, %d) = %d, want %d", c.counts, c.need, got, c.want)
+		}
+	}
+}
+
+func TestQuietestPicksLeastStealInSliceOrder(t *testing.T) {
+	steal := []float64{0.05, 0, 0.02, 0, 0.01, 0.09}
+	if got, want := quietest(steal, 3), []int{1, 3, 4}; !slices.Equal(got, want) {
+		t.Errorf("quietest(%v, 3) = %v, want %v", steal, got, want)
+	}
+	if got, want := quietest(steal, 1), []int{1}; !slices.Equal(got, want) {
+		t.Errorf("quietest(%v, 1) = %v, want %v (ties go to the earlier)", steal, got, want)
+	}
+	if got := quietest(steal, len(steal)); !slices.Equal(got, []int{0, 1, 2, 3, 4, 5}) {
+		t.Errorf("quietest of all = %v, want every index in order", got)
+	}
+}
+
+func TestHistMergeAddsSamples(t *testing.T) {
+	var a, b, all hist
+	for i := int64(1); i <= 3000; i++ {
+		all.add(i * 1000)
+		if i%3 == 0 {
+			a.add(i * 1000)
+		} else {
+			b.add(i * 1000)
+		}
+	}
+	a.merge(&b)
+	if a.len() != all.len() {
+		t.Fatalf("merged %d samples, want %d", a.len(), all.len())
+	}
+	for _, q := range []float64{0.5, 0.99} {
+		if got, want := a.at(q), all.at(q); got != want {
+			t.Errorf("merged p%g = %g, want %g", q*100, got, want)
+		}
+	}
+}
+
 func TestHistQuantilesWithinOnePercent(t *testing.T) {
 	var h, small hist
 	xs := make([]int64, 0, 20000)

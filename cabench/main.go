@@ -8,6 +8,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -22,11 +23,29 @@ import (
 
 // setupRuns is how many Systems a run sets up to report setup_s as their
 // median; the last one serves the measured window.
-const setupRuns = 9
+const setupRuns = 31
 
 // warmup is how long a System runs before its window opens, so pools,
 // caches and connections are in their steady state.
 const warmup = time.Second
+
+// windowSlices is how many equal slices a timed window is cut into.
+// actions_per_s, latency_p99_ms and peak_heap_mb are medians over slices,
+// so the CPU time the hypervisor steals in some of them, or one odd GC
+// cycle, moves them less.
+const windowSlices = 20
+
+// groupSamples is how many samples a group of slices needs before its p99
+// is used: a p99 over 10000 samples rests on 100 beyond it. Where slices
+// are smaller (commit-wal), adjacent ones are merged.
+const groupSamples = 10000
+
+// quietShare: when every slice holds groupSamples on its own (the mix
+// workloads), actions_per_s and latency_p99_ms come from the 1/quietShare
+// of the slices that lost the least CPU time to the hypervisor. Where
+// slices are merged (commit-wal, which also slows through the run, so its
+// slices are not alike), every group is used.
+const quietShare = 4
 
 // spanCapacity bounds the traced run's span buffer (32 bytes a span).
 const spanCapacity = 1 << 20
@@ -179,7 +198,7 @@ func measure(rep *report, w workload, seed int64, dur time.Duration, traced bool
 	}
 	tr := newTracer(time.Now(), spanCapacity, every)
 	tT := newTally()
-	tb, _, err := setup(w, tr, filepath.Join(dir, "traced.wal"), kinds, &tT)
+	tb, _, err := setup(w, tr, filepath.Join(dir, "traced.wal"), &tT)
 	if err != nil {
 		return fmt.Errorf("traced setup: %w", err)
 	}
@@ -214,7 +233,7 @@ func untraced(rep *report, w workload, kinds []uint8, dir string, dur time.Durat
 		}
 		var took time.Duration
 		var err error
-		b, took, err = setup(w, nil, filepath.Join(dir, fmt.Sprintf("setup-%d.wal", i)), kinds, &setupT)
+		b, took, err = setup(w, nil, filepath.Join(dir, fmt.Sprintf("setup-%d.wal", i)), &setupT)
 		if err != nil {
 			return nil, nil, walEnd{}, fmt.Errorf("setup: %w", err)
 		}
@@ -273,13 +292,89 @@ func (b *bench) walEnd() walEnd {
 // endToEnd reports the untraced window's end-to-end metrics.
 func endToEnd(rep *report, res *windowResult) {
 	completed := float64(max(res.completed, 1))
-	rep.put("actions_per_s", float64(res.completed-res.wrong)/res.secs, "1/s")
+	var counts [windowSlices]int
+	for i := range res.lat.slices {
+		counts[i] = res.lat.slices[i].len()
+	}
+	k := groupSize(counts[:], groupSamples)
+	var rate, tail, steal []float64
+	for g := 0; g < windowSlices; g += k {
+		var h hist
+		st := 0.0
+		for i := g; i < g+k; i++ {
+			h.merge(&res.lat.slices[i])
+			st += res.sliceSteal[i] / float64(k)
+		}
+		v, q, beyond := h.tail()
+		rate = append(rate, float64(h.len())/(res.secs*float64(k)/windowSlices))
+		tail = append(tail, v/unitNs["ms"])
+		steal = append(steal, st)
+		rep.note("slices %d-%d: steal %.4f, %.1f actions/s, p%g %.4f ms (%d beyond)", g, g+k-1, st, rate[len(rate)-1], q*100, tail[len(tail)-1], beyond)
+	}
+	n := len(steal)
+	if k == 1 {
+		n = max(n/quietShare, 1)
+	}
+	use := quietest(steal, n)
+	pick := func(v []float64) []float64 {
+		out := make([]float64, len(use))
+		for i, g := range use {
+			out[i] = v[g]
+		}
+		return out
+	}
+	v, q, beyond := res.lat.all.tail()
+	rep.note("groups of %d slices; used %v; over the whole window: %.1f actions/s, p%g %.4f ms (%d beyond)",
+		k, use, float64(res.completed-res.wrong)/res.secs, q*100, v/unitNs["ms"], beyond)
+	rep.put("actions_per_s", median(pick(rate)), "1/s")
 	rep.putQuantile("latency_p50_ms", &res.lat.all, 0.5, "ms")
-	rep.putTail("latency_p99_ms", &res.lat.all, "ms")
+	rep.put("latency_p99_ms", median(pick(tail)), "ms")
 	rep.putQuantile("commit_p50_ms", &res.lat.commit, 0.5, "ms")
 	rep.put("allocs_per_action", float64(res.after.allocs-res.before.allocs)/completed, "count")
 	rep.put("cpu_ms_per_action", float64(res.after.cpu-res.before.cpu)/1e6/completed, "ms")
-	rep.put("peak_heap_mb", float64(res.peakHeap)/1e6, "MB")
+	heap := make([]float64, windowSlices)
+	for i, h := range res.sliceHeap {
+		heap[i] = float64(h) / 1e6
+	}
+	rep.put("peak_heap_mb", median(heap), "MB")
+	rep.note("peak_heap_mb = %.3f MB (median over %d slices; %.3f over the window)", median(heap), windowSlices, slices.Max(heap))
+}
+
+// quietest returns the indices of the n slices, or groups of slices, that
+// lost the least CPU time to steal, in slice order; ties go to the earlier.
+func quietest(steal []float64, n int) []int {
+	idx := make([]int, len(steal))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(steal[a], steal[b]) })
+	idx = idx[:n]
+	slices.Sort(idx)
+	return idx
+}
+
+// groupSize is the fewest adjacent slices per group, a divisor of
+// len(counts), for which every group holds at least need samples, so each
+// group's tail is a true p99; len(counts) when no smaller group size does.
+func groupSize(counts []int, need int) int {
+	n := len(counts)
+	for k := 1; k < n; k++ {
+		if n%k != 0 {
+			continue
+		}
+		ok := true
+		for g := 0; g < n && ok; g += k {
+			sum := 0
+			for _, c := range counts[g : g+k] {
+				sum += c
+			}
+			ok = sum >= need
+		}
+		if ok {
+			return k
+		}
+	}
+	return n
 }
 
 func median(v []float64) float64 {

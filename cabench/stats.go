@@ -71,6 +71,16 @@ func (h *hist) add(ns int64) {
 
 func (h *hist) len() int { return int(h.n.Load()) }
 
+// merge adds o's samples to h.
+func (h *hist) merge(o *hist) {
+	for i := range o.counts {
+		if c := o.counts[i].Load(); c != 0 {
+			h.counts[i].Add(c)
+		}
+	}
+	h.n.Add(o.n.Load())
+}
+
 // bucketOf maps a duration to its bucket: values below subBuckets ns get
 // a bucket each, larger ones share a power of two among subBuckets.
 func bucketOf(ns int64) int {
@@ -220,10 +230,12 @@ func schedP99(before, after *metrics.Float64Histogram) float64 {
 }
 
 // peakSampler tracks live-heap and goroutine maxima every few milliseconds
-// between start and stop.
+// between start and stop. The live heap is what the last GC marked, so
+// the peak does not depend on when in its cycle the collector was sampled.
+// The heap maximum restarts at every takeHeap.
 type peakSampler struct {
 	stop, done chan struct{}
-	heap       uint64
+	heap       atomic.Uint64
 	goroutines uint64
 }
 
@@ -232,14 +244,16 @@ func startPeaks() *peakSampler {
 	go func() {
 		defer close(p.done)
 		s := []metrics.Sample{
-			{Name: "/memory/classes/heap/objects:bytes"},
+			{Name: "/gc/heap/live:bytes"},
 			{Name: "/sched/goroutines:goroutines"},
 		}
 		tick := time.NewTicker(5 * time.Millisecond)
 		defer tick.Stop()
 		for {
 			metrics.Read(s)
-			p.heap = max(p.heap, s[0].Value.Uint64())
+			h := s[0].Value.Uint64()
+			for old := p.heap.Load(); h > old && !p.heap.CompareAndSwap(old, h); old = p.heap.Load() {
+			}
 			p.goroutines = max(p.goroutines, s[1].Value.Uint64())
 			select {
 			case <-p.stop:
@@ -251,10 +265,15 @@ func startPeaks() *peakSampler {
 	return p
 }
 
-func (p *peakSampler) finish() (heap, goroutines uint64) {
+// takeHeap returns the live-heap maximum since the sampler started or
+// since the last call, and starts the next.
+func (p *peakSampler) takeHeap() uint64 { return p.heap.Swap(0) }
+
+// finish stops the sampler and returns the goroutine maximum.
+func (p *peakSampler) finish() (goroutines uint64) {
 	close(p.stop)
 	<-p.done
-	return p.heap, p.goroutines
+	return p.goroutines
 }
 
 // timeWaitSockets counts TCP sockets in TIME_WAIT (state 06) in

@@ -320,6 +320,9 @@ type latencies struct {
 	// kinds, the commit kind, and the exception kinds (signal, abort,
 	// storm).
 	all, commit, exc hist
+	// The all-kinds latencies again, split by the slice of the window
+	// in which the action completed.
+	slices [windowSlices]hist
 	// Traced run only: per-instance layer timings (see layers).
 	start, entry, exit, round, signalExit, abortUndo hist
 }
@@ -354,18 +357,20 @@ func (t *tally) merge(o *tally) {
 	}
 }
 
-// setup opens a System and runs actions until the first completes, as a
-// user's first action would; it returns the System and the time that
-// took. Start failures on the way are counted in t.
-func setup(w workload, tr *tracer, walPath string, kinds []uint8, t *tally) (*bench, time.Duration, error) {
+// setup opens a System and runs commit actions until the first completes,
+// as a user's first action would; it returns the System and the time that
+// took. The kind is fixed, not drawn from the seed, because the kinds take
+// different times and setup_s should not depend on which came first. Start
+// failures on the way are counted in t.
+func setup(w workload, tr *tracer, walPath string, t *tally) (*bench, time.Duration, error) {
 	start := time.Now()
 	b, err := openBench(w, tr, walPath)
 	if err != nil {
 		return nil, 0, err
 	}
+	const k = kCommit
+	a := b.acts[k]
 	for i := 0; ; i++ {
-		k := int(kinds[i%len(kinds)])
-		a := b.acts[k]
 		t.attempted++
 		h, err := b.sys.StartAction(context.Background(), a.spec, a.progs)
 		if err != nil {
@@ -396,13 +401,14 @@ type windowResult struct {
 	tally
 	lat           *latencies
 	secs          float64
-	before, after runtimeSnap // process readings as the window opens and closes
-	peakHeap      uint64
+	before, after runtimeSnap          // process readings as the window opens and closes
+	sliceHeap     [windowSlices]uint64 // live-heap maximum per slice
 	peakG         uint64
 	counters      counters // tracer counters over the window
 	msgs          map[string]int64
 	windowFrom    int64 // ns since the loop's base
 	windowTo      int64
+	sliceSteal    [windowSlices]float64 // stolen share of the machine's CPU time per slice
 }
 
 // stealFrac is the share of the machine's CPU time the hypervisor stole
@@ -474,6 +480,7 @@ func (b *bench) closedLoop(w workload, kinds []uint8, warm, dur time.Duration, t
 					continue
 				}
 				lat.all.add(t2 - t0)
+				lat.slices[sliceOf(t2, from, to)].add(t2 - t0)
 				if k == kCommit {
 					lat.commit.add(t2 - t0)
 				} else {
@@ -498,12 +505,21 @@ func (b *bench) closedLoop(w workload, kinds []uint8, warm, dur time.Duration, t
 		tr.on.Store(true)
 	}
 	peaks := startPeaks()
-	time.Sleep(time.Until(base.Add(time.Duration(to))))
+	total, steal := res.before.machine, res.before.steal
+	for i := range res.sliceSteal {
+		time.Sleep(time.Until(base.Add(time.Duration(from + (to-from)*int64(i+1)/windowSlices))))
+		t, s := machineCPU()
+		if t > total {
+			res.sliceSteal[i] = float64(s-steal) / float64(t-total)
+		}
+		total, steal = t, s
+		res.sliceHeap[i] = peaks.takeHeap()
+	}
 	if tr != nil {
 		tr.on.Store(false)
 	}
 	res.after = read()
-	res.peakHeap, res.peakG = peaks.finish()
+	res.peakG = peaks.finish()
 	if tr != nil {
 		res.counters = res.after.tracerC.minus(res.before.tracerC)
 	}
@@ -525,6 +541,11 @@ func (b *bench) closedLoop(w workload, kinds []uint8, warm, dur time.Duration, t
 		res.msgs[name] = v - res.before.msgs[name]
 	}
 	return res, nil
+}
+
+// sliceOf is the slice of the window [from, to] that instant t falls in.
+func sliceOf(t, from, to int64) int {
+	return min(max(int((t-from)*windowSlices/max(to-from, 1)), 0), windowSlices-1)
 }
 
 // layers derives one instance's per-layer timings from what its role
