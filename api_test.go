@@ -372,22 +372,9 @@ func TestPerformPreCancelled(t *testing.T) {
 
 // TestTCPTransport runs a two-role action over the real TCP transport
 // within one process, exercising the "tcp" registry entry end to end (on
-// the default binary wire codec).
+// the binary wire codec).
 func TestTCPTransport(t *testing.T) {
-	testTCPTransport(t)
-}
-
-// TestTCPTransportGobWire is TestTCPTransport on the legacy gob wire,
-// pinning the WithGobWire compatibility option end to end.
-func TestTCPTransportGobWire(t *testing.T) {
-	testTCPTransport(t, caaction.WithGobWire())
-}
-
-func testTCPTransport(t *testing.T, extra ...caaction.Option) {
-	sys, err := caaction.New(append([]caaction.Option{
-		caaction.WithRealTime(),
-		caaction.WithTCPTransport(""),
-	}, extra...)...)
+	sys, err := caaction.New(caaction.WithRealTime(), caaction.WithTCPTransport(""))
 	if err != nil {
 		t.Fatal(err)
 	}

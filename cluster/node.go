@@ -97,11 +97,6 @@ type Config struct {
 	// messages) this node advertises to dialing peers; see
 	// caaction.WithPeerWindow. Zero keeps the transport default.
 	PeerWindow int
-	// NoPeerBatch disables the cross-node fast path (batched node frames,
-	// credit flow control, route caching); see caaction.WithoutPeerBatch.
-	// Nodes with it on and off interoperate, so the knob may be flipped
-	// one node at a time.
-	NoPeerBatch bool
 	// TombstoneAfter is how many exchange rounds a peer marked down stays
 	// in the directory before being pruned to a tombstone (which blocks
 	// gossip resurrection of the dead incarnation but yields to a fresh
@@ -220,9 +215,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.PeerWindow > 0 {
 		opts = append(opts, caaction.WithPeerWindow(cfg.PeerWindow))
-	}
-	if cfg.NoPeerBatch {
-		opts = append(opts, caaction.WithoutPeerBatch())
 	}
 	sys, err := caaction.New(opts...)
 	if err != nil {

@@ -3,7 +3,6 @@ package testnet
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -11,11 +10,9 @@ import (
 	"caaction/load"
 )
 
-// BenchConfig parameterises one cluster benchmark: the same measurement
-// run twice over freshly booted local clusters — once with the cross-node
-// fast path (batched frames, credit flow control, sink receive) and once
-// with it disabled — so the recorded speedup compares the two wire paths
-// on identical hardware in the same process tree.
+// BenchConfig parameterises one cluster benchmark: cross-node round
+// throughput over a freshly booted local cluster, whose traffic rides the
+// batched node wire under credit flow control.
 type BenchConfig struct {
 	// Binary is the canode executable to spawn; required.
 	Binary string
@@ -27,11 +24,11 @@ type BenchConfig struct {
 	// default 48.
 	Rounds int
 	// Concurrency is how many rounds stay in flight; default 24. Round
-	// throughput is pipelining-bound, so the wire paths only separate
-	// once enough rounds overlap to saturate the nodes.
+	// throughput is pipelining-bound, so the wire's cost only shows once
+	// enough rounds overlap to saturate the nodes.
 	Concurrency int
-	// Runs repeats each mode's measurement and records the run with the
-	// median throughput; default 1.
+	// Runs repeats the measurement and records the run with the median
+	// throughput; default 1.
 	Runs int
 	// Resolver is the resolution protocol; default "coordinated".
 	Resolver string
@@ -41,20 +38,16 @@ type BenchConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// BenchReport is the recorded cluster benchmark: one ClusterReport per
-// wire mode plus their throughput ratio. This is what caload embeds as
-// the "cluster" section of BENCH_load.json and what perfgate gates.
+// BenchReport is the recorded cluster benchmark. This is what caload
+// embeds as the "cluster" section of BENCH_load.json and what perfgate
+// gates.
 type BenchReport struct {
 	Nodes  int    `json:"nodes"`
 	Runs   int    `json:"runs"`
 	LogDir string `json:"log_dir"`
-	// Batched ran the default fast path; Unbatched ran canode
-	// -no-peer-batch (the legacy frame-per-message path).
-	Batched   *load.ClusterReport `json:"batched"`
-	Unbatched *load.ClusterReport `json:"unbatched"`
-	// SpeedupX is Batched.Throughput / Unbatched.Throughput, measured in
-	// the same benchmark invocation.
-	SpeedupX float64 `json:"speedup_x"`
+	// Batched is the median-of-Runs measurement over the batched node
+	// wire (the only one).
+	Batched *load.ClusterReport `json:"batched"`
 }
 
 func (c BenchConfig) withDefaults() (BenchConfig, error) {
@@ -100,32 +93,14 @@ func (c BenchConfig) withDefaults() (BenchConfig, error) {
 	return c, nil
 }
 
-// Bench measures cross-node round throughput in both wire modes and
-// reports the speedup. Each mode boots its own cluster (so no state leaks
-// between modes), runs cfg.Runs measurements, and records the median-of-N
-// by throughput.
+// Bench measures cross-node round throughput: it boots one cluster, runs
+// cfg.Runs measurements, and records the median-of-N by throughput.
 func Bench(cfg BenchConfig) (*BenchReport, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	rep := &BenchReport{Nodes: cfg.Nodes, Runs: cfg.Runs, LogDir: cfg.LogDir}
-	if rep.Batched, err = benchMode(cfg, "batched", false); err != nil {
-		return nil, err
-	}
-	if rep.Unbatched, err = benchMode(cfg, "unbatched", true); err != nil {
-		return nil, err
-	}
-	if rep.Unbatched.Throughput > 0 {
-		rep.SpeedupX = rep.Batched.Throughput / rep.Unbatched.Throughput
-	}
-	return rep, nil
-}
-
-// benchMode boots one cluster in the given wire mode and returns the
-// median-of-Runs ClusterReport.
-func benchMode(cfg BenchConfig, label string, noPeerBatch bool) (*load.ClusterReport, error) {
-	t, err := bootBenchCluster(cfg, label, noPeerBatch)
+	t, err := bootBenchCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -134,58 +109,47 @@ func benchMode(cfg BenchConfig, label string, noPeerBatch bool) (*load.ClusterRe
 	reps := make([]*load.ClusterReport, 0, cfg.Runs)
 	for i := 0; i < cfg.Runs; i++ {
 		r, err := load.RunCluster(load.ClusterConfig{
-			Label:       label,
+			Label:       "batched",
 			Rounds:      cfg.Rounds,
 			Roles:       cfg.Roles,
 			Concurrency: cfg.Concurrency,
 			TagPrefix:   fmt.Sprintf("bench%d", i),
 		}, ops)
 		if err != nil {
-			return nil, fmt.Errorf("testnet: bench %s run %d: %w", label, i, err)
+			return nil, fmt.Errorf("testnet: bench run %d: %w", i, err)
 		}
 		if len(r.Unexpected) > 0 {
-			return nil, fmt.Errorf("testnet: bench %s run %d: %d unexpected outcomes, e.g. %s",
-				label, i, len(r.Unexpected), r.Unexpected[0])
+			return nil, fmt.Errorf("testnet: bench run %d: %d unexpected outcomes, e.g. %s",
+				i, len(r.Unexpected), r.Unexpected[0])
 		}
-		cfg.Logf("testnet: bench %s run %d: %.0f rounds/s  p99 %.2fms  batch_frames %d  stalls %d",
-			label, i, r.Throughput, r.Latency.P99, r.BatchFrames, r.CreditStalls)
+		cfg.Logf("testnet: bench run %d: %.0f rounds/s  p99 %.2fms  batch_frames %d  stalls %d",
+			i, r.Throughput, r.Latency.P99, r.BatchFrames, r.CreditStalls)
 		reps = append(reps, r)
 	}
 	sort.Slice(reps, func(i, j int) bool { return reps[i].Throughput < reps[j].Throughput })
 	med := reps[(len(reps)-1)/2]
-	// The measurement must have exercised the wire mode it claims: a
-	// batched run that flushed no batched frames (or an unbatched run that
-	// flushed any) measured the wrong path.
-	if !noPeerBatch && med.BatchFrames == 0 {
-		return nil, fmt.Errorf("testnet: bench %s: no batched frames flushed — fast path was not exercised", label)
+	// A run that flushed no batched frames sent nothing across the wire.
+	if med.BatchFrames == 0 {
+		return nil, fmt.Errorf("testnet: bench: no batched frames flushed — the wire was not exercised")
 	}
-	if noPeerBatch && med.BatchFrames > 0 {
-		return nil, fmt.Errorf("testnet: bench %s: %d batched frames flushed with the fast path disabled", label, med.BatchFrames)
-	}
-	return med, nil
+	return &BenchReport{Nodes: cfg.Nodes, Runs: cfg.Runs, LogDir: cfg.LogDir, Batched: med}, nil
 }
 
-// bootBenchCluster spawns a fresh cluster for one bench mode and waits for
-// full peer discovery. Each mode's node logs land under a per-mode
-// subdirectory, so the two modes' n1..nN incarnation logs never collide.
-func bootBenchCluster(cfg BenchConfig, label string, noPeerBatch bool) (*runner, error) {
-	logDir := filepath.Join(cfg.LogDir, label)
-	if err := os.MkdirAll(logDir, 0o755); err != nil {
-		return nil, fmt.Errorf("testnet: bench log dir: %w", err)
-	}
+// bootBenchCluster spawns a fresh bench cluster and waits for full peer
+// discovery. Node logs land in cfg.LogDir.
+func bootBenchCluster(cfg BenchConfig) (*runner, error) {
 	placement := make([]string, 0, cfg.Roles)
 	for i := 0; i < cfg.Roles; i++ {
 		placement = append(placement, fmt.Sprintf("%s=n%d", load.ThreadName(i), i+1))
 	}
 	t := &runner{
 		cfg: Config{
-			Binary:      cfg.Binary,
-			Nodes:       cfg.Nodes,
-			Roles:       cfg.Roles,
-			Resolver:    cfg.Resolver,
-			NoPeerBatch: noPeerBatch,
-			LogDir:      logDir,
-			Logf:        cfg.Logf,
+			Binary:   cfg.Binary,
+			Nodes:    cfg.Nodes,
+			Roles:    cfg.Roles,
+			Resolver: cfg.Resolver,
+			LogDir:   cfg.LogDir,
+			Logf:     cfg.Logf,
 			// Generous protocol timeouts: the bench saturates every core,
 			// and on small machines a scheduler stall past the smoke
 			// testnet's tight 3s vote timeout would convert into a spurious
@@ -199,7 +163,7 @@ func bootBenchCluster(cfg BenchConfig, label string, noPeerBatch bool) (*runner,
 			// in-flight round could be a chatter round with a full burst
 			// outstanding on one node pair, plus protocol traffic. Without
 			// the headroom the window's bounded backpressure throttles the
-			// batched mode and the bench measures flow control, not the wire.
+			// rounds and the bench measures flow control, not the wire.
 			PeerWindow: cfg.Concurrency*load.ChatterBurst + 4096,
 		},
 		placementFlag: strings.Join(placement, ","),
@@ -224,7 +188,7 @@ func bootBenchCluster(cfg BenchConfig, label string, noPeerBatch bool) (*runner,
 			return nil, err
 		}
 	}
-	cfg.Logf("testnet: bench %s cluster up — %d nodes", label, cfg.Nodes)
+	cfg.Logf("testnet: bench cluster up — %d nodes", cfg.Nodes)
 	return t, nil
 }
 

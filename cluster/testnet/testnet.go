@@ -59,13 +59,6 @@ type Config struct {
 	// LogDir receives one stderr log per node incarnation; default a
 	// fresh temp dir (reported in the summary).
 	LogDir string
-	// NoPeerBatch boots every node with the cross-node fast path disabled
-	// (canode -no-peer-batch): legacy frame-per-message wire, no credit
-	// flow control. The default (false) runs the batched fast path, and
-	// Run then asserts the cluster actually flushed batched frames —
-	// including across the kill/restart — via the tcp.batch_frames
-	// counter.
-	NoPeerBatch bool
 	// PeerWindow, when positive, boots every node with that per-peer
 	// credit window in messages (canode -peer-window); zero keeps the
 	// transport default. The bench raises it to cover its in-flight
@@ -220,9 +213,6 @@ func (t *runner) spawn(name string, seeds []string, incarnation int) (*proc, err
 		// incarnation must find its predecessor's log.
 		args = append(args, "-wal-dir", filepath.Join(t.cfg.WALDir, name))
 	}
-	if t.cfg.NoPeerBatch {
-		args = append(args, "-no-peer-batch")
-	}
 	if t.cfg.PeerWindow > 0 {
 		args = append(args, "-peer-window", strconv.Itoa(t.cfg.PeerWindow))
 	}
@@ -363,17 +353,15 @@ func Run(cfg Config) (*Summary, error) {
 	t.checkMessageBounds(before, after)
 	t.cfg.Logf("testnet: phase C complete — %d storm rounds, message bounds checked", cfg.StormRounds)
 
-	// With the fast path on, the cross-node traffic of phases B and C —
-	// including the rounds spanning the kill/restart — must have flowed as
-	// batched frames. Paired with the exact phase-C message bounds (which
-	// a lost or duplicated frame would break), this asserts the batched
-	// wire survives a SIGKILL mid-batch without frame loss or duplication.
-	if !cfg.NoPeerBatch {
-		if after["tcp.batch_frames"] == 0 {
-			t.violate("fast path enabled but no batched node frames were flushed (tcp.batch_frames = 0)")
-		}
-		t.cfg.Logf("testnet: %d batched node frames flushed cluster-wide", after["tcp.batch_frames"])
+	// The cross-node traffic of phases B and C — including the rounds
+	// spanning the kill/restart — must have flowed as batched frames.
+	// Paired with the exact phase-C message bounds (which a lost or
+	// duplicated frame would break), this asserts the batched wire survives
+	// a SIGKILL mid-batch without frame loss or duplication.
+	if after["tcp.batch_frames"] == 0 {
+		t.violate("no batched node frames were flushed (tcp.batch_frames = 0)")
 	}
+	t.cfg.Logf("testnet: %d batched node frames flushed cluster-wide", after["tcp.batch_frames"])
 
 	// Phase D — graceful shutdown: drain every node, then stop.
 	for _, p := range t.procs {

@@ -62,8 +62,7 @@ type fileReport struct {
 	Date        string                     `json:"date"`
 	Resolvers   map[string]*resolverReport `json:"resolvers"`
 	// Cluster is the multi-process benchmark from -cluster: round
-	// throughput over N local canode processes in both wire modes
-	// (batched fast path vs legacy), with their same-run speedup.
+	// throughput over N local canode processes on the batched node wire.
 	Cluster *testnet.BenchReport `json:"cluster,omitempty"`
 }
 
@@ -190,11 +189,11 @@ func run() int {
 		soakHeapMB  = flag.Int("soak-max-heap-mb", 64, "soak leak gate: maximum steady-state heap growth in MiB (0 disables)")
 		out         = flag.String("out", "BENCH_load.json", "JSON report path ('' disables)")
 
-		clusterNodes = flag.Int("cluster", 0, "run the multi-process cluster benchmark over this many local canode processes (0 disables); measures batched vs unbatched wire modes and records the 'cluster' report section")
+		clusterNodes = flag.Int("cluster", 0, "run the multi-process cluster benchmark over this many local canode processes (0 disables); records the 'cluster' report section")
 		clusterBin   = flag.String("cluster-bin", "", "canode binary for -cluster (required with -cluster)")
 		clusterRnds  = flag.Int("cluster-rounds", 48, "shared action rounds per cluster measurement")
 		clusterConc  = flag.Int("cluster-concurrency", 24, "cluster rounds in flight at once")
-		clusterRuns  = flag.Int("cluster-runs", 0, "median-of-N cluster measurements per wire mode (0 = -runs)")
+		clusterRuns  = flag.Int("cluster-runs", 0, "median-of-N cluster measurements (0 = -runs)")
 
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the whole run here ('' disables)")
 		memProfile   = flag.String("memprofile", "", "write an allocation profile at exit here ('' disables)")
@@ -345,29 +344,26 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "caload: -cluster requires -cluster-bin (a built canode binary)")
 			return 2
 		}
-		modeRuns := *clusterRuns
-		if modeRuns <= 0 {
-			modeRuns = *runs
+		benchRuns := *clusterRuns
+		if benchRuns <= 0 {
+			benchRuns = *runs
 		}
 		crep, err := testnet.Bench(testnet.BenchConfig{
 			Binary:      *clusterBin,
 			Nodes:       *clusterNodes,
 			Rounds:      *clusterRnds,
 			Concurrency: *clusterConc,
-			Runs:        modeRuns,
+			Runs:        benchRuns,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "caload: cluster:", err)
 			return 2
 		}
 		file.Cluster = crep
-		for _, m := range []*load.ClusterReport{crep.Batched, crep.Unbatched} {
-			fmt.Printf("  cluster %-10s %4d rounds  %8.1f rounds/s  p50 %.2fms  p99 %.2fms  %8.0f driver allocs/round  batch frames %d  stalls %d\n",
-				m.Config.Label, m.Config.Rounds, m.Throughput, m.Latency.P50, m.Latency.P99,
-				m.DriverAllocsPerRound, m.BatchFrames, m.CreditStalls)
-		}
-		fmt.Printf("  cluster speedup: batched %.2fx unbatched (%d nodes, median of %d)\n",
-			crep.SpeedupX, crep.Nodes, modeRuns)
+		m := crep.Batched
+		fmt.Printf("  cluster %d nodes  %4d rounds  %8.1f rounds/s  p50 %.2fms  p99 %.2fms  %8.0f driver allocs/round  batch frames %d  stalls %d  (median of %d)\n",
+			crep.Nodes, m.Config.Rounds, m.Throughput, m.Latency.P50, m.Latency.P99,
+			m.DriverAllocsPerRound, m.BatchFrames, m.CreditStalls, crep.Runs)
 	}
 	if *out != "" {
 		blob, err := json.MarshalIndent(file, "", "  ")

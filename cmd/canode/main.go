@@ -41,7 +41,6 @@ func main() {
 		maxInFlight   = flag.Int("max-inflight", 0, "admission budget for locally-started actions (0 = unlimited)")
 		walDir        = flag.String("wal-dir", "", "directory for the node's protocol write-ahead log ('' runs memoryless; a restart replays <wal-dir>/<name>.wal)")
 		peerWindow    = flag.Int("peer-window", 0, "per-peer credit window in messages advertised to dialing peers (0 = transport default)")
-		noPeerBatch   = flag.Bool("no-peer-batch", false, "disable the cross-node fast path (batched frames, credit flow control); interoperates with batching peers")
 
 		// testnet mode
 		nodes       = flag.Int("nodes", 3, "testnet cluster size")
@@ -61,7 +60,7 @@ func main() {
 		os.Exit(2)
 	case *nodeMode:
 		os.Exit(runNode(*name, *controlAddr, *dataAddr, *seeds, *placement, *resolver, *metricsAddr, *walDir,
-			*exchangeEvery, *signalTimeout, *actionTimeout, *maxInFlight, *peerWindow, *noPeerBatch))
+			*exchangeEvery, *signalTimeout, *actionTimeout, *maxInFlight, *peerWindow))
 	default:
 		os.Exit(runTestnet(*binary, *nodes, *roles, *rounds, *stormRounds, *resolver, *logDir, *walRoot, !*noKill))
 	}
@@ -88,7 +87,7 @@ func parsePlacement(s string) (map[string]string, error) {
 }
 
 func runNode(name, controlAddr, dataAddr, seeds, placement, resolver, metricsAddr, walDir string,
-	exchangeEvery, signalTimeout, actionTimeout time.Duration, maxInFlight, peerWindow int, noPeerBatch bool) int {
+	exchangeEvery, signalTimeout, actionTimeout time.Duration, maxInFlight, peerWindow int) int {
 	place, err := parsePlacement(placement)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -124,7 +123,6 @@ func runNode(name, controlAddr, dataAddr, seeds, placement, resolver, metricsAdd
 		MaxInFlight:   maxInFlight,
 		WALDir:        walDir,
 		PeerWindow:    peerWindow,
-		NoPeerBatch:   noPeerBatch,
 		Logf:          logf,
 	})
 	if err != nil {

@@ -29,9 +29,8 @@
 // Resolution protocols ("coordinated", "cr86", "r96") and transports
 // ("sim", "tcp") are selectable by name through registries, including from
 // command-line flags. The TCP transport speaks a length-prefixed binary
-// wire codec by default (hand-rolled for the nine protocol messages, with
-// pooled encode buffers); WithGobWire selects the legacy gob encoding for
-// compatibility with peers running older releases.
+// wire codec (hand-rolled for the nine protocol messages, with reused
+// encode buffers).
 //
 // One System hosts any number of concurrent CA-action instances:
 // System.StartAction runs every role of a spec on its own goroutine and
@@ -109,7 +108,7 @@
 // caaction/cluster/testnet scripts a multi-process local cluster with a
 // kill+restart chaos scenario (canode -testnet).
 //
-// Cross-node traffic rides a batched fast path by default: all messages
+// Cross-node traffic rides one batched path: all messages
 // bound for one peer node within a coalesce window flush as a single
 // batched node frame (one header plus length-delimited entries, bounded
 // by the 64 KiB flush threshold and the per-message frame cap), with
@@ -119,12 +118,9 @@
 // WithPeerWindow tunes it) and grants more as it drains, while a sender
 // past the window parks at most one further window before sends fail
 // with the typed ErrPeerStalled — so per-peer buffering is bounded at
-// two windows and overload surfaces at the sender. WithoutPeerBatch
-// (canode -no-peer-batch) disables the fast path end to end, restoring
-// the frame-per-message wire; receivers decode both formats, so mixed
-// deployments interoperate and the knob is a safe rollback. See
-// DESIGN.md "Cross-node fast path" for the wire format, the credit
-// protocol and the benchmark that holds the speedup.
+// two windows and overload surfaces at the sender. See DESIGN.md
+// "Cross-node fast path" for the wire format, the credit protocol and
+// the benchmark that gates it.
 //
 // Crashes need not be amnesiac. WithRecorder(r) streams every protocol
 // state transition — joins, raise/exit votes, concluded outcomes — to a

@@ -151,7 +151,6 @@ func TestWithClusterValidation(t *testing.T) {
 		{"nil callbacks", []caaction.Option{caaction.WithCluster(caaction.ClusterConfig{})}},
 		{"virtual time", []caaction.Option{caaction.WithCluster(cc), caaction.WithVirtualTime()}},
 		{"custom clock", []caaction.Option{caaction.WithCluster(cc), caaction.WithClock(fakeClock{})}},
-		{"gob wire", []caaction.Option{caaction.WithCluster(cc), caaction.WithGobWire()}},
 		{"peer", []caaction.Option{caaction.WithCluster(cc), caaction.WithPeer("T9", "127.0.0.1:1")}},
 		{"sim transport", []caaction.Option{caaction.WithCluster(cc), caaction.WithSimTransport(0)}},
 	}

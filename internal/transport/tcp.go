@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -23,12 +22,11 @@ import (
 // provides Assumption 1.
 //
 // Messages travel in the hand-rolled length-prefixed binary codec
-// (internal/protocol's AppendFrame/DecodeFrame) by default, with encode
-// buffers pooled so a steady-state send performs no codec allocations. The
-// legacy gob wire remains available behind SetGobWire for compatibility
-// with peers that have not upgraded; both ends of a deployment must agree.
+// (internal/protocol's AppendFrame/DecodeFrame), with encode buffers
+// reused per connection so a steady-state send performs no codec
+// allocations.
 //
-// On a real clock, outbound binary frames are write-coalesced per peer
+// On a real clock, outbound frames are write-coalesced per peer
 // connection: a frame is appended to the connection's pending batch and the
 // batch is flushed either once it reaches coalesceBytes or when the
 // coalesceDelay flush deadline (a wall-clock timer armed when the batch
@@ -36,9 +34,9 @@ import (
 // syscall instead of one per frame, at a bounded worst-case added latency
 // of coalesceDelay. Frame order per connection is preserved (FIFO batches),
 // write errors are sticky and surface on the next Send to that peer (which
-// then re-dials), and Close flushes. The gob wire and virtual-clock
-// deployments keep the write-through path: a wall-clock flush timer under a
-// virtual clock could fire outside the deterministic schedule.
+// then re-dials), and Close flushes. Under a virtual clock each frame is
+// flushed as soon as it is encoded: a wall-clock flush timer could fire
+// outside the deterministic schedule.
 //
 // Endpoints created in this process listen on loopback by default; peers in
 // other processes are introduced with SetPeer. Construct with NewTCP.
@@ -47,13 +45,14 @@ import (
 //
 // ConfigureNode switches the network into cluster node mode: instead of one
 // listener per logical endpoint, the whole process listens once and every
-// frame carries its destination thread address on the wire (the protocol
-// package's node-qualified frames). A thread address then resolves
-// node-first: outbound sends ask the configured resolver which node
-// (host:port) currently hosts the destination thread and share one
-// connection per destination node across all local endpoints, and the
-// node listener routes inbound frames to the local endpoint bound to the
-// frame's destination address. Frames for locally-placed threads whose
+// message carries its destination thread address on the wire, inside
+// batched node frames under per-peer credit flow control (see DESIGN.md
+// "Cross-node fast path"). A thread address then resolves node-first:
+// outbound sends ask the configured resolver which node (host:port)
+// currently hosts the destination thread and share one connection per
+// destination node across all local endpoints, and the node listener
+// routes inbound frames to the local endpoint bound to the frame's
+// destination address. Frames for locally-placed threads whose
 // endpoint has not bound yet (a fast peer racing the local action start)
 // are retained — bounded — and flushed when the endpoint binds; frames for
 // unknown addresses are dropped. Sends between two locally-hosted threads
@@ -61,11 +60,9 @@ import (
 type TCP struct {
 	clock vclock.Clock
 
-	// gobWire selects the legacy gob encoding instead of the binary codec.
-	// It must be configured before endpoints are created.
-	gobWire bool
 	// coalesce enables per-connection write batching; set when the clock is
-	// wall-clock-backed (vclock.Real's RealTime marker).
+	// wall-clock-backed (vclock.Real's RealTime marker). Node mode requires
+	// it.
 	coalesce bool
 
 	// metrics, when non-nil, counts sends as "msg.<Kind>" plus "msg.total"
@@ -93,14 +90,8 @@ type TCP struct {
 	retained    map[string][]Delivery            // local threads not yet bound
 	retainedLen int
 
-	// Cross-node fast path (see DESIGN.md "Cross-node fast path"). batch
-	// gates all of it as one switch: batched node frames and credit grants
-	// on the wire, the per-flush route cache, and sink (inline) receive
-	// delivery — so SetPeerBatch(false) restores the legacy
-	// frame-per-message path end to end. window is the per-peer credit
-	// window in messages. Both follow the same write-before-traffic
-	// discipline as node/gobWire.
-	batch  bool
+	// window is the per-peer credit window in messages; like node, it is
+	// written before traffic flows.
 	window int
 
 	// routes caches thread→placement lookups (local + hosting node) so a
@@ -112,7 +103,7 @@ type TCP struct {
 	routes   sync.Map // thread addr -> *nodeRoute
 	routeGen atomic.Uint64
 
-	// Interned fast-path counters ("tcp.batch_frames", "tcp.credit_stalls",
+	// Interned node-wire counters ("tcp.batch_frames", "tcp.credit_stalls",
 	// "tcp.reinjected").
 	batchFrames  atomic.Pointer[trace.Counter]
 	creditStalls atomic.Pointer[trace.Counter]
@@ -153,7 +144,7 @@ const (
 	coalesceMaxRetain = 256 << 10
 )
 
-// Cross-node fast-path bounds.
+// Node-wire bounds.
 const (
 	// defaultPeerWindow is the per-peer credit window in messages: the most
 	// a sender may have on the wire past the peer's last grant. The pending
@@ -165,14 +156,15 @@ const (
 	// appended just before the size-driven flush (plus headers).
 	maxNodeBatch = maxFrame + coalesceBytes + 64
 	// grantWriteTimeout bounds a credit-grant write on an inbound node
-	// connection. A peer that never reads grants (an older sender) absorbs
-	// them into its socket buffer; if even that backs up, granting stops for
-	// that connection while reading continues — credits degrade to the
-	// legacy unbounded path instead of stalling the read loop.
+	// connection. A peer that does not read its grants absorbs them into its
+	// socket buffer; if even that backs up, granting stops for that
+	// connection while reading continues — the peer then runs out of credit
+	// and its sends fail with ErrPeerStalled instead of the read loop
+	// stalling.
 	grantWriteTimeout = time.Second
 )
 
-// frameBufPool recycles binary-codec encode/decode buffers.
+// frameBufPool recycles the read loops' frame buffers.
 var frameBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 512)
@@ -189,27 +181,10 @@ func NewTCP(clock vclock.Clock) *TCP {
 	return &TCP{
 		clock:    clock,
 		coalesce: real,
-		batch:    true,
 		window:   defaultPeerWindow,
 		book:     make(map[string]string),
 		eps:      make(map[string]*tcpEndpoint),
 	}
-}
-
-// SetPeerBatch enables (the default) or disables the cross-node fast path:
-// batched node frames and credit grants on the wire, the per-flush route
-// cache, and sink (inline) receive delivery. Disabling restores the legacy
-// frame-per-message path end to end — every node-qualified frame is
-// encoded and written through on its own — the cluster benchmark's
-// baseline mode, and an escape hatch against peers predating the batch
-// wire. Per-endpoint (single-process) sockets keep write coalescing
-// either way.
-// Receivers always decode both formats, so processes may choose
-// independently. Must be called before endpoints are created.
-func (t *TCP) SetPeerBatch(on bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.batch = on
 }
 
 // SetPeerWindow sets the per-peer credit window in messages (default 4096).
@@ -269,16 +244,6 @@ func (t *TCP) countReinject() {
 	c.Add(1)
 }
 
-// SetGobWire selects the legacy gob wire format instead of the binary
-// codec, for wire compatibility with older peers. It must be called before
-// any Endpoint is created, and every process of a deployment must agree.
-// Incompatible with node mode, whose frames are binary-only.
-func (t *TCP) SetGobWire(on bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.gobWire = on
-}
-
 // SetMetrics attaches a counter set recording per-kind send counts
 // ("msg.<Kind>" and "msg.total"), matching the sim transport's counters so
 // cluster deployments can check the paper's §3.3.3 message bounds across
@@ -325,8 +290,9 @@ const nodeRetainCap = 4096
 // is placed on this node; resolve maps a thread address to the host:port of
 // the node currently hosting it (consulted per send, so a peer that
 // restarts on a new port is re-dialled as soon as the resolver learns the
-// new address). Must be called before any Endpoint is created; returns the
-// bound listen address for exchange with peers.
+// new address). Node mode needs a real clock: its batches flush on a
+// wall-clock deadline. Must be called before any Endpoint is created;
+// returns the bound listen address for exchange with peers.
 func (t *TCP) ConfigureNode(listen string, local func(string) bool, resolve func(string) (string, bool)) (string, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -336,8 +302,8 @@ func (t *TCP) ConfigureNode(listen string, local func(string) bool, resolve func
 	if t.node {
 		return "", fmt.Errorf("transport: node mode already configured")
 	}
-	if t.gobWire {
-		return "", fmt.Errorf("transport: node mode requires the binary wire codec")
+	if !t.coalesce {
+		return "", fmt.Errorf("transport: node mode requires a real clock")
 	}
 	if len(t.eps) > 0 {
 		return "", fmt.Errorf("transport: node mode must be configured before endpoints are created")
@@ -510,31 +476,25 @@ func dropConn(c *tcpConn) {
 	_ = c.conn.Close()
 }
 
-// wire is the gob wire's on-the-wire frame (legacy format).
-type wire struct {
-	From string
-	Msg  protocol.Message
-}
-
 type tcpConn struct {
 	mu   sync.Mutex
 	conn net.Conn
-	enc  *gob.Encoder // gob wire only; nil on the binary codec
 	// hostport is the physical address this connection was dialled to; a
 	// cached connection is only reused while the logical address still
 	// resolves there (re-binding an address — e.g. the mux tearing a thread
 	// address down and a later instance reopening it on a fresh port —
 	// would otherwise leave peers sending into the dead incarnation).
 	hostport string
-	// owner backs the fast-path hooks a flush needs (batch-frame counting,
+	// owner backs the node-wire hooks a flush needs (batch-frame counting,
 	// route-cache expiry); nil on per-endpoint (non-node) connections.
 	owner *TCP
 
-	// Write-coalescing state (binary codec on a real clock only; see the
-	// TCP type docs). wbuf accumulates encoded frames; timer is the reused
-	// flush-deadline timer, armed whenever a batch opens; werr is the
-	// sticky error of a failed (possibly timer-driven) flush, surfaced on
-	// the next Send so the caller drops and re-dials the connection.
+	// Write state (see the TCP type docs). wbuf accumulates encoded frames
+	// (on a virtual clock it holds at most the one frame being written);
+	// timer is the reused flush-deadline timer, armed whenever a batch
+	// opens on a real clock; werr is the sticky error of a failed
+	// (possibly timer-driven) flush, surfaced on the next Send so the
+	// caller drops and re-dials the connection.
 	// batching marks wbuf as one open batched node frame (outer length
 	// placeholder + batch header + entries) rather than a run of
 	// self-prefixed frames; the flush backfills the outer length.
@@ -543,9 +503,8 @@ type tcpConn struct {
 	werr     error
 	batching bool
 
-	// Credit flow control (node batch path). creditLive latches at the
-	// peer's first grant — a peer that never grants (an older binary, or
-	// batching disabled there) keeps the legacy unlimited behaviour.
+	// Credit flow control (node connections). creditLive latches at the
+	// peer's first grant; until then sends are not credit-limited.
 	// credits is the remaining grant balance; once exhausted, encoded
 	// entries accumulate in pend (bounded to pendMax messages, FIFO ahead
 	// of new sends) until the next grant splices them into the batch.
@@ -624,14 +583,12 @@ func (t *TCP) nodeAcceptLoop(ln net.Listener) {
 	}
 }
 
-// nodeReadLoop decodes node-qualified frames off one inbound connection and
-// routes each to the local endpoint bound to its destination address.
-// Batched frames (the 0x00 control escape) and legacy single frames are
-// both accepted regardless of the local batch knob, so mixed deployments
-// interoperate. With batching enabled, the loop also runs the receiver half
-// of the credit protocol: it advertises the window up front and grants
-// again each time half a window has been consumed, writing grants back on
-// the inbound connection (the only writer on it, so no lock is needed).
+// nodeReadLoop decodes batched node frames off one inbound connection and
+// routes each entry to the local endpoint bound to its destination address.
+// It also runs the receiver half of the credit protocol: it advertises the
+// window up front and grants again each time half a window has been
+// consumed, writing grants back on the inbound connection (the only writer
+// on it, so no lock is needed).
 func (t *TCP) nodeReadLoop(conn net.Conn) {
 	defer func() {
 		_ = conn.Close()
@@ -644,12 +601,9 @@ func (t *TCP) nodeReadLoop(conn net.Conn) {
 	bp := frameBufPool.Get().(*[]byte)
 	defer frameBufPool.Put(bp)
 	t.mu.RLock()
-	granting := t.batch
 	window := t.window
 	t.mu.RUnlock()
-	if granting {
-		granting = sendGrant(conn, window)
-	}
+	granting := sendGrant(conn, window)
 	threshold := window / 2
 	if threshold < 1 {
 		threshold = 1
@@ -675,21 +629,16 @@ func (t *TCP) nodeReadLoop(conn net.Conn) {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return
 		}
-		if protocol.IsNodeControl(buf) {
-			if protocol.IsNodeBatch(buf) {
-				if err := protocol.DecodeNodeBatch(buf, deliver); err != nil {
-					return // a framing error poisons the stream
-				}
+		switch {
+		case protocol.IsNodeBatch(buf):
+			if err := protocol.DecodeNodeBatch(buf, deliver); err != nil {
+				return // a framing error poisons the stream
 			}
-			// Other control kinds are ignored: data connections only carry
-			// batches, and dropping unknowns keeps the wire extensible.
-		} else {
-			to, from, msg, err := protocol.DecodeNodeFrame(buf)
-			if err != nil {
-				return // a framing error poisons the stream; drop the connection
-			}
-			_ = deliver(to, from, msg)
+		case !protocol.IsNodeControl(buf):
+			return // not a batch: a corrupt stream; drop the connection
 		}
+		// Other control kinds are ignored: data connections only carry
+		// batches, and dropping unknowns keeps the wire extensible.
 		if granting && consumed >= threshold {
 			granting = sendGrant(conn, consumed)
 			consumed = 0
@@ -842,7 +791,7 @@ func (t *TCP) nodeSend(from, to string, msg protocol.Message) error {
 		t.routes.Delete(to) // the cached placement may be the stale part
 		return fmt.Errorf("transport: send to %q: %w", to, err)
 	}
-	err, broken := t.write(c, to, from, msg)
+	err, broken := t.writeNodeBatched(c, to, from, msg)
 	if err != nil {
 		t.routes.Delete(to)
 		if broken {
@@ -871,14 +820,10 @@ func (t *TCP) nodeSend(from, to string, msg protocol.Message) error {
 // placement change (thread migration, peer restart) is picked up at the
 // next flush or connection drop, whichever comes first.
 func (t *TCP) routeFor(to string) (nodeRoute, error) {
-	cache := t.batch && t.coalesce
-	var gen uint64
-	if cache {
-		gen = t.routeGen.Load()
-		if v, ok := t.routes.Load(to); ok {
-			if r := v.(*nodeRoute); r.gen == gen {
-				return *r, nil
-			}
+	gen := t.routeGen.Load()
+	if v, ok := t.routes.Load(to); ok {
+		if r := v.(*nodeRoute); r.gen == gen {
+			return *r, nil
 		}
 	}
 	t.mu.RLock()
@@ -898,9 +843,7 @@ func (t *TCP) routeFor(to string) (nodeRoute, error) {
 		}
 		r.hostport = hostport
 	}
-	if cache {
-		t.routes.Store(to, &r)
-	}
+	t.routes.Store(to, &r)
 	return r, nil
 }
 
@@ -926,7 +869,6 @@ func (t *TCP) dialNode(hostport string) (*tcpConn, error) {
 	}
 	c = &tcpConn{conn: conn, hostport: hostport, owner: t}
 	t.mu.Lock()
-	batch := t.batch
 	c.pendMax = t.window
 	if t.closed {
 		t.mu.Unlock()
@@ -940,11 +882,9 @@ func (t *TCP) dialNode(hostport string) (*tcpConn, error) {
 	}
 	t.nodeConns[hostport] = c
 	t.mu.Unlock()
-	if batch && t.coalesce {
-		// The accepting side writes credit grants back on this connection;
-		// consume them. The loop exits when the connection closes.
-		go t.creditReadLoop(c)
-	}
+	// The accepting side writes credit grants back on this connection;
+	// consume them. The loop exits when the connection closes.
+	go t.creditReadLoop(c)
 	return c, nil
 }
 
@@ -982,15 +922,8 @@ func (e *tcpEndpoint) MarkDaemon() { e.queue.SetDaemon() }
 // drained through the sink first, in order, under the same lock that gates
 // new deliveries into the queue, so the per-pair FIFO guarantee holds
 // across the installation: a delivery can only take the sink shortcut once
-// nothing older is queued ahead of it. Gated on the cross-node fast-path
-// knob; a nil fn removes the sink.
+// nothing older is queued ahead of it. A nil fn removes the sink.
 func (e *tcpEndpoint) SetSink(fn func(Delivery)) {
-	e.net.mu.RLock()
-	on := e.net.batch
-	e.net.mu.RUnlock()
-	if !on {
-		return
-	}
 	if fn == nil {
 		e.sink.Store(nil)
 		return
@@ -1087,19 +1020,6 @@ func (e *tcpEndpoint) acceptLoop() {
 
 func (e *tcpEndpoint) readLoop(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
-	e.net.mu.RLock()
-	gobWire := e.net.gobWire
-	e.net.mu.RUnlock()
-	if gobWire {
-		dec := gob.NewDecoder(conn)
-		for {
-			var w wire
-			if err := dec.Decode(&w); err != nil {
-				return
-			}
-			e.queue.Put(borrowDelivery(w.From, w.Msg, false))
-		}
-	}
 	br := bufio.NewReader(conn)
 	var hdr [4]byte
 	bp := frameBufPool.Get().(*[]byte)
@@ -1135,7 +1055,7 @@ func (e *tcpEndpoint) Send(to string, msg protocol.Message) error {
 	if err != nil {
 		return err
 	}
-	err, broken := e.net.write(c, "", e.addr, msg)
+	err, broken := e.net.writeFrame(c, e.addr, msg)
 	if err != nil {
 		if broken {
 			// Connection broke mid-stream: forget it so a later send
@@ -1155,65 +1075,16 @@ func (e *tcpEndpoint) Send(to string, msg protocol.Message) error {
 	return nil
 }
 
-// appendWireFrame encodes one frame: plain when nodeTo is empty (the
-// destination is implied by the per-endpoint socket), node-qualified
-// otherwise.
-func appendWireFrame(buf []byte, nodeTo, from string, msg protocol.Message) ([]byte, error) {
-	if nodeTo == "" {
-		return protocol.AppendFrame(buf, from, msg)
-	}
-	return protocol.AppendNodeFrame(buf, nodeTo, from, msg)
-}
-
-// write encodes and transmits one message on an established connection.
-// broken reports whether the error (if any) poisoned the connection's byte
-// stream, requiring a re-dial. On the coalescing path a nil return means
-// the frame was accepted into the batch; a transmission failure (including
-// one from a deadline-driven flush) surfaces as the sticky connection error
-// on a later write.
-func (t *TCP) write(c *tcpConn, nodeTo, from string, msg protocol.Message) (err error, broken bool) {
-	if c.enc != nil { // gob wire: the encoder writes directly to the stream
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		err := c.enc.Encode(wire{From: from, Msg: msg})
-		return err, err != nil
-	}
-	if t.coalesce {
-		if nodeTo == "" {
-			return t.writeCoalesced(c, nodeTo, from, msg)
-		}
-		if t.batch {
-			return t.writeNodeBatched(c, nodeTo, from, msg)
-		}
-		// Fast path off: node traffic goes write-through below, one frame
-		// per write — the pre-batching wire the cluster benchmark's
-		// unbatched baseline measures. Byte coalescing stays on for
-		// per-endpoint sockets, whose single-process anchors predate the
-		// node wire.
-	}
-	bp := frameBufPool.Get().(*[]byte)
-	defer frameBufPool.Put(bp)
-	buf := append((*bp)[:0], 0, 0, 0, 0) // length prefix placeholder
-	buf, err = appendWireFrame(buf, nodeTo, from, msg)
-	if err != nil {
-		return err, false
-	}
-	if len(buf)-4 > maxFrame {
-		return fmt.Errorf("%w: frame of %d bytes exceeds the %d-byte bound", protocol.ErrCodec, len(buf)-4, maxFrame), false
-	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-	*bp = buf[:0] // keep any growth for the next send
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, err = c.conn.Write(buf)
-	return err, err != nil
-}
-
-// writeCoalesced appends one encoded frame to the connection's batch,
-// flushing on the byte bound and otherwise arming the flush-deadline timer
-// when the batch opens. Codec errors leave the batch (and the stream)
-// intact: nothing of the failed frame remains buffered.
-func (t *TCP) writeCoalesced(c *tcpConn, nodeTo, from string, msg protocol.Message) (err error, broken bool) {
+// writeFrame appends one encoded plain frame to a per-endpoint
+// connection's batch. On a real clock the batch flushes on the byte bound
+// and otherwise arms the flush-deadline timer when it opens; under a
+// virtual clock the frame is flushed at once. broken reports whether the
+// error (if any) poisoned the connection's byte stream, requiring a
+// re-dial; a nil return on a real clock means the frame was accepted into
+// the batch, and a failed (possibly timer-driven) flush surfaces as the
+// sticky connection error on a later write. Codec errors leave the batch
+// (and the stream) intact: nothing of the failed frame remains buffered.
+func (t *TCP) writeFrame(c *tcpConn, from string, msg protocol.Message) (err error, broken bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.werr != nil {
@@ -1221,7 +1092,7 @@ func (t *TCP) writeCoalesced(c *tcpConn, nodeTo, from string, msg protocol.Messa
 	}
 	n0 := len(c.wbuf)
 	buf := append(c.wbuf, 0, 0, 0, 0) // length prefix placeholder
-	buf, err = appendWireFrame(buf, nodeTo, from, msg)
+	buf, err = protocol.AppendFrame(buf, from, msg)
 	if err != nil {
 		c.wbuf = buf[:n0] // keep any growth; drop the partial frame
 		return err, false
@@ -1232,7 +1103,7 @@ func (t *TCP) writeCoalesced(c *tcpConn, nodeTo, from string, msg protocol.Messa
 	}
 	binary.BigEndian.PutUint32(buf[n0:n0+4], uint32(len(buf)-n0-4))
 	c.wbuf = buf
-	if len(c.wbuf) >= coalesceBytes {
+	if !t.coalesce || len(c.wbuf) >= coalesceBytes {
 		err := c.flushLocked()
 		return err, err != nil
 	}
@@ -1313,7 +1184,6 @@ func (t *TCP) writeNodeBatched(c *tcpConn, nodeTo, from string, msg protocol.Mes
 func (e *tcpEndpoint) dial(to string) (*tcpConn, error) {
 	e.net.mu.RLock()
 	hostport, ok := e.net.book[to]
-	gobWire := e.net.gobWire
 	e.net.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownAddr, to)
@@ -1341,9 +1211,6 @@ func (e *tcpEndpoint) dial(to string) (*tcpConn, error) {
 		return nil, fmt.Errorf("transport: dial %q: %w", to, err)
 	}
 	c := &tcpConn{conn: conn, hostport: hostport}
-	if gobWire {
-		c.enc = gob.NewEncoder(conn)
-	}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1389,12 +1256,14 @@ func (e *tcpEndpoint) Close() error {
 		// reach the peer, then stop the flush timer and the connection.
 		closeConn(c)
 	}
-	e.queue.Close()
-
+	// Release the address before closing the queue: a receiver that sees
+	// the closed queue (the mux pump, which then forgets the address) may
+	// bind the address again at once, and must not find it still taken.
 	e.net.mu.Lock()
 	if e.net.eps[e.addr] == e {
 		delete(e.net.eps, e.addr)
 	}
 	e.net.mu.Unlock()
+	e.queue.Close()
 	return err
 }

@@ -20,28 +20,6 @@ import (
 // per-peer flow control, the per-flush route cache and sink (inline)
 // receive delivery. See DESIGN.md "Cross-node fast path".
 
-// nodeNetWith builds a node-mode network like nodeNet, applying cfg (knob
-// setters) before ConfigureNode.
-func nodeNetWith(t *testing.T, hosted map[string]bool, table *sync.Map, cfg func(*TCP)) *TCP {
-	t.Helper()
-	n := NewTCP(vclock.NewReal())
-	if cfg != nil {
-		cfg(n)
-	}
-	local := func(addr string) bool { return hosted[addr] }
-	resolve := func(addr string) (string, bool) {
-		v, ok := table.Load(addr)
-		if !ok {
-			return "", false
-		}
-		return v.(string), true
-	}
-	if _, err := n.ConfigureNode("127.0.0.1:0", local, resolve); err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
 // TestTCPNodeBatchedSendAllocCeiling mirrors TestTCPSendAllocCeiling on the
 // batched node path: one cross-node send+receive round trip (batch append,
 // coalesced flush, batch decode, delivery) must stay within the same small
@@ -123,44 +101,6 @@ func TestTCPNodeBatchFramesMetric(t *testing.T) {
 	}
 }
 
-// TestTCPNodeMixedBatchInterop runs one batched and one legacy
-// (SetPeerBatch(false)) process against each other: receivers always accept
-// both wire formats, so traffic flows in both directions.
-func TestTCPNodeMixedBatchInterop(t *testing.T) {
-	var table sync.Map
-	batched := nodeNetWith(t, map[string]bool{"A": true}, &table, nil)
-	legacy := nodeNetWith(t, map[string]bool{"B": true}, &table, func(n *TCP) {
-		n.SetPeerBatch(false)
-	})
-	defer func() { _ = batched.Close() }()
-	defer func() { _ = legacy.Close() }()
-	table.Store("A", batched.NodeAddr())
-	table.Store("B", legacy.NodeAddr())
-
-	a, _ := batched.Endpoint("A")
-	b, _ := legacy.Endpoint("B")
-
-	const each = 50
-	for i := 0; i < each; i++ {
-		if err := a.Send("B", protocol.Ack{Action: "a2b#1", From: "A", Round: i}); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Send("A", protocol.Ack{Action: "b2a#1", From: "B", Round: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < each; i++ {
-		d, ok := b.RecvTimeout(5 * time.Second)
-		if !ok || d.Msg.(protocol.Ack).Round != i {
-			t.Fatalf("batched→legacy delivery %d failed: %+v %v", i, d, ok)
-		}
-		d, ok = a.RecvTimeout(5 * time.Second)
-		if !ok || d.Msg.(protocol.Ack).Round != i {
-			t.Fatalf("legacy→batched delivery %d failed: %+v %v", i, d, ok)
-		}
-	}
-}
-
 // fakePeer is a hand-rolled node listener for credit-protocol tests: it
 // accepts one connection, advertises a window, and then reads (or refuses
 // to read) data frames on command.
@@ -216,18 +156,14 @@ func (p *fakePeer) drain(t *testing.T, count int, deadline time.Duration) int {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return seen
 		}
-		if protocol.IsNodeBatch(buf) {
-			if err := protocol.DecodeNodeBatch(buf, func(string, string, protocol.Message) error {
-				seen++
-				return nil
-			}); err != nil {
-				t.Fatalf("fake peer: batch decode: %v", err)
-			}
-		} else if !protocol.IsNodeControl(buf) {
-			if _, _, _, err := protocol.DecodeNodeFrame(buf); err != nil {
-				t.Fatalf("fake peer: frame decode: %v", err)
-			}
+		if !protocol.IsNodeBatch(buf) {
+			t.Fatalf("fake peer: %d-byte frame is not a node batch", n)
+		}
+		if err := protocol.DecodeNodeBatch(buf, func(string, string, protocol.Message) error {
 			seen++
+			return nil
+		}); err != nil {
+			t.Fatalf("fake peer: batch decode: %v", err)
 		}
 	}
 	return seen
@@ -495,26 +431,6 @@ func TestTCPSinkInstallDrainsQueueInOrder(t *testing.T) {
 	}
 	if b.queue.Len() != 0 {
 		t.Fatalf("queue grew after sink install: %d", b.queue.Len())
-	}
-}
-
-// TestTCPSinkDisabledWithBatchOff pins the single-knob contract:
-// SetPeerBatch(false) turns the receive fast path off too, so the
-// benchmark's unbatched baseline really is the legacy queue+pump path.
-func TestTCPSinkDisabledWithBatchOff(t *testing.T) {
-	var table sync.Map
-	n2 := nodeNetWith(t, map[string]bool{"B": true}, &table, func(n *TCP) {
-		n.SetPeerBatch(false)
-	})
-	defer func() { _ = n2.Close() }()
-	bAny, err := n2.Endpoint("B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := bAny.(*tcpEndpoint)
-	b.SetSink(func(Delivery) {})
-	if b.sink.Load() != nil {
-		t.Fatal("sink installed despite SetPeerBatch(false)")
 	}
 }
 

@@ -47,38 +47,6 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTCPGobWireOption pins the legacy wire format behind SetGobWire: a
-// network configured for gob still round-trips every message kind,
-// including gob-registered App payloads.
-func TestTCPGobWireOption(t *testing.T) {
-	clk := vclock.NewReal()
-	net := NewTCP(clk)
-	net.SetGobWire(true)
-	defer func() { _ = net.Close() }()
-
-	a, err := net.Endpoint("T1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := net.Endpoint("T2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := protocol.Commit{Action: "act#1", From: "T1", Round: 2, Resolved: "e1",
-		Raised: []except.Raised{{ID: "e1", Origin: "T1", Info: "x"}}}
-	if err := a.Send("T2", want); err != nil {
-		t.Fatal(err)
-	}
-	d, ok := b.RecvTimeout(5 * time.Second)
-	if !ok {
-		t.Fatal("no delivery")
-	}
-	got, ok := d.Msg.(protocol.Commit)
-	if !ok || got.Resolved != "e1" || len(got.Raised) != 1 || d.From != "T1" {
-		t.Fatalf("gob wire round trip: %#v (from %q)", d.Msg, d.From)
-	}
-}
-
 // TestTCPBinaryWireAppPayload: the binary codec's gob fallback carries
 // arbitrary registered App payloads across real sockets.
 func TestTCPBinaryWireAppPayload(t *testing.T) {
@@ -267,6 +235,51 @@ func TestTCPCloseUnblocksRecv(t *testing.T) {
 	}
 }
 
+// TestTCPCloseReleasesAddrBeforeQueue pins the order inside
+// tcpEndpoint.Close: the address leaves the network before the receive
+// queue closes. A receiver that sees the closed queue — the mux pump, which
+// then forgets the address so the next instance binds it afresh — must be
+// able to bind the address again at once; closing the queue first failed
+// that bind with ErrDuplicateAddr. Holding the network's read lock parks
+// Close at the deregistration, so a Recv that returns while the lock is
+// held proves the queue closed while the address was still taken.
+func TestTCPCloseReleasesAddrBeforeQueue(t *testing.T) {
+	net := NewTCP(vclock.NewReal())
+	defer func() { _ = net.Close() }()
+	ep, err := net.Endpoint("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recvd := make(chan struct{})
+	go func() {
+		_, _ = ep.Recv()
+		close(recvd)
+	}()
+
+	net.mu.RLock()
+	closed := make(chan error, 1)
+	go func() { closed <- ep.Close() }()
+	select {
+	case <-recvd:
+		_, bound := net.eps["A"]
+		net.mu.RUnlock()
+		if bound {
+			t.Fatal("Recv reported the endpoint closed while its address was still bound")
+		}
+	case <-time.After(500 * time.Millisecond):
+		net.mu.RUnlock() // Close is parked at the deregistration; let it finish
+	}
+	<-recvd
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	again, err := net.Endpoint("A")
+	if err != nil {
+		t.Fatalf("re-bind after Recv reported the close: %v", err)
+	}
+	_ = again.Close()
+}
+
 // TestTCPRebindInvalidatesCachedConns closes an address and re-binds it on
 // a fresh port (what the mux's GC does when an address's last instance
 // completes and a later instance reopens it); a peer's cached connection to
@@ -409,6 +422,16 @@ func nodeNet(t *testing.T, hosted map[string]bool, table *sync.Map) *TCP {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// TestTCPNodeModeRequiresRealClock: node batches flush on a wall-clock
+// deadline, so ConfigureNode refuses a clock without RealTime().
+func TestTCPNodeModeRequiresRealClock(t *testing.T) {
+	n := NewTCP(vclock.NewVirtual())
+	defer func() { _ = n.Close() }()
+	if _, err := n.ConfigureNode("127.0.0.1:0", func(string) bool { return true }, func(string) (string, bool) { return "", false }); err == nil {
+		t.Fatal("ConfigureNode accepted a clock without RealTime()")
+	}
 }
 
 // TestTCPNodeModeRoundTrip models two OS processes in node mode: each hosts

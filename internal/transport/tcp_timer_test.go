@@ -47,7 +47,7 @@ func TestTCPDropConnStopsFlushTimer(t *testing.T) {
 	fake := newCountingConn()
 	c := &tcpConn{conn: fake, hostport: "127.0.0.1:1"}
 	// One small frame: accepted into the batch, batch opens, timer armed.
-	if err, broken := tn.write(c, "", "A", protocol.Ack{Action: "x#1", From: "A"}); err != nil || broken {
+	if err, broken := tn.writeFrame(c, "A", protocol.Ack{Action: "x#1", From: "A"}); err != nil || broken {
 		t.Fatalf("write into fresh batch: err=%v broken=%v", err, broken)
 	}
 	c.mu.Lock()
@@ -70,6 +70,35 @@ func TestTCPDropConnStopsFlushTimer(t *testing.T) {
 	c.mu.Unlock()
 	if werr != nil {
 		t.Fatalf("dropped connection accumulated a flush error: %v", werr)
+	}
+}
+
+// TestTCPVirtualClockWritesThrough pins the plain-frame writer under a
+// virtual clock, where a wall-clock flush timer could fire outside the
+// deterministic schedule: every frame must reach the connection inside its
+// own write, with no flush timer armed and nothing left buffered.
+func TestTCPVirtualClockWritesThrough(t *testing.T) {
+	tn := NewTCP(vclock.NewVirtual())
+	defer func() { _ = tn.Close() }()
+	if tn.coalesce {
+		t.Fatal("virtual-clock TCP must not coalesce writes")
+	}
+
+	fake := newCountingConn()
+	c := &tcpConn{conn: fake, hostport: "127.0.0.1:1"}
+	for i := 0; i < 3; i++ {
+		if err, broken := tn.writeFrame(c, "A", protocol.Ack{Action: "x#1", From: "A", Round: i}); err != nil || broken {
+			t.Fatalf("frame %d: err=%v broken=%v", i, err, broken)
+		}
+		if got := len(fake.writes); got != i+1 {
+			t.Fatalf("after frame %d: %d writes reached the connection, want %d", i, got, i+1)
+		}
+		c.mu.Lock()
+		armed, buffered := c.timer != nil, len(c.wbuf)
+		c.mu.Unlock()
+		if armed || buffered != 0 {
+			t.Fatalf("after frame %d: timer armed=%v, %d bytes buffered; want neither", i, armed, buffered)
+		}
 	}
 }
 

@@ -8,8 +8,8 @@
 // Two implementations are provided: Sim, an in-process network with a
 // configurable latency model, fault injection and per-kind message counters
 // (driven by any vclock.Clock, so whole experiments run in deterministic
-// virtual time), and TCP, a gob-over-TCP network for genuinely distributed
-// deployments.
+// virtual time), and TCP, a binary-codec network over TCP for genuinely
+// distributed deployments.
 package transport
 
 import (

@@ -72,9 +72,6 @@ func (c *config) validate() error {
 		if c.transportSet && c.transportName != "tcp" {
 			return fmt.Errorf("caaction: WithCluster requires the tcp transport, not %q", c.transportName)
 		}
-		if c.env.GobWire {
-			return fmt.Errorf("caaction: WithCluster conflicts with WithGobWire; node frames require the binary codec")
-		}
 		if c.env.Peers != nil {
 			return fmt.Errorf("caaction: WithCluster conflicts with WithPeer; peers come from the cluster resolver")
 		}
@@ -141,8 +138,8 @@ func WithJitter(jitter time.Duration, seed int64) Option {
 	}
 }
 
-// WithTCPTransport selects the gob-over-TCP network for genuinely
-// distributed deployments. addr is the host:port local endpoints listen on;
+// WithTCPTransport selects the TCP network, speaking the length-prefixed
+// binary codec, for genuinely distributed deployments. addr is the host:port local endpoints listen on;
 // empty means loopback with ephemeral ports. Combine with WithPeer to
 // introduce threads served by other processes, and usually with
 // WithRealTime.
@@ -154,28 +151,6 @@ func WithTCPTransport(addr string) Option {
 	}
 }
 
-// WithGobWire selects the legacy gob wire format for the TCP transport
-// instead of the default length-prefixed binary codec, for wire
-// compatibility with peers running older releases. Every process of a
-// deployment must agree on the wire format. The binary codec is both the
-// default and the fast path: it pools encode buffers and hand-rolls the
-// nine protocol messages, so prefer it whenever all peers speak it.
-func WithGobWire() Option {
-	return func(c *config) { c.env.GobWire = true }
-}
-
-// WithoutPeerBatch disables the tcp transport's cross-node fast path —
-// batched node frames, credit-based peer flow control, the per-flush route
-// cache and sink receive delivery — restoring the frame-per-message legacy
-// path (see DESIGN.md "Cross-node fast path"). The fast path is on by
-// default and interoperates with peers that have it off (receivers always
-// accept both wire forms), so this knob exists to isolate a suspected
-// fast-path bug or to measure the batching win; it is not needed for mixed
-// deployments.
-func WithoutPeerBatch() Option {
-	return func(c *config) { c.env.NoPeerBatch = true }
-}
-
 // WithPeerWindow sets the per-peer credit window, in messages, that this
 // node advertises to dialing peers (cluster nodes, tcp transport). A
 // dialing peer may have at most window unacknowledged messages on the wire
@@ -183,7 +158,7 @@ func WithoutPeerBatch() Option {
 // ErrPeerStalled — so the window bounds both this node's ingress buffering
 // and the sender's memory when this node stalls. The default (4096) suits
 // LAN clusters; lower it to tighten backpressure, raise it for
-// high-latency links. n must be positive. No effect with WithoutPeerBatch.
+// high-latency links. n must be positive.
 func WithPeerWindow(n int) Option {
 	return func(c *config) {
 		if n <= 0 {
@@ -439,7 +414,7 @@ type ClusterConfig struct {
 // node-qualified frames), thread addresses resolve node → endpoint through
 // cfg, and StartTagged may start just the locally-placed roles of a shared
 // action. Cluster nodes run on the real clock; WithCluster conflicts with
-// WithVirtualTime, WithClock, WithNetwork, WithGobWire and WithPeer.
+// WithVirtualTime, WithClock, WithNetwork and WithPeer.
 func WithCluster(cfg ClusterConfig) Option {
 	return func(c *config) {
 		if cfg.Local == nil || cfg.Resolve == nil {

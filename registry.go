@@ -126,13 +126,6 @@ type TransportEnv struct {
 	// Peers maps logical thread addresses served by other processes to
 	// their host:port, from WithPeer.
 	Peers map[string]string
-	// GobWire selects the legacy gob wire format instead of the binary
-	// codec (networked transports), from WithGobWire.
-	GobWire bool
-	// NoPeerBatch disables the cross-node fast path (batched node frames,
-	// credit flow control, route caching, sink receive) on the tcp
-	// transport, from WithoutPeerBatch.
-	NoPeerBatch bool
 	// PeerWindow overrides the per-peer credit window, in messages, that
 	// the tcp transport advertises to dialing peers (0 keeps the default),
 	// from WithPeerWindow.
@@ -191,17 +184,10 @@ func simTransport(env TransportEnv) (Network, error) {
 }
 
 // tcpTransport is the built-in "tcp" transport: length-prefixed
-// binary-codec messages over TCP for genuinely distributed deployments
-// (gob behind WithGobWire for wire compatibility).
+// binary-codec messages over TCP for genuinely distributed deployments.
 func tcpTransport(env TransportEnv) (Network, error) {
 	t := transport.NewTCP(env.Clock)
 	t.SetMetrics(env.Metrics)
-	if env.GobWire {
-		t.SetGobWire(true)
-	}
-	if env.NoPeerBatch {
-		t.SetPeerBatch(false)
-	}
 	if env.PeerWindow > 0 {
 		t.SetPeerWindow(env.PeerWindow)
 	}
