@@ -125,17 +125,18 @@
 // Crashes need not be amnesiac. WithRecorder(r) streams every protocol
 // state transition — joins, raise/exit votes, concluded outcomes — to a
 // Recorder; OpenWAL(path, snapshotEvery) is the durable implementation, a
-// group-commit fsynced write-ahead log that compacts itself every
-// snapshotEvery records and tolerates a torn tail on replay. A restarted
-// process reads the prior WALState back and applies the paper's §3.4
-// decision per action: a concluded outcome is recovered from the log, an
-// instance still inside its resolution window is re-joined live, and
-// anything older is abandoned deterministically. cluster.Config.WALDir
-// (the canode -wal-dir flag) wires this into a node: boot replays
-// <wal-dir>/<name>.wal, re-starts in-window instances under their original
-// tags once peers answer, and answers result queries for abandoned tags
-// with the typed cluster.ErrLostToCrash — distinguishable over the control
-// protocol from an unknown tag (cluster.ErrUnknownTag). The chaos engine's
+// group-commit fsynced write-ahead log that forgets concluded actions and
+// instances, compacts its live state every snapshotEvery records and
+// tolerates a torn tail on replay. A restarted process reads the prior
+// WALState back and applies the paper's §3.4 decision to what is still
+// open: an instance still inside its resolution window is re-joined live,
+// and anything older is abandoned deterministically; a concluded action
+// needs no decision. cluster.Config.WALDir (the canode -wal-dir flag)
+// wires this into a node: boot replays <wal-dir>/<name>.wal, re-starts
+// in-window instances under their original tags once peers answer, and
+// answers result queries for abandoned tags with the typed
+// cluster.ErrLostToCrash — distinguishable over the control protocol from
+// an unknown tag (cluster.ErrUnknownTag). The chaos engine's
 // restart scenario class (chaos.GenerateRestart) pins all three shapes
 // with golden traces on the virtual clock, and canode -testnet -waldir
 // asserts a SIGKILLed node's reborn incarnation re-joins the round it died

@@ -275,6 +275,18 @@ func RunWith(s Scenario, resolverName string) (*Result, error) {
 	}
 	threads := s.ThreadIDs()
 	clk := vclock.NewVirtualSequential()
+	// Setup starts goroutines and timers from this untracked goroutine.
+	// Tracking it until the last one is started keeps the clock from
+	// granting turns, advancing time or declaring deadlock while some
+	// participants do not exist yet; on more than one core that would
+	// make the run depend on the Go scheduler.
+	clk.Adopt()
+	settingUp := true
+	defer func() {
+		if settingUp {
+			clk.Release()
+		}
+	}()
 	metrics := &trace.Metrics{}
 	sim := transport.NewSim(transport.SimConfig{
 		Clock:   clk,
@@ -427,6 +439,8 @@ func RunWith(s Scenario, resolverName string) (*Result, error) {
 		res.Reborn = make(map[string]string, 1)
 		scheduleRestart(clk, engine, rt, s, outer, res, &mu, rec)
 	}
+	settingUp = false
+	clk.Release()
 	clk.Wait()
 
 	res.Stalled = engine.Stalled()

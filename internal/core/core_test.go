@@ -57,24 +57,25 @@ func (e *env) run(spec *core.Spec, progs map[string]core.RoleProgram) map[string
 	e.t.Helper()
 	var mu sync.Mutex
 	results := make(map[string]error)
-	for _, r := range spec.Roles {
-		role := r
-		prog, ok := progs[role.Name]
-		if !ok {
-			e.t.Fatalf("no program for role %q", role.Name)
+	e.clk.Run(func() {
+		for _, r := range spec.Roles {
+			role := r
+			prog, ok := progs[role.Name]
+			if !ok {
+				e.t.Fatalf("no program for role %q", role.Name)
+			}
+			th := e.threads[role.Thread]
+			if th == nil {
+				e.t.Fatalf("no thread %q", role.Thread)
+			}
+			e.clk.Go(func() {
+				err := th.Perform(spec, role.Name, prog)
+				mu.Lock()
+				results[role.Thread] = err
+				mu.Unlock()
+			})
 		}
-		th := e.threads[role.Thread]
-		if th == nil {
-			e.t.Fatalf("no thread %q", role.Thread)
-		}
-		e.clk.Go(func() {
-			err := th.Perform(spec, role.Name, prog)
-			mu.Lock()
-			results[role.Thread] = err
-			mu.Unlock()
-		})
-	}
-	e.clk.Wait()
+	})
 	return results
 }
 
@@ -642,9 +643,10 @@ func TestLostVoteDegradesToFailure(t *testing.T) {
 	})
 	spec := spec2(t, "lmes", graph3(t))
 	var e1, e2 error
-	clk.Go(func() { e1 = t1.Perform(spec, "a", core.RoleProgram{Body: noopBody}) })
-	clk.Go(func() { e2 = t2.Perform(spec, "b", core.RoleProgram{Body: noopBody}) })
-	clk.Wait()
+	clk.Run(func() {
+		clk.Go(func() { e1 = t1.Perform(spec, "a", core.RoleProgram{Body: noopBody}) })
+		clk.Go(func() { e2 = t2.Perform(spec, "b", core.RoleProgram{Body: noopBody}) })
+	})
 	if !core.IsFailed(e1) {
 		t.Fatalf("T1 outcome %v, want ƒ", e1)
 	}
@@ -664,24 +666,25 @@ func TestRepeatedActionsInLoop(t *testing.T) {
 	count := 0
 	var errs []error
 	body := func(ctx *core.Context) error { return ctx.Compute(time.Millisecond) }
-	for _, r := range spec.Roles {
-		role := r
-		th := e.threads[role.Thread]
-		e.clk.Go(func() {
-			for i := 0; i < 20; i++ {
-				if err := th.Perform(spec, role.Name, core.RoleProgram{Body: body}); err != nil {
+	e.clk.Run(func() {
+		for _, r := range spec.Roles {
+			role := r
+			th := e.threads[role.Thread]
+			e.clk.Go(func() {
+				for i := 0; i < 20; i++ {
+					if err := th.Perform(spec, role.Name, core.RoleProgram{Body: body}); err != nil {
+						mu.Lock()
+						errs = append(errs, err)
+						mu.Unlock()
+						return
+					}
 					mu.Lock()
-					errs = append(errs, err)
+					count++
 					mu.Unlock()
-					return
 				}
-				mu.Lock()
-				count++
-				mu.Unlock()
-			}
-		})
-	}
-	e.clk.Wait()
+			})
+		}
+	})
 	if len(errs) > 0 {
 		t.Fatalf("errors: %v", errs)
 	}

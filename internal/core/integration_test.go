@@ -76,12 +76,15 @@ func TestActionOverTCP(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(map[string]error)
 	var mu sync.Mutex
-	for _, r := range spec.Roles {
-		role := r
-		th, err := rt.NewThread(role.Thread)
-		if err != nil {
+	// Bind every thread before any starts sending.
+	threads := make([]*core.Thread, len(spec.Roles))
+	for i, r := range spec.Roles {
+		if threads[i], err = rt.NewThread(r.Thread); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for i, r := range spec.Roles {
+		role, th := r, threads[i]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -390,16 +393,22 @@ func TestNestedAbortPreservesRelayedResolution(t *testing.T) {
 		}
 		return ctx.Raise("halt", "abort the nested pair")
 	}}
-	for th, prog := range map[string]core.RoleProgram{"T1": descend("a"), "T2": descend("b"), "T3": raiser} {
+	progs := map[string]core.RoleProgram{"T1": descend("a"), "T2": descend("b"), "T3": raiser}
+	threads := make(map[string]*core.Thread, len(progs))
+	for th := range progs {
 		ct, err := rt.NewThread(th)
 		if err != nil {
 			t.Fatal(err)
 		}
-		role, _ := outer.RoleOf(th)
-		prog, ct := prog, ct
-		clk.Go(func() { outcomes <- ct.Perform(outer, role, prog) })
+		threads[th] = ct
 	}
-	clk.Wait()
+	clk.Run(func() {
+		for th, prog := range progs {
+			role, _ := outer.RoleOf(th)
+			prog, ct := prog, threads[th]
+			clk.Go(func() { outcomes <- ct.Perform(outer, role, prog) })
+		}
+	})
 	select {
 	case info := <-failed:
 		t.Fatalf("action deadlocked — enclosing-frame resolution message lost during abort window: %s", info)

@@ -61,20 +61,21 @@ func TestThreadRecycleScrubsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pair := range []struct {
-		th   *Thread
-		role string
-	}{{t1, "a"}, {t2, "b"}} {
-		pair := pair
-		clk.Go(func() {
-			if err := pair.th.Perform(spec, pair.role, RoleProgram{Body: func(ctx *Context) error {
-				return ctx.Compute(time.Millisecond)
-			}}); err != nil {
-				t.Errorf("%s: %v", pair.role, err)
-			}
-		})
-	}
-	clk.Wait()
+	clk.Run(func() {
+		for _, pair := range []struct {
+			th   *Thread
+			role string
+		}{{t1, "a"}, {t2, "b"}} {
+			pair := pair
+			clk.Go(func() {
+				if err := pair.th.Perform(spec, pair.role, RoleProgram{Body: func(ctx *Context) error {
+					return ctx.Compute(time.Millisecond)
+				}}); err != nil {
+					t.Errorf("%s: %v", pair.role, err)
+				}
+			})
+		}
+	})
 
 	if got := len(t1.seq); got == 0 {
 		t.Fatalf("expected a populated seq map before recycle")
@@ -126,17 +127,18 @@ func TestRecycledThreadRestartsInstanceSequence(t *testing.T) {
 			ids <- ctx.ActionID()
 			return nil
 		}
-		clk.Go(func() {
-			if err := t1.Perform(spec, "a", RoleProgram{Body: body}); err != nil {
-				t.Errorf("a: %v", err)
-			}
+		clk.Run(func() {
+			clk.Go(func() {
+				if err := t1.Perform(spec, "a", RoleProgram{Body: body}); err != nil {
+					t.Errorf("a: %v", err)
+				}
+			})
+			clk.Go(func() {
+				if err := t2.Perform(spec, "b", RoleProgram{Body: body}); err != nil {
+					t.Errorf("b: %v", err)
+				}
+			})
 		})
-		clk.Go(func() {
-			if err := t2.Perform(spec, "b", RoleProgram{Body: body}); err != nil {
-				t.Errorf("b: %v", err)
-			}
-		})
-		clk.Wait()
 		_ = t1.Close()
 		_ = t2.Close()
 		t1.Recycle()

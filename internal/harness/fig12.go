@@ -51,31 +51,34 @@ func RunFig12Point(cfg Fig12Config) (time.Duration, error) {
 
 	var mu sync.Mutex
 	var errs []error
+	threads := make([]*core.Thread, len(spec.Roles))
 	for i, r := range spec.Roles {
-		role := r
-		exc := except.ID(fmt.Sprintf("e%d", i+1))
-		th, err := env.Runtime.NewThread(role.Thread)
-		if err != nil {
+		if threads[i], err = env.Runtime.NewThread(r.Thread); err != nil {
 			return 0, err
 		}
-		env.Clock.Go(func() {
-			err := th.Perform(spec, role.Name, core.RoleProgram{
-				Body: func(ctx *core.Context) error {
-					if err := ctx.Compute(fig12Work); err != nil {
-						return err
-					}
-					return ctx.Raise(exc, "concurrent fault")
-				},
-				Handlers: map[except.ID]core.Handler{resolving: handler},
-			})
-			if err != nil {
-				mu.Lock()
-				errs = append(errs, err)
-				mu.Unlock()
-			}
-		})
 	}
-	env.Clock.Wait()
+	env.Clock.Run(func() {
+		for i, r := range spec.Roles {
+			role, th := r, threads[i]
+			exc := except.ID(fmt.Sprintf("e%d", i+1))
+			env.Clock.Go(func() {
+				err := th.Perform(spec, role.Name, core.RoleProgram{
+					Body: func(ctx *core.Context) error {
+						if err := ctx.Compute(fig12Work); err != nil {
+							return err
+						}
+						return ctx.Raise(exc, "concurrent fault")
+					},
+					Handlers: map[except.ID]core.Handler{resolving: handler},
+				})
+				if err != nil {
+					mu.Lock()
+					errs = append(errs, err)
+					mu.Unlock()
+				}
+			})
+		}
+	})
 	if len(errs) > 0 {
 		return 0, fmt.Errorf("harness: fig12: %v", errs[0])
 	}

@@ -129,34 +129,35 @@ func RunFig9Point(cfg Fig9Config) (time.Duration, error) {
 			mu.Unlock()
 		}
 	}
-	env.Clock.Go(func() {
-		record(run(t1, "a", core.RoleProgram{
-			Body: func(ctx *core.Context) error {
-				return ctx.Enter(nested, "a", core.RoleProgram{Body: nestedBody, OnAbort: abortEab})
-			},
-			Handlers: map[except.ID]core.Handler{"both": handlerA},
-		}))
+	env.Clock.Run(func() {
+		env.Clock.Go(func() {
+			record(run(t1, "a", core.RoleProgram{
+				Body: func(ctx *core.Context) error {
+					return ctx.Enter(nested, "a", core.RoleProgram{Body: nestedBody, OnAbort: abortEab})
+				},
+				Handlers: map[except.ID]core.Handler{"both": handlerA},
+			}))
+		})
+		env.Clock.Go(func() {
+			record(run(t2, "b", core.RoleProgram{
+				Body: func(ctx *core.Context) error {
+					return ctx.Enter(nested, "b", core.RoleProgram{Body: nestedBody})
+				},
+				Handlers: map[except.ID]core.Handler{"both": handlerB},
+			}))
+		})
+		env.Clock.Go(func() {
+			record(run(t3, "c", core.RoleProgram{
+				Body: func(ctx *core.Context) error {
+					if err := ctx.Compute(fig9Work); err != nil {
+						return err
+					}
+					return ctx.Raise("outer_exc", "containing-action fault")
+				},
+				Handlers: map[except.ID]core.Handler{"both": handlerC},
+			}))
+		})
 	})
-	env.Clock.Go(func() {
-		record(run(t2, "b", core.RoleProgram{
-			Body: func(ctx *core.Context) error {
-				return ctx.Enter(nested, "b", core.RoleProgram{Body: nestedBody})
-			},
-			Handlers: map[except.ID]core.Handler{"both": handlerB},
-		}))
-	})
-	env.Clock.Go(func() {
-		record(run(t3, "c", core.RoleProgram{
-			Body: func(ctx *core.Context) error {
-				if err := ctx.Compute(fig9Work); err != nil {
-					return err
-				}
-				return ctx.Raise("outer_exc", "containing-action fault")
-			},
-			Handlers: map[except.ID]core.Handler{"both": handlerC},
-		}))
-	})
-	env.Clock.Wait()
 	if len(errs) > 0 {
 		return 0, fmt.Errorf("harness: fig9: %v", errs[0])
 	}

@@ -107,39 +107,41 @@ func runLemma1Point(depth int, tmmax, tabo, treso time.Duration) (time.Duration,
 		})
 	}
 
-	for _, rl := range []struct{ role, thread string }{
-		{"a", "T1"}, {"b", "T2"}, {"c", "T3"},
-	} {
-		rl := rl
-		th, err := env.Runtime.NewThread(rl.thread)
-		if err != nil {
+	roles := []struct{ role, thread string }{{"a", "T1"}, {"b", "T2"}, {"c", "T3"}}
+	threads := make([]*core.Thread, len(roles))
+	for i, rl := range roles {
+		if threads[i], err = env.Runtime.NewThread(rl.thread); err != nil {
 			return 0, err
 		}
-		env.Clock.Go(func() {
-			prog := core.RoleProgram{
-				Handlers: map[except.ID]core.Handler{"outer_exc": handler},
-			}
-			switch rl.role {
-			case "c":
-				prog.Body = func(ctx *core.Context) error {
-					// Give the peers time to reach the innermost level.
-					if err := ctx.Compute(time.Duration(depth+2) * tmmax * 2); err != nil {
-						return err
-					}
-					mu.Lock()
-					raisedAt = ctx.Now()
-					mu.Unlock()
-					return ctx.Raise("outer_exc", "worst-case trigger")
-				}
-			default:
-				prog.Body = func(ctx *core.Context) error {
-					return descend(ctx, rl.role, 0)
-				}
-			}
-			record(th.Perform(outer, rl.role, prog))
-		})
 	}
-	env.Clock.Wait()
+	env.Clock.Run(func() {
+		for i, rl := range roles {
+			rl, th := rl, threads[i]
+			env.Clock.Go(func() {
+				prog := core.RoleProgram{
+					Handlers: map[except.ID]core.Handler{"outer_exc": handler},
+				}
+				switch rl.role {
+				case "c":
+					prog.Body = func(ctx *core.Context) error {
+						// Give the peers time to reach the innermost level.
+						if err := ctx.Compute(time.Duration(depth+2) * tmmax * 2); err != nil {
+							return err
+						}
+						mu.Lock()
+						raisedAt = ctx.Now()
+						mu.Unlock()
+						return ctx.Raise("outer_exc", "worst-case trigger")
+					}
+				default:
+					prog.Body = func(ctx *core.Context) error {
+						return descend(ctx, rl.role, 0)
+					}
+				}
+				record(th.Perform(outer, rl.role, prog))
+			})
+		}
+	})
 	if len(errs) > 0 {
 		return 0, fmt.Errorf("harness: lemma1: %v", errs[0])
 	}

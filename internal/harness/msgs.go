@@ -64,32 +64,35 @@ func runMsgCell(proto resolve.Protocol, n int, scenario string) (MsgRow, error) 
 
 	var mu sync.Mutex
 	var errs []error
+	threads := make([]*core.Thread, len(spec.Roles))
 	for i, r := range spec.Roles {
-		role := r
-		raises := scenario == "all" || i == 0
-		exc := except.ID(fmt.Sprintf("e%d", i+1))
-		th, err := env.Runtime.NewThread(role.Thread)
-		if err != nil {
+		if threads[i], err = env.Runtime.NewThread(r.Thread); err != nil {
 			return MsgRow{}, err
 		}
-		env.Clock.Go(func() {
-			perr := th.Perform(spec, role.Name, core.RoleProgram{
-				Body: func(ctx *core.Context) error {
-					if raises {
-						return ctx.Raise(exc, "")
-					}
-					return ctx.Compute(time.Hour) // interrupted by peers
-				},
-				Handlers: handlers,
-			})
-			if perr != nil {
-				mu.Lock()
-				errs = append(errs, perr)
-				mu.Unlock()
-			}
-		})
 	}
-	env.Clock.Wait()
+	env.Clock.Run(func() {
+		for i, r := range spec.Roles {
+			role, th := r, threads[i]
+			raises := scenario == "all" || i == 0
+			exc := except.ID(fmt.Sprintf("e%d", i+1))
+			env.Clock.Go(func() {
+				perr := th.Perform(spec, role.Name, core.RoleProgram{
+					Body: func(ctx *core.Context) error {
+						if raises {
+							return ctx.Raise(exc, "")
+						}
+						return ctx.Compute(time.Hour) // interrupted by peers
+					},
+					Handlers: handlers,
+				})
+				if perr != nil {
+					mu.Lock()
+					errs = append(errs, perr)
+					mu.Unlock()
+				}
+			})
+		}
+	})
 	if len(errs) > 0 {
 		return MsgRow{}, fmt.Errorf("harness: msgs: %v", errs[0])
 	}

@@ -109,49 +109,55 @@ func runSigCase(n int, name string, votes func(i int) except.ID,
 	decisions := make(map[string]signal.Decision, n)
 	var firstErr error
 
+	// Bind every endpoint before any peer starts sending.
+	eps := make([]transport.Endpoint, len(peers))
 	for i, self := range peers {
-		i, self := i, self
 		ep, err := net.Endpoint(self)
 		if err != nil {
 			return SigRow{}, err
 		}
-		clk.Go(func() {
-			inst := signal.New(signal.Config{
-				Action: "sig#1", Self: self, Peers: peers,
-				Send: func(to string, msg protocol.Message) { _ = ep.Send(to, msg) },
-				Undo: func() error {
-					mu.Lock()
-					undos++
-					mu.Unlock()
-					if undoErr != nil {
-						return undoErr(self)
-					}
-					return nil
-				},
-			})
-			dec := inst.Start(votes(i))
-			for !dec.Done {
-				d, ok := ep.Recv()
-				if !ok {
-					return
-				}
-				var derr error
-				dec, derr = inst.Deliver(d.From, d.Msg)
-				if derr != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = derr
-					}
-					mu.Unlock()
-					return
-				}
-			}
-			mu.Lock()
-			decisions[self] = dec
-			mu.Unlock()
-		})
+		eps[i] = ep
 	}
-	clk.Wait()
+	clk.Run(func() {
+		for i, self := range peers {
+			i, self, ep := i, self, eps[i]
+			clk.Go(func() {
+				inst := signal.New(signal.Config{
+					Action: "sig#1", Self: self, Peers: peers,
+					Send: func(to string, msg protocol.Message) { _ = ep.Send(to, msg) },
+					Undo: func() error {
+						mu.Lock()
+						undos++
+						mu.Unlock()
+						if undoErr != nil {
+							return undoErr(self)
+						}
+						return nil
+					},
+				})
+				dec := inst.Start(votes(i))
+				for !dec.Done {
+					d, ok := ep.Recv()
+					if !ok {
+						return
+					}
+					var derr error
+					dec, derr = inst.Deliver(d.From, d.Msg)
+					if derr != nil {
+						mu.Lock()
+						if firstErr == nil {
+							firstErr = derr
+						}
+						mu.Unlock()
+						return
+					}
+				}
+				mu.Lock()
+				decisions[self] = dec
+				mu.Unlock()
+			})
+		}
+	})
 	if firstErr != nil {
 		return SigRow{}, firstErr
 	}

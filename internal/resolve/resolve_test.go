@@ -78,60 +78,65 @@ func runScenarioWith(t testing.TB, proto Protocol, n int, raisers map[string]exc
 	var mu sync.Mutex
 	outcomes := make(map[string]Outcome)
 
+	// Bind every endpoint before any peer starts sending.
+	eps := make([]transport.Endpoint, len(peers))
 	for i, self := range peers {
-		self := self
-		i := i
 		ep, err := net.Endpoint(self)
 		if err != nil {
 			t.Fatalf("endpoint %s: %v", self, err)
 		}
-		clk.Go(func() {
-			inst := proto.NewInstance(Config{
-				Action: "A#1",
-				Self:   self,
-				Peers:  peers,
-				Round:  0,
-				Send: func(to string, msg protocol.Message) {
-					if err := ep.Send(to, msg); err != nil {
-						t.Errorf("%s send: %v", self, err)
-					}
-				},
-				Resolve: func(raised []except.Raised) except.ID {
-					calls.Add(1)
-					clk.Sleep(tres)
-					id, err := graph.ResolveRaised(raised)
-					if err != nil {
-						t.Errorf("resolve: %v", err)
-					}
-					return id
-				},
-			})
-			var out Outcome
-			if exc, ok := raisers[self]; ok {
-				clk.Sleep(time.Duration(i) * stagger)
-				out = inst.Raise(except.Raised{ID: exc, Origin: self, At: clk.Now()})
-			}
-			for !out.Decided {
-				d, ok := ep.Recv()
-				if !ok {
-					t.Errorf("%s: endpoint closed before decision", self)
-					return
-				}
-				res, err := inst.Deliver(d.From, d.Msg)
-				if err != nil {
-					t.Errorf("%s deliver: %v", self, err)
-					return
-				}
-				if res.Decided {
-					out = res
-				}
-			}
-			mu.Lock()
-			outcomes[self] = out
-			mu.Unlock()
-		})
+		eps[i] = ep
 	}
-	clk.Wait()
+	clk.Run(func() {
+		for i, self := range peers {
+			i, self, ep := i, self, eps[i]
+			clk.Go(func() {
+				inst := proto.NewInstance(Config{
+					Action: "A#1",
+					Self:   self,
+					Peers:  peers,
+					Round:  0,
+					Send: func(to string, msg protocol.Message) {
+						if err := ep.Send(to, msg); err != nil {
+							t.Errorf("%s send: %v", self, err)
+						}
+					},
+					Resolve: func(raised []except.Raised) except.ID {
+						calls.Add(1)
+						clk.Sleep(tres)
+						id, err := graph.ResolveRaised(raised)
+						if err != nil {
+							t.Errorf("resolve: %v", err)
+						}
+						return id
+					},
+				})
+				var out Outcome
+				if exc, ok := raisers[self]; ok {
+					clk.Sleep(time.Duration(i) * stagger)
+					out = inst.Raise(except.Raised{ID: exc, Origin: self, At: clk.Now()})
+				}
+				for !out.Decided {
+					d, ok := ep.Recv()
+					if !ok {
+						t.Errorf("%s: endpoint closed before decision", self)
+						return
+					}
+					res, err := inst.Deliver(d.From, d.Msg)
+					if err != nil {
+						t.Errorf("%s deliver: %v", self, err)
+						return
+					}
+					if res.Decided {
+						out = res
+					}
+				}
+				mu.Lock()
+				outcomes[self] = out
+				mu.Unlock()
+			})
+		}
+	})
 	return scenarioResult{
 		outcomes:     outcomes,
 		metrics:      metrics,

@@ -54,57 +54,63 @@ func runSignalling(t testing.TB, votes map[string]except.ID, undoFails map[strin
 	decisions := make(map[string]Decision)
 	undos := make(map[string]int)
 
+	// Bind every endpoint before any peer starts sending.
+	eps := make(map[string]transport.Endpoint, len(peers))
 	for _, self := range peers {
-		self := self
 		ep, err := net.Endpoint(self)
 		if err != nil {
 			t.Fatal(err)
 		}
-		clk.Go(func() {
-			inst := New(Config{
-				Action: "A#1",
-				Self:   self,
-				Peers:  peers,
-				Round:  0,
-				Send: func(to string, msg protocol.Message) {
-					if err := ep.Send(to, msg); err != nil {
-						t.Errorf("%s: %v", self, err)
-					}
-				},
-				Undo: func() error {
-					mu.Lock()
-					undos[self]++
-					mu.Unlock()
-					if undoFails[self] {
-						return fmt.Errorf("undo failed at %s", self)
-					}
-					return nil
-				},
-			})
-			dec := inst.Start(votes[self])
-			for !dec.Done {
-				d, ok := ep.Recv()
-				if !ok {
-					t.Errorf("%s: endpoint closed", self)
-					return
-				}
-				if d.Corrupt {
-					dec = inst.MarkFailed(d.From)
-					continue
-				}
-				var err error
-				dec, err = inst.Deliver(d.From, d.Msg)
-				if err != nil {
-					t.Errorf("%s: %v", self, err)
-					return
-				}
-			}
-			mu.Lock()
-			decisions[self] = dec
-			mu.Unlock()
-		})
+		eps[self] = ep
 	}
-	clk.Wait()
+	clk.Run(func() {
+		for _, self := range peers {
+			self, ep := self, eps[self]
+			clk.Go(func() {
+				inst := New(Config{
+					Action: "A#1",
+					Self:   self,
+					Peers:  peers,
+					Round:  0,
+					Send: func(to string, msg protocol.Message) {
+						if err := ep.Send(to, msg); err != nil {
+							t.Errorf("%s: %v", self, err)
+						}
+					},
+					Undo: func() error {
+						mu.Lock()
+						undos[self]++
+						mu.Unlock()
+						if undoFails[self] {
+							return fmt.Errorf("undo failed at %s", self)
+						}
+						return nil
+					},
+				})
+				dec := inst.Start(votes[self])
+				for !dec.Done {
+					d, ok := ep.Recv()
+					if !ok {
+						t.Errorf("%s: endpoint closed", self)
+						return
+					}
+					if d.Corrupt {
+						dec = inst.MarkFailed(d.From)
+						continue
+					}
+					var err error
+					dec, err = inst.Deliver(d.From, d.Msg)
+					if err != nil {
+						t.Errorf("%s: %v", self, err)
+						return
+					}
+				}
+				mu.Lock()
+				decisions[self] = dec
+				mu.Unlock()
+			})
+		}
+	})
 	return sigResult{decisions: decisions, undos: undos, metrics: metrics}
 }
 

@@ -55,18 +55,19 @@ func TestSequentialDeterministicOrder(t *testing.T) {
 		v := NewVirtualSequential()
 		var mu sync.Mutex
 		var order []string
-		for i := 0; i < 6; i++ {
-			i := i
-			v.Go(func() {
-				for step := 0; step < 10; step++ {
-					v.Sleep(time.Millisecond) // all six wake at the same instant
-					mu.Lock()
-					order = append(order, fmt.Sprintf("g%d.%d", i, step))
-					mu.Unlock()
-				}
-			})
-		}
-		v.Wait()
+		v.Run(func() {
+			for i := 0; i < 6; i++ {
+				i := i
+				v.Go(func() {
+					for step := 0; step < 10; step++ {
+						v.Sleep(time.Millisecond) // all six wake at the same instant
+						mu.Lock()
+						order = append(order, fmt.Sprintf("g%d.%d", i, step))
+						mu.Unlock()
+					}
+				})
+			}
+		})
 		return fmt.Sprint(order)
 	}
 	first := run()

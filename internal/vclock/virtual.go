@@ -190,6 +190,22 @@ func (v *Virtual) Wait() {
 	}
 }
 
+// Run calls start on the calling (untracked) goroutine, then waits like
+// Wait. While start runs, the caller counts as a running tracked goroutine,
+// so the clock grants no turns, advances no time and declares no deadlock
+// until start has started every goroutine and timer it means to. A root
+// that calls Go in a loop and then Wait has no such guarantee: on more than
+// one core the first goroutine can block while it is the only one tracked,
+// and the clock moves on without its siblings.
+func (v *Virtual) Run(start func()) {
+	v.Adopt()
+	func() {
+		defer v.Release()
+		start()
+	}()
+	v.Wait()
+}
+
 // Sleep blocks the calling tracked goroutine for d of virtual time.
 // Non-positive d yields without advancing time.
 func (v *Virtual) Sleep(d time.Duration) {

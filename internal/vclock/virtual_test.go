@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -251,6 +252,50 @@ func TestVirtualAdoptRelease(t *testing.T) {
 		t.Fatalf("Get = %v, %v", x, ok)
 	}
 	v.Wait()
+}
+
+// TestVirtualRunStartsAllBeforeTime pins Run's start barrier: goroutines
+// started inside Run all begin at virtual time zero, even when the scheduler
+// lets each one run and block before the next is started.
+func TestVirtualRunStartsAllBeforeTime(t *testing.T) {
+	for _, v := range []*Virtual{NewVirtual(), NewVirtualSequential()} {
+		const n = 8
+		var mu sync.Mutex
+		var starts []time.Duration
+		var order []int
+		v.Run(func() {
+			for i := 0; i < n; i++ {
+				i := i
+				v.Go(func() {
+					mu.Lock()
+					starts = append(starts, v.Now())
+					order = append(order, i)
+					mu.Unlock()
+					v.Sleep(time.Millisecond)
+				})
+				runtime.Gosched()
+				time.Sleep(time.Millisecond)
+			}
+		})
+		if len(starts) != n {
+			t.Fatalf("sequential=%v: %d goroutines ran, want %d", v.sequential, len(starts), n)
+		}
+		for i, at := range starts {
+			if at != 0 {
+				t.Fatalf("sequential=%v: goroutine %d started at %v, want 0", v.sequential, order[i], at)
+			}
+		}
+		if v.sequential {
+			for i, g := range order {
+				if g != i {
+					t.Fatalf("sequential start order %v, want spawn order", order)
+				}
+			}
+		}
+		if now := v.Now(); now != time.Millisecond {
+			t.Fatalf("sequential=%v: Now = %v after Run, want 1ms", v.sequential, now)
+		}
+	}
 }
 
 func TestRealClockBasics(t *testing.T) {

@@ -49,7 +49,7 @@ func Open(path string, snapshotEvery int) (*File, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	recs, err := DecodeAll(data)
+	recs, clean, err := DecodeAll(data)
 	if err != nil {
 		return nil, fmt.Errorf("wal: replay %s: %w", path, err)
 	}
@@ -57,16 +57,12 @@ func Open(path string, snapshotEvery int) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: replay %s: %w", path, err)
 	}
-	// Re-measure the clean prefix so a truncated tail is physically
-	// dropped before appends resume.
-	clean := 0
-	for _, r := range recs {
-		clean += len(AppendFrame(nil, r))
-	}
+	st.dropConcluded()
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
+	// A truncated tail is physically dropped before appends resume.
 	if clean < len(data) {
 		if err := f.Truncate(int64(clean)); err != nil {
 			f.Close()
@@ -88,7 +84,9 @@ func Open(path string, snapshotEvery int) (*File, error) {
 	return w, nil
 }
 
-// State returns a copy of the replayed-plus-appended state.
+// State returns a copy of the live state: the actions with no outcome
+// and the instances not done. A File forgets what concluded, in Append
+// and in Open, so its state and its snapshots stay O(in-flight).
 func (w *File) State() State {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -113,7 +111,14 @@ func (w *File) Append(r Record) error {
 	}
 	w.writeSeq++
 	seq := w.writeSeq
-	w.state.Apply(r)
+	switch r.Kind {
+	case KindOutcome:
+		delete(w.state.Actions, ActionKey{Thread: r.Thread, Action: r.Action})
+	case KindInstanceDone:
+		delete(w.state.Instances, r.Tag)
+	default:
+		w.state.Apply(r)
+	}
 	w.sinceSnapshot++
 	if w.sinceSnapshot >= w.snapshotEvery {
 		if err := w.compactLocked(); err != nil {
@@ -185,9 +190,9 @@ func (w *File) bumpSynced(seq uint64) {
 	w.sm.Unlock()
 }
 
-// compactLocked rewrites the log as a single snapshot record, fsnapshot
-// style: write a temp file, fsync it, rename it over the log. Caller
-// holds w.mu.
+// compactLocked rewrites the log as a single snapshot record: write a
+// temp file, fsync it, rename it over the log, fsync the directory so the
+// rename survives a power cut. Caller holds w.mu.
 func (w *File) compactLocked() error {
 	blob := EncodeState(w.state)
 	frame := AppendFrame(nil, Record{
@@ -200,37 +205,35 @@ func (w *File) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("wal: compact %s: %w", w.path, err)
 	}
-	tmpName := tmp.Name()
-	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
-	if _, err := tmp.Write(frame); err != nil {
-		cleanup()
-		return fmt.Errorf("wal: compact %s: %w", w.path, err)
+	if _, err = tmp.Write(frame); err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("wal: compact %s: %w", w.path, err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), w.path)
 	}
-	if err := tmp.Close(); err != nil {
-		cleanup()
-		return fmt.Errorf("wal: compact %s: %w", w.path, err)
-	}
-	if err := os.Rename(tmpName, w.path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("wal: compact %s: %w", w.path, err)
-	}
-	old := w.f
-	nf, err := os.OpenFile(w.path, os.O_RDWR, 0o644)
 	if err != nil {
-		return fmt.Errorf("wal: compact %s: reopen: %w", w.path, err)
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return fmt.Errorf("wal: compact %s: %w", w.path, err)
 	}
-	if _, err := nf.Seek(0, 2); err != nil {
-		nf.Close()
-		return fmt.Errorf("wal: compact %s: seek: %w", w.path, err)
-	}
-	old.Close()
-	w.f = nf
+	// The renamed temp file is the log now; appends continue at its end.
+	w.f.Close()
+	w.f = tmp
 	w.sinceSnapshot = 1 // the snapshot record itself
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("wal: compact %s: %w", w.path, err)
+	}
 	return nil
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Close flushes and closes the log.
@@ -249,10 +252,9 @@ func (w *File) Close() error {
 }
 
 // Recorder methods: protocol state recorded by the core runtime before
-// the corresponding message leaves the node. Append errors here are
-// deliberately swallowed after the first — the runtime's hot path cannot
-// surface them — but the durability contract holds for every append that
-// returns.
+// the corresponding message leaves the node. Every append error here is
+// swallowed — the Recorder interface has no error return — so the
+// durability contract holds only for appends that succeed.
 
 // RecordJoin logs an entry-barrier join.
 func (w *File) RecordJoin(thread, action, role string) {

@@ -1,6 +1,9 @@
 package wal
 
-import "sort"
+import (
+	"maps"
+	"sort"
+)
 
 // ActionKey identifies one participant's view of one action instance.
 type ActionKey struct {
@@ -123,6 +126,13 @@ func Replay(recs []Record) (State, error) {
 		st.Apply(r)
 	}
 	return st, nil
+}
+
+// dropConcluded deletes the concluded actions and done instances: the
+// §3.4 boot decision reads only what is still open.
+func (s State) dropConcluded() {
+	maps.DeleteFunc(s.Actions, func(_ ActionKey, as ActionState) bool { return as.Outcome != "" })
+	maps.DeleteFunc(s.Instances, func(_ string, is InstanceState) bool { return is.Done })
 }
 
 // InFlight returns the keys of actions that joined but never concluded,

@@ -164,25 +164,28 @@ func decodeRecord(data []byte) (Record, error) {
 	return r, nil
 }
 
-// DecodeAll decodes every complete length-prefixed record in data,
-// tolerating a truncated tail: a crash mid-append leaves a partial final
-// record, which replay ignores. A malformed record *body* is still an
-// error — that is corruption, not truncation.
-func DecodeAll(data []byte) ([]Record, error) {
+// DecodeAll decodes every complete length-prefixed record in data and
+// reports how many bytes they span, tolerating a truncated tail: a crash
+// mid-append leaves a partial final record, which replay ignores. A
+// malformed record *body* is still an error — that is corruption, not
+// truncation.
+func DecodeAll(data []byte) ([]Record, int, error) {
 	var out []Record
-	for len(data) > 0 {
-		n, sz := binary.Uvarint(data)
-		if sz <= 0 || n > uint64(len(data)-sz) {
-			return out, nil // truncated tail: keep what we have
+	used := 0
+	for used < len(data) {
+		rest := data[used:]
+		n, sz := binary.Uvarint(rest)
+		if sz <= 0 || n > uint64(len(rest)-sz) {
+			break // truncated tail: keep what we have
 		}
-		rec, err := decodeRecord(data[sz : sz+int(n)])
+		rec, err := decodeRecord(rest[sz : sz+int(n)])
 		if err != nil {
-			return out, err
+			return out, used, err
 		}
 		out = append(out, rec)
-		data = data[sz+int(n):]
+		used += sz + int(n)
 	}
-	return out, nil
+	return out, used, nil
 }
 
 // Codec helpers, mirroring internal/protocol's binary style: uvarint

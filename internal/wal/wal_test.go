@@ -1,10 +1,13 @@
 package wal
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -26,9 +29,12 @@ func TestCodecRoundTrip(t *testing.T) {
 	for _, r := range recs {
 		buf = AppendFrame(buf, r)
 	}
-	got, err := DecodeAll(buf)
+	got, used, err := DecodeAll(buf)
 	if err != nil {
 		t.Fatalf("DecodeAll: %v", err)
+	}
+	if used != len(buf) {
+		t.Fatalf("DecodeAll consumed %d of %d bytes", used, len(buf))
 	}
 	if !reflect.DeepEqual(got, recs) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, recs)
@@ -38,18 +44,23 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestDecodeTruncatedTail(t *testing.T) {
 	recs := sampleRecords()
 	var buf []byte
+	ends := []int{0} // ends[i] is the byte length of the first i records
 	for _, r := range recs {
 		buf = AppendFrame(buf, r)
+		ends = append(ends, len(buf))
 	}
 	// Any strict prefix decodes to a prefix of the records, never an error:
 	// a crash mid-append must not poison replay.
 	for cut := 0; cut < len(buf); cut++ {
-		got, err := DecodeAll(buf[:cut])
+		got, used, err := DecodeAll(buf[:cut])
 		if err != nil {
 			t.Fatalf("cut=%d: DecodeAll: %v", cut, err)
 		}
 		if len(got) > len(recs) {
 			t.Fatalf("cut=%d: decoded %d records from a prefix of %d", cut, len(got), len(recs))
+		}
+		if used != ends[len(got)] {
+			t.Fatalf("cut=%d: DecodeAll consumed %d bytes for %d records, want %d", cut, used, len(got), ends[len(got)])
 		}
 		for i, r := range got {
 			if !reflect.DeepEqual(r, recs[i]) {
@@ -240,6 +251,166 @@ func TestFileConcurrentAppend(t *testing.T) {
 	}
 	if total != workers*each {
 		t.Fatalf("replayed %d votes, want %d", total, workers*each)
+	}
+}
+
+// TestFileStateHoldsOnlyLive pins the bounded state: concluded actions and
+// done instances leave a File's state as their conclusion lands, so the
+// state, the snapshot and the file stay O(in-flight) however long the
+// history.
+func TestFileStateHoldsOnlyLive(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.wal")
+	const every = 16
+	w, err := Open(path, every)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	threads := []string{"T1", "T2", "T3"}
+	for i := 0; i < 10*every; i++ {
+		th := threads[i%len(threads)]
+		a := fmt.Sprintf("a#%d", i)
+		w.RecordJoin(th, a, "r1")
+		w.RecordVote(th, a, 0, "")
+		w.RecordOutcome(th, a, "ok")
+	}
+	if err := w.AppendInstanceStart("done-tag", "quiet", 2); err != nil {
+		t.Fatalf("AppendInstanceStart: %v", err)
+	}
+	if err := w.AppendInstanceDone("done-tag"); err != nil {
+		t.Fatalf("AppendInstanceDone: %v", err)
+	}
+	if err := w.AppendInstanceStart("open-tag", "quiet", 2); err != nil {
+		t.Fatalf("AppendInstanceStart: %v", err)
+	}
+	w.RecordJoin("T1", "live#1", "r1")
+
+	live := ActionKey{Thread: "T1", Action: "live#1"}
+	st := w.State()
+	if len(st.Actions) != 1 || len(st.Instances) != 1 {
+		t.Fatalf("state holds %d actions and %d instances, want 1 and 1", len(st.Actions), len(st.Instances))
+	}
+	if got := st.InFlight(); len(got) != 1 || got[0] != live {
+		t.Fatalf("InFlight = %v, want [%v]", got, live)
+	}
+	if got := st.OpenInstances(); len(got) != 1 || got[0] != "open-tag" {
+		t.Fatalf("OpenInstances = %v, want [open-tag]", got)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatalf("stat: %v", err)
+	}
+	// At most one snapshot of live state plus `every` records of ~30
+	// bytes; keeping the 480 concluded actions would cost over 10 KB.
+	if info.Size() > 2048 {
+		t.Fatalf("wal grew to %d bytes with one action in flight", info.Size())
+	}
+	w.Close()
+
+	w2, err := Open(path, every)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer w2.Close()
+	back := w2.State()
+	if !reflect.DeepEqual(back.InFlight(), st.InFlight()) || !reflect.DeepEqual(back.OpenInstances(), st.OpenInstances()) {
+		t.Fatalf("after reopen: InFlight %v, OpenInstances %v; want %v, %v",
+			back.InFlight(), back.OpenInstances(), st.InFlight(), st.OpenInstances())
+	}
+}
+
+// writeConcludedSnapshot writes a log whose one snapshot record carries n
+// concluded actions and a done instance, plus one live action and one
+// open instance, in the on-disk format of a log that kept its history.
+func writeConcludedSnapshot(t testing.TB, path string, n int) {
+	t.Helper()
+	st := NewState()
+	for i := 0; i < n; i++ {
+		st.Actions[ActionKey{Thread: "old", Action: fmt.Sprintf("done#%d", i)}] = ActionState{
+			Role: "r1", JoinedWall: 1, Votes: 1, Outcome: "ok", OutcomeWall: 2,
+		}
+	}
+	st.Actions[ActionKey{Thread: "old", Action: "live#1"}] = ActionState{Role: "r1", JoinedWall: 3}
+	st.Instances["done-tag"] = InstanceState{Kind: "quiet", Roles: 2, StartedWall: 1, Done: true}
+	st.Instances["open-tag"] = InstanceState{Kind: "quiet", Roles: 2, StartedWall: 3}
+	frame := AppendFrame(nil, Record{Kind: KindSnapshot, Wall: 4, Blob: EncodeState(st)})
+	if err := os.WriteFile(path, frame, 0o644); err != nil {
+		t.Fatalf("write snapshot: %v", err)
+	}
+}
+
+func TestOpenPrunesConcludedSnapshot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.wal")
+	writeConcludedSnapshot(t, path, 100)
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatalf("stat: %v", err)
+	}
+	const every = 8
+	w, err := Open(path, every)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer w.Close()
+	st := w.State()
+	want := State{
+		Actions:   map[ActionKey]ActionState{{Thread: "old", Action: "live#1"}: {Role: "r1", JoinedWall: 3}},
+		Instances: map[string]InstanceState{"open-tag": {Kind: "quiet", Roles: 2, StartedWall: 3}},
+	}
+	if !reflect.DeepEqual(st, want) {
+		t.Fatalf("state after Open holds %d actions and %d instances, want only the live ones: %+v",
+			len(st.Actions), len(st.Instances), want)
+	}
+	// The next compaction rewrites the log from the pruned state.
+	for i := 0; i < every; i++ {
+		w.RecordRaise("old", "live#1", i, "e1")
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatalf("stat: %v", err)
+	}
+	if after.Size() >= before.Size()/4 {
+		t.Fatalf("log is %d bytes after compaction, was %d with concluded entries", after.Size(), before.Size())
+	}
+}
+
+// BenchmarkFileAppend measures one action's durable appends, join → vote
+// → outcome, from 16 concurrent appenders against a log that already
+// holds 0 or 10k concluded actions. One op is one such action.
+func BenchmarkFileAppend(b *testing.B) {
+	for _, concluded := range []int{0, 10000} {
+		b.Run(fmt.Sprintf("concluded=%d", concluded), func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "node.wal")
+			if concluded > 0 {
+				writeConcludedSnapshot(b, path, concluded)
+			}
+			w, err := Open(path, 0)
+			if err != nil {
+				b.Fatalf("Open: %v", err)
+			}
+			defer w.Close()
+			const appenders = 16
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for g := 0; g < appenders; g++ {
+				wg.Add(1)
+				go func(th string) {
+					defer wg.Done()
+					for {
+						i := next.Add(1)
+						if i > int64(b.N) {
+							return
+						}
+						a := "a#" + strconv.FormatInt(i, 10)
+						w.RecordJoin(th, a, "r1")
+						w.RecordVote(th, a, 0, "")
+						w.RecordOutcome(th, a, "ok")
+					}
+				}(fmt.Sprintf("T%d", g))
+			}
+			wg.Wait()
+		})
 	}
 }
 

@@ -14,9 +14,10 @@ import (
 // corresponding message leaves the node (attach one with WithRecorder).
 // The WAL is the durable Recorder: OpenWAL opens an fsync-batched
 // length-prefixed binary log with periodic snapshot compaction, and its
-// State surfaces the replayed in-flight actions and tagged instances a
+// State surfaces the in-flight actions and open tagged instances a
 // restarted node uses to decide, per §3.4, what to re-join and what to
-// abort deterministically.
+// abort deterministically. Concluded entries are forgotten: they need no
+// decision.
 
 // Recorder is the write-ahead sink for protocol state; implementations
 // must be safe for concurrent use. A *WAL is a Recorder.
@@ -25,11 +26,14 @@ type Recorder = core.Recorder
 // WAL is the durable on-disk write-ahead log: every append is fsynced
 // before it returns (concurrent appenders share flushes, group-commit
 // style), and after SnapshotEvery appends the log is compacted to one
-// snapshot record, bounding replay length and file size.
+// snapshot of its live state, bounding replay length and file size by
+// what is in flight rather than by history.
 type WAL = wal.File
 
 // WALState is a WAL's materialised state after replay: in-flight actions
-// keyed by (thread, action) and tagged cluster instances keyed by tag.
+// keyed by (thread, action) and open tagged cluster instances keyed by
+// tag. A WAL drops an action when its outcome is logged and an instance
+// when it is logged done.
 type WALState = wal.State
 
 // WALActionKey identifies one participant's view of one action instance
