@@ -174,13 +174,14 @@ func (h *ActionHandle) finish(idx int, err error) {
 	q := h.doneQ
 	h.mu.Unlock()
 	if last {
+		// Before the waiters wake: an action a waiter starts next must
+		// find this one's roles no longer running.
+		h.sys.runners.actionDone(len(h.roles))
 		close(h.done)
 		if q != nil {
 			q.Close()
 		}
-		if h.sys != nil {
-			h.sys.endAction(h.tenant)
-		}
+		h.sys.endAction(h.tenant)
 	}
 }
 
@@ -201,8 +202,9 @@ func WithTenant(name string) StartOption {
 }
 
 // StartAction runs one CA-action instance concurrently with any number of
-// others on the same System: every role of spec gets its own goroutine
-// (started with System.Go, so virtual time keeps working) and its own
+// others on the same System: every role of spec runs on its own goroutine
+// (a warm role runner when one is idle, a fresh one otherwise; System.Wait
+// covers both, and virtual time keeps working) and gets its own
 // virtual endpoint demultiplexed from the shared per-thread transport
 // endpoints, and the instance is garbage-collected from the demultiplexer
 // when its last role finishes. progs must supply a RoleProgram with a Body
@@ -355,39 +357,15 @@ func (s *System) startAction(ctx context.Context, tag string, spec *Spec, progs 
 	// lifetimes, so virtual endpoints are recycled only for unwatched
 	// actions (a recycled endpoint must have no other referent).
 	watch := ctx.Done() != nil
-	pooled := false
-	if pool := s.rolePool(); pool != nil && len(rts) <= pool.size {
-		var wsArr [8]*roleWorker
-		// Non-blocking all-or-nothing grab; a saturated (or closing) pool
-		// simply means this action runs on the goroutine-per-role path
-		// below — StartAction never waits for workers, so role bodies that
-		// start and wait on further actions cannot deadlock the pool.
-		if ws, ok := pool.acquire(len(rts), wsArr[:0]); ok {
-			pooled = true
-			for i, x := range rts {
-				t := roleTaskPool.Get().(*roleTask)
-				*t = roleTask{h: h, ctx: ctx, spec: spec, role: x.role, roleIdx: i,
-					prog: progs[x.role], th: x.th, ep: x.ep, recycleEP: !watch}
-				if !ws[i].tasks.PutOpen(t) {
-					// Lost the race with Close: run on a plain tracked
-					// goroutine so the handle still completes (the role
-					// unwinds promptly as the closing system tears the
-					// endpoints down).
-					s.Go(t.run)
-				}
-			}
-		}
+	var tsArr [8]*roleTask
+	ts := tsArr[:0]
+	for i, x := range rts {
+		t := roleTaskPool.Get().(*roleTask)
+		*t = roleTask{h: h, ctx: ctx, spec: spec, role: x.role, roleIdx: i,
+			prog: progs[x.role], th: x.th, ep: x.ep, recycleEP: !watch}
+		ts = append(ts, t)
 	}
-	if !pooled {
-		// Same lifecycle as the pooled path (roleTask.run), on a tracked
-		// goroutine per role.
-		for i, x := range rts {
-			t := roleTaskPool.Get().(*roleTask)
-			*t = roleTask{h: h, ctx: ctx, spec: spec, role: x.role, roleIdx: i,
-				prog: progs[x.role], th: x.th, ep: x.ep, recycleEP: !watch}
-			s.Go(t.run)
-		}
-	}
+	s.runners.start(ts)
 	if watch {
 		// The watcher is untracked: it blocks on real channels, never on the
 		// clock, and exits as soon as the action finishes.

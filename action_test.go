@@ -437,13 +437,13 @@ func mustNetwork(t *testing.T) caaction.Network {
 	return sys.Network()
 }
 
-// TestStartActionWorkerPoolVirtualTime runs many instances through the
-// WithWorkers role-worker pool on the deterministic virtual clock:
-// dispatch, daemon-goroutine time advancement, handle completion and
-// System.Wait (which must not wait for the resident workers) all have to
+// TestStartActionRunnersVirtualTime runs many instances back to back on
+// the role runners under the deterministic virtual clock: dispatch to
+// parked runners, daemon-goroutine time advancement, handle completion and
+// System.Wait (which must not wait for the idle runners) all have to
 // cooperate.
-func TestStartActionWorkerPoolVirtualTime(t *testing.T) {
-	sys, err := caaction.New(caaction.WithWorkers(6))
+func TestStartActionRunnersVirtualTime(t *testing.T) {
+	sys, err := caaction.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestStartActionWorkerPoolVirtualTime(t *testing.T) {
 			results <- h.Err()
 		}
 	})
-	sys.Wait() // must return despite the resident daemon workers
+	sys.Wait() // must return despite the idle runners
 	for i := 0; i < n; i++ {
 		if err := <-results; err != nil {
 			t.Fatalf("instance %d: %v", i, err)
@@ -471,35 +471,32 @@ func TestStartActionWorkerPoolVirtualTime(t *testing.T) {
 	}
 }
 
-// TestStartActionWorkerPoolSaturation floods a deliberately tiny pool with
-// far more concurrent actions than it has workers. Acquisition is
-// non-blocking all-or-nothing, so overflow actions must fall back to the
-// goroutine-per-role path and everything still completes — including role
-// bodies that start and wait on a further action while holding workers,
-// the shape that would deadlock a pool that queued for capacity.
-func TestStartActionWorkerPoolSaturation(t *testing.T) {
-	sys, err := caaction.New(caaction.WithRealTime(), caaction.WithWorkers(4))
+// TestStartActionRunnersFloodWithNested floods the runners with many more
+// concurrent actions than there are idle runners. StartAction never waits
+// for a runner — a miss spawns one — so everything completes, including
+// role bodies that start and wait on a further action while their own
+// runner is busy, the shape that deadlocks a pool that queues for
+// capacity.
+func TestStartActionRunnersFloodWithNested(t *testing.T) {
+	sys, err := caaction.New(caaction.WithRealTime())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = sys.Close() }()
 	spec, progs := pingPongSpec(t)
 
-	childSpec, childProgs := func() (*caaction.Spec, map[string]caaction.RoleProgram) {
-		s, err := caaction.NewSpec("nestedload").
-			Role("x", "N1").
-			Role("y", "N2").
-			Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s, map[string]caaction.RoleProgram{
-			"x": {Body: func(ctx *caaction.Context) error { return nil }},
-			"y": {Body: func(ctx *caaction.Context) error { return nil }},
-		}
-	}()
-	// Parent roles occupy workers and start-and-wait a child action from
-	// inside the role body.
+	childSpec, err := caaction.NewSpec("nestedload").
+		Role("x", "N1").
+		Role("y", "N2").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	childProgs := map[string]caaction.RoleProgram{
+		"x": {Body: func(ctx *caaction.Context) error { return nil }},
+		"y": {Body: func(ctx *caaction.Context) error { return nil }},
+	}
+	// Parent roles start and wait on a child action from inside the body.
 	parentSpec, err := caaction.NewSpec("parentload").
 		Role("p", "P1").
 		Role("q", "P2").
@@ -549,16 +546,17 @@ func TestStartActionWorkerPoolSaturation(t *testing.T) {
 	sys.Wait()
 }
 
-// TestStartActionWorkerPoolOverflowFallsBack: an action with more roles
-// than the pool has workers must bypass the pool (goroutine per role)
-// rather than deadlock in admission.
-func TestStartActionWorkerPoolOverflowFallsBack(t *testing.T) {
-	sys, err := caaction.New(caaction.WithWorkers(2))
+// TestStartActionRunnersSpawnOnMiss: an action with more roles than there
+// are idle runners takes the idle ones and spawns the rest, instead of
+// waiting for runners to come free.
+func TestStartActionRunnersSpawnOnMiss(t *testing.T) {
+	sys, err := caaction.New()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = sys.Close() }()
-	spec, err := caaction.NewSpec("wide").
+	narrow, narrowProgs := pingPongSpec(t)
+	wide, err := caaction.NewSpec("wide").
 		Role("r1", "W1").Role("r2", "W2").Role("r3", "W3").
 		Build()
 	if err != nil {
@@ -571,29 +569,44 @@ func TestStartActionWorkerPoolOverflowFallsBack(t *testing.T) {
 	}
 	var herr error
 	sys.Go(func() {
-		h, err := sys.StartAction(context.Background(), spec, progs)
-		if err != nil {
-			herr = err
-			return
+		// Two runners park after the narrow action; the wide one needs three.
+		for _, a := range []struct {
+			spec  *caaction.Spec
+			progs map[string]caaction.RoleProgram
+		}{{narrow, narrowProgs}, {wide, progs}} {
+			h, err := sys.StartAction(context.Background(), a.spec, a.progs)
+			if err != nil {
+				herr = err
+				return
+			}
+			h.WaitDone()
+			if herr = h.Err(); herr != nil {
+				return
+			}
 		}
-		h.WaitDone()
-		herr = h.Err()
 	})
 	sys.Wait()
 	if herr != nil {
-		t.Fatalf("3-role action on a 2-worker pool: %v", herr)
+		t.Fatalf("3-role action after a 2-role one: %v", herr)
 	}
 }
 
-// TestStartActionWorkerPoolCancellation: context cancellation must keep
-// working when roles run on pooled workers (and the workers must survive
-// the cancelled action and serve the next one).
-func TestStartActionWorkerPoolCancellation(t *testing.T) {
-	sys, err := caaction.New(caaction.WithRealTime(), caaction.WithWorkers(4))
+// TestStartActionRunnersCancellation: context cancellation must keep
+// working when roles run on reused runners, and the runners must survive
+// the cancelled action and serve the next one.
+func TestStartActionRunnersCancellation(t *testing.T) {
+	sys, err := caaction.New(caaction.WithRealTime())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = sys.Close() }()
+	// Warm runners first, so the cancelled action runs on reused ones.
+	spec0, progs0 := pingPongSpec(t)
+	h0, err := sys.StartAction(context.Background(), spec0, progs0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h0.WaitDone()
 	spec, err := caaction.NewSpec("stuck").
 		Role("r1", "C1").Role("r2", "C2").
 		Build()
@@ -615,7 +628,7 @@ func TestStartActionWorkerPoolCancellation(t *testing.T) {
 			t.Errorf("role %s: %v, want ErrThreadStopped and context.Canceled", role, rerr)
 		}
 	}
-	// The pool must still serve fresh work after the cancellation.
+	// The runners must still serve fresh work after the cancellation.
 	spec2, progs2 := pingPongSpec(t)
 	h2, err := sys.StartAction(context.Background(), spec2, progs2)
 	if err != nil {

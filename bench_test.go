@@ -1,6 +1,9 @@
 package caaction_test
 
 import (
+	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,4 +177,54 @@ func BenchmarkLemma1Depth3(b *testing.B) {
 		measured = rows[0].Measured
 	}
 	b.ReportMetric(measured.Seconds(), "vsec")
+}
+
+// BenchmarkStartActionCommit is the one-action-in-process rung: 16
+// closed-loop callers each start a 3-role action whose roles commit at
+// once, over the sim transport on the real clock, and wait for it. ns/op
+// is wall time per action across the callers; allocs/op is per action.
+func BenchmarkStartActionCommit(b *testing.B) {
+	sys, err := caaction.New(caaction.WithRealTime(), caaction.WithSimTransport(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = sys.Close() }()
+	spec, err := caaction.NewSpec("commit").
+		Role("a", "T1").Role("b", "T2").Role("c", "T3").
+		Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ok := caaction.RoleProgram{Body: func(*caaction.Context) error { return nil }}
+	progs := map[string]caaction.RoleProgram{"a": ok, "b": ok, "c": ok}
+
+	const callers = 16
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for next.Add(1) <= int64(b.N) {
+				h, err := sys.StartAction(context.Background(), spec, progs)
+				if err == nil {
+					h.WaitDone()
+					err = h.Err()
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	close(errs)
+	for err := range errs {
+		b.Fatal(err)
+	}
 }

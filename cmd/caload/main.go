@@ -16,7 +16,6 @@
 //	caload -arrival 300,600,1200             # open-loop offered-load curve
 //	caload -runs 3                           # record the median-of-3 run
 //	caload -soak 30s                         # duration-bounded leak soak
-//	caload -workers -1                       # disable the role-worker pool
 //	caload -out BENCH_load.json              # where the JSON lands
 //
 // -runs N repeats the fixed-action run and every sweep point N times and
@@ -175,7 +174,6 @@ func run() int {
 		latency     = flag.Duration("latency", 0, "sim transport one-way latency")
 		seed        = flag.Int64("seed", 1, "workload composition seed")
 		mixFlag     = flag.String("mix", "", "workload composition, e.g. commit:6,signal:2,abort:1,storm:1 ('' = default mix)")
-		workers     = flag.Int("workers", 0, "role-worker pool size (0 auto-sizes at concurrency*roles, negative disables the pool)")
 		sweepFlag   = flag.String("sweep", "", "comma-separated concurrency levels for a scaling sweep, e.g. 64,256,1024 ('' disables)")
 		sweepAct    = flag.Int("sweep-actions", 0, "action instances per sweep point (0 = -actions)")
 		arrival     = flag.String("arrival", "", "comma-separated open-loop arrival rates in actions/s, e.g. 300,600,1200 ('' disables); arrivals are clock-driven, independent of completions")
@@ -257,7 +255,6 @@ func run() int {
 			Latency:     *latency,
 			Seed:        *seed,
 			Mix:         mix,
-			Workers:     *workers,
 		}
 		rep, err := runMedian(cfg, *runs)
 		if err != nil {

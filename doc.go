@@ -42,13 +42,13 @@
 // are garbage-collected). Thread.Perform remains the single-action N=1 case
 // of the same machinery.
 //
-// Sustained high-concurrency churn is cheap by construction: WithWorkers(n)
-// runs StartAction roles on a resident pool of n role workers (size it at
-// roughly concurrent-actions x roles; dispatch is all-or-nothing per
-// action, so the pool can never deadlock holding partial worker sets, and
-// wider actions fall back to a goroutine per role), while threads, action
-// frames, signalling engines and the demultiplexer's virtual endpoints are
-// recycled through scrubbed pools — reuse carries zero state across
+// Sustained high-concurrency churn is cheap by construction: StartAction
+// runs each role on a reused runner goroutine (the most recently parked
+// one, so its stack is warm; a new one when none is idle, so StartAction
+// never waits; the idle set follows the load with no size option), while
+// threads, action frames, signalling engines and the demultiplexer's
+// virtual endpoints are recycled through scrubbed pools — reuse carries
+// zero state across
 // instances, pinned by field-level hygiene tests and byte-identical golden
 // chaos traces on warm pools. Under the real clock the demultiplexer also
 // runs a run-to-completion delivery lane: protocol steps between co-located

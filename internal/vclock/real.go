@@ -50,10 +50,20 @@ func (r *Real) Go(fn func()) {
 func (r *Real) Wait() { r.wg.Wait() }
 
 // GoDaemon runs fn on a goroutine excluded from Wait — resident
-// infrastructure such as pooled role workers, which park between work items
+// infrastructure such as idle role runners, which park between work items
 // and never "finish". On the real clock that is simply an untracked
 // goroutine.
 func (r *Real) GoDaemon(fn func()) { go fn() }
+
+// Hold makes Wait wait for n units of work daemon goroutines are about to
+// run, until n matching Unholds.
+func (r *Real) Hold(n int) { r.wg.Add(n) }
+
+// Claim is a no-op: the real clock has no notion of running goroutines.
+func (r *Real) Claim() {}
+
+// Unhold ends one Hold.
+func (r *Real) Unhold() { r.wg.Done() }
 
 // NewQueue returns a queue backed by a mutex/condition pair and real timers.
 func (r *Real) NewQueue() *Queue {

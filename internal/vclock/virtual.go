@@ -27,6 +27,7 @@ type Virtual struct {
 	running int // tracked goroutines not blocked in a clock wait
 	tracked int // tracked goroutines not yet finished
 	daemons int // tracked goroutines started with GoDaemon, excluded from Wait
+	held    int // Hold minus Unhold calls: daemon work that Wait waits for
 	seq     uint64
 
 	timers eventHeap
@@ -99,12 +100,12 @@ func (v *Virtual) Go(fn func()) { v.spawn(fn, false) }
 
 // GoDaemon starts fn on a tracked DAEMON goroutine: it participates in
 // virtual-time advancement exactly like a Go goroutine while it runs (so
-// work it performs on behalf of the simulation — e.g. a pooled role worker
+// work it performs on behalf of the simulation — e.g. a role runner
 // executing an action role — keeps the clock honest), but Wait does not
-// wait for it to finish. Daemon goroutines are long-lived infrastructure
-// that parks between work items in daemon-marked queue waits (see
-// Queue.SetDaemon); without the exclusion every Wait would block forever on
-// the resident pool.
+// wait for it to finish (see Hold for work Wait should cover). Daemon
+// goroutines are long-lived infrastructure that parks between work items
+// in daemon-marked queue waits (see Queue.SetDaemon); without the
+// exclusion every Wait would block forever on the idle runners.
 func (v *Virtual) GoDaemon(fn func()) { v.spawn(fn, true) }
 
 func (v *Virtual) spawn(fn func(), daemon bool) {
@@ -180,14 +181,50 @@ func (v *Virtual) releaseTracked(daemon bool) {
 }
 
 // Wait blocks the calling (untracked) goroutine until all tracked
-// non-daemon goroutines have finished. Resident daemons (GoDaemon) are
-// excluded — they park between work items and never "finish".
+// non-daemon goroutines have finished and every Hold is released. Resident
+// daemons (GoDaemon) are excluded — they park between work items and never
+// "finish".
 func (v *Virtual) Wait() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for v.tracked > v.daemons {
+	for v.tracked > v.daemons || v.held > 0 {
 		v.cond.Wait()
 	}
+}
+
+// Hold announces n units of work that daemon goroutines are about to run,
+// as if each ran on a goroutine of its own: Wait waits for them until n
+// matching Unholds, and until a goroutine Claims one it counts as running,
+// so time neither advances nor deadlocks while the caller is still handing
+// the units out. Under sequential scheduling only the Wait part applies.
+func (v *Virtual) Hold(n int) {
+	v.mu.Lock()
+	v.held += n
+	if !v.sequential {
+		v.running += n
+	}
+	v.mu.Unlock()
+}
+
+// Claim tells the clock that the calling tracked goroutine has taken over
+// one held unit of work, which stops counting as running on its own.
+func (v *Virtual) Claim() {
+	if v.sequential {
+		return
+	}
+	v.mu.Lock()
+	v.running-- // the caller itself still runs, so running stays >= 1
+	v.mu.Unlock()
+}
+
+// Unhold ends one Hold.
+func (v *Virtual) Unhold() {
+	v.mu.Lock()
+	v.held--
+	if v.held == 0 {
+		v.cond.Broadcast()
+	}
+	v.mu.Unlock()
 }
 
 // Run calls start on the calling (untracked) goroutine, then waits like

@@ -298,6 +298,42 @@ func TestVirtualRunStartsAllBeforeTime(t *testing.T) {
 	}
 }
 
+// TestVirtualHoldCoversHandOff pins Hold: work handed to daemon goroutines
+// one by one from an untracked caller cannot deadlock the clock before the
+// last unit is handed out — the first unit blocks waiting for the second —
+// and Wait returns only after every unit's Unhold.
+func TestVirtualHoldCoversHandOff(t *testing.T) {
+	v := NewVirtual()
+	var dead atomic.Value
+	v.SetDeadlockHandler(func(s string) { dead.Store(s) })
+	q := v.NewQueue()
+	var done atomic.Int64
+	v.Hold(2)
+	v.GoDaemon(func() {
+		v.Claim()
+		defer v.Unhold()
+		if _, ok := q.Get(); ok {
+			done.Add(1)
+		}
+	})
+	runtime.Gosched()
+	time.Sleep(time.Millisecond)
+	v.GoDaemon(func() {
+		v.Claim()
+		defer v.Unhold()
+		v.Sleep(time.Millisecond)
+		q.Put("go")
+		done.Add(1)
+	})
+	v.Wait()
+	if s, _ := dead.Load().(string); s != "" {
+		t.Fatalf("deadlock while handing out held work: %s", s)
+	}
+	if done.Load() != 2 {
+		t.Fatalf("Wait returned after %d of 2 held units", done.Load())
+	}
+}
+
 func TestRealClockBasics(t *testing.T) {
 	r := NewReal()
 	q := r.NewQueue()

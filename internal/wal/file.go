@@ -29,6 +29,7 @@ type File struct {
 	sinceSnapshot int
 	snapshotEvery int
 	writeSeq      uint64 // records written (not necessarily synced)
+	compactions   uint64 // times compaction replaced f
 
 	sm        sync.Mutex // group-commit sync state
 	syncCond  *sync.Cond
@@ -158,11 +159,21 @@ func (w *File) sync(seq uint64) error {
 	// covers every record written before it.
 	w.mu.Lock()
 	target := w.writeSeq
-	f := w.f
+	f, gen := w.f, w.compactions
 	w.mu.Unlock()
 	var err error
 	if f != nil {
 		err = f.Sync()
+	}
+	if err != nil {
+		w.mu.Lock()
+		if w.compactions != gen {
+			// A compaction closed f under the fsync. Its snapshot was
+			// fsynced after every record up to target was written, so
+			// those records are durable already.
+			err = nil
+		}
+		w.mu.Unlock()
 	}
 
 	w.sm.Lock()
@@ -219,6 +230,7 @@ func (w *File) compactLocked() error {
 	// The renamed temp file is the log now; appends continue at its end.
 	w.f.Close()
 	w.f = tmp
+	w.compactions++
 	w.sinceSnapshot = 1 // the snapshot record itself
 	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("wal: compact %s: %w", w.path, err)

@@ -254,6 +254,50 @@ func TestFileConcurrentAppend(t *testing.T) {
 	}
 }
 
+// TestFileSyncOverlappingCompaction: a group-commit fsync that overlaps a
+// compaction runs on the file the compaction has just closed. The snapshot
+// already made those records durable, so no appender may see an error.
+func TestFileSyncOverlappingCompaction(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.wal")
+	w, err := Open(path, 4)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer w.Close()
+	const appenders, pairs = 16, 300
+	var (
+		mu     sync.Mutex
+		failed int
+		first  error
+		wg     sync.WaitGroup
+	)
+	for g := 0; g < appenders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < pairs; i++ {
+				tag := "g" + strconv.Itoa(g) + "-" + strconv.Itoa(i)
+				for _, err := range []error{
+					w.AppendInstanceStart(tag, "commit", 3),
+					w.AppendInstanceDone(tag),
+				} {
+					if err != nil {
+						mu.Lock()
+						if failed++; first == nil {
+							first = err
+						}
+						mu.Unlock()
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if failed > 0 {
+		t.Fatalf("%d appends failed, first: %v", failed, first)
+	}
+}
+
 // TestFileStateHoldsOnlyLive pins the bounded state: concluded actions and
 // done instances leave a File's state as their conclusion lands, so the
 // state, the snapshot and the file stay O(in-flight) however long the

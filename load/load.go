@@ -148,11 +148,6 @@ type Config struct {
 	Seed int64 `json:"seed"`
 	// Mix weights the action kinds; the zero Mix means DefaultMix.
 	Mix Mix `json:"mix"`
-	// Workers sizes the System's role-worker pool (caaction.WithWorkers).
-	// Zero sizes it automatically at Concurrency x Roles (every in-flight
-	// role gets a resident worker, bounded by maxAutoWorkers); negative
-	// disables the pool, restoring the goroutine-per-role lifecycle.
-	Workers int `json:"workers,omitempty"`
 	// GCPercent pins the garbage collector's pacing (runtime/debug.
 	// SetGCPercent) for the duration of the run, restoring the previous
 	// value afterwards. Measurement methodology, recorded in the report:
@@ -166,10 +161,6 @@ type Config struct {
 
 // defaultGCPercent is the harness's pinned GC pacing (Config.GCPercent 0).
 const defaultGCPercent = 400
-
-// maxAutoWorkers caps the automatic pool sizing; explicit Workers values
-// are taken as given.
-const maxAutoWorkers = 8192
 
 func (c Config) withDefaults() Config {
 	if c.Actions <= 0 {
@@ -189,12 +180,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Mix.total() <= 0 {
 		c.Mix = DefaultMix
-	}
-	if c.Workers == 0 {
-		c.Workers = c.Concurrency * c.Roles
-		if c.Workers > maxAutoWorkers {
-			c.Workers = maxAutoWorkers
-		}
 	}
 	if c.GCPercent == 0 {
 		c.GCPercent = defaultGCPercent
@@ -245,7 +230,7 @@ type Report struct {
 	AllocsPerAction float64 `json:"allocs_per_action"`
 	BytesPerAction  float64 `json:"bytes_per_action"`
 	// GoroutineHighWater and PeakHeapBytes are sampled maxima over the run
-	// (process-wide). They make scalability regressions — leaked workers,
+	// (process-wide). They make scalability regressions — leaked runners,
 	// unbounded pools, runaway buffering — visible in BENCH_load.json even
 	// when throughput still looks healthy.
 	GoroutineHighWater int         `json:"goroutine_high_water"`
@@ -325,9 +310,6 @@ func Run(cfg Config) (*Report, error) {
 	}
 	if cfg.Resolver != "" {
 		opts = append(opts, caaction.WithResolver(cfg.Resolver))
-	}
-	if cfg.Workers > 0 {
-		opts = append(opts, caaction.WithWorkers(cfg.Workers))
 	}
 	if cfg.GCPercent > 0 {
 		defer debug.SetGCPercent(debug.SetGCPercent(cfg.GCPercent))
@@ -446,8 +428,6 @@ func RunSweep(cfg Config, concurrencies []int) ([]SweepPoint, error) {
 	for _, c := range concurrencies {
 		runCfg := cfg
 		runCfg.Concurrency = c
-		// Workers carries over from cfg: zero re-derives the auto pool size
-		// per level inside Run (withDefaults), an explicit value is pinned.
 		rep, err := Run(runCfg)
 		if err != nil {
 			return nil, fmt.Errorf("load: sweep at concurrency %d: %w", c, err)

@@ -202,8 +202,8 @@ func TestParseMix(t *testing.T) {
 
 // TestLoadSweepAndWatermarks runs a tiny two-point sweep and checks the
 // scaling report is coherent: per-point configs respected, watermarks
-// recorded (the goroutine high-water must at least reflect the worker
-// pool), outcomes all expected.
+// recorded (the goroutine high-water must at least reflect the drivers and
+// their roles), outcomes all expected.
 func TestLoadSweepAndWatermarks(t *testing.T) {
 	actions := 300
 	if testing.Short() {
@@ -228,29 +228,14 @@ func TestLoadSweepAndWatermarks(t *testing.T) {
 		if p.AllocsPerAction <= 0 {
 			t.Errorf("point %d: non-positive allocs_per_action %f", i, p.AllocsPerAction)
 		}
-		// The auto-sized worker pool alone is concurrency*roles resident
-		// goroutines; the high-water mark must at least see them.
+		// The c drivers alone are c goroutines, each with an action's
+		// roles on runners; the high-water mark must at least see them.
 		if p.GoroutineHighWater < c*2 {
-			t.Errorf("point %d: goroutine high-water %d below the %d-worker pool", i, p.GoroutineHighWater, c*2)
+			t.Errorf("point %d: goroutine high-water %d below %d", i, p.GoroutineHighWater, c*2)
 		}
 		if p.PeakHeapBytes == 0 {
 			t.Errorf("point %d: zero peak heap", i)
 		}
-	}
-}
-
-// TestLoadWorkerPoolDisabled pins the Workers<0 escape hatch: the
-// goroutine-per-role lifecycle must still produce a clean report.
-func TestLoadWorkerPoolDisabled(t *testing.T) {
-	rep, err := load.Run(load.Config{Actions: 60, Concurrency: 8, Roles: 2, Seed: 3, Workers: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Unexpected) > 0 {
-		t.Fatalf("unexpected outcomes: %v", rep.Unexpected)
-	}
-	if rep.Config.Workers != -1 {
-		t.Errorf("config workers = %d, want -1 preserved", rep.Config.Workers)
 	}
 }
 

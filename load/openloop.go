@@ -23,7 +23,7 @@ import (
 // collapsing tail latency.
 type OpenLoopConfig struct {
 	// Config supplies the workload shape (roles, mix, seed, resolver,
-	// transport, workers, GC pacing). Actions and Concurrency are ignored:
+	// transport, GC pacing). Actions and Concurrency are ignored:
 	// the offered count is Rate×Duration and concurrency is whatever the
 	// arrival process produces.
 	Config
@@ -110,12 +110,6 @@ func runOpenLoopPoint(cfg OpenLoopConfig, rate float64) (OpenLoopPoint, error) {
 	}
 	base := cfg.Config
 	base.Actions = offered
-	// Size the worker pool for the admitted population, not the offered
-	// one: the budget caps in-flight actions at MaxInFlight.
-	base.Concurrency = cfg.MaxInFlight
-	if base.Concurrency <= 0 {
-		base.Concurrency = defaultOpenLoopInFlight
-	}
 	base = base.withDefaults()
 
 	metrics := &caaction.Metrics{}
@@ -130,9 +124,6 @@ func runOpenLoopPoint(cfg OpenLoopConfig, rate float64) (OpenLoopPoint, error) {
 		opts = append(opts, caaction.WithTransport(base.Transport))
 	}
 	opts = append(opts, caaction.WithResolver(base.Resolver))
-	if base.Workers > 0 {
-		opts = append(opts, caaction.WithWorkers(base.Workers))
-	}
 	if cfg.MaxInFlight > 0 {
 		opts = append(opts, caaction.WithMaxInFlight(cfg.MaxInFlight))
 	}

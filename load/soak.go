@@ -15,8 +15,8 @@ import (
 // SoakConfig parameterises RunSoak: a duration-bounded endurance run whose
 // point is not throughput but stability — drivers keep starting actions
 // until the window elapses while a sampler records the process's goroutine
-// count and live heap at a fixed interval, so a leak (workers that never
-// return to the pool, endpoints that never recycle, buffers that only grow)
+// count and live heap at a fixed interval, so a leak (role runners that
+// pile up, endpoints that never recycle, buffers that only grow)
 // shows up as monotonic growth across the samples even when every
 // fixed-action run looks healthy.
 type SoakConfig struct {
@@ -141,9 +141,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	}
 	if c.Resolver != "" {
 		opts = append(opts, caaction.WithResolver(c.Resolver))
-	}
-	if c.Workers > 0 {
-		opts = append(opts, caaction.WithWorkers(c.Workers))
 	}
 	if c.GCPercent > 0 {
 		defer debug.SetGCPercent(debug.SetGCPercent(c.GCPercent))

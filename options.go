@@ -36,7 +36,6 @@ type config struct {
 	metrics       *Metrics
 	log           *Log
 	recorder      Recorder
-	workers       int
 
 	maxInFlight  int
 	tenantBudget int
@@ -233,30 +232,6 @@ func WithSignalTimeout(d time.Duration) Option {
 			return
 		}
 		c.signalTimeout = d
-	}
-}
-
-// WithWorkers runs StartAction roles on a resident pool of n role workers
-// instead of a fresh goroutine per role, so sustained high-concurrency
-// action churn reuses warm stacks (and, with them, the runtime's pooled
-// threads and endpoints) instead of paying full lifecycle cost per action.
-//
-// Dispatch is non-blocking and all-or-nothing per action: either every
-// role gets an idle worker immediately, or the action falls back to the
-// goroutine-per-role path — StartAction never waits for pool capacity, so
-// a saturated pool degrades to the unpooled lifecycle rather than queueing
-// (and role bodies that start and wait on further actions cannot deadlock
-// the pool). Actions with more roles than n always bypass the pool, as do
-// systems whose custom Clock cannot host resident daemon goroutines. Size
-// n at roughly (expected concurrent actions) x (roles per action) so the
-// fast path dominates. Zero (the default) disables the pool.
-func WithWorkers(n int) Option {
-	return func(c *config) {
-		if n < 0 {
-			c.fail("WithWorkers: negative pool size %d", n)
-			return
-		}
-		c.workers = n
 	}
 }
 

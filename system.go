@@ -101,11 +101,8 @@ type System struct {
 	clusterLocal func(string) bool
 	clusterAddr  string
 
-	// Role-worker pool (WithWorkers): built lazily on first use so systems
-	// that never call StartAction pay nothing for it.
-	workers  int
-	poolOnce sync.Once
-	pool     *rolePool
+	// runners are the goroutines StartAction runs roles on.
+	runners roleRunners
 }
 
 // New assembles a System from functional options. See Option and the With*
@@ -201,13 +198,13 @@ func New(opts ...Option) (*System, error) {
 		net:          net,
 		metrics:      cfg.metrics,
 		log:          cfg.log,
-		workers:      cfg.workers,
 		muxShards:    cfg.muxShards,
 		noInline:     cfg.noInline,
 		maxInFlight:  cfg.maxInFlight,
 		tenantBudget: cfg.tenantBudget,
 		rejected:     cfg.metrics.Counter("admission.rejected"),
 	}
+	s.runners.init(clk)
 	if cfg.tenantBudget > 0 {
 		s.tenants = make(map[string]int)
 	}
@@ -248,16 +245,6 @@ func (s *System) serveMetrics(addr string) error {
 // listener, or "" when no metrics endpoint was configured.
 func (s *System) MetricsAddr() string { return s.metricsAddr }
 
-// rolePool lazily builds the WithWorkers role-worker pool; nil when the pool
-// is disabled or the clock cannot host resident daemon goroutines.
-func (s *System) rolePool() *rolePool {
-	if s.workers <= 0 {
-		return nil
-	}
-	s.poolOnce.Do(func() { s.pool = newRolePool(s.clock, s.workers) })
-	return s.pool
-}
-
 // waitClock returns the clock ActionHandle.Wait must integrate with, or nil
 // when the system runs on the real clock (a channel wait then suffices and
 // the per-action completion queue is never allocated).
@@ -273,7 +260,8 @@ func (s *System) waitClock() Clock {
 // advances when every tracked goroutine is blocked in a clock-mediated wait.
 func (s *System) Go(fn func()) { s.clock.Go(fn) }
 
-// Wait blocks until every goroutine started with Go has returned.
+// Wait blocks until every goroutine started with Go has returned and every
+// role of the actions started so far has finished.
 func (s *System) Wait() { s.clock.Wait() }
 
 // Now reports the elapsed (virtual or real) time since the system started.
@@ -425,14 +413,7 @@ func (s *System) Draining() bool { return s.draining.Load() }
 func (s *System) Close() error {
 	s.draining.Store(true)
 	s.closed.Store(true)
-	// Claim poolOnce without building anything: if a racing StartAction won
-	// the once, Do blocks until its pool is fully constructed and we close
-	// that pool; if Close wins, no pool is ever built (later StartActions
-	// see nil and fall back, then die on the closed endpoints below).
-	s.poolOnce.Do(func() {})
-	if s.pool != nil {
-		s.pool.close()
-	}
+	s.runners.close()
 	if s.metricsSrv != nil {
 		_ = s.metricsSrv.Close()
 	}
