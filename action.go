@@ -387,10 +387,7 @@ func (s *System) startAction(ctx context.Context, tag string, spec *Spec, progs 
 // share.
 func (s *System) muxNet() *transport.Mux {
 	s.muxOnce.Do(func() {
-		s.mux = transport.NewMuxOpts(s.clock, s.net, transport.MuxOptions{
-			Shards:   s.muxShards,
-			NoInline: s.noInline,
-		})
+		s.mux = transport.NewMuxOpts(s.clock, s.net, transport.MuxOptions{NoInline: s.noInline})
 	})
 	return s.mux
 }

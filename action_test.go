@@ -640,10 +640,10 @@ func TestStartActionRunnersCancellation(t *testing.T) {
 	}
 }
 
-// TestEventLoopKnobs runs the same real-clock action under every event-loop
-// configuration — the default inline lane, the queue-per-thread fallback
-// (WithoutInlineDelivery) and extreme mux shard counts — and expects
-// identical outcomes: the knobs tune execution, never semantics.
+// TestEventLoopKnobs runs the same real-clock action under both delivery
+// models — the default inline lane and the queue-per-thread fallback
+// (WithoutInlineDelivery) — and expects identical outcomes: the knob tunes
+// execution, never semantics.
 func TestEventLoopKnobs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -651,8 +651,6 @@ func TestEventLoopKnobs(t *testing.T) {
 	}{
 		{"inline lane (default)", nil},
 		{"queue per thread", []caaction.Option{caaction.WithoutInlineDelivery()}},
-		{"one mux shard", []caaction.Option{caaction.WithMuxShards(1)}},
-		{"wide sharding, no inline", []caaction.Option{caaction.WithMuxShards(128), caaction.WithoutInlineDelivery()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys, err := caaction.New(append([]caaction.Option{caaction.WithRealTime()}, tc.opts...)...)

@@ -48,7 +48,6 @@ func TestOptionValidation(t *testing.T) {
 		{"nil network", []caaction.Option{caaction.WithNetwork(nil)}, nil},
 		{"nil protocol", []caaction.Option{caaction.WithResolutionProtocol(nil)}, nil},
 		{"negative signal timeout", []caaction.Option{caaction.WithSignalTimeout(-time.Second)}, nil},
-		{"negative mux shards", []caaction.Option{caaction.WithMuxShards(-1)}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -56,8 +56,7 @@
 // continuation, so a causal chain of ready steps crosses zero scheduler
 // hand-offs and same-process delivery skips the codec entirely (see
 // DESIGN.md, "Event-loop core"). WithoutInlineDelivery restores the
-// queue-per-thread model, and WithMuxShards sizes the lock-striped address
-// table the lane runs over. The TCP transport coalesces outbound binary
+// queue-per-thread model. The TCP transport coalesces outbound binary
 // frames per peer connection on the real clock (flushed at a byte bound or
 // a 100µs wall-clock deadline; order preserved, Close flushes — see
 // DESIGN.md for the exact flush-deadline semantics).

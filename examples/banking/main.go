@@ -47,23 +47,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	t1, err := sys.Thread("T1")
-	if err != nil {
-		log.Fatal(err)
-	}
-	t2, err := sys.Thread("T2")
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	runTransfer := func(title string, debit, credit caaction.RoleProgram) {
 		fmt.Printf("== %s ==\n", title)
-		results := make(chan error, 2)
-		sys.Go(func() { results <- t1.Perform(context.Background(), spec, "debit", debit) })
-		sys.Go(func() { results <- t2.Perform(context.Background(), spec, "credit", credit) })
+		h, err := sys.StartAction(context.Background(), spec,
+			map[string]caaction.RoleProgram{"debit": debit, "credit": credit})
+		if err != nil {
+			log.Fatal(err)
+		}
 		sys.Wait()
-		close(results)
-		for err := range results {
+		for _, err := range h.Results() {
 			switch {
 			case err == nil:
 			case caaction.IsUndone(err):

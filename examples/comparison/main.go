@@ -76,29 +76,27 @@ func run(protocol string) (msgs, calls int64, elapsed time.Duration, resolved ca
 		handlers[id] = handler
 	}
 
+	progs := make(map[string]caaction.RoleProgram, len(spec.Roles))
 	for i, r := range spec.Roles {
-		role := r
 		exc := prims[i]
-		th, err := sys.Thread(role.Thread)
-		if err != nil {
-			log.Fatal(err)
+		progs[r.Name] = caaction.RoleProgram{
+			Body: func(ctx *caaction.Context) error {
+				if err := ctx.Compute(100 * time.Millisecond); err != nil {
+					return err
+				}
+				return ctx.Raise(exc, "concurrent fault")
+			},
+			Handlers: handlers,
 		}
-		sys.Go(func() {
-			err := th.Perform(context.Background(), spec, role.Name, caaction.RoleProgram{
-				Body: func(ctx *caaction.Context) error {
-					if err := ctx.Compute(100 * time.Millisecond); err != nil {
-						return err
-					}
-					return ctx.Raise(exc, "concurrent fault")
-				},
-				Handlers: handlers,
-			})
-			if err != nil {
-				log.Fatalf("%s: %v", role.Thread, err)
-			}
-		})
+	}
+	h, err := sys.StartAction(context.Background(), spec, progs)
+	if err != nil {
+		log.Fatal(err)
 	}
 	sys.Wait()
+	if err := h.Err(); err != nil {
+		log.Fatal(err)
+	}
 
 	metrics := sys.Metrics()
 	msgs = metrics.Get("msg.Exception") + metrics.Get("msg.Suspended") +

@@ -74,17 +74,9 @@ func main() {
 		Handlers: map[caaction.Exception]caaction.Handler{"bad_checksum": handler},
 	}
 
-	t1, err := sys.Thread("T1")
-	if err != nil {
-		log.Fatal(err)
-	}
-	t2, err := sys.Thread("T2")
-	if err != nil {
-		log.Fatal(err)
-	}
-	perform(sys, t1, t2, spec, producer, consumer)
+	perform(sys, spec, producer, consumer)
 	metrics := sys.Metrics()
-	fmt.Printf("action completed successfully at virtual time %v\n", sys.Now())
+	fmt.Println("action completed successfully")
 	fmt.Printf("protocol messages: %d (Exception=%d Suspended=%d Commit=%d)\n",
 		metrics.Get("msg.total"),
 		metrics.Get("msg.Exception"), metrics.Get("msg.Suspended"), metrics.Get("msg.Commit"))
@@ -98,7 +90,7 @@ func main() {
 		Role("consumer", "T2").
 		Exception("ledger_corrupt").
 		MustBuild()
-	perform(sys, t1, t2, audit,
+	perform(sys, audit,
 		caaction.RoleProgram{Body: func(ctx *caaction.Context) error {
 			return ctx.Raise("ledger_corrupt", "no handler anywhere")
 		}},
@@ -109,13 +101,18 @@ func main() {
 }
 
 // perform runs one two-role action and reports each role's typed outcome.
-func perform(sys *caaction.System, t1, t2 *caaction.Thread, spec *caaction.Spec, p1, p2 caaction.RoleProgram) {
-	results := make(chan error, 2)
-	sys.Go(func() { results <- t1.Perform(context.Background(), spec, spec.Roles[0].Name, p1) })
-	sys.Go(func() { results <- t2.Perform(context.Background(), spec, spec.Roles[1].Name, p2) })
+func perform(sys *caaction.System, spec *caaction.Spec, p1, p2 caaction.RoleProgram) {
+	h, err := sys.StartAction(context.Background(), spec, map[string]caaction.RoleProgram{
+		spec.Roles[0].Name: p1,
+		spec.Roles[1].Name: p2,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Wait from this untracked goroutine covers every started role; the
+	// outcomes are then complete.
 	sys.Wait()
-	close(results)
-	for err := range results {
+	for _, err := range h.Results() {
 		var sig *caaction.SignalledError
 		switch {
 		case err == nil:

@@ -7,13 +7,13 @@ import (
 	"time"
 
 	"caaction/internal/except"
-	"caaction/internal/vclock"
+	"caaction/internal/simenv"
 )
 
-func newReg(t *testing.T) (*Registry, *vclock.Virtual) {
+func newReg(t *testing.T) (*Registry, *simenv.Env) {
 	t.Helper()
-	clk := vclock.NewVirtual()
-	return NewRegistry(clk), clk
+	env := simenv.New()
+	return NewRegistry(env.Clock), env
 }
 
 func TestDefineGetNames(t *testing.T) {
@@ -123,7 +123,7 @@ func TestSameActionSharesLockAcrossRoles(t *testing.T) {
 }
 
 func TestCompetingActionsQueueFIFO(t *testing.T) {
-	reg, clk := newReg(t)
+	reg, env := newReg(t)
 	o, _ := reg.Define("shared", []string(nil))
 	appendName := func(action string) {
 		o.Update(action, func(s any) any {
@@ -131,28 +131,29 @@ func TestCompetingActionsQueueFIFO(t *testing.T) {
 		})
 	}
 	// A holds; B and C queue in order; completion order must be A, B, C.
-	clk.Go(func() {
-		appendName("A")
-		clk.Sleep(30 * time.Millisecond)
-		if err := o.Commit("A"); err != nil {
-			t.Error(err)
-		}
-	})
-	clk.Go(func() {
-		clk.Sleep(5 * time.Millisecond)
-		appendName("B") // blocks until A commits
-		if err := o.Commit("B"); err != nil {
-			t.Error(err)
-		}
-	})
-	clk.Go(func() {
-		clk.Sleep(10 * time.Millisecond)
-		appendName("C") // blocks behind B
-		if err := o.Commit("C"); err != nil {
-			t.Error(err)
-		}
-	})
-	clk.Wait()
+	env.Go(
+		func() {
+			appendName("A")
+			env.Clock.Sleep(30 * time.Millisecond)
+			if err := o.Commit("A"); err != nil {
+				t.Error(err)
+			}
+		},
+		func() {
+			env.Clock.Sleep(5 * time.Millisecond)
+			appendName("B") // blocks until A commits
+			if err := o.Commit("B"); err != nil {
+				t.Error(err)
+			}
+		},
+		func() {
+			env.Clock.Sleep(10 * time.Millisecond)
+			appendName("C") // blocks behind B
+			if err := o.Commit("C"); err != nil {
+				t.Error(err)
+			}
+		},
+	)
 	got := o.Peek().([]string)
 	want := []string{"A", "B", "C"}
 	for i := range want {
@@ -166,26 +167,27 @@ func TestCompetingActionsQueueFIFO(t *testing.T) {
 }
 
 func TestHandoverAdmitsAllRolesOfNextAction(t *testing.T) {
-	reg, clk := newReg(t)
+	reg, env := newReg(t)
 	o, _ := reg.Define("x", 0)
 	o.Acquire("A")
 	done := make(chan string, 2)
-	clk.Go(func() {
-		o.Acquire("B") // role 1 of B queues
-		done <- "b1"
-	})
-	clk.Go(func() {
-		clk.Sleep(time.Millisecond)
-		o.Acquire("B") // role 2 of B queues
-		done <- "b2"
-	})
-	clk.Go(func() {
-		clk.Sleep(10 * time.Millisecond)
-		if err := o.Commit("A"); err != nil {
-			t.Error(err)
-		}
-	})
-	clk.Wait()
+	env.Go(
+		func() {
+			o.Acquire("B") // role 1 of B queues
+			done <- "b1"
+		},
+		func() {
+			env.Clock.Sleep(time.Millisecond)
+			o.Acquire("B") // role 2 of B queues
+			done <- "b2"
+		},
+		func() {
+			env.Clock.Sleep(10 * time.Millisecond)
+			if err := o.Commit("A"); err != nil {
+				t.Error(err)
+			}
+		},
+	)
 	if len(done) != 2 {
 		t.Fatalf("only %d roles of B admitted", len(done))
 	}
@@ -328,23 +330,23 @@ func TestTxUnknownObject(t *testing.T) {
 func TestManyCompetingActionsProperty(t *testing.T) {
 	// Strict per-action locking must serialise arbitrary interleavings:
 	// with K competing increment-actions the final count is exactly K.
-	reg, clk := newReg(t)
+	reg, env := newReg(t)
 	o, _ := reg.Define("n", 0)
 	const k = 40
-	for i := 0; i < k; i++ {
-		i := i
-		clk.Go(func() {
+	participants := make([]func(), k)
+	for i := range participants {
+		participants[i] = func() {
 			action := fmt.Sprintf("act%d", i)
-			clk.Sleep(time.Duration(i%7) * time.Millisecond)
+			env.Clock.Sleep(time.Duration(i%7) * time.Millisecond)
 			v := o.Read(action).(int)
-			clk.Sleep(time.Millisecond)
+			env.Clock.Sleep(time.Millisecond)
 			o.Write(action, v+1)
 			if err := o.Commit(action); err != nil {
 				t.Error(err)
 			}
-		})
+		}
 	}
-	clk.Wait()
+	env.Go(participants...)
 	if o.Peek() != k {
 		t.Fatalf("count = %v, want %d", o.Peek(), k)
 	}

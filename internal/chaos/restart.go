@@ -81,19 +81,23 @@ func GenerateRestart(seed int64) Scenario {
 	return s
 }
 
-// scheduleRestart registers the scenario's kill and rebirth events on the
-// virtual clock. Called after every participant goroutine has started, so
-// the two timer goroutines' ids — and with them the deterministic
-// schedule — are fixed relative to the participants'.
-func scheduleRestart(clk *vclock.Virtual, engine *Engine, rt *core.Runtime, s Scenario, outer *core.Spec, res *Result, mu *sync.Mutex, rec *wal.Memory) {
+// restartTimers returns the scenario's kill and rebirth events as two
+// participants that sleep until their virtual instant. They start after
+// every action participant, so their goroutine ids — and with them the
+// deterministic schedule — are fixed relative to the participants'.
+func restartTimers(clk *vclock.Virtual, engine *Engine, rt *core.Runtime, s Scenario, outer *core.Spec, res *Result, mu *sync.Mutex, rec *wal.Memory) []func() {
 	plan := *s.Restart
-	clk.AfterFunc(plan.KillAt, func() {
-		engine.note(clk.Now(), "kill "+plan.Thread+" (restart plan)")
-		engine.sim.CloseEndpoint(plan.Thread)
-	})
-	clk.AfterFunc(plan.RebirthAt, func() {
-		rebirth(clk, engine, rt, s, outer, res, mu, rec, plan)
-	})
+	return []func(){
+		func() {
+			clk.Sleep(plan.KillAt)
+			engine.note(clk.Now(), "kill "+plan.Thread+" (restart plan)")
+			engine.sim.CloseEndpoint(plan.Thread)
+		},
+		func() {
+			clk.Sleep(plan.RebirthAt)
+			rebirth(clk, engine, rt, s, outer, res, mu, rec, plan)
+		},
+	}
 }
 
 // rebirth replays the victim's write-ahead state and applies the §3.4

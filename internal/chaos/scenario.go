@@ -13,9 +13,8 @@ import (
 	"caaction/internal/except"
 	"caaction/internal/protocol"
 	"caaction/internal/resolve"
-	"caaction/internal/trace"
+	"caaction/internal/simenv"
 	"caaction/internal/transport"
-	"caaction/internal/vclock"
 	"caaction/internal/wal"
 )
 
@@ -274,26 +273,8 @@ func RunWith(s Scenario, resolverName string) (*Result, error) {
 		return nil, err
 	}
 	threads := s.ThreadIDs()
-	clk := vclock.NewVirtualSequential()
-	// Setup starts goroutines and timers from this untracked goroutine.
-	// Tracking it until the last one is started keeps the clock from
-	// granting turns, advancing time or declaring deadlock while some
-	// participants do not exist yet; on more than one core that would
-	// make the run depend on the Go scheduler.
-	clk.Adopt()
-	settingUp := true
-	defer func() {
-		if settingUp {
-			clk.Release()
-		}
-	}()
-	metrics := &trace.Metrics{}
-	sim := transport.NewSim(transport.SimConfig{
-		Clock:   clk,
-		Latency: transport.FixedLatency(s.Latency),
-		Metrics: metrics,
-	})
-	engine := NewEngine(clk, sim, s.Seed^0x5DEECE66D, s.Faults, threads)
+	env := simenv.New(simenv.Sequential(), simenv.Latency(s.Latency))
+	clk := env.Clock
 
 	var sigTO time.Duration
 	if s.Faults.Active() || s.Restart != nil {
@@ -306,9 +287,9 @@ func RunWith(s Scenario, resolverName string) (*Result, error) {
 	var rec *wal.Memory
 	cfg := core.Config{
 		Clock:         clk,
-		Network:       sim,
+		Network:       env.Net,
 		Protocol:      proto,
-		Metrics:       metrics,
+		Metrics:       env.Metrics,
 		SignalTimeout: sigTO,
 	}
 	if s.Restart != nil {
@@ -348,104 +329,115 @@ func RunWith(s Scenario, resolverName string) (*Result, error) {
 		Msg:       make(map[string]int64),
 	}
 	var mu sync.Mutex
-
-	// With the concurrent-actions axis active, every instance's threads get
-	// virtual endpoints demultiplexed from shared per-thread endpoints; the
-	// single-instance regime keeps the untagged one-endpoint-per-thread
-	// wiring (and trace shape) of earlier revisions. Setup is two-phase:
-	// EVERY endpoint is bound before ANY participant goroutine starts, so an
-	// early goroutine's entry-barrier sends cannot race the remaining binds
-	// (a swallowed ErrUnknownAddr there would stall a fault-free run
-	// nondeterministically). Creation order — all threads of instance 1,
-	// then instance 2, … — fixes goroutine ids and is part of the
-	// deterministic contract.
-	var mux *transport.Mux
-	if s.Parallel > 1 {
-		mux = transport.NewMux(clk, sim)
-	}
-	type participant struct {
-		tag, th, key string
-		ct           *core.Thread
-	}
-	var parts []participant
-	for _, tag := range s.instanceTags() {
-		for _, th := range threads {
-			var ct *core.Thread
-			if tag == "" {
-				ct, err = rt.NewThread(th)
-				if err != nil {
-					return nil, err
+	program := func(tag string) func(core.Role) core.RoleProgram {
+		return func(r core.Role) core.RoleProgram {
+			th, key := r.Thread, participantKey(tag, r.Thread)
+			handlers := make(map[except.ID]core.Handler, g.Len())
+			for _, id := range g.Nodes() {
+				handlers[id] = func(ctx *core.Context, resolved except.ID, raised []except.Raised) error {
+					mu.Lock()
+					res.Decisions[key] = append(res.Decisions[key], Decision{
+						Round:    ctx.Round() - 1,
+						Resolved: resolved,
+						Raised:   except.IDsOf(raised),
+					})
+					mu.Unlock()
+					return nil
 				}
-			} else {
+			}
+			prog := core.RoleProgram{Handlers: handlers}
+			switch {
+			case s.Raises[th] != "":
+				exc, after := s.Raises[th], s.RaiseAfter[th]
+				prog.Body = func(ctx *core.Context) error {
+					if err := ctx.Compute(after); err != nil {
+						return err
+					}
+					return ctx.Raise(exc, "chaos raise")
+				}
+			case s.Depth > 0:
+				prog.Body = func(ctx *core.Context) error {
+					return descend(ctx, r.Name, levels, 0)
+				}
+			default:
+				work := s.Work[th]
+				prog.Body = func(ctx *core.Context) error {
+					return ctx.Compute(work)
+				}
+			}
+			return prog
+		}
+	}
+
+	// The fault engine arms its crash timers and the restart plan its kill
+	// and rebirth timers, so both are set up inside the start. With the
+	// concurrent-actions axis active, every instance's threads get virtual
+	// endpoints demultiplexed from shared per-thread endpoints; the
+	// single-instance regime keeps the untagged one-endpoint-per-thread
+	// wiring (and trace shape) of earlier revisions. The order of setup —
+	// the engine, all threads of instance 1, then instance 2, …, then the
+	// participants in the same order, then the restart timers — fixes
+	// goroutine ids and is part of the deterministic contract.
+	var engine *Engine
+	results := make(map[string]map[string]error)
+	err = env.Run(func() ([]func(), error) {
+		engine = NewEngine(clk, env.Net, s.Seed^0x5DEECE66D, s.Faults, threads)
+		var mux *transport.Mux
+		if s.Parallel > 1 {
+			mux = transport.NewMux(clk, env.Net)
+		}
+		var participants []func()
+		for _, tag := range s.instanceTags() {
+			cts := make(map[string]*core.Thread, len(threads))
+			for _, th := range threads {
+				if tag == "" {
+					ct, err := rt.NewThread(th)
+					if err != nil {
+						return nil, err
+					}
+					cts[th] = ct
+					continue
+				}
 				ep, err := mux.Open(tag, th)
 				if err != nil {
 					return nil, err
 				}
-				ct = rt.NewThreadOn(th, ep, tag)
+				cts[th] = rt.NewThreadOn(th, ep, tag)
 			}
-			parts = append(parts, participant{tag, th, participantKey(tag, th), ct})
-		}
-	}
-	for _, p := range parts {
-		th, key, ct := p.th, p.key, p.ct
-		handlers := make(map[except.ID]core.Handler, g.Len())
-		for _, id := range g.Nodes() {
-			handlers[id] = func(ctx *core.Context, resolved except.ID, raised []except.Raised) error {
-				mu.Lock()
-				res.Decisions[key] = append(res.Decisions[key], Decision{
-					Round:    ctx.Round() - 1,
-					Resolved: resolved,
-					Raised:   except.IDsOf(raised),
-				})
-				mu.Unlock()
-				return nil
-			}
-		}
-		prog := core.RoleProgram{Handlers: handlers}
-		switch {
-		case s.Raises[th] != "":
-			exc, after := s.Raises[th], s.RaiseAfter[th]
-			prog.Body = func(ctx *core.Context) error {
-				if err := ctx.Compute(after); err != nil {
-					return err
+			ps, outcomes := core.Participants(outer, cts, program(tag))
+			results[tag] = outcomes
+			if tag != "" {
+				for i, r := range outer.Roles {
+					perform, ct := ps[i], cts[r.Thread]
+					ps[i] = func() {
+						perform()
+						// Deregister the instance so the shared endpoints
+						// (and their pumps) are garbage-collected when the
+						// last instance completes.
+						_ = ct.Close()
+					}
 				}
-				return ctx.Raise(exc, "chaos raise")
 			}
-		case s.Depth > 0:
-			prog.Body = func(ctx *core.Context) error {
-				return descend(ctx, roleFor(th), levels, 0)
-			}
-		default:
-			work := s.Work[th]
-			prog.Body = func(ctx *core.Context) error {
-				return ctx.Compute(work)
-			}
+			participants = append(participants, ps...)
 		}
-		muxed := p.tag != ""
-		clk.Go(func() {
-			err := ct.Perform(outer, roleFor(th), prog)
-			if muxed {
-				// Deregister the instance so the shared endpoints (and
-				// their pumps) are garbage-collected when the last
-				// instance completes.
-				_ = ct.Close()
-			}
-			mu.Lock()
-			res.Outcomes[key] = classify(err)
-			mu.Unlock()
-		})
+		if s.Restart != nil {
+			res.Reborn = make(map[string]string, 1)
+			participants = append(participants, restartTimers(clk, engine, rt, s, outer, res, &mu, rec)...)
+		}
+		return participants, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if s.Restart != nil {
-		res.Reborn = make(map[string]string, 1)
-		scheduleRestart(clk, engine, rt, s, outer, res, &mu, rec)
+	for tag, outcomes := range results {
+		for th, err := range outcomes {
+			res.Outcomes[participantKey(tag, th)] = classify(err)
+		}
 	}
-	settingUp = false
-	clk.Release()
-	clk.Wait()
 
 	res.Stalled = engine.Stalled()
 	res.Trace = engine.Trace()
-	snap := metrics.Snapshot()
+	snap := env.Metrics.Snapshot()
 	res.Rounds = snap["action.rounds"]
 	res.Aborted = snap["action.aborted"]
 	for k, v := range snap {

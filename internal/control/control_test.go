@@ -9,30 +9,20 @@ import (
 	"caaction/internal/except"
 	"caaction/internal/prodcell"
 	"caaction/internal/protocol"
-	"caaction/internal/trace"
+	"caaction/internal/simenv"
 	"caaction/internal/transport"
-	"caaction/internal/vclock"
 )
 
 type cellEnv struct {
-	clk     *vclock.Virtual
-	net     *transport.Sim
-	rt      *core.Runtime
-	plant   *prodcell.Plant
-	ctl     *control.Controller
-	metrics *trace.Metrics
+	net   *transport.Sim
+	plant *prodcell.Plant
+	ctl   *control.Controller
 }
 
 func newCell(t *testing.T, cfg control.Config, coreCfg func(*core.Config)) *cellEnv {
 	t.Helper()
-	clk := vclock.NewVirtual()
-	metrics := &trace.Metrics{}
-	net := transport.NewSim(transport.SimConfig{
-		Clock:   clk,
-		Latency: transport.FixedLatency(time.Millisecond),
-		Metrics: metrics,
-	})
-	cc := core.Config{Clock: clk, Network: net, Metrics: metrics}
+	env := simenv.New(simenv.Latency(time.Millisecond))
+	cc := core.Config{Clock: env.Clock, Network: env.Net, Metrics: env.Metrics}
 	if coreCfg != nil {
 		coreCfg(&cc)
 	}
@@ -40,12 +30,12 @@ func newCell(t *testing.T, cfg control.Config, coreCfg func(*core.Config)) *cell
 	if err != nil {
 		t.Fatal(err)
 	}
-	plant := prodcell.New(clk, prodcell.DefaultConfig())
+	plant := prodcell.New(env.Clock, prodcell.DefaultConfig())
 	ctl, err := control.New(rt, plant, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &cellEnv{clk: clk, net: net, rt: rt, plant: plant, ctl: ctl, metrics: metrics}
+	return &cellEnv{net: env.Net, plant: plant, ctl: ctl}
 }
 
 func assertAllNil(t *testing.T, rep *control.Report) {

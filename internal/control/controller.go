@@ -33,6 +33,7 @@ import (
 	"caaction/internal/core"
 	"caaction/internal/except"
 	"caaction/internal/prodcell"
+	"caaction/internal/simenv"
 )
 
 // Thread identifiers of the controller.
@@ -313,25 +314,20 @@ func (c *Controller) note(thread string, resolved except.ID) {
 	c.handled[thread] = append(c.handled[thread], resolved)
 }
 
-// RunCycle executes one Produce_Blank action across all threads. It must be
-// called from an untracked goroutine while the runtime clock is available;
-// it spawns one tracked goroutine per controller thread and waits for all.
+// RunCycle executes one Produce_Blank action across all threads, one
+// goroutine per controller thread, and returns once the runtime clock has
+// no goroutine left to wait for. It must be called from a goroutine the
+// clock does not track.
 func (c *Controller) RunCycle() *Report {
-	var mu sync.Mutex
-	rep := &Report{Outcomes: make(map[string]error)}
-	var wg sync.WaitGroup
-	for _, r := range c.specProduce.Roles {
-		role := r
-		wg.Add(1)
-		c.rt.Clock().Go(func() {
-			defer wg.Done()
-			err := c.threads[role.Thread].Perform(c.specProduce, role.Name, c.produceProgram(role.Name))
-			mu.Lock()
-			rep.Outcomes[role.Thread] = err
-			mu.Unlock()
+	rep := &Report{}
+	// The threads exist since New, so setup has nothing to bind or fail.
+	_ = simenv.Start(c.rt.Clock(), func() ([]func(), error) {
+		var participants []func()
+		participants, rep.Outcomes = core.Participants(c.specProduce, c.threads, func(r core.Role) core.RoleProgram {
+			return c.produceProgram(r.Name)
 		})
-	}
-	wg.Wait()
+		return participants, nil
+	})
 	c.mu.Lock()
 	rep.Handled = make(map[string][]except.ID, len(c.handled))
 	for k, v := range c.handled {

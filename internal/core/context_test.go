@@ -56,7 +56,7 @@ func TestCheckpointInterruption(t *testing.T) {
 				// A compute loop with explicit checkpoints: the paper's
 				// deferred-processing style.
 				for i := 0; i < 1000; i++ {
-					e.clk.Sleep(5 * time.Millisecond) // uninterruptible work chunk
+					e.Clock.Sleep(5 * time.Millisecond) // uninterruptible work chunk
 					if err := ctx.Checkpoint(); err != nil {
 						return err
 					}
@@ -75,8 +75,8 @@ func TestCheckpointInterruption(t *testing.T) {
 		t.Fatalf("b handled %v", v)
 	}
 	// Interrupted at a checkpoint long before the 5s of chunks completed.
-	if e.clk.Now() > time.Second {
-		t.Fatalf("checkpoint interruption too late: %v", e.clk.Now())
+	if e.Clock.Now() > time.Second {
+		t.Fatalf("checkpoint interruption too late: %v", e.Clock.Now())
 	}
 }
 
@@ -169,7 +169,7 @@ func TestCorruptResolutionMessageDropped(t *testing.T) {
 	// T1's state; T2 receives everything it needs (Exception from T3,
 	// Commit from T3).
 	corrupted := 0
-	e.net.SetFault(func(from, to string, msg protocol.Message) transport.Fault {
+	e.Net.SetFault(func(from, to string, msg protocol.Message) transport.Fault {
 		if _, ok := msg.(protocol.Suspended); ok && from == "T1" && to == "T2" && corrupted == 0 {
 			corrupted++
 			return transport.Corrupt

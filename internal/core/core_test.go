@@ -10,36 +10,26 @@ import (
 	"caaction/internal/core"
 	"caaction/internal/except"
 	"caaction/internal/protocol"
-	"caaction/internal/trace"
+	"caaction/internal/simenv"
 	"caaction/internal/transport"
-	"caaction/internal/vclock"
 )
 
 // env wires a virtual-clock simulation with a runtime and N threads.
 type env struct {
+	*simenv.Env
 	t       *testing.T
-	clk     *vclock.Virtual
-	net     *transport.Sim
 	rt      *core.Runtime
-	metrics *trace.Metrics
 	threads map[string]*core.Thread
 }
 
 func newEnv(t *testing.T, latency time.Duration, n int) *env {
 	t.Helper()
-	clk := vclock.NewVirtual()
-	metrics := &trace.Metrics{}
-	net := transport.NewSim(transport.SimConfig{
-		Clock:   clk,
-		Latency: transport.FixedLatency(latency),
-		Metrics: metrics,
-	})
-	rt, err := core.New(core.Config{Clock: clk, Network: net, Metrics: metrics})
+	sim := simenv.New(simenv.Latency(latency))
+	rt, err := core.New(core.Config{Clock: sim.Clock, Network: sim.Net, Metrics: sim.Metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &env{t: t, clk: clk, net: net, rt: rt, metrics: metrics,
-		threads: make(map[string]*core.Thread)}
+	e := &env{Env: sim, t: t, rt: rt, threads: make(map[string]*core.Thread)}
 	for i := 1; i <= n; i++ {
 		id := fmt.Sprintf("T%d", i)
 		th, err := rt.NewThread(id)
@@ -55,27 +45,18 @@ func newEnv(t *testing.T, latency time.Duration, n int) *env {
 // outcomes.
 func (e *env) run(spec *core.Spec, progs map[string]core.RoleProgram) map[string]error {
 	e.t.Helper()
-	var mu sync.Mutex
-	results := make(map[string]error)
-	e.clk.Run(func() {
-		for _, r := range spec.Roles {
-			role := r
-			prog, ok := progs[role.Name]
-			if !ok {
-				e.t.Fatalf("no program for role %q", role.Name)
-			}
-			th := e.threads[role.Thread]
-			if th == nil {
-				e.t.Fatalf("no thread %q", role.Thread)
-			}
-			e.clk.Go(func() {
-				err := th.Perform(spec, role.Name, prog)
-				mu.Lock()
-				results[role.Thread] = err
-				mu.Unlock()
-			})
+	for _, r := range spec.Roles {
+		if _, ok := progs[r.Name]; !ok {
+			e.t.Fatalf("no program for role %q", r.Name)
 		}
+		if e.threads[r.Thread] == nil {
+			e.t.Fatalf("no thread %q", r.Thread)
+		}
+	}
+	participants, results := core.Participants(spec, e.threads, func(r core.Role) core.RoleProgram {
+		return progs[r.Name]
 	})
+	e.Go(participants...)
 	return results
 }
 
@@ -119,12 +100,12 @@ func TestSuccessfulActionNoExceptions(t *testing.T) {
 			t.Fatalf("%s: %v", id, err)
 		}
 	}
-	if e.metrics.Get("action.completions") != 2 {
-		t.Fatalf("completions = %d", e.metrics.Get("action.completions"))
+	if e.Metrics.Get("action.completions") != 2 {
+		t.Fatalf("completions = %d", e.Metrics.Get("action.completions"))
 	}
 	// Exit costs one round of toBeSignalled votes: N(N−1) = 2.
-	if e.metrics.Get("msg.ToBeSignalled") != 2 {
-		t.Fatalf("votes = %d\n%s", e.metrics.Get("msg.ToBeSignalled"), e.metrics)
+	if e.Metrics.Get("msg.ToBeSignalled") != 2 {
+		t.Fatalf("votes = %d\n%s", e.Metrics.Get("msg.ToBeSignalled"), e.Metrics)
 	}
 }
 
@@ -184,12 +165,12 @@ func TestSingleRaiseBothHandle(t *testing.T) {
 			t.Fatalf("handler %s saw %v", k, v)
 		}
 	}
-	if e.metrics.Get("action.handler_runs") != 2 {
-		t.Fatalf("handler runs = %d", e.metrics.Get("action.handler_runs"))
+	if e.Metrics.Get("action.handler_runs") != 2 {
+		t.Fatalf("handler runs = %d", e.Metrics.Get("action.handler_runs"))
 	}
 	// The informed role must have been interrupted well before 1s of
 	// virtual compute.
-	if now := e.clk.Now(); now >= time.Second {
+	if now := e.Clock.Now(); now >= time.Second {
 		t.Fatalf("virtual time %v suggests no interruption", now)
 	}
 }
@@ -264,8 +245,8 @@ func TestUnhandledUndeclaredExceptionUndoes(t *testing.T) {
 	if obj.Peek() != 100 {
 		t.Fatalf("object not restored: %v", obj.Peek())
 	}
-	if e.metrics.Get("action.undone") != 2 {
-		t.Fatalf("undone = %d", e.metrics.Get("action.undone"))
+	if e.Metrics.Get("action.undone") != 2 {
+		t.Fatalf("undone = %d", e.Metrics.Get("action.undone"))
 	}
 }
 
@@ -371,8 +352,8 @@ func TestHandlerRaisesNewRound(t *testing.T) {
 	if v, _ := rec.Load("b2"); v != except.ID("e2") {
 		t.Fatalf("round-2 handler at b saw %v", v)
 	}
-	if e.metrics.Get("action.rounds") != 4 { // 2 rounds × 2 threads
-		t.Fatalf("rounds = %d", e.metrics.Get("action.rounds"))
+	if e.Metrics.Get("action.rounds") != 4 { // 2 rounds × 2 threads
+		t.Fatalf("rounds = %d", e.Metrics.Get("action.rounds"))
 	}
 }
 
@@ -581,8 +562,8 @@ func TestFig4AbortCascade(t *testing.T) {
 			t.Fatalf("handler %s saw %v, want outer_exc+abort_exc", k, v)
 		}
 	}
-	if e.metrics.Get("action.aborted") != 2 {
-		t.Fatalf("aborted = %d, want 2 (both nested roles)", e.metrics.Get("action.aborted"))
+	if e.Metrics.Get("action.aborted") != 2 {
+		t.Fatalf("aborted = %d, want 2 (both nested roles)", e.Metrics.Get("action.aborted"))
 	}
 }
 
@@ -618,15 +599,9 @@ func TestExitAbandonedByLateRaise(t *testing.T) {
 }
 
 func TestLostVoteDegradesToFailure(t *testing.T) {
-	clk := vclock.NewVirtual()
-	metrics := &trace.Metrics{}
-	net := transport.NewSim(transport.SimConfig{
-		Clock:   clk,
-		Latency: transport.FixedLatency(time.Millisecond),
-		Metrics: metrics,
-	})
+	sim := simenv.New(simenv.Latency(time.Millisecond))
 	rt, err := core.New(core.Config{
-		Clock: clk, Network: net, Metrics: metrics,
+		Clock: sim.Clock, Network: sim.Net, Metrics: sim.Metrics,
 		SignalTimeout: 500 * time.Millisecond,
 	})
 	if err != nil {
@@ -635,7 +610,7 @@ func TestLostVoteDegradesToFailure(t *testing.T) {
 	t1, _ := rt.NewThread("T1")
 	t2, _ := rt.NewThread("T2")
 	// Drop T2's votes to T1 (the paper's l_mes fault).
-	net.SetFault(func(from, to string, msg protocol.Message) transport.Fault {
+	sim.Net.SetFault(func(from, to string, msg protocol.Message) transport.Fault {
 		if _, ok := msg.(protocol.ToBeSignalled); ok && from == "T2" {
 			return transport.Drop
 		}
@@ -643,10 +618,10 @@ func TestLostVoteDegradesToFailure(t *testing.T) {
 	})
 	spec := spec2(t, "lmes", graph3(t))
 	var e1, e2 error
-	clk.Run(func() {
-		clk.Go(func() { e1 = t1.Perform(spec, "a", core.RoleProgram{Body: noopBody}) })
-		clk.Go(func() { e2 = t2.Perform(spec, "b", core.RoleProgram{Body: noopBody}) })
-	})
+	sim.Go(
+		func() { e1 = t1.Perform(spec, "a", core.RoleProgram{Body: noopBody}) },
+		func() { e2 = t2.Perform(spec, "b", core.RoleProgram{Body: noopBody}) },
+	)
 	if !core.IsFailed(e1) {
 		t.Fatalf("T1 outcome %v, want ƒ", e1)
 	}
@@ -666,25 +641,25 @@ func TestRepeatedActionsInLoop(t *testing.T) {
 	count := 0
 	var errs []error
 	body := func(ctx *core.Context) error { return ctx.Compute(time.Millisecond) }
-	e.clk.Run(func() {
-		for _, r := range spec.Roles {
-			role := r
-			th := e.threads[role.Thread]
-			e.clk.Go(func() {
-				for i := 0; i < 20; i++ {
-					if err := th.Perform(spec, role.Name, core.RoleProgram{Body: body}); err != nil {
-						mu.Lock()
-						errs = append(errs, err)
-						mu.Unlock()
-						return
-					}
+	var participants []func()
+	for _, r := range spec.Roles {
+		role := r
+		th := e.threads[role.Thread]
+		participants = append(participants, func() {
+			for i := 0; i < 20; i++ {
+				if err := th.Perform(spec, role.Name, core.RoleProgram{Body: body}); err != nil {
 					mu.Lock()
-					count++
+					errs = append(errs, err)
 					mu.Unlock()
+					return
 				}
-			})
-		}
-	})
+				mu.Lock()
+				count++
+				mu.Unlock()
+			}
+		})
+	}
+	e.Go(participants...)
 	if len(errs) > 0 {
 		t.Fatalf("errors: %v", errs)
 	}
@@ -720,12 +695,11 @@ func TestPerformErrors(t *testing.T) {
 	spec := spec2(t, "cfg", graph3(t))
 	th := e.threads["T1"]
 	var err1, err2, err3 error
-	e.clk.Go(func() {
+	e.Go(func() {
 		err1 = th.Perform(spec, "nope", core.RoleProgram{Body: noopBody})
 		err2 = th.Perform(spec, "b", core.RoleProgram{Body: noopBody}) // bound to T2
 		err3 = th.Perform(spec, "a", core.RoleProgram{})               // no body
 	})
-	e.clk.Wait()
 	if !errors.Is(err1, core.ErrUnknownRole) {
 		t.Fatalf("err1 = %v", err1)
 	}
@@ -810,9 +784,8 @@ func TestContextDepthAndInstanceTag(t *testing.T) {
 // (NewThreadOn) derives tagged identifiers whose cached parsed form carries
 // the tag at every nesting level.
 func TestInstanceTagOnMuxedThread(t *testing.T) {
-	clk := vclock.NewVirtual()
-	net := transport.NewSim(transport.SimConfig{Clock: clk})
-	rt, err := core.New(core.Config{Clock: clk, Network: net})
+	sim := simenv.New()
+	rt, err := core.New(core.Config{Clock: sim.Clock, Network: sim.Net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -821,20 +794,19 @@ func TestInstanceTagOnMuxedThread(t *testing.T) {
 		Roles: []core.Role{{Name: "a", Thread: "T1"}},
 		Graph: graph3(t),
 	}
-	ep, err := net.Endpoint("T1")
+	ep, err := sim.Net.Endpoint("T1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	th := rt.NewThreadOn("T1", ep, "a7")
 	var id, tag string
 	var depth int
-	clk.Go(func() {
+	sim.Go(func() {
 		_ = th.Perform(spec, "a", core.RoleProgram{Body: func(ctx *core.Context) error {
 			id, tag, depth = ctx.ActionID(), ctx.InstanceTag(), ctx.Depth()
 			return nil
 		}})
 	})
-	clk.Wait()
 	if id != "a7!solo#1" || tag != "a7" || depth != 0 {
 		t.Fatalf("muxed frame: id=%q tag=%q depth=%d", id, tag, depth)
 	}

@@ -11,6 +11,7 @@ import (
 	"caaction/internal/core"
 	"caaction/internal/except"
 	"caaction/internal/resolve"
+	"caaction/internal/simenv"
 	"caaction/internal/transport"
 	"caaction/internal/vclock"
 )
@@ -328,25 +329,23 @@ func TestDeepNestingAbortCascade(t *testing.T) {
 // maybePropose at that thread and deadlocks the whole action in
 // awaitDecision.
 func TestNestedAbortPreservesRelayedResolution(t *testing.T) {
-	clk := vclock.NewVirtual()
+	// T3 -> T2 is slow; every other pair is fast. T3's raise reaches T1
+	// quickly, T1 relays to T2 quickly, so T2 sees the Relay (in its nested
+	// frame) well before the first-hand Exception.
+	sim := simenv.New(simenv.LatencyFunc(func(from, to string) time.Duration {
+		if from == "T3" && to == "T2" {
+			return 50 * time.Millisecond
+		}
+		return time.Millisecond
+	}))
 	failed := make(chan string, 1)
-	clk.SetDeadlockHandler(func(info string) {
+	sim.Clock.SetDeadlockHandler(func(info string) {
 		select {
 		case failed <- info:
 		default:
 		}
 	})
-	// T3 -> T2 is slow; every other pair is fast. T3's raise reaches T1
-	// quickly, T1 relays to T2 quickly, so T2 sees the Relay (in its nested
-	// frame) well before the first-hand Exception.
-	lat := func(from, to string) time.Duration {
-		if from == "T3" && to == "T2" {
-			return 50 * time.Millisecond
-		}
-		return time.Millisecond
-	}
-	sim := transport.NewSim(transport.SimConfig{Clock: clk, Latency: lat})
-	rt, err := core.New(core.Config{Clock: clk, Network: sim, Protocol: resolve.CR86{}})
+	rt, err := core.New(core.Config{Clock: sim.Clock, Network: sim.Net, Protocol: resolve.CR86{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +366,6 @@ func TestNestedAbortPreservesRelayedResolution(t *testing.T) {
 		Graph: g,
 	}
 
-	outcomes := make(chan error, 3)
 	// Descenders announce themselves to the raiser in the outer action, then
 	// descend; the raiser raises only after both notices, so the Exception
 	// finds both peers inside the nested action. Its slow T3->T2 leg then
@@ -393,31 +391,27 @@ func TestNestedAbortPreservesRelayedResolution(t *testing.T) {
 		}
 		return ctx.Raise("halt", "abort the nested pair")
 	}}
-	progs := map[string]core.RoleProgram{"T1": descend("a"), "T2": descend("b"), "T3": raiser}
-	threads := make(map[string]*core.Thread, len(progs))
-	for th := range progs {
-		ct, err := rt.NewThread(th)
+	progs := map[string]core.RoleProgram{"a": descend("a"), "b": descend("b"), "c": raiser}
+	threads := make(map[string]*core.Thread, len(outer.Roles))
+	for _, r := range outer.Roles {
+		ct, err := rt.NewThread(r.Thread)
 		if err != nil {
 			t.Fatal(err)
 		}
-		threads[th] = ct
+		threads[r.Thread] = ct
 	}
-	clk.Run(func() {
-		for th, prog := range progs {
-			role, _ := outer.RoleOf(th)
-			prog, ct := prog, threads[th]
-			clk.Go(func() { outcomes <- ct.Perform(outer, role, prog) })
-		}
+	participants, outcomes := core.Participants(outer, threads, func(r core.Role) core.RoleProgram {
+		return progs[r.Name]
 	})
+	sim.Go(participants...)
 	select {
 	case info := <-failed:
 		t.Fatalf("action deadlocked — enclosing-frame resolution message lost during abort window: %s", info)
 	default:
 	}
-	for i := 0; i < 3; i++ {
-		err := <-outcomes
+	for th, err := range outcomes {
 		if _, ok := core.Signalled(err); !ok {
-			t.Errorf("outcome %v, want a signalled exception (µ)", err)
+			t.Errorf("%s outcome %v, want a signalled exception (µ)", th, err)
 		}
 	}
 }

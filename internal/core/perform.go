@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"caaction/internal/except"
@@ -35,6 +36,28 @@ func (th *Thread) Perform(spec *Spec, role string, prog RoleProgram) error {
 		return fmt.Errorf("core: internal: top-level abort to %q", ae.target)
 	}
 	return err
+}
+
+// Participants returns one participant per role of spec, in role order,
+// for a simulation start (simenv.Start): each performs its role on the
+// thread that threads holds under the role's thread id, with the program
+// that program returns for the role, and records the Perform result in the
+// returned map under that thread id. Read the map once every participant
+// has returned.
+func Participants(spec *Spec, threads map[string]*Thread, program func(Role) RoleProgram) ([]func(), map[string]error) {
+	var mu sync.Mutex
+	results := make(map[string]error, len(spec.Roles))
+	participants := make([]func(), len(spec.Roles))
+	for i, r := range spec.Roles {
+		th, prog := threads[r.Thread], program(r)
+		participants[i] = func() {
+			err := th.Perform(spec, r.Name, prog)
+			mu.Lock()
+			results[r.Thread] = err
+			mu.Unlock()
+		}
+	}
+	return participants, results
 }
 
 // perform runs one action frame to completion under the given parent frame

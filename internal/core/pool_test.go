@@ -12,20 +12,31 @@ import (
 	"time"
 
 	"caaction/internal/except"
-	"caaction/internal/trace"
+	"caaction/internal/simenv"
 	"caaction/internal/transport"
-	"caaction/internal/vclock"
 )
 
-func poolEnv(t *testing.T) (*vclock.Virtual, *Runtime) {
+func poolEnv(t *testing.T) (*simenv.Env, *Runtime) {
 	t.Helper()
-	clk := vclock.NewVirtual()
-	net := transport.NewSim(transport.SimConfig{Clock: clk})
-	rt, err := New(Config{Clock: clk, Network: net, Metrics: &trace.Metrics{}})
+	env := simenv.New()
+	rt, err := New(Config{Clock: env.Clock, Network: env.Net, Metrics: env.Metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return clk, rt
+	return env, rt
+}
+
+// performPair performs poolSpec's two roles on t1 and t2, both with body.
+func performPair(t *testing.T, env *simenv.Env, spec *Spec, t1, t2 *Thread, body Body) {
+	t.Helper()
+	participants, results := Participants(spec, map[string]*Thread{"T1": t1, "T2": t2},
+		func(Role) RoleProgram { return RoleProgram{Body: body} })
+	env.Go(participants...)
+	for th, err := range results {
+		if err != nil {
+			t.Errorf("%s: %v", th, err)
+		}
+	}
 }
 
 func poolSpec(t *testing.T, name string) *Spec {
@@ -51,7 +62,7 @@ func poolGraph(t *testing.T) *except.Graph {
 // an identifier build), recycles the threads, and asserts the recycle
 // contract field by field: empty stack, cleared maps, detached endpoint.
 func TestThreadRecycleScrubsState(t *testing.T) {
-	clk, rt := poolEnv(t)
+	env, rt := poolEnv(t)
 	spec := poolSpec(t, "hyg")
 	t1, err := rt.NewThread("T1")
 	if err != nil {
@@ -61,20 +72,8 @@ func TestThreadRecycleScrubsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk.Run(func() {
-		for _, pair := range []struct {
-			th   *Thread
-			role string
-		}{{t1, "a"}, {t2, "b"}} {
-			pair := pair
-			clk.Go(func() {
-				if err := pair.th.Perform(spec, pair.role, RoleProgram{Body: func(ctx *Context) error {
-					return ctx.Compute(time.Millisecond)
-				}}); err != nil {
-					t.Errorf("%s: %v", pair.role, err)
-				}
-			})
-		}
+	performPair(t, env, spec, t1, t2, func(ctx *Context) error {
+		return ctx.Compute(time.Millisecond)
 	})
 
 	if got := len(t1.seq); got == 0 {
@@ -110,7 +109,7 @@ func TestThreadRecycleScrubsState(t *testing.T) {
 // property StartAction's wire identifiers rely on (the mux tag, not the
 // sequence number, is what keeps concurrent instances apart).
 func TestRecycledThreadRestartsInstanceSequence(t *testing.T) {
-	clk, rt := poolEnv(t)
+	env, rt := poolEnv(t)
 	spec := poolSpec(t, "seq")
 
 	run := func() (id1, id2 string) {
@@ -127,18 +126,7 @@ func TestRecycledThreadRestartsInstanceSequence(t *testing.T) {
 			ids <- ctx.ActionID()
 			return nil
 		}
-		clk.Run(func() {
-			clk.Go(func() {
-				if err := t1.Perform(spec, "a", RoleProgram{Body: body}); err != nil {
-					t.Errorf("a: %v", err)
-				}
-			})
-			clk.Go(func() {
-				if err := t2.Perform(spec, "b", RoleProgram{Body: body}); err != nil {
-					t.Errorf("b: %v", err)
-				}
-			})
-		})
+		performPair(t, env, spec, t1, t2, body)
 		_ = t1.Close()
 		_ = t2.Close()
 		t1.Recycle()

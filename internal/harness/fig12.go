@@ -2,7 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"sync"
+	"strings"
 	"time"
 
 	"caaction/internal/core"
@@ -28,7 +28,7 @@ const fig12Work = 4850 * time.Millisecond
 
 // RunFig12Point measures one total execution time.
 func RunFig12Point(cfg Fig12Config) (time.Duration, error) {
-	env, err := NewEnv(cfg.Tmmax, cfg.Protocol)
+	env, rt, err := newSystem(cfg.Tmmax, cfg.Protocol)
 	if err != nil {
 		return 0, err
 	}
@@ -49,38 +49,20 @@ func RunFig12Point(cfg Fig12Config) (time.Duration, error) {
 		return nil
 	}
 
-	var mu sync.Mutex
-	var errs []error
-	threads := make([]*core.Thread, len(spec.Roles))
-	for i, r := range spec.Roles {
-		if threads[i], err = env.Runtime.NewThread(r.Thread); err != nil {
-			return 0, err
-		}
-	}
-	env.Clock.Run(func() {
-		for i, r := range spec.Roles {
-			role, th := r, threads[i]
-			exc := except.ID(fmt.Sprintf("e%d", i+1))
-			env.Clock.Go(func() {
-				err := th.Perform(spec, role.Name, core.RoleProgram{
-					Body: func(ctx *core.Context) error {
-						if err := ctx.Compute(fig12Work); err != nil {
-							return err
-						}
-						return ctx.Raise(exc, "concurrent fault")
-					},
-					Handlers: map[except.ID]core.Handler{resolving: handler},
-				})
-				if err != nil {
-					mu.Lock()
-					errs = append(errs, err)
-					mu.Unlock()
+	err = perform(env, rt, spec, func(r core.Role) core.RoleProgram {
+		exc := except.ID("e" + strings.TrimPrefix(r.Thread, "T"))
+		return core.RoleProgram{
+			Body: func(ctx *core.Context) error {
+				if err := ctx.Compute(fig12Work); err != nil {
+					return err
 				}
-			})
+				return ctx.Raise(exc, "concurrent fault")
+			},
+			Handlers: map[except.ID]core.Handler{resolving: handler},
 		}
 	})
-	if len(errs) > 0 {
-		return 0, fmt.Errorf("harness: fig12: %v", errs[0])
+	if err != nil {
+		return 0, fmt.Errorf("harness: fig12: %v", err)
 	}
 	return env.Clock.Now(), nil
 }

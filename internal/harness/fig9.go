@@ -1,8 +1,8 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"caaction/internal/core"
@@ -47,7 +47,7 @@ const (
 // RunFig9Point executes the scenario once and returns the total (virtual)
 // execution time.
 func RunFig9Point(cfg Fig9Config) (time.Duration, error) {
-	env, err := NewEnv(cfg.Tmmax, nil)
+	env, rt, err := newSystem(cfg.Tmmax, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -98,68 +98,52 @@ func RunFig9Point(cfg Fig9Config) (time.Duration, error) {
 	nestedBody := func(ctx *core.Context) error { return ctx.Compute(fig9NestedWork) }
 	abortEab := func(ctx *core.Context) except.ID { return "abort_exc" }
 
-	run := func(th *core.Thread, role string, prog core.RoleProgram) error {
-		for i := 0; i < cfg.Loops; i++ {
-			if err := th.Perform(outer, role, prog); err != nil {
-				return err
+	progs := map[string]core.RoleProgram{
+		"a": {
+			Body: func(ctx *core.Context) error {
+				return ctx.Enter(nested, "a", core.RoleProgram{Body: nestedBody, OnAbort: abortEab})
+			},
+			Handlers: map[except.ID]core.Handler{"both": handlerA},
+		},
+		"b": {
+			Body: func(ctx *core.Context) error {
+				return ctx.Enter(nested, "b", core.RoleProgram{Body: nestedBody})
+			},
+			Handlers: map[except.ID]core.Handler{"both": handlerB},
+		},
+		"c": {
+			Body: func(ctx *core.Context) error {
+				if err := ctx.Compute(fig9Work); err != nil {
+					return err
+				}
+				return ctx.Raise("outer_exc", "containing-action fault")
+			},
+			Handlers: map[except.ID]core.Handler{"both": handlerC},
+		},
+	}
+	// The application loops: each thread performs its role Loops times.
+	errs := make([]error, len(outer.Roles))
+	err = env.Run(func() ([]func(), error) {
+		threads, err := newThreads(rt, outer)
+		if err != nil {
+			return nil, err
+		}
+		participants := make([]func(), len(outer.Roles))
+		for i, r := range outer.Roles {
+			th, prog := threads[r.Thread], progs[r.Name]
+			participants[i] = func() {
+				for l := 0; l < cfg.Loops && errs[i] == nil; l++ {
+					errs[i] = th.Perform(outer, r.Name, prog)
+				}
 			}
 		}
-		return nil
-	}
-
-	t1, err := env.Runtime.NewThread("T1")
-	if err != nil {
-		return 0, err
-	}
-	t2, err := env.Runtime.NewThread("T2")
-	if err != nil {
-		return 0, err
-	}
-	t3, err := env.Runtime.NewThread("T3")
-	if err != nil {
-		return 0, err
-	}
-
-	var mu sync.Mutex
-	var errs []error
-	record := func(err error) {
-		if err != nil {
-			mu.Lock()
-			errs = append(errs, err)
-			mu.Unlock()
-		}
-	}
-	env.Clock.Run(func() {
-		env.Clock.Go(func() {
-			record(run(t1, "a", core.RoleProgram{
-				Body: func(ctx *core.Context) error {
-					return ctx.Enter(nested, "a", core.RoleProgram{Body: nestedBody, OnAbort: abortEab})
-				},
-				Handlers: map[except.ID]core.Handler{"both": handlerA},
-			}))
-		})
-		env.Clock.Go(func() {
-			record(run(t2, "b", core.RoleProgram{
-				Body: func(ctx *core.Context) error {
-					return ctx.Enter(nested, "b", core.RoleProgram{Body: nestedBody})
-				},
-				Handlers: map[except.ID]core.Handler{"both": handlerB},
-			}))
-		})
-		env.Clock.Go(func() {
-			record(run(t3, "c", core.RoleProgram{
-				Body: func(ctx *core.Context) error {
-					if err := ctx.Compute(fig9Work); err != nil {
-						return err
-					}
-					return ctx.Raise("outer_exc", "containing-action fault")
-				},
-				Handlers: map[except.ID]core.Handler{"both": handlerC},
-			}))
-		})
+		return participants, nil
 	})
-	if len(errs) > 0 {
-		return 0, fmt.Errorf("harness: fig9: %v", errs[0])
+	if err == nil {
+		err = errors.Join(errs...)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("harness: fig9: %v", err)
 	}
 	return env.Clock.Now(), nil
 }

@@ -17,40 +17,59 @@ import (
 	"caaction/internal/core"
 	"caaction/internal/except"
 	"caaction/internal/resolve"
-	"caaction/internal/trace"
-	"caaction/internal/transport"
-	"caaction/internal/vclock"
+	"caaction/internal/simenv"
 )
 
-// Env bundles one simulated distributed system.
-type Env struct {
-	Clock   *vclock.Virtual
-	Net     *transport.Sim
-	Runtime *core.Runtime
-	Metrics *trace.Metrics
+// newSystem builds a simulated system with fixed one-way latency (the
+// paper's Tmmax) and a runtime on it running the given resolution protocol
+// (nil means the paper's Coordinated algorithm).
+func newSystem(latency time.Duration, proto resolve.Protocol) (*simenv.Env, *core.Runtime, error) {
+	env := simenv.New(simenv.Latency(latency))
+	rt, err := core.New(core.Config{
+		Clock:    env.Clock,
+		Network:  env.Net,
+		Protocol: proto,
+		Metrics:  env.Metrics,
+	})
+	return env, rt, err
 }
 
-// NewEnv builds a virtual-clock environment with fixed one-way latency
-// (the paper's Tmmax) and the given resolution protocol (nil means the
-// paper's Coordinated algorithm).
-func NewEnv(latency time.Duration, proto resolve.Protocol) (*Env, error) {
-	clk := vclock.NewVirtual()
-	metrics := &trace.Metrics{}
-	net := transport.NewSim(transport.SimConfig{
-		Clock:   clk,
-		Latency: transport.FixedLatency(latency),
-		Metrics: metrics,
-	})
-	rt, err := core.New(core.Config{
-		Clock:    clk,
-		Network:  net,
-		Protocol: proto,
-		Metrics:  metrics,
+// newThreads binds a thread for every role of spec.
+func newThreads(rt *core.Runtime, spec *core.Spec) (map[string]*core.Thread, error) {
+	threads := make(map[string]*core.Thread, len(spec.Roles))
+	for _, r := range spec.Roles {
+		th, err := rt.NewThread(r.Thread)
+		if err != nil {
+			return nil, err
+		}
+		threads[r.Thread] = th
+	}
+	return threads, nil
+}
+
+// perform runs one action of spec on a fresh thread per role, each role
+// with the program that program returns for it, and returns the first
+// role's error in role order.
+func perform(env *simenv.Env, rt *core.Runtime, spec *core.Spec, program func(core.Role) core.RoleProgram) error {
+	var results map[string]error
+	err := env.Run(func() ([]func(), error) {
+		threads, err := newThreads(rt, spec)
+		if err != nil {
+			return nil, err
+		}
+		var participants []func()
+		participants, results = core.Participants(spec, threads, program)
+		return participants, nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Env{Clock: clk, Net: net, Runtime: rt, Metrics: metrics}, nil
+	for _, r := range spec.Roles {
+		if err := results[r.Thread]; err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Seconds formats a duration as the paper prints times.

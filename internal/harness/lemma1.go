@@ -42,7 +42,7 @@ func RunLemma1(depths []int, tmmax, tabo, treso time.Duration) ([]Lemma1Row, err
 }
 
 func runLemma1Point(depth int, tmmax, tabo, treso time.Duration) (time.Duration, error) {
-	env, err := NewEnv(tmmax, nil)
+	env, rt, err := newSystem(tmmax, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -74,14 +74,6 @@ func runLemma1Point(depth int, tmmax, tabo, treso time.Duration) (time.Duration,
 	var mu sync.Mutex
 	var raisedAt time.Duration
 	var handledAt time.Duration
-	var errs []error
-	record := func(err error) {
-		if err != nil {
-			mu.Lock()
-			errs = append(errs, err)
-			mu.Unlock()
-		}
-	}
 	handler := func(ctx *core.Context, _ except.ID, _ []except.Raised) error {
 		if err := ctx.Compute(lemma1Handler); err != nil {
 			return err
@@ -107,43 +99,31 @@ func runLemma1Point(depth int, tmmax, tabo, treso time.Duration) (time.Duration,
 		})
 	}
 
-	roles := []struct{ role, thread string }{{"a", "T1"}, {"b", "T2"}, {"c", "T3"}}
-	threads := make([]*core.Thread, len(roles))
-	for i, rl := range roles {
-		if threads[i], err = env.Runtime.NewThread(rl.thread); err != nil {
-			return 0, err
+	err = perform(env, rt, outer, func(r core.Role) core.RoleProgram {
+		prog := core.RoleProgram{
+			Handlers: map[except.ID]core.Handler{"outer_exc": handler},
 		}
-	}
-	env.Clock.Run(func() {
-		for i, rl := range roles {
-			rl, th := rl, threads[i]
-			env.Clock.Go(func() {
-				prog := core.RoleProgram{
-					Handlers: map[except.ID]core.Handler{"outer_exc": handler},
+		switch r.Name {
+		case "c":
+			prog.Body = func(ctx *core.Context) error {
+				// Give the peers time to reach the innermost level.
+				if err := ctx.Compute(time.Duration(depth+2) * tmmax * 2); err != nil {
+					return err
 				}
-				switch rl.role {
-				case "c":
-					prog.Body = func(ctx *core.Context) error {
-						// Give the peers time to reach the innermost level.
-						if err := ctx.Compute(time.Duration(depth+2) * tmmax * 2); err != nil {
-							return err
-						}
-						mu.Lock()
-						raisedAt = ctx.Now()
-						mu.Unlock()
-						return ctx.Raise("outer_exc", "worst-case trigger")
-					}
-				default:
-					prog.Body = func(ctx *core.Context) error {
-						return descend(ctx, rl.role, 0)
-					}
-				}
-				record(th.Perform(outer, rl.role, prog))
-			})
+				mu.Lock()
+				raisedAt = ctx.Now()
+				mu.Unlock()
+				return ctx.Raise("outer_exc", "worst-case trigger")
+			}
+		default:
+			prog.Body = func(ctx *core.Context) error {
+				return descend(ctx, r.Name, 0)
+			}
 		}
+		return prog
 	})
-	if len(errs) > 0 {
-		return 0, fmt.Errorf("harness: lemma1: %v", errs[0])
+	if err != nil {
+		return 0, fmt.Errorf("harness: lemma1: %v", err)
 	}
 	if handledAt <= raisedAt {
 		return 0, fmt.Errorf("harness: lemma1: handling did not complete (raised %v, handled %v)",

@@ -2,7 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"sync"
+	"strings"
 	"time"
 
 	"caaction/internal/core"
@@ -44,7 +44,7 @@ func RunMessageComplexity(ns []int) ([]MsgRow, error) {
 }
 
 func runMsgCell(proto resolve.Protocol, n int, scenario string) (MsgRow, error) {
-	env, err := NewEnv(10*time.Millisecond, proto)
+	env, rt, err := newSystem(10*time.Millisecond, proto)
 	if err != nil {
 		return MsgRow{}, err
 	}
@@ -62,39 +62,21 @@ func runMsgCell(proto resolve.Protocol, n int, scenario string) (MsgRow, error) 
 		handlers[id] = handler
 	}
 
-	var mu sync.Mutex
-	var errs []error
-	threads := make([]*core.Thread, len(spec.Roles))
-	for i, r := range spec.Roles {
-		if threads[i], err = env.Runtime.NewThread(r.Thread); err != nil {
-			return MsgRow{}, err
-		}
-	}
-	env.Clock.Run(func() {
-		for i, r := range spec.Roles {
-			role, th := r, threads[i]
-			raises := scenario == "all" || i == 0
-			exc := except.ID(fmt.Sprintf("e%d", i+1))
-			env.Clock.Go(func() {
-				perr := th.Perform(spec, role.Name, core.RoleProgram{
-					Body: func(ctx *core.Context) error {
-						if raises {
-							return ctx.Raise(exc, "")
-						}
-						return ctx.Compute(time.Hour) // interrupted by peers
-					},
-					Handlers: handlers,
-				})
-				if perr != nil {
-					mu.Lock()
-					errs = append(errs, perr)
-					mu.Unlock()
+	err = perform(env, rt, spec, func(r core.Role) core.RoleProgram {
+		raises := scenario == "all" || r.Thread == names[0]
+		exc := except.ID("e" + strings.TrimPrefix(r.Thread, "T"))
+		return core.RoleProgram{
+			Body: func(ctx *core.Context) error {
+				if raises {
+					return ctx.Raise(exc, "")
 				}
-			})
+				return ctx.Compute(time.Hour) // interrupted by peers
+			},
+			Handlers: handlers,
 		}
 	})
-	if len(errs) > 0 {
-		return MsgRow{}, fmt.Errorf("harness: msgs: %v", errs[0])
+	if err != nil {
+		return MsgRow{}, fmt.Errorf("harness: msgs: %v", err)
 	}
 
 	measured := env.Metrics.Get("msg.Exception") + env.Metrics.Get("msg.Suspended") +

@@ -8,9 +8,8 @@ import (
 	"caaction/internal/except"
 	"caaction/internal/protocol"
 	"caaction/internal/signal"
-	"caaction/internal/trace"
+	"caaction/internal/simenv"
 	"caaction/internal/transport"
-	"caaction/internal/vclock"
 )
 
 // SigRow is one line of experiment E4: the §3.4 signalling algorithm's
@@ -95,13 +94,7 @@ func RunSignalling(ns []int) ([]SigRow, error) {
 
 func runSigCase(n int, name string, votes func(i int) except.ID,
 	undoErr func(id string) error, want except.ID) (SigRow, error) {
-	clk := vclock.NewVirtual()
-	metrics := &trace.Metrics{}
-	net := transport.NewSim(transport.SimConfig{
-		Clock:   clk,
-		Latency: transport.FixedLatency(10 * time.Millisecond),
-		Metrics: metrics,
-	})
+	env := simenv.New(simenv.Latency(10 * time.Millisecond))
 	peers := threadNames(n)
 
 	var mu sync.Mutex
@@ -109,55 +102,45 @@ func runSigCase(n int, name string, votes func(i int) except.ID,
 	decisions := make(map[string]signal.Decision, n)
 	var firstErr error
 
-	// Bind every endpoint before any peer starts sending.
-	eps := make([]transport.Endpoint, len(peers))
-	for i, self := range peers {
-		ep, err := net.Endpoint(self)
-		if err != nil {
-			return SigRow{}, err
-		}
-		eps[i] = ep
-	}
-	clk.Run(func() {
-		for i, self := range peers {
-			i, self, ep := i, self, eps[i]
-			clk.Go(func() {
-				inst := signal.New(signal.Config{
-					Action: "sig#1", Self: self, Peers: peers,
-					Send: func(to string, msg protocol.Message) { _ = ep.Send(to, msg) },
-					Undo: func() error {
-						mu.Lock()
-						undos++
-						mu.Unlock()
-						if undoErr != nil {
-							return undoErr(self)
-						}
-						return nil
-					},
-				})
-				dec := inst.Start(votes(i))
-				for !dec.Done {
-					d, ok := ep.Recv()
-					if !ok {
-						return
-					}
-					var derr error
-					dec, derr = inst.Deliver(d.From, d.Msg)
-					if derr != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = derr
-						}
-						mu.Unlock()
-						return
-					}
-				}
+	err := env.Peers(peers, func(i int, ep transport.Endpoint) {
+		self := peers[i]
+		inst := signal.New(signal.Config{
+			Action: "sig#1", Self: self, Peers: peers,
+			Send: func(to string, msg protocol.Message) { _ = ep.Send(to, msg) },
+			Undo: func() error {
 				mu.Lock()
-				decisions[self] = dec
+				undos++
 				mu.Unlock()
-			})
+				if undoErr != nil {
+					return undoErr(self)
+				}
+				return nil
+			},
+		})
+		dec := inst.Start(votes(i))
+		for !dec.Done {
+			d, ok := ep.Recv()
+			if !ok {
+				return
+			}
+			var derr error
+			dec, derr = inst.Deliver(d.From, d.Msg)
+			if derr != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = derr
+				}
+				mu.Unlock()
+				return
+			}
 		}
+		mu.Lock()
+		decisions[self] = dec
+		mu.Unlock()
 	})
+	if err != nil {
+		return SigRow{}, err
+	}
 	if firstErr != nil {
 		return SigRow{}, firstErr
 	}
@@ -179,7 +162,7 @@ func runSigCase(n int, name string, votes func(i int) except.ID,
 	return SigRow{
 		Case:     name,
 		N:        n,
-		Messages: metrics.Get("msg.ToBeSignalled"),
+		Messages: env.Metrics.Get("msg.ToBeSignalled"),
 		Signal:   outcome,
 		Undos:    undos,
 	}, nil

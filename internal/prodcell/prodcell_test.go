@@ -5,24 +5,19 @@ import (
 	"testing"
 	"time"
 
+	"caaction/internal/simenv"
 	"caaction/internal/vclock"
 )
 
-func newPlant(t *testing.T) (*Plant, *vclock.Virtual) {
+func newPlant(t *testing.T) (*Plant, *simenv.Env) {
 	t.Helper()
-	clk := vclock.NewVirtual()
-	return New(clk, DefaultConfig()), clk
-}
-
-// drive runs fn on a tracked goroutine and waits for it.
-func drive(clk *vclock.Virtual, fn func()) {
-	clk.Go(fn)
-	clk.Wait()
+	env := simenv.New()
+	return New(env.Clock, DefaultConfig()), env
 }
 
 func TestAxisMotionCompletes(t *testing.T) {
-	p, clk := newPlant(t)
-	drive(clk, func() {
+	p, env := newPlant(t)
+	env.Go(func() {
 		if !p.At(AxisTableVert, "bottom") {
 			t.Error("table not at bottom initially")
 		}
@@ -35,7 +30,7 @@ func TestAxisMotionCompletes(t *testing.T) {
 		if got := p.Position(AxisTableVert); got != "moving" {
 			t.Errorf("position = %q", got)
 		}
-		clk.Sleep(DefaultConfig().MoveTime + time.Millisecond)
+		env.Clock.Sleep(DefaultConfig().MoveTime + time.Millisecond)
 		if !p.At(AxisTableVert, "top") {
 			t.Error("table did not arrive")
 		}
@@ -43,8 +38,8 @@ func TestAxisMotionCompletes(t *testing.T) {
 }
 
 func TestActuateValidation(t *testing.T) {
-	p, clk := newPlant(t)
-	drive(clk, func() {
+	p, env := newPlant(t)
+	env.Go(func() {
 		if err := p.Actuate("ghost", "x"); !errors.Is(err, ErrUnknownAxis) {
 			t.Errorf("err = %v", err)
 		}
@@ -61,15 +56,15 @@ func TestActuateValidation(t *testing.T) {
 }
 
 func TestMotorNoMoveFault(t *testing.T) {
-	p, clk := newPlant(t)
-	drive(clk, func() {
+	p, env := newPlant(t)
+	env.Go(func() {
 		if err := p.Inject(FaultMotorNoMove, AxisTableVert); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.Actuate(AxisTableVert, "top"); err != nil {
 			t.Fatal(err)
 		}
-		clk.Sleep(time.Second)
+		env.Clock.Sleep(time.Second)
 		if !p.At(AxisTableVert, "bottom") {
 			t.Error("axis moved despite m_nmove")
 		}
@@ -80,7 +75,7 @@ func TestMotorNoMoveFault(t *testing.T) {
 		if err := p.Actuate(AxisTableVert, "top"); err != nil {
 			t.Fatal(err)
 		}
-		clk.Sleep(time.Second)
+		env.Clock.Sleep(time.Second)
 		if !p.At(AxisTableVert, "top") {
 			t.Error("retry did not move")
 		}
@@ -88,11 +83,11 @@ func TestMotorNoMoveFault(t *testing.T) {
 }
 
 func TestMotorStopFaultAndRepair(t *testing.T) {
-	p, clk := newPlant(t)
-	drive(clk, func() {
+	p, env := newPlant(t)
+	env.Go(func() {
 		_ = p.Inject(FaultMotorStop, AxisTableRot)
 		_ = p.Actuate(AxisTableRot, "robot")
-		clk.Sleep(time.Second)
+		env.Clock.Sleep(time.Second)
 		if got := p.Position(AxisTableRot); got != "stalled" {
 			t.Fatalf("encoder = %q, want stalled", got)
 		}
@@ -103,7 +98,7 @@ func TestMotorStopFaultAndRepair(t *testing.T) {
 			t.Fatal(err)
 		}
 		_ = p.Actuate(AxisTableRot, "robot")
-		clk.Sleep(time.Second)
+		env.Clock.Sleep(time.Second)
 		if !p.At(AxisTableRot, "robot") {
 			t.Fatal("axis did not arrive after repair")
 		}
@@ -111,11 +106,11 @@ func TestMotorStopFaultAndRepair(t *testing.T) {
 }
 
 func TestStuckSensorEncoderDisagreement(t *testing.T) {
-	p, clk := newPlant(t)
-	drive(clk, func() {
+	p, env := newPlant(t)
+	env.Go(func() {
 		_ = p.Inject(FaultSensorStuck, AxisTableVert)
 		_ = p.Actuate(AxisTableVert, "top")
-		clk.Sleep(time.Second)
+		env.Clock.Sleep(time.Second)
 		if p.At(AxisTableVert, "top") {
 			t.Fatal("stuck sensor reported position")
 		}
@@ -199,9 +194,9 @@ func runCycle(t *testing.T, p *Plant, clk *vclock.Virtual) int {
 }
 
 func TestFullProductionCycle(t *testing.T) {
-	p, clk := newPlant(t)
-	drive(clk, func() {
-		id := runCycle(t, p, clk)
+	p, env := newPlant(t)
+	env.Go(func() {
+		id := runCycle(t, p, env.Clock)
 		b, err := p.Blank(id)
 		if err != nil {
 			t.Fatal(err)
@@ -216,10 +211,10 @@ func TestFullProductionCycle(t *testing.T) {
 }
 
 func TestMultipleCycles(t *testing.T) {
-	p, clk := newPlant(t)
-	drive(clk, func() {
+	p, env := newPlant(t)
+	env.Go(func() {
 		for i := 0; i < 3; i++ {
-			runCycle(t, p, clk)
+			runCycle(t, p, env.Clock)
 		}
 		forged := 0
 		for _, b := range p.Blanks() {
@@ -234,18 +229,18 @@ func TestMultipleCycles(t *testing.T) {
 }
 
 func TestLostPlateFault(t *testing.T) {
-	p, clk := newPlant(t)
+	p, env := newPlant(t)
 	mv := DefaultConfig().MoveTime + time.Millisecond
-	drive(clk, func() {
+	env.Go(func() {
 		id, _ := p.NewBlank()
 		_ = p.Actuate(AxisFeedBelt, "delivered")
-		clk.Sleep(DefaultConfig().BeltTime + time.Millisecond)
+		env.Clock.Sleep(DefaultConfig().BeltTime + time.Millisecond)
 		_ = p.TransferBeltToTable()
 		_ = p.Actuate(AxisTableRot, "robot")
 		_ = p.Actuate(AxisTableVert, "top")
-		clk.Sleep(mv)
+		env.Clock.Sleep(mv)
 		_ = p.Actuate(AxisArm1, "extended")
-		clk.Sleep(mv)
+		env.Clock.Sleep(mv)
 		if err := p.Grab(AxisArm1); err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +249,7 @@ func TestLostPlateFault(t *testing.T) {
 		}
 		_ = p.Inject(FaultLostPlate, AxisArm1)
 		_ = p.Actuate(AxisArm1, "retracted")
-		clk.Sleep(mv)
+		env.Clock.Sleep(mv)
 		if p.Holding(AxisArm1) {
 			t.Fatal("arm1 still holding after l_plate")
 		}
@@ -266,15 +261,15 @@ func TestLostPlateFault(t *testing.T) {
 }
 
 func TestGrabReleaseValidation(t *testing.T) {
-	p, clk := newPlant(t)
+	p, env := newPlant(t)
 	mv := DefaultConfig().MoveTime + time.Millisecond
-	drive(clk, func() {
+	env.Go(func() {
 		// Arm not extended.
 		if err := p.Grab(AxisArm1); err == nil {
 			t.Fatal("grab with retracted arm succeeded")
 		}
 		_ = p.Actuate(AxisArm1, "extended")
-		clk.Sleep(mv)
+		env.Clock.Sleep(mv)
 		// Nothing on the table.
 		if err := p.Grab(AxisArm1); !errors.Is(err, ErrNothingToGrab) {
 			t.Fatalf("err = %v", err)
@@ -290,11 +285,11 @@ func TestGrabReleaseValidation(t *testing.T) {
 }
 
 func TestSafetyViolationDetected(t *testing.T) {
-	p, clk := newPlant(t)
+	p, env := newPlant(t)
 	mv := DefaultConfig().MoveTime + time.Millisecond
-	drive(clk, func() {
+	env.Go(func() {
 		_ = p.Actuate(AxisArm1, "extended")
-		clk.Sleep(mv)
+		env.Clock.Sleep(mv)
 		// Rotating the robot with arm1 extended is unsafe.
 		_ = p.Actuate(AxisRobot, "press1")
 		if v := p.Violations(); len(v) == 0 {
@@ -304,8 +299,8 @@ func TestSafetyViolationDetected(t *testing.T) {
 }
 
 func TestFeedBeltOccupied(t *testing.T) {
-	p, clk := newPlant(t)
-	drive(clk, func() {
+	p, env := newPlant(t)
+	env.Go(func() {
 		if _, err := p.NewBlank(); err != nil {
 			t.Fatal(err)
 		}

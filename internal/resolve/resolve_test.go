@@ -11,9 +11,9 @@ import (
 
 	"caaction/internal/except"
 	"caaction/internal/protocol"
+	"caaction/internal/simenv"
 	"caaction/internal/trace"
 	"caaction/internal/transport"
-	"caaction/internal/vclock"
 )
 
 func wrongRoundMsg() protocol.Message {
@@ -60,13 +60,8 @@ func runScenarioWith(t testing.TB, proto Protocol, n int, raisers map[string]exc
 	graph *except.Graph, latency transport.LatencyFunc, stagger, tres time.Duration) scenarioResult {
 	t.Helper()
 
-	clk := vclock.NewVirtual()
-	metrics := &trace.Metrics{}
-	net := transport.NewSim(transport.SimConfig{
-		Clock:   clk,
-		Latency: latency,
-		Metrics: metrics,
-	})
+	env := simenv.New(simenv.LatencyFunc(latency))
+	clk := env.Clock
 
 	peers := make([]string, n)
 	for i := range peers {
@@ -78,68 +73,58 @@ func runScenarioWith(t testing.TB, proto Protocol, n int, raisers map[string]exc
 	var mu sync.Mutex
 	outcomes := make(map[string]Outcome)
 
-	// Bind every endpoint before any peer starts sending.
-	eps := make([]transport.Endpoint, len(peers))
-	for i, self := range peers {
-		ep, err := net.Endpoint(self)
-		if err != nil {
-			t.Fatalf("endpoint %s: %v", self, err)
-		}
-		eps[i] = ep
-	}
-	clk.Run(func() {
-		for i, self := range peers {
-			i, self, ep := i, self, eps[i]
-			clk.Go(func() {
-				inst := proto.NewInstance(Config{
-					Action: "A#1",
-					Self:   self,
-					Peers:  peers,
-					Round:  0,
-					Send: func(to string, msg protocol.Message) {
-						if err := ep.Send(to, msg); err != nil {
-							t.Errorf("%s send: %v", self, err)
-						}
-					},
-					Resolve: func(raised []except.Raised) except.ID {
-						calls.Add(1)
-						clk.Sleep(tres)
-						id, err := graph.ResolveRaised(raised)
-						if err != nil {
-							t.Errorf("resolve: %v", err)
-						}
-						return id
-					},
-				})
-				var out Outcome
-				if exc, ok := raisers[self]; ok {
-					clk.Sleep(time.Duration(i) * stagger)
-					out = inst.Raise(except.Raised{ID: exc, Origin: self, At: clk.Now()})
+	err := env.Peers(peers, func(i int, ep transport.Endpoint) {
+		self := peers[i]
+		inst := proto.NewInstance(Config{
+			Action: "A#1",
+			Self:   self,
+			Peers:  peers,
+			Round:  0,
+			Send: func(to string, msg protocol.Message) {
+				if err := ep.Send(to, msg); err != nil {
+					t.Errorf("%s send: %v", self, err)
 				}
-				for !out.Decided {
-					d, ok := ep.Recv()
-					if !ok {
-						t.Errorf("%s: endpoint closed before decision", self)
-						return
-					}
-					res, err := inst.Deliver(d.From, d.Msg)
-					if err != nil {
-						t.Errorf("%s deliver: %v", self, err)
-						return
-					}
-					if res.Decided {
-						out = res
-					}
+			},
+			Resolve: func(raised []except.Raised) except.ID {
+				calls.Add(1)
+				clk.Sleep(tres)
+				id, err := graph.ResolveRaised(raised)
+				if err != nil {
+					t.Errorf("resolve: %v", err)
 				}
-				mu.Lock()
-				outcomes[self] = out
-				mu.Unlock()
-			})
+				return id
+			},
+		})
+		var out Outcome
+		if exc, ok := raisers[self]; ok {
+			clk.Sleep(time.Duration(i) * stagger)
+			out = inst.Raise(except.Raised{ID: exc, Origin: self, At: clk.Now()})
 		}
+		for !out.Decided {
+			d, ok := ep.Recv()
+			if !ok {
+				t.Errorf("%s: endpoint closed before decision", self)
+				return
+			}
+			res, err := inst.Deliver(d.From, d.Msg)
+			if err != nil {
+				t.Errorf("%s deliver: %v", self, err)
+				return
+			}
+			if res.Decided {
+				out = res
+			}
+		}
+		mu.Lock()
+		outcomes[self] = out
+		mu.Unlock()
 	})
+	if err != nil {
+		t.Fatalf("endpoints: %v", err)
+	}
 	return scenarioResult{
 		outcomes:     outcomes,
-		metrics:      metrics,
+		metrics:      env.Metrics,
 		resolveCalls: calls.Load(),
 		elapsed:      clk.Now(),
 	}

@@ -10,9 +10,9 @@ import (
 
 	"caaction/internal/except"
 	"caaction/internal/protocol"
+	"caaction/internal/simenv"
 	"caaction/internal/trace"
 	"caaction/internal/transport"
-	"caaction/internal/vclock"
 )
 
 type sigResult struct {
@@ -28,15 +28,9 @@ func runSignalling(t testing.TB, votes map[string]except.ID, undoFails map[strin
 	corrupt map[string]bool) sigResult {
 	t.Helper()
 
-	clk := vclock.NewVirtual()
-	metrics := &trace.Metrics{}
-	net := transport.NewSim(transport.SimConfig{
-		Clock:   clk,
-		Latency: transport.FixedLatency(time.Millisecond),
-		Metrics: metrics,
-	})
+	env := simenv.New(simenv.Latency(time.Millisecond))
 	if len(corrupt) > 0 {
-		net.SetFault(func(from, to string, msg protocol.Message) transport.Fault {
+		env.Net.SetFault(func(from, to string, msg protocol.Message) transport.Fault {
 			if m, ok := msg.(protocol.ToBeSignalled); ok && m.Phase == 1 && corrupt[from] {
 				return transport.Corrupt
 			}
@@ -54,64 +48,54 @@ func runSignalling(t testing.TB, votes map[string]except.ID, undoFails map[strin
 	decisions := make(map[string]Decision)
 	undos := make(map[string]int)
 
-	// Bind every endpoint before any peer starts sending.
-	eps := make(map[string]transport.Endpoint, len(peers))
-	for _, self := range peers {
-		ep, err := net.Endpoint(self)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eps[self] = ep
-	}
-	clk.Run(func() {
-		for _, self := range peers {
-			self, ep := self, eps[self]
-			clk.Go(func() {
-				inst := New(Config{
-					Action: "A#1",
-					Self:   self,
-					Peers:  peers,
-					Round:  0,
-					Send: func(to string, msg protocol.Message) {
-						if err := ep.Send(to, msg); err != nil {
-							t.Errorf("%s: %v", self, err)
-						}
-					},
-					Undo: func() error {
-						mu.Lock()
-						undos[self]++
-						mu.Unlock()
-						if undoFails[self] {
-							return fmt.Errorf("undo failed at %s", self)
-						}
-						return nil
-					},
-				})
-				dec := inst.Start(votes[self])
-				for !dec.Done {
-					d, ok := ep.Recv()
-					if !ok {
-						t.Errorf("%s: endpoint closed", self)
-						return
-					}
-					if d.Corrupt {
-						dec = inst.MarkFailed(d.From)
-						continue
-					}
-					var err error
-					dec, err = inst.Deliver(d.From, d.Msg)
-					if err != nil {
-						t.Errorf("%s: %v", self, err)
-						return
-					}
+	err := env.Peers(peers, func(i int, ep transport.Endpoint) {
+		self := peers[i]
+		inst := New(Config{
+			Action: "A#1",
+			Self:   self,
+			Peers:  peers,
+			Round:  0,
+			Send: func(to string, msg protocol.Message) {
+				if err := ep.Send(to, msg); err != nil {
+					t.Errorf("%s: %v", self, err)
 				}
+			},
+			Undo: func() error {
 				mu.Lock()
-				decisions[self] = dec
+				undos[self]++
 				mu.Unlock()
-			})
+				if undoFails[self] {
+					return fmt.Errorf("undo failed at %s", self)
+				}
+				return nil
+			},
+		})
+		dec := inst.Start(votes[self])
+		for !dec.Done {
+			d, ok := ep.Recv()
+			if !ok {
+				t.Errorf("%s: endpoint closed", self)
+				return
+			}
+			if d.Corrupt {
+				dec = inst.MarkFailed(d.From)
+				continue
+			}
+			var err error
+			dec, err = inst.Deliver(d.From, d.Msg)
+			if err != nil {
+				t.Errorf("%s: %v", self, err)
+				return
+			}
 		}
+		mu.Lock()
+		decisions[self] = dec
+		mu.Unlock()
 	})
-	return sigResult{decisions: decisions, undos: undos, metrics: metrics}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sigResult{decisions: decisions, undos: undos, metrics: env.Metrics}
 }
 
 func sortStrings(s []string) {

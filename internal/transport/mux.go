@@ -27,10 +27,10 @@ const (
 	muxRetainCap = 1024
 )
 
-// muxShardCount is the default stripe count for the address table:
-// Open/Close/forget of unrelated thread addresses take unrelated locks, so
-// thousands of concurrent instance lifecycles stop serialising on one mutex.
-// Power of two so the hash folds with a mask; override with MuxOptions.Shards.
+// muxShardCount is the stripe count for the address table: Open/Close/forget
+// of unrelated thread addresses take unrelated locks, so thousands of
+// concurrent instance lifecycles stop serialising on one mutex. Power of two
+// so the hash folds with a mask.
 const muxShardCount = 32
 
 // Mux multiplexes many concurrent action instances over one shared transport
@@ -66,8 +66,7 @@ type Mux struct {
 	inline bool
 
 	closed atomic.Bool
-	shards []muxShard
-	mask   uint64
+	shards [muxShardCount]muxShard
 
 	// epPool recycles virtual endpoints together with their receive queues
 	// (see RecycleEndpoint). Per-Mux, never global: a pooled queue belongs
@@ -85,15 +84,11 @@ type muxShard struct {
 var muxSeed = maphash.MakeSeed()
 
 func (m *Mux) shardFor(thread string) *muxShard {
-	return &m.shards[maphash.String(muxSeed, thread)&m.mask]
+	return &m.shards[maphash.String(muxSeed, thread)&(muxShardCount-1)]
 }
 
 // MuxOptions tunes a demultiplexer; the zero value gives the defaults.
 type MuxOptions struct {
-	// Shards is the address-table stripe count, rounded up to a power of
-	// two; 0 means the default (32). More shards reduce Open/Close
-	// contention at very high concurrency; fewer save a little memory.
-	Shards int
 	// NoInline disables the run-to-completion delivery lane even on
 	// real-time clocks, keeping every endpoint on the queue-and-pump path.
 	NoInline bool
@@ -110,20 +105,10 @@ func NewMuxOpts(clock vclock.Clock, net Network, o MuxOptions) *Mux {
 	if clock == nil || net == nil {
 		panic("transport: NewMux requires a clock and a network")
 	}
-	n := o.Shards
-	if n <= 0 {
-		n = muxShardCount
-	}
-	shards := 1
-	for shards < n {
-		shards <<= 1
-	}
 	m := &Mux{
 		clock:  clock,
 		net:    net,
 		inline: !o.NoInline && vclock.IsReal(clock),
-		shards: make([]muxShard, shards),
-		mask:   uint64(shards - 1),
 	}
 	for i := range m.shards {
 		m.shards[i].shared = make(map[string]*muxShared)

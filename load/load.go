@@ -250,11 +250,22 @@ type Report struct {
 
 // peakSampler tracks process-wide goroutine-count and live-heap maxima over
 // a run with cheap runtime/metrics reads (no stop-the-world), sampled every
-// couple of milliseconds on an untracked goroutine.
+// couple of milliseconds on an untracked goroutine. Goroutine peaks can be
+// shorter than that, since role runners are spawned inside StartAction and
+// retire once the load drops, so drivers also note the count right after
+// each start, where the peak happens.
 type peakSampler struct {
 	stop, done chan struct{}
 	goroutines int
 	heap       uint64
+	noted      atomic.Int64
+}
+
+// noteGoroutines raises the goroutine high-water to the current count.
+func (s *peakSampler) noteGoroutines() {
+	n := int64(runtime.NumGoroutine())
+	for cur := s.noted.Load(); n > cur && !s.noted.CompareAndSwap(cur, n); cur = s.noted.Load() {
+	}
 }
 
 func startPeakSampler() *peakSampler {
@@ -290,7 +301,7 @@ func startPeakSampler() *peakSampler {
 func (s *peakSampler) finish() (int, uint64) {
 	close(s.stop)
 	<-s.done
-	return s.goroutines, s.heap
+	return max(s.goroutines, int(s.noted.Load())), s.heap
 }
 
 // Run executes one load run and aggregates its report. It is synchronous:
@@ -350,6 +361,7 @@ func Run(cfg Config) (*Report, error) {
 				spec, progs := w.action(kind)
 				t0 := time.Now()
 				h, err := sys.StartAction(context.Background(), spec, progs)
+				peaks.noteGoroutines()
 				var outcome string
 				if err != nil {
 					outcome = "error: " + err.Error()

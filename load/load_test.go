@@ -209,7 +209,10 @@ func TestLoadSweepAndWatermarks(t *testing.T) {
 	if testing.Short() {
 		actions = 80
 	}
-	cfg := load.Config{Actions: actions, Roles: 2, Seed: 7}
+	// A 100µs hop keeps each action in flight while the other drivers
+	// start theirs. With zero latency an action can finish before the last
+	// driver has started, and then fewer than c actions are ever in flight.
+	cfg := load.Config{Actions: actions, Roles: 2, Seed: 7, Latency: 100 * time.Microsecond}
 	points, err := load.RunSweep(cfg, []int{8, 32})
 	if err != nil {
 		t.Fatal(err)

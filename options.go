@@ -41,8 +41,7 @@ type config struct {
 	tenantBudget int
 	metricsAddr  string
 
-	muxShards int
-	noInline  bool
+	noInline bool
 
 	cluster *ClusterConfig
 
@@ -232,24 +231,6 @@ func WithSignalTimeout(d time.Duration) Option {
 			return
 		}
 		c.signalTimeout = d
-	}
-}
-
-// WithMuxShards sets the stripe count of the concurrent-action
-// demultiplexer's address table. Each logical thread address hashes to one
-// stripe, and a stripe's lock serialises delivery, open and close for the
-// addresses it owns — so a workload whose actions fan in on a few hot
-// thread addresses contends on a few stripes no matter how large the table
-// is, while a wide address space spreads across all of them. n is rounded
-// up to a power of two; the default is 32. Zero keeps the default; negative
-// values fail New.
-func WithMuxShards(n int) Option {
-	return func(c *config) {
-		if n < 0 {
-			c.fail("WithMuxShards: negative shard count %d", n)
-			return
-		}
-		c.muxShards = n
 	}
 }
 

@@ -68,7 +68,6 @@ type System struct {
 	// marker consulted by Thread and StartAction.
 	muxOnce   sync.Once
 	mux       *transport.Mux
-	muxShards int  // WithMuxShards: stripe count for the mux address table
 	noInline  bool // WithoutInlineDelivery: force the queue delivery model
 	actionSeq atomic.Int64
 	closed    atomic.Bool
@@ -198,7 +197,6 @@ func New(opts ...Option) (*System, error) {
 		net:          net,
 		metrics:      cfg.metrics,
 		log:          cfg.log,
-		muxShards:    cfg.muxShards,
 		noInline:     cfg.noInline,
 		maxInFlight:  cfg.maxInFlight,
 		tenantBudget: cfg.tenantBudget,
@@ -258,6 +256,11 @@ func (s *System) waitClock() Clock {
 // Go runs fn on a goroutine tracked by the system clock. Under virtual time
 // this is mandatory for goroutines that perform actions: virtual time only
 // advances when every tracked goroutine is blocked in a clock-mediated wait.
+// To start the roles of an action, use StartAction, not one Go per role:
+// from a goroutine the clock does not track, the first role started with Go
+// can block while it is the only one the clock knows, and the clock then
+// moves on, or declares deadlock, without its siblings. StartAction hands
+// out every role before any of them can block.
 func (s *System) Go(fn func()) { s.clock.Go(fn) }
 
 // Wait blocks until every goroutine started with Go has returned and every
