@@ -55,6 +55,9 @@ type ActionHandle struct {
 	// releases exactly the budget beginAction charged.
 	sys    *System
 	tenant string
+	// mux records the action's endpoints on the System's Mux, so each
+	// message resolves its local peer there.
+	mux transport.MuxInstance
 }
 
 type roleOutcome struct {
@@ -311,6 +314,16 @@ func (s *System) startAction(ctx context.Context, tag string, spec *Spec, progs 
 		return nil, err
 	}
 
+	h := &ActionHandle{
+		id:       tag,
+		done:     make(chan struct{}),
+		clock:    s.waitClock(),
+		pending:  len(local),
+		outcomes: make([]roleOutcome, len(local)),
+		roles:    make([]string, 0, len(local)),
+		sys:      s,
+		tenant:   sc.tenant,
+	}
 	mux := s.muxNet()
 	type roleThread struct {
 		role string
@@ -319,7 +332,7 @@ func (s *System) startAction(ctx context.Context, tag string, spec *Spec, progs 
 	}
 	rts := make([]roleThread, 0, len(local))
 	for _, r := range local {
-		ep, err := mux.Open(tag, r.Thread)
+		ep, err := mux.OpenIn(&h.mux, tag, r.Thread)
 		if err != nil {
 			for _, x := range rts {
 				_ = x.ep.Close()
@@ -338,20 +351,7 @@ func (s *System) startAction(ctx context.Context, tag string, spec *Spec, progs 
 			th.SetDeadline(coreDeadline)
 		}
 		rts = append(rts, roleThread{r.Name, th, ep})
-	}
-
-	h := &ActionHandle{
-		id:       tag,
-		done:     make(chan struct{}),
-		clock:    s.waitClock(),
-		pending:  len(rts),
-		outcomes: make([]roleOutcome, len(rts)),
-		roles:    make([]string, 0, len(rts)),
-		sys:      s,
-		tenant:   sc.tenant,
-	}
-	for _, x := range rts {
-		h.roles = append(h.roles, x.role)
+		h.roles = append(h.roles, r.Name)
 	}
 	// A cancellation watcher retains endpoint references past the roles'
 	// lifetimes, so virtual endpoints are recycled only for unwatched

@@ -11,9 +11,9 @@ import (
 // parked thread executes that thread's protocol step inline — the routing a
 // dedicated receiver goroutine would otherwise be woken up for — and only
 // schedules a wakeup when the step completes the parked wait's condition.
-// Combined with the sim transport's sender-side sink (see Sim.fastSend), a
-// protocol message between co-located threads costs a function call instead
-// of two queue hand-offs and two scheduler wakeups.
+// Combined with the sim's delivery to a handle resolved at send time (see
+// Sim.fastSend), a protocol message between co-located threads costs a
+// function call instead of two queue hand-offs and two scheduler wakeups.
 //
 // The lane is strictly an execution optimisation: message routing logic,
 // per-pair FIFO order and the WAL recorder hooks are untouched, and the lane
@@ -105,38 +105,43 @@ type inlineState struct {
 	timer *time.Timer
 }
 
-// inlinePost carries the work a delivery defers until after the endpoint
-// (and routing-table) locks are released: flushing the routed step's sends,
-// then waking the owner.
+// inlinePost carries the work a delivery defers until the endpoint lock is
+// released: flushing the routed step's sends, then waking the owner.
 type inlinePost struct {
 	wake   bool
 	outs   []Outbound
 	router InlineRouter
+	// sh and rec resolve the deferred sends; captured under imu because the
+	// owner may close and recycle the endpoint once it stops parking.
+	sh  *muxShared
+	rec *MuxInstance
 }
 
-// deliverLocked buffers or inline-executes one delivery. Called with the
-// owning muxShared's mu held (which pins the endpoint open — Close removes
-// it from the routing table under that same lock, so the endpoint cannot be
-// closed or recycled mid-delivery). It reports false when the endpoint
-// stopped accepting deliveries (crash teardown raced the send).
-func (e *muxEndpoint) deliverLocked(d Delivery, post *inlinePost) bool {
+// deliver buffers or inline-executes one delivery resolved to generation
+// gen of this endpoint. imu is the only lock it takes, and it pins the
+// endpoint: Close closes the lane and RecycleEndpoint bumps gen under it, so
+// a message for a completed instance is dropped and a step never races the
+// endpoint's recycling. What the step defers is left in post.
+func (e *muxEndpoint) deliver(gen uint64, d Delivery, post *inlinePost) {
 	e.imu.Lock()
 	defer e.imu.Unlock()
-	if e.inl.closed {
-		return false
+	if e.gen != gen || e.inl.closed {
+		return
 	}
 	if e.inl.router == nil {
 		// Queue mode: virtual clocks, or no thread has adopted the endpoint
 		// yet. Enqueued under imu so AdoptRouter's drain cannot interleave
 		// with a put and strand a delivery behind the mode switch.
-		e.queue.Put(borrowDelivery(d.From, d.Msg, d.Corrupt))
-		return true
+		if box := borrowDelivery(d.From, d.Msg, d.Corrupt); !e.queue.PutOpen(box) {
+			releaseDelivery(box)
+		}
+		return
 	}
 	if !e.inl.parked {
 		// Owner is running: buffer the delivery by value (no box — the
 		// inbox is the zero-copy lane) for its next Await/Poll.
 		e.inl.inbox = append(e.inl.inbox, d)
-		return true
+		return
 	}
 	// Owner is parked: run the protocol step here, on the delivering
 	// goroutine. Sends the step produces are deferred (flushed by the
@@ -145,20 +150,19 @@ func (e *muxEndpoint) deliverLocked(d Delivery, post *inlinePost) bool {
 	e.inl.router.RouteInline(d)
 	post.outs = e.inl.router.TakeDeferred()
 	post.router = e.inl.router
+	post.sh, post.rec = e.shared, e.rec
 	if e.inl.router.ParkReady() {
 		e.inl.parked = false
 		post.wake = true
 	}
-	return true
 }
 
-// finishInline performs a delivery's deferred work after all locks are
-// released: deferred sends first (so the woken owner's own sends cannot
-// overtake them on any pair), then the wakeup. The endpoint cannot be
-// recycled concurrently — a pending wake pins the owner inside AwaitInline.
-func (e *muxEndpoint) finishInline(sh *muxShared, post *inlinePost) {
+// finishInline performs a delivery's deferred work after imu is released:
+// deferred sends first (so the woken owner's own sends cannot overtake them
+// on any pair), each resolved from the instance record, then the wakeup.
+func (e *muxEndpoint) finishInline(post *inlinePost) {
 	for _, o := range post.outs {
-		if err := sh.real.Send(o.To, o.Msg); err != nil {
+		if err := post.sh.send(post.rec, o.To, o.Msg); err != nil {
 			post.router.InlineSendError(o.To, err)
 		}
 	}
@@ -267,28 +271,39 @@ func (e *muxEndpoint) AwaitInline(timeout time.Duration) (Delivery, InlineStatus
 	}
 }
 
-// closeInlineLocked marks the lane closed, claiming and reporting a pending
-// park so the caller wakes the owner once its locks are dropped. Callers
-// hold imu.
-func (e *muxEndpoint) closeInlineLocked() (wake bool) {
+// live reports whether the endpoint is still the open incarnation gen.
+func (e *muxEndpoint) live(gen uint64) bool {
+	e.imu.Lock()
+	defer e.imu.Unlock()
+	return e.gen == gen && !e.inl.closed
+}
+
+// stopInline closes the endpoint's queue and inline lane under imu, so no
+// delivery lands after it, and reports whether the caller must wake a
+// parked owner once its locks are released.
+func (e *muxEndpoint) stopInline() (wake bool) {
+	e.imu.Lock()
+	defer e.imu.Unlock()
+	e.queue.Close()
 	if e.inl.closed {
 		return false
 	}
 	e.inl.closed = true
-	if e.inl.parked {
-		e.inl.parked = false
-		return true
-	}
-	return false
+	wake = e.inl.parked
+	e.inl.parked = false
+	return wake
 }
 
-// recycleInline scrubs the lane for endpoint reuse: buffered deliveries are
-// dropped (their instance completed), the router detaches, and the closed
-// marker resets so the next incarnation starts fresh. The wake channel and
-// timer persist across incarnations — both are guaranteed empty/stopped
-// whenever the owner is outside AwaitInline.
+// recycleInline scrubs the endpoint for reuse: the generation moves on, so
+// handles resolved for the completed instance deliver nothing; buffered
+// deliveries are dropped, the router detaches, and the closed marker resets
+// so the next incarnation starts fresh. The wake channel and timer persist
+// across incarnations — both are guaranteed empty/stopped whenever the
+// owner is outside AwaitInline.
 func (e *muxEndpoint) recycleInline() {
 	e.imu.Lock()
+	e.gen++
+	e.shared, e.rec = nil, nil
 	e.inl.router = nil
 	e.inl.inbox = e.inl.inbox[:0]
 	e.inl.head = 0

@@ -2,8 +2,8 @@ package transport
 
 import (
 	"fmt"
-	"hash/maphash"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,25 +12,25 @@ import (
 	"caaction/internal/vclock"
 )
 
-// Bounds on the per-shared-endpoint bookkeeping a Mux keeps for traffic that
-// cannot be delivered right now. Both exist so a long-lived system's memory
-// stays bounded no matter how many action instances pass through it.
+// Bounds on what a Mux keeps for traffic it cannot deliver right now, so a
+// long-lived system's memory stays bounded however many action instances
+// pass through it.
 const (
-	// muxDeadCap bounds the completed-instance set remembered per shared
-	// endpoint so that late traffic for a finished instance is dropped
-	// instead of retained forever. Once exceeded, the oldest completions are
-	// forgotten — a message for one of those would be re-retained (and then
-	// evicted by muxRetainCap), never mis-delivered.
-	muxDeadCap = 4096
-	// muxRetainCap bounds the deliveries buffered for instances that have
-	// not opened yet (a fast peer's message racing the local Open).
+	// muxTombCap bounds the completed instances a Mux remembers, so that
+	// late traffic for one is dropped instead of retained. Past the bound
+	// the oldest are forgotten: a message for one of those is retained like
+	// an early one (within muxRetainCap) until its address tears down, never
+	// mis-delivered.
+	muxTombCap = 4096
+	// muxRetainCap bounds the deliveries buffered per thread address for
+	// instances that have not opened there yet (a fast peer's message
+	// racing the local Open).
 	muxRetainCap = 1024
 )
 
-// muxShardCount is the stripe count for the address table: Open/Close/forget
-// of unrelated thread addresses take unrelated locks, so thousands of
-// concurrent instance lifecycles stop serialising on one mutex. Power of two
-// so the hash folds with a mask.
+// muxShardCount is the stripe count of the address and tag tables, so
+// unrelated addresses and instances take unrelated locks. Power of two so
+// the hash folds with a mask.
 const muxShardCount = 32
 
 // Mux multiplexes many concurrent action instances over one shared transport
@@ -38,25 +38,25 @@ const muxShardCount = 32
 // multi-action runtime.
 //
 // Open(instance, thread) hands out a virtual Endpoint for one (action
-// instance, participating thread) pair. All virtual endpoints of a thread
-// address share a single underlying Network endpoint bound to that address:
-// sends go straight to the shared endpoint, and a per-address pump goroutine
-// routes every inbound delivery to the virtual endpoint of the instance
-// named by the message's action-identifier tag (protocol.InstanceOf).
-// Messages for instances that have not opened yet are retained (bounded)
-// until they open; messages for completed instances are dropped.
+// instance, participating thread) pair; all virtual endpoints of a thread
+// address share one underlying Network endpoint bound to that address. Each
+// open endpoint has a handle — the endpoint plus the generation it was
+// opened at — kept in its instance's MuxInstance record. A send resolves
+// its destination's handle once, from the sender's record, and the
+// in-process sim hands the message straight to that endpoint, which drops
+// it if the generation no longer matches.
+// Traffic that arrives by tag — wire frames, sends to a thread where the
+// instance is not open yet — is resolved at the shared endpoint through the
+// Mux's tag table and then takes the same handle delivery. Messages for
+// instances not yet open at an address are retained there (bounded) until
+// they open; messages for completed instances are dropped.
 //
-// The address table is lock-striped into muxShardCount shards keyed by
-// thread address, and the retained/dead garbage collection is per shared
-// endpoint (hence per shard): concurrent Open/route/Close traffic across
-// addresses never contends on a global lock.
-//
-// Garbage collection: closing a virtual endpoint marks its instance
-// complete, and closing the last instance of a thread address tears the
-// shared endpoint and its pump down, releasing the address for re-binding.
-// The pump is started with Clock.Go, so under the virtual clock it
-// participates in time advancement like every other runtime goroutine and
-// whole muxed simulations stay deterministic.
+// Garbage collection: closing an instance's last endpoint leaves a bounded
+// tombstone in the tag table, and closing a thread address's last instance
+// tears its shared endpoint and pump down, releasing the address for
+// re-binding. The pump is started with Clock.Go, so under the virtual clock
+// it takes part in time advancement like every other runtime goroutine and
+// muxed simulations stay deterministic.
 type Mux struct {
 	clock vclock.Clock
 	net   Network
@@ -67,6 +67,7 @@ type Mux struct {
 
 	closed atomic.Bool
 	shards [muxShardCount]muxShard
+	tags   [muxShardCount]tagShard
 
 	// epPool recycles virtual endpoints together with their receive queues
 	// (see RecycleEndpoint). Per-Mux, never global: a pooled queue belongs
@@ -74,17 +75,31 @@ type Mux struct {
 	epPool sync.Pool
 }
 
+// muxShard is one stripe of the address table.
 type muxShard struct {
 	mu     sync.Mutex
 	shared map[string]*muxShared
 }
 
-// muxSeed keys the shard hash; process-wide is fine (all Muxes may share the
-// same stripe layout).
-var muxSeed = maphash.MakeSeed()
+// tagShard is one stripe of the tag table: the records of the instances
+// open here by tag, and a ring of the latest completed instances' tags (their
+// tombstones), the oldest at next. Only a tag that misses the records scans
+// the ring.
+type tagShard struct {
+	mu    sync.Mutex
+	recs  map[string]*MuxInstance
+	tombs []string
+	next  int
+}
 
-func (m *Mux) shardFor(thread string) *muxShard {
-	return &m.shards[maphash.String(muxSeed, thread)&(muxShardCount-1)]
+// stripe picks a key's table stripe (FNV-1a: keys are short, and inline
+// hashing beats a call).
+func stripe(key string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return h & (muxShardCount - 1)
 }
 
 // MuxOptions tunes a demultiplexer; the zero value gives the defaults.
@@ -100,20 +115,13 @@ func NewMux(clock vclock.Clock, net Network) *Mux {
 	return NewMuxOpts(clock, net, MuxOptions{})
 }
 
-// NewMuxOpts is NewMux with explicit tuning options.
+// NewMuxOpts is NewMux with explicit tuning options. The tables start
+// empty and grow on first use.
 func NewMuxOpts(clock vclock.Clock, net Network, o MuxOptions) *Mux {
 	if clock == nil || net == nil {
 		panic("transport: NewMux requires a clock and a network")
 	}
-	m := &Mux{
-		clock:  clock,
-		net:    net,
-		inline: !o.NoInline && vclock.IsReal(clock),
-	}
-	for i := range m.shards {
-		m.shards[i].shared = make(map[string]*muxShared)
-	}
-	return m
+	return &Mux{clock: clock, net: net, inline: !o.NoInline && vclock.IsReal(clock)}
 }
 
 // Open attaches the named action instance to a thread address, lazily
@@ -122,93 +130,156 @@ func NewMuxOpts(clock vclock.Clock, net Network, o MuxOptions) *Mux {
 // oblivious to the multiplexing. Opening the same (instance, thread) pair
 // twice while the first is still open fails with ErrDuplicateAddr.
 func (m *Mux) Open(instance, thread string) (Endpoint, error) {
+	return m.OpenIn(nil, instance, thread)
+}
+
+// OpenIn is Open with the instance's record supplied by the caller, who
+// opens every local thread of one instance through the same zero-valued
+// rec; embedding rec in a per-action object spares the allocation Open
+// makes for a new instance. A rec serves one instance, once.
+func (m *Mux) OpenIn(rec *MuxInstance, instance, thread string) (Endpoint, error) {
 	if instance == "" {
 		return nil, fmt.Errorf("transport: mux: empty instance tag")
 	}
-	_ = protocol.TagInstance(instance, "") // panics on reserved characters
-	shard := m.shardFor(thread)
-	for {
-		shard.mu.Lock()
-		if m.closed.Load() {
-			// Checked under the shard lock, so an Open and a Close racing on
-			// this shard serialise: either the bind below lands before the
-			// closing sweep (which then tears it down) or the Open fails.
-			shard.mu.Unlock()
-			return nil, ErrClosed
-		}
-		sh, ok := shard.shared[thread]
-		if !ok {
-			real, err := m.net.Endpoint(thread)
-			if err != nil {
-				shard.mu.Unlock()
-				return nil, fmt.Errorf("transport: mux: bind %q: %w", thread, err)
-			}
-			sh = &muxShared{
-				mux:      m,
-				addr:     thread,
-				real:     real,
-				open:     make(map[string]*muxEndpoint),
-				dead:     make(map[string]struct{}),
-				retained: make(map[string][]Delivery),
-			}
-			// The pump is infrastructure: its blocking receive must not count
-			// toward the virtual clock's deadlock detection.
-			if dm, ok := real.(interface{ MarkDaemon() }); ok {
-				dm.MarkDaemon()
-			}
-			if m.inline {
-				// Sender-side delivery: a transport that supports sinks (the
-				// in-process sim) hands fast-path sends straight to dispatch
-				// on the sender's goroutine, skipping the shared queue and
-				// the pump wakeup. The pump keeps running for traffic that
-				// takes the transport's locked path.
-				if sk, ok := real.(interface{ SetSink(func(Delivery)) }); ok {
-					sk.SetSink(sh.dispatch)
-				}
-			}
-			shard.shared[thread] = sh
-			m.clock.Go(sh.pump)
-		}
-		shard.mu.Unlock()
-
-		sh.mu.Lock()
-		if sh.closed {
-			// The shared endpoint was torn down between our lookup and this
-			// lock (its last instance closed, or its address crashed); retry
-			// so a fresh one is bound. Yield first: the closer still has to
-			// release the underlying endpoint and forget the table entry, and
-			// on a busy (or single-core) scheduler a tight retry loop would
-			// starve it — this was a measurable busy-spin against racing
-			// shared-endpoint teardown at high instance churn.
-			sh.mu.Unlock()
-			runtime.Gosched()
-			continue
-		}
-		if _, dup := sh.open[instance]; dup {
-			sh.mu.Unlock()
-			return nil, fmt.Errorf("%w: instance %q on %q", ErrDuplicateAddr, instance, thread)
-		}
-		ep, _ := m.epPool.Get().(*muxEndpoint)
-		if ep == nil {
-			ep = &muxEndpoint{mux: m, queue: m.clock.NewQueue()}
-		}
-		ep.shared = sh
-		ep.instance = instance
-		sh.open[instance] = ep
-		// A reused tag may still sit in the dead set from its previous
-		// incarnation; routing prefers the open table, so delivery is
-		// unaffected while open, and the marker (kept, to keep deadOrder
-		// duplicate-free) resumes dropping late traffic after the re-close.
-		if pend := sh.retained[instance]; len(pend) > 0 {
-			delete(sh.retained, instance)
-			sh.retainedLen -= len(pend)
-			for _, d := range pend {
-				ep.queue.Put(borrowDelivery(d.From, d.Msg, d.Corrupt))
-			}
-		}
-		sh.mu.Unlock()
-		return ep, nil
+	if strings.ContainsAny(instance, "!/") {
+		_ = protocol.TagInstance(instance, "") // panics on the reserved characters
 	}
+	for {
+		sh, err := m.bind(thread)
+		if err != nil {
+			return nil, err
+		}
+		sh.mu.Lock()
+		if !sh.closed {
+			ep, err := sh.openLocked(rec, instance)
+			sh.mu.Unlock()
+			if err != nil {
+				return nil, err
+			}
+			return ep, nil
+		}
+		// The shared endpoint was torn down between the lookup and this
+		// lock (its last instance closed, or its address crashed); retry so
+		// a fresh one is bound. Yield first: the closer still has to
+		// release the underlying endpoint and forget the table entry, and
+		// a tight retry loop would starve it on a busy scheduler.
+		sh.mu.Unlock()
+		runtime.Gosched()
+	}
+}
+
+// bind returns the shared endpoint of a thread address, binding it and
+// starting its pump on first use.
+func (m *Mux) bind(thread string) (*muxShared, error) {
+	shard := &m.shards[stripe(thread)]
+	shard.mu.Lock()
+	defer shard.mu.Unlock()
+	if m.closed.Load() {
+		// Checked under the shard lock, so an Open and a Close racing on
+		// this shard serialise: either the bind lands before the closing
+		// sweep (which then tears it down) or the Open fails.
+		return nil, ErrClosed
+	}
+	if sh := shard.shared[thread]; sh != nil {
+		return sh, nil
+	}
+	real, err := m.net.Endpoint(thread)
+	if err != nil {
+		return nil, fmt.Errorf("transport: mux: bind %q: %w", thread, err)
+	}
+	sh := &muxShared{mux: m, addr: thread, real: real}
+	// The pump is infrastructure: its blocking receive must not count
+	// toward the virtual clock's deadlock detection.
+	if dm, ok := real.(interface{ MarkDaemon() }); ok {
+		dm.MarkDaemon()
+	}
+	if sk, ok := real.(interface{ SetSink(func(Delivery)) }); ok && m.inline {
+		// A transport with a sink (the sim's fast path, TCP's read loops)
+		// hands traffic that arrives by tag to route on the delivering
+		// goroutine, skipping the shared queue and the pump wakeup.
+		sk.SetSink(sh.route)
+	}
+	if shard.shared == nil {
+		shard.shared = make(map[string]*muxShared)
+	}
+	shard.shared[thread] = sh
+	m.clock.Go(sh.pump)
+	return sh, nil
+}
+
+// register enters an instance in the tag table — rec when the caller
+// supplies one, otherwise the tag's open record or a new one — and counts
+// one more open endpoint in it. Counting under the stripe lock keeps a
+// join from racing the instance's last Close into its tombstone.
+func (m *Mux) register(rec *MuxInstance, tag string) (*MuxInstance, error) {
+	known := rec != nil && rec.tag == tag
+	var ts *tagShard
+	if known {
+		ts = rec.ts
+	} else {
+		ts = &m.tags[stripe(tag)]
+	}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	if !known {
+		switch cur := ts.recs[tag]; {
+		case cur != nil && rec == nil:
+			rec = cur
+		case cur != nil:
+			return nil, fmt.Errorf("%w: instance %q", ErrDuplicateAddr, tag)
+		default:
+			if rec == nil {
+				rec = new(MuxInstance)
+			}
+			if ts.recs == nil {
+				ts.recs = make(map[string]*MuxInstance)
+			}
+			rec.tag, rec.ts = tag, ts
+			ts.recs[tag] = rec
+		}
+	}
+	rec.open++
+	return rec, nil
+}
+
+// release uncounts one closed endpoint of rec. The instance's last one
+// moves it from the records to the tombstones, overwriting the stripe's
+// oldest once the stripe holds its share of muxTombCap.
+func (m *Mux) release(rec *MuxInstance) {
+	ts := rec.ts
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	if rec.open--; rec.open > 0 {
+		return
+	}
+	delete(ts.recs, rec.tag)
+	if len(ts.tombs) < muxTombCap/muxShardCount {
+		ts.tombs = append(ts.tombs, rec.tag)
+		return
+	}
+	ts.tombs[ts.next] = rec.tag
+	ts.next = (ts.next + 1) % len(ts.tombs)
+}
+
+// lookup resolves an instance tag to its newest endpoint at addr through
+// the tag table; done reports the tombstone of a completed instance.
+func (m *Mux) lookup(tag, addr string) (h handle, done bool) {
+	ts := &m.tags[stripe(tag)]
+	ts.mu.Lock()
+	rec := ts.recs[tag]
+	if rec == nil {
+		for _, t := range ts.tombs {
+			if t == tag {
+				done = true
+				break
+			}
+		}
+	}
+	ts.mu.Unlock()
+	if rec != nil {
+		h = rec.find(addr)
+	}
+	return h, done
 }
 
 // Close tears every shared endpoint down. The underlying network is NOT
@@ -224,11 +295,13 @@ func (m *Mux) Close() error {
 		for _, sh := range shard.shared {
 			all = append(all, sh)
 		}
-		shard.shared = make(map[string]*muxShared)
+		shard.shared = nil
 		shard.mu.Unlock()
 	}
 	for _, sh := range all {
-		sh.teardown()
+		if sh.shut() {
+			_ = sh.real.Close()
+		}
 	}
 	return nil
 }
@@ -236,7 +309,7 @@ func (m *Mux) Close() error {
 // forget removes a torn-down shared endpoint from its shard so a later Open
 // re-binds the address.
 func (m *Mux) forget(sh *muxShared) {
-	shard := m.shardFor(sh.addr)
+	shard := &m.shards[stripe(sh.addr)]
 	shard.mu.Lock()
 	if shard.shared[sh.addr] == sh {
 		delete(shard.shared, sh.addr)
@@ -249,11 +322,11 @@ func (m *Mux) forget(sh *muxShared) {
 // next Open reuses both allocations. Only the endpoint's exclusive owner
 // may call it, after Close has completed on it, and must drop every
 // reference: pool hygiene requires that a recycled endpoint has no
-// remaining referent (no pump — Close deregistered it — and no other
-// goroutine holding it, e.g. a StartAction cancellation watcher). Any
-// deliveries still buffered for the completed instance are drained and
-// their boxes released. A no-op for non-mux endpoints and for endpoints
-// still routed (never closed).
+// remaining referent (no other goroutine holding it, e.g. a StartAction
+// cancellation watcher). Handles resolved for it go stale: recycling bumps
+// its generation. Any deliveries still buffered for the completed instance
+// are drained and their boxes released. A no-op for non-mux endpoints and
+// for endpoints still open.
 func RecycleEndpoint(ep Endpoint) {
 	me, ok := ep.(*muxEndpoint)
 	if !ok {
@@ -261,9 +334,9 @@ func RecycleEndpoint(ep Endpoint) {
 	}
 	sh := me.shared
 	sh.mu.Lock()
-	stillOpen := sh.open[me.instance] == me
+	open := me.slot != 0
 	sh.mu.Unlock()
-	if stillOpen {
+	if open {
 		return
 	}
 	for {
@@ -274,119 +347,231 @@ func RecycleEndpoint(ep Endpoint) {
 		releaseDelivery(x.(*Delivery))
 	}
 	me.recycleInline()
-	mux := me.mux
-	me.shared = nil
-	me.instance = ""
 	me.queue.Reset()
-	mux.epPool.Put(me)
+	me.mux.epPool.Put(me)
 }
 
-// muxShared is one thread address's attachment: the real endpoint, its pump,
-// and the instance routing table.
+// handle is a resolved delivery target: one mux endpoint and the generation
+// it had when resolved, so a handle that outlives its instance delivers
+// nothing. sh is the endpoint's address as of that generation (ep.shared
+// is rewritten when the pooled endpoint is reopened).
+type handle struct {
+	sh  *muxShared
+	ep  *muxEndpoint
+	gen uint64
+}
+
+// deliver hands d to the handle's endpoint.
+func (h handle) deliver(d Delivery) {
+	var post inlinePost
+	h.ep.deliver(h.gen, d, &post)
+	if post.wake || post.outs != nil {
+		h.ep.finishInline(&post)
+	}
+}
+
+// MuxInstance is one action instance's record of its endpoints on a Mux:
+// the handle of each (instance, thread) endpoint, in open order. Entries are
+// only appended, so a closed endpoint's handle stays and delivery through it
+// drops on the endpoint's closed lane or generation. The first entries sit
+// inline, so a record embedded in a per-action object (see OpenIn) costs no
+// allocation, and resolving a peer is a lock-free scan over them.
+type MuxInstance struct {
+	tag  string
+	ts   *tagShard // the tag's stripe
+	open int       // endpoints not yet closed; under ts.mu
+	// mu serialises the Opens that append entries; readers scan the
+	// entries below n without it while they all sit in first.
+	mu    sync.Mutex
+	n     atomic.Int32
+	first [4]handle
+	more  []handle
+}
+
+// entry returns entry i < n; past first, callers hold mu.
+func (r *MuxInstance) entry(i int) handle {
+	if i < len(r.first) {
+		return r.first[i]
+	}
+	return r.more[i-len(r.first)]
+}
+
+// find returns the newest entry at address to, or the zero handle.
+func (r *MuxInstance) find(to string) handle {
+	n := int(r.n.Load())
+	if n > len(r.first) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+	}
+	for i := n - 1; i >= 0; i-- {
+		if h := r.entry(i); h.sh.addr == to {
+			return h
+		}
+	}
+	return handle{}
+}
+
+// openOn reports whether the instance has an open endpoint on sh. Callers
+// hold mu.
+func (r *MuxInstance) openOn(sh *muxShared) bool {
+	for i := int(r.n.Load()) - 1; i >= 0; i-- {
+		if h := r.entry(i); h.sh == sh && h.ep.live(h.gen) {
+			return true
+		}
+	}
+	return false
+}
+
+// muxShared is one thread address's attachment: the real endpoint, its
+// pump, the open endpoints and the deliveries retained for instances not
+// open here yet.
 type muxShared struct {
 	mux  *Mux
 	addr string
 	real Endpoint
 
+	// mu guards the address's lifecycle: the open endpoints, the retained
+	// set and closed. Delivery to an open endpoint never takes it.
 	mu          sync.Mutex
-	open        map[string]*muxEndpoint
-	dead        map[string]struct{}
-	deadOrder   []string
+	eps         []*muxEndpoint
 	retained    map[string][]Delivery
 	retainedLen int
 	closed      bool
 }
 
-// pump routes inbound deliveries to per-instance virtual endpoints until the
-// real endpoint closes (teardown or crash-stop).
+// openLocked opens instance on this address. Callers hold sh.mu.
+func (sh *muxShared) openLocked(rec *MuxInstance, instance string) (*muxEndpoint, error) {
+	m := sh.mux
+	rec, err := m.register(rec, instance)
+	if err != nil {
+		return nil, err
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.openOn(sh) {
+		m.release(rec)
+		return nil, fmt.Errorf("%w: instance %q on %q", ErrDuplicateAddr, instance, sh.addr)
+	}
+	ep, _ := m.epPool.Get().(*muxEndpoint)
+	if ep == nil {
+		ep = &muxEndpoint{mux: m, queue: m.clock.NewQueue()}
+	}
+	ep.shared, ep.rec = sh, rec
+	// Replay what arrived before the instance opened here, then publish the
+	// handle: a by-tag delivery racing this Open waits for sh.mu and
+	// re-resolves, so nothing overtakes the replay.
+	if pend := sh.retained[instance]; len(pend) > 0 {
+		delete(sh.retained, instance)
+		sh.retainedLen -= len(pend)
+		for _, d := range pend {
+			if box := borrowDelivery(d.From, d.Msg, d.Corrupt); !ep.queue.PutOpen(box) {
+				releaseDelivery(box)
+			}
+		}
+	}
+	sh.eps = append(sh.eps, ep)
+	ep.slot = len(sh.eps)
+	if h, n := (handle{sh: sh, ep: ep, gen: ep.gen}), int(rec.n.Load()); n < len(rec.first) {
+		rec.first[n] = h
+	} else {
+		rec.more = append(rec.more, h)
+	}
+	rec.n.Add(1) // publishes the entry
+	return ep, nil
+}
+
+// send transmits msg for instance rec from this address. On the sim's
+// inline configuration the destination is resolved here, once, from rec
+// when the message belongs to the sender's instance and the destination
+// thread has an endpoint in it; any other message arrives by tag at the
+// destination's sink (see Sim.fastSend).
+func (sh *muxShared) send(rec *MuxInstance, to string, msg protocol.Message) error {
+	sim, ok := sh.real.(*simEndpoint)
+	if !ok || !sh.mux.inline {
+		return sh.real.Send(to, msg)
+	}
+	var h handle
+	if a := protocol.ActionOf(msg); len(a) > len(rec.tag) && a[len(rec.tag)] == '!' && a[:len(rec.tag)] == rec.tag {
+		h = rec.find(to)
+	}
+	return sim.net.send(sim, to, msg, h)
+}
+
+// pump routes inbound deliveries by tag until the real endpoint closes.
+// After an ordinary last-instance shutdown the pump has then drained every
+// pre-close frame, so releasing the address is safe (and deferred to here,
+// so a successor bind cannot race ahead of that backlog); after a
+// crash-stop or network close the open instances are stopped too.
 func (sh *muxShared) pump() {
 	for {
 		d, ok := sh.real.Recv()
 		if !ok {
-			sh.abandoned()
+			sh.shut()
+			sh.mux.forget(sh)
 			return
 		}
-		sh.dispatch(d)
+		sh.route(d)
 	}
 }
 
-// dispatch routes one delivery to its instance's endpoint. Callers are the
-// shared endpoint's pump goroutine and — when the sender-side sink is
-// installed — any sending goroutine, so the whole body is serialised on
-// sh.mu. Holding sh.mu across an inline-executed step also pins the
-// endpoint open (Close removes it from sh.open under this lock), so the
-// step can never race endpoint recycling; the step's deferred sends and the
-// owner wakeup run after the lock is dropped.
-func (sh *muxShared) dispatch(d Delivery) {
+// route delivers one message that arrived by tag: the tag is resolved once
+// through the tag table, then the message takes the handle delivery. A
+// completed instance's message is dropped. One for an instance not open
+// here yet is retained (bounded), under sh.mu, which an Open holds from its
+// replay of the retained set to publishing its handle; once the shared
+// endpoint is dying it goes back to the transport instead, to be
+// re-retained for the address's next bind.
+func (sh *muxShared) route(d Delivery) {
 	inst := protocol.InstanceOf(protocol.ActionOf(d.Msg))
-	sh.mu.Lock()
-	if ep, ok := sh.open[inst]; ok {
-		var post inlinePost
-		delivered := ep.deliverLocked(d, &post)
-		sh.mu.Unlock()
-		if delivered && (post.wake || post.outs != nil) {
-			ep.finishInline(sh, &post)
+	if inst == "" {
+		return // untagged stray
+	}
+	h, done := sh.mux.lookup(inst, sh.addr)
+	if h.ep == nil && !done {
+		sh.mu.Lock()
+		if h, done = sh.mux.lookup(inst, sh.addr); h.ep == nil && !done {
+			switch {
+			case sh.closed:
+				sh.reinject(d)
+			case sh.retainedLen < muxRetainCap:
+				if sh.retained == nil {
+					sh.retained = make(map[string][]Delivery)
+				}
+				sh.retained[inst] = append(sh.retained[inst], d)
+				sh.retainedLen++
+			}
 		}
-		return
+		sh.mu.Unlock()
 	}
-	defer sh.mu.Unlock()
-	if _, done := sh.dead[inst]; done || inst == "" {
-		return // late traffic for a completed instance, or an untagged stray
+	if h.ep != nil {
+		h.deliver(d)
 	}
-	if sh.closed {
-		// The shard is dying (its last instance closed while this frame was
-		// in flight): anything retained here would die with it. Hand the
-		// frame back to the transport, which re-retains it for the
-		// address's next bind — the next instance on this thread gets it
-		// replayed at Open. Reinjecting under sh.mu keeps it ordered after
-		// the retained set Close handed back and before later backlog.
-		sh.reinject(d)
-		return
-	}
-	if sh.retainedLen >= muxRetainCap {
-		return // bounded: a flood for never-opening instances is dropped
-	}
-	sh.retained[inst] = append(sh.retained[inst], d)
-	sh.retainedLen++
 }
 
-// reinject hands one delivery back to the transport when this shard can no
-// longer retain it (see dispatch and muxEndpoint.Close). Callers hold
+// reinject hands one delivery back to the transport when this address can
+// no longer retain it (see route and muxEndpoint.Close). Callers hold
 // sh.mu; a transport that supports re-injection takes its own network lock
-// under it — shard lock before network lock is the sanctioned order, never
-// the reverse. Transports without re-injection (the in-process sim, plain
-// per-endpoint TCP) keep the old semantics: the frame is dropped.
+// under it — shared-endpoint lock before network lock is the sanctioned
+// order, never the reverse. Transports without re-injection (the
+// in-process sim, plain per-endpoint TCP) drop the frame.
 func (sh *muxShared) reinject(d Delivery) {
 	if rj, ok := sh.real.(interface{ Reinject(Delivery) bool }); ok {
 		rj.Reinject(d)
 	}
 }
 
-// abandoned propagates a dead real endpoint (crash-stop, network close) to
-// every open instance: their queues close, so blocked receivers observe the
-// stop exactly as they would on an unmuxed endpoint.
-//
-// The queues are closed while sh.mu is held (queue operations never take
-// sh.mu, so the nesting is safe): a snapshot closed after dropping the lock
-// could race a concurrent instance Close + RecycleEndpoint and land the
-// stray Close on a queue already scrubbed into the endpoint pool — killing
-// an unrelated later instance's mailbox.
-func (sh *muxShared) abandoned() {
+// shut marks the shared endpoint closed and closes every open instance's
+// queue and lane, so blocked receivers observe the stop exactly as on an
+// unmuxed endpoint. It reports false if the endpoint was already closed.
+func (sh *muxShared) shut() bool {
 	sh.mu.Lock()
 	if sh.closed {
-		// Ordinary last-instance shutdown (muxEndpoint.Close marked the
-		// shard closed and closed the real endpoint): the pump has now
-		// drained every pre-close frame through dispatch, so releasing the
-		// address is safe — and is deferred to here precisely so a
-		// successor bind cannot race ahead of that backlog.
 		sh.mu.Unlock()
-		sh.mux.forget(sh)
-		return
+		return false
 	}
 	sh.closed = true
 	var wake []*muxEndpoint
-	for _, ep := range sh.open {
-		ep.queue.Close()
+	for _, ep := range sh.eps {
 		if ep.stopInline() {
 			wake = append(wake, ep)
 		}
@@ -395,73 +580,23 @@ func (sh *muxShared) abandoned() {
 	for _, ep := range wake {
 		ep.inl.wake <- struct{}{}
 	}
-	sh.mux.forget(sh)
-}
-
-// stopInline closes an endpoint's inline lane, reporting whether the caller
-// must wake a parked owner once sh.mu is released.
-func (e *muxEndpoint) stopInline() bool {
-	e.imu.Lock()
-	wake := e.closeInlineLocked()
-	e.imu.Unlock()
-	return wake
-}
-
-// teardown closes the real endpoint (stopping the pump) and every open
-// instance queue; used by Mux.Close. Instance queues close under sh.mu for
-// the same recycle-race reason as abandoned.
-func (sh *muxShared) teardown() {
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
-		return
-	}
-	sh.closed = true
-	var wake []*muxEndpoint
-	for _, ep := range sh.open {
-		ep.queue.Close()
-		if ep.stopInline() {
-			wake = append(wake, ep)
-		}
-	}
-	sh.mu.Unlock()
-	for _, ep := range wake {
-		ep.inl.wake <- struct{}{}
-	}
-	_ = sh.real.Close()
-}
-
-// markDeadLocked records a completed instance, bounded by muxDeadCap. The
-// dead set and deadOrder stay duplicate-free even under tag reuse, so
-// eviction accounting never removes a marker out of turn.
-func (sh *muxShared) markDeadLocked(instance string) {
-	if _, dup := sh.dead[instance]; !dup {
-		sh.dead[instance] = struct{}{}
-		sh.deadOrder = append(sh.deadOrder, instance)
-		if len(sh.deadOrder) > muxDeadCap {
-			evict := sh.deadOrder[0]
-			sh.deadOrder = sh.deadOrder[1:]
-			delete(sh.dead, evict)
-		}
-	}
-	if pend := sh.retained[instance]; pend != nil {
-		delete(sh.retained, instance)
-		sh.retainedLen -= len(pend)
-	}
+	return true
 }
 
 // muxEndpoint is one (action instance, thread) virtual endpoint. Besides the
 // receive queue (virtual clocks, and real-time endpoints before a thread
-// adopts them), it carries the inline-lane state: imu guards inl, and is
-// only ever taken after sh.mu (never the reverse — inline-routed steps
-// defer their sends precisely so no send happens under imu).
+// adopts them), it carries the inline-lane state. imu guards gen and inl,
+// and is only ever taken after sh.mu, never the reverse (inline-routed
+// steps defer their sends so that no send happens under imu).
 type muxEndpoint struct {
-	mux      *Mux
-	shared   *muxShared
-	instance string
-	queue    *vclock.Queue
+	mux    *Mux
+	shared *muxShared
+	rec    *MuxInstance
+	queue  *vclock.Queue
+	slot   int // 1 + index in shared.eps while open, 0 once closed; under sh.mu
 
 	imu sync.Mutex
+	gen uint64
 	inl inlineState
 }
 
@@ -476,7 +611,7 @@ var (
 func (e *muxEndpoint) Addr() string { return e.shared.addr }
 
 func (e *muxEndpoint) Send(to string, msg protocol.Message) error {
-	return e.shared.real.Send(to, msg)
+	return e.shared.send(e.rec, to, msg)
 }
 
 func (e *muxEndpoint) Recv() (Delivery, bool) {
@@ -489,33 +624,34 @@ func (e *muxEndpoint) RecvTimeout(timeout time.Duration) (Delivery, bool) {
 
 func (e *muxEndpoint) Pending() int { return e.queue.Len() }
 
-// Close completes this instance on this thread address: the instance is
-// garbage-collected from the routing table (late traffic for it is dropped),
-// and closing the address's last instance tears the shared endpoint down,
+// Close completes this instance on this thread address: late traffic for it
+// here is dropped, the instance's last Close leaves its tombstone, and
+// closing the address's last instance tears the shared endpoint down,
 // stopping its pump and freeing the address.
 func (e *muxEndpoint) Close() error {
 	sh := e.shared
 	sh.mu.Lock()
-	if sh.open[e.instance] != e {
+	if e.slot == 0 {
 		sh.mu.Unlock()
-		return nil // already closed, or superseded by a tag-reuse reopen
+		return nil // already closed
 	}
-	delete(sh.open, e.instance)
-	sh.markDeadLocked(e.instance)
-	e.queue.Close()
-	// Close the inline lane too. The owner closes its own endpoint only
-	// while unparked, but a cancellation watcher may close it out from
-	// under a parked thread — that thread must wake and observe the stop.
+	last := sh.eps[len(sh.eps)-1]
+	sh.eps[e.slot-1], last.slot = last, e.slot
+	sh.eps[len(sh.eps)-1] = nil
+	sh.eps = sh.eps[:len(sh.eps)-1]
+	e.slot = 0
+	// Closing the lane also wakes an owner parked in it: a cancellation
+	// watcher may close the endpoint out from under a parked thread.
 	wake := e.stopInline()
-	last := len(sh.open) == 0 && !sh.closed
-	if last {
+	sh.mux.release(e.rec)
+	lastOnAddr := len(sh.eps) == 0 && !sh.closed
+	if lastOnAddr {
 		sh.closed = true
 		// Frames retained for instances that never opened here must not die
-		// with the shard: the usual reason they exist is a fast peer racing
-		// this thread's next action start, and losing them wedges that
-		// action's entry barrier until its deadline. Hand them back to the
-		// transport (under sh.mu, so concurrent dispatches of younger
-		// backlog frames order after them) for the address's next bind.
+		// with the shared endpoint: the usual reason they exist is a fast
+		// peer racing this thread's next action start. Hand them back to the
+		// transport (under sh.mu, so by-tag deliveries of younger backlog
+		// order after them) for the address's next bind.
 		for inst, pend := range sh.retained {
 			delete(sh.retained, inst)
 			sh.retainedLen -= len(pend)
@@ -528,17 +664,15 @@ func (e *muxEndpoint) Close() error {
 	if wake {
 		e.inl.wake <- struct{}{}
 	}
-	if last {
+	if lastOnAddr {
 		// Close the real endpoint BEFORE the shared entry is forgotten: a
 		// concurrent Open of this address then either still finds the entry
 		// (sees sh.closed, retries until forget runs) or re-binds after the
-		// address is genuinely free — never while the old endpoint is still
-		// bound, which would fail the bind with ErrDuplicateAddr. The
-		// forget itself is the pump's: closing the real endpoint stops its
-		// receive loop once the pre-close backlog has drained through
-		// dispatch (which reinjects it, the shard being closed), and only
-		// then does abandoned release the address — so a successor can
-		// never bind ahead of frames that arrived before it.
+		// address is genuinely free. The forget itself is the pump's:
+		// closing the real endpoint stops its receive loop once the
+		// pre-close backlog has drained through route (which reinjects it,
+		// the endpoint being closed), and only then does the pump release
+		// the address.
 		return sh.real.Close()
 	}
 	return nil

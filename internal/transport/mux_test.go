@@ -59,10 +59,12 @@ func TestMuxRoutesByInstance(t *testing.T) {
 			got <- label + ":" + protocol.InstanceOf(protocol.ActionOf(d.Msg))
 		})
 	}
-	recvOne(b1, "b1")
-	recvOne(b2, "b2")
-
+	// One tracked root spawns the receivers: spawned one by one from the
+	// untracked test goroutine, both could block before the sender exists,
+	// and the clock would declare a deadlock.
 	clk.Go(func() {
+		recvOne(b1, "b1")
+		recvOne(b2, "b2")
 		if err := a1.Send("T2", enter("i1", "T1")); err != nil {
 			t.Errorf("send i1: %v", err)
 		}
@@ -166,18 +168,39 @@ func TestMuxGarbageCollection(t *testing.T) {
 }
 
 // TestMuxDeadInstanceTrafficDropped checks a completed instance's late
-// traffic is dropped while another instance keeps the shared endpoint alive.
+// traffic is dropped while another instance keeps the shared endpoint alive
+// — for the 2×muxRetainCap instances that completed last too, so their
+// tombstones outlast a retained set's worth of late frames — and that a
+// fresh instance's early message is still retained and replayed at Open.
 func TestMuxDeadInstanceTrafficDropped(t *testing.T) {
 	clk, _, mux := muxPair(t)
 	a, _ := mux.Open("i1", "T1")
 	dead, _ := mux.Open("i1", "T2")
 	alive, _ := mux.Open("i2", "T2")
 	_ = dead.Close()
+	const completed = 2 * muxRetainCap
+	for i := 0; i < completed; i++ {
+		ep, err := mux.Open(fmt.Sprintf("d%d", i), "T2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = ep.Close()
+		RecycleEndpoint(ep)
+	}
+	sh := alive.(*muxEndpoint).shared
+	retained := func() int {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.retainedLen
+	}
 
 	done := make(chan struct{})
 	clk.Go(func() {
 		defer close(done)
 		_ = a.Send("T2", enter("i1", "T1")) // for the completed instance
+		for i := 0; i < completed; i++ {    // by tag, for the other completed ones
+			_ = a.Send("T2", enter(fmt.Sprintf("d%d", i), "T1"))
+		}
 		_ = a.Send("T2", enter("i2", "T1")) // for the live one
 		d, ok := alive.Recv()
 		if !ok {
@@ -190,10 +213,161 @@ func TestMuxDeadInstanceTrafficDropped(t *testing.T) {
 		if alive.Pending() != 0 {
 			t.Errorf("dead instance's traffic leaked: %d pending", alive.Pending())
 		}
+		if n := retained(); n != 0 {
+			t.Errorf("%d late deliveries for completed instances retained", n)
+		}
+
+		_ = a.Send("T2", enter("fresh", "T1"))
+		clk.Sleep(time.Millisecond) // let the pump retain it
+		if n := retained(); n != 1 {
+			t.Errorf("fresh instance's early message: %d retained, want 1", n)
+		}
+		fresh, err := mux.Open("fresh", "T2")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer closeAll(fresh)
+		if d, ok := fresh.RecvTimeout(time.Second); !ok {
+			t.Error("early message not replayed at Open")
+		} else if inst := protocol.InstanceOf(protocol.ActionOf(d.Msg)); inst != "fresh" {
+			t.Errorf("replayed %q's message, want fresh", inst)
+		}
 	})
 	<-done
 	closeAll(a, alive)
 	clk.Wait()
+}
+
+// TestMuxStaleHandleDropped resolves a handle for instance i1's endpoint on
+// T2, then closes and recycles that endpoint until a later instance's Open
+// reuses it. A message sent on the stale handle must not reach the reused
+// endpoint: its generation moved on with the recycle.
+func TestMuxStaleHandleDropped(t *testing.T) {
+	clk, _, mux := muxPair(t)
+	open := func(instance, thread string) Endpoint {
+		t.Helper()
+		ep, err := mux.Open(instance, thread)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ep
+	}
+	a := open("i1", "T1")
+	keep := open("i0", "T2") // keeps T2's shared endpoint, so the handle's, bound
+	var reused Endpoint
+	for try := 0; reused == nil; try++ {
+		if try == 100 {
+			t.Fatal("the endpoint pool never handed a recycled endpoint back")
+		}
+		b := open("i1", "T2")
+		_ = b.Close()
+		RecycleEndpoint(b)
+		if c := open(fmt.Sprintf("i2-%d", try), "T2"); c == b {
+			reused = c
+		} else {
+			_ = c.Close()
+			RecycleEndpoint(c)
+		}
+	}
+	tag := reused.(*muxEndpoint).rec.tag
+
+	done := make(chan struct{})
+	clk.Go(func() {
+		defer close(done)
+		// i1's newest T2 entry is the recycled endpoint's previous
+		// incarnation; the second message goes by tag to the reused one.
+		_ = a.Send("T2", enter("i1", "T1"))
+		_ = a.Send("T2", enter(tag, "T1"))
+		d, ok := reused.Recv()
+		if !ok {
+			t.Error("reused endpoint closed early")
+			return
+		}
+		if inst := protocol.InstanceOf(protocol.ActionOf(d.Msg)); inst != tag {
+			t.Errorf("reused endpoint of %s received %s's message on a stale handle", tag, inst)
+		}
+	})
+	<-done
+	closeAll(a, keep, reused)
+	clk.Wait()
+}
+
+// TestMuxConcurrentDeliveryRace delivers to distinct instances on one
+// address from many goroutines at once, while other instances on the same
+// addresses open, close with messages in flight and recycle their
+// endpoints. Under -race (CI runs it at -cpu 1,4) it checks the handle
+// delivery's locking; every run checks that no message crosses into
+// another instance or a later incarnation.
+func TestMuxConcurrentDeliveryRace(t *testing.T) {
+	_, mux := inlineMux(t)
+	const steady, churn = 4, 4
+	rounds := 2000
+	if testing.Short() {
+		rounds = 200
+	}
+	check := func(ep Endpoint, inst string, timeout time.Duration) error {
+		d, ok := ep.RecvTimeout(timeout)
+		if !ok {
+			return fmt.Errorf("%s: delivery lost", inst)
+		}
+		if got := protocol.InstanceOf(protocol.ActionOf(d.Msg)); got != inst {
+			return fmt.Errorf("%s received %s's message", inst, got)
+		}
+		return nil
+	}
+	open := func(inst string) (tx, rx Endpoint, err error) {
+		if tx, err = mux.Open(inst, "S"); err == nil {
+			rx, err = mux.Open(inst, "R")
+		}
+		return tx, rx, err
+	}
+	errs := make(chan error, steady+churn)
+	for g := 0; g < steady; g++ {
+		go func(inst string) {
+			tx, rx, err := open(inst)
+			for i := 0; err == nil && i < rounds; i++ {
+				if err = tx.Send("R", enter(inst, "S")); err == nil {
+					err = check(rx, inst, 10*time.Second)
+				}
+			}
+			closeAll(tx, rx)
+			errs <- err
+		}(fmt.Sprintf("s%d", g))
+	}
+	for g := 0; g < churn; g++ {
+		go func(g int) {
+			var err error
+			for i := 0; err == nil && i < rounds; i++ {
+				inst := fmt.Sprintf("c%d-%d", g, i)
+				var tx, rx Endpoint
+				if tx, rx, err = open(inst); err != nil {
+					break
+				}
+				_ = tx.Send("R", enter(inst, "S"))
+				_ = tx.Send("R", enter(inst, "S")) // left queued at Close
+				err = check(rx, inst, 10*time.Second)
+				_ = rx.Close()
+				// A send on rx's now-stale handle races its recycling (and
+				// the endpoint's reuse by another goroutine's Open).
+				stale := make(chan struct{})
+				go func() {
+					_ = tx.Send("R", enter(inst, "S"))
+					close(stale)
+				}()
+				RecycleEndpoint(rx)
+				<-stale
+				_ = tx.Close()
+				RecycleEndpoint(tx)
+			}
+			errs <- err
+		}(g)
+	}
+	for g := 0; g < steady+churn; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestMuxCrashPropagates crash-stops a shared endpoint and checks every open
@@ -387,8 +561,8 @@ func TestRecycleEndpointHygiene(t *testing.T) {
 	RecycleEndpoint(b)
 
 	me := b.(*muxEndpoint)
-	if me.shared != nil || me.instance != "" {
-		t.Errorf("recycled endpoint keeps attachment: shared=%v instance=%q", me.shared, me.instance)
+	if me.shared != nil || me.rec != nil {
+		t.Errorf("recycled endpoint keeps attachment: shared=%v record=%v", me.shared, me.rec)
 	}
 	if n := me.queue.Len(); n != 0 {
 		t.Errorf("recycled endpoint queue holds %d stale deliveries", n)
@@ -406,7 +580,7 @@ func TestRecycleEndpointHygiene(t *testing.T) {
 		t.Fatal(err)
 	}
 	RecycleEndpoint(c)
-	if mc := c.(*muxEndpoint); mc.shared == nil || mc.instance != "i2" {
+	if mc := c.(*muxEndpoint); mc.shared == nil || mc.rec == nil || mc.rec.tag != "i2" {
 		t.Error("RecycleEndpoint recycled a still-open endpoint")
 	}
 	_ = c.Close()

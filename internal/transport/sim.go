@@ -313,34 +313,48 @@ func (s *Sim) countSend(kind int, msg protocol.Message) {
 }
 
 // fastSend is the lock-free hot path: real clock, zero latency, no fault
-// injector ever installed, no log, one of the nine protocol messages.
-// Per-pair FIFO holds because the destination queue orders this sender's
-// (sequential) puts; nothing else in this configuration reads send order.
-func (s *Sim) fastSend(src *simEndpoint, to string, msg protocol.Message, kind int) error {
+// injector ever installed, no log, one of the nine protocol messages. A
+// message with a handle a Mux resolved goes straight to that endpoint; any
+// other goes to the destination's sink when one is installed, else to its
+// queue. Per-pair FIFO holds because the handle and the sink both deliver
+// on this goroutine, in order, and the sink is only installed on the same
+// pristine real-time configuration that enables fastSend, so the queue is
+// bypassed uniformly per endpoint; nothing else in this configuration reads
+// send order.
+func (s *Sim) fastSend(src *simEndpoint, to string, msg protocol.Message, kind int, h handle) error {
 	if src.dead.Load() {
 		return nil // crash-stopped sends never reach the wire
 	}
-	x, ok := s.endpoints.Load(to)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownAddr, to)
+	var dst *simEndpoint
+	if h.ep != nil {
+		dst, _ = h.sh.real.(*simEndpoint)
 	}
-	dst := x.(*simEndpoint)
+	if dst == nil || dst.gone.Load() || dst.dead.Load() {
+		// No handle, or its address was unbound since: look the
+		// destination up by name, as a plain send does.
+		x, ok := s.endpoints.Load(to)
+		if !ok {
+			return fmt.Errorf("%w: %q", ErrUnknownAddr, to)
+		}
+		dst, h = x.(*simEndpoint), handle{}
+	}
 	s.countSend(kind, msg)
 	s.stats.sent.Add(1)
 	s.stats.delivered.Add(1)
-	if sp := dst.sink.Load(); sp != nil && !dst.dead.Load() {
-		// Sink lane: hand the delivery to the destination's dispatcher on
-		// this goroutine instead of waking its pump. Only installed on the
-		// same pristine real-time configuration that enables fastSend, so
-		// the pump's queue is bypassed uniformly per endpoint.
-		(*sp)(Delivery{From: src.addr, Msg: msg})
-		return nil
+	d := Delivery{From: src.addr, Msg: msg}
+	if h.ep != nil {
+		h.deliver(d)
+	} else if sp := dst.sink.Load(); sp != nil && !dst.dead.Load() {
+		(*sp)(d)
+	} else {
+		dst.queue.Put(borrowDelivery(src.addr, msg, false))
 	}
-	dst.queue.Put(borrowDelivery(src.addr, msg, false))
 	return nil
 }
 
-func (s *Sim) send(src *simEndpoint, to string, msg protocol.Message) error {
+// send transmits msg from src to address to. h is the destination endpoint a
+// Mux resolved, or zero; only the fast path delivers by it.
+func (s *Sim) send(src *simEndpoint, to string, msg protocol.Message, h handle) error {
 	from := src.addr
 	kind := protocol.KindIndexOf(msg)
 	lg := s.cfg.Log
@@ -348,7 +362,7 @@ func (s *Sim) send(src *simEndpoint, to string, msg protocol.Message) error {
 		return ErrClosed
 	}
 	if kind >= 0 && lg == nil && s.realtime && s.zeroLat && s.pristine.Load() {
-		return s.fastSend(src, to, msg, kind)
+		return s.fastSend(src, to, msg, kind, h)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -444,6 +458,9 @@ type simEndpoint struct {
 	// its shared endpoints so sends skip the pump entirely; the callee must
 	// be safe to invoke from arbitrary sender goroutines.
 	sink atomic.Pointer[func(Delivery)]
+	// gone marks an endpoint closed (gracefully or by a crash-stop), so a
+	// send holding a handle to it falls back to the address lookup.
+	gone atomic.Bool
 }
 
 var _ Endpoint = (*simEndpoint)(nil)
@@ -466,7 +483,7 @@ func (e *simEndpoint) SetSink(fn func(Delivery)) {
 func (e *simEndpoint) MarkDaemon() { e.queue.SetDaemon() }
 
 func (e *simEndpoint) Send(to string, msg protocol.Message) error {
-	return e.net.send(e, to, msg)
+	return e.net.send(e, to, msg, handle{})
 }
 
 // unbox copies a pooled delivery out of its box and recycles it.
@@ -494,6 +511,7 @@ func (e *simEndpoint) Pending() int {
 }
 
 func (e *simEndpoint) Close() error {
+	e.gone.Store(true)
 	e.net.mu.Lock()
 	defer e.net.mu.Unlock()
 	if e.net.endpoints.CompareAndDelete(e.addr, e) {

@@ -229,8 +229,8 @@ func (t *TCP) countCreditStall() {
 	c.Add(1)
 }
 
-// countReinject records one delivery handed back by a dying mux shard and
-// re-retained for its address's next bind.
+// countReinject records one delivery handed back by a dying mux shared
+// endpoint and re-retained for its address's next bind.
 func (t *TCP) countReinject() {
 	m := t.metrics
 	if m == nil {
@@ -916,9 +916,9 @@ func (e *tcpEndpoint) Addr() string { return e.addr }
 func (e *tcpEndpoint) MarkDaemon() { e.queue.SetDaemon() }
 
 // SetSink installs the synchronous delivery sink the Mux probes for (see
-// Mux.Open): with one installed, read loops hand deliveries straight to the
-// mux dispatch — and from there into the inline lane — skipping the shared
-// queue and the pump wakeup. Deliveries that arrived before the switch are
+// Mux.bind): with one installed, read loops hand deliveries straight to the
+// mux's by-tag route — and from there into the inline lane — skipping the
+// shared queue and the pump wakeup. Deliveries that arrived before the switch are
 // drained through the sink first, in order, under the same lock that gates
 // new deliveries into the queue, so the per-pair FIFO guarantee holds
 // across the installation: a delivery can only take the sink shortcut once
@@ -940,7 +940,7 @@ func (e *tcpEndpoint) SetSink(fn func(Delivery)) {
 		}
 		e.dmu.Unlock()
 		if d, ok := unboxDelivery(x, ok); ok {
-			fn(d) // outside dmu: the dispatch chain may deliver elsewhere
+			fn(d) // outside dmu: the route may deliver elsewhere
 		}
 	}
 }
@@ -973,17 +973,17 @@ func (e *tcpEndpoint) deliver(from string, msg protocol.Message) {
 
 // Reinject hands a delivery back to the transport after its original
 // destination endpoint closed — the mux calls it (via interface probe) when
-// a shard dies with early frames still retained for instances that never
-// opened, and deliver falls back to it when a stale reference races Close.
+// a shared endpoint dies with early frames still retained for instances that
+// never opened, and deliver falls back to it when a stale reference races Close.
 // In node mode the frame is re-retained for the address's next bind (or
 // delivered straight to an already-bound successor); outside node mode
 // there is no retention and the frame is dropped, the pre-existing
 // semantics for traffic to a closed endpoint. Reports whether the frame
 // survived.
 //
-// Lock order: callers may hold a mux shard lock; Reinject takes the
-// network lock under it. The reverse order (network lock, then shard lock)
-// must never occur — deliverNode releases t.mu before ep.deliver for this
+// Lock order: callers may hold a mux shared endpoint's lock; Reinject takes
+// the network lock under it. The reverse order (network lock, then that
+// lock) must never occur — deliverNode releases t.mu before ep.deliver for this
 // reason.
 func (e *tcpEndpoint) Reinject(d Delivery) bool {
 	t := e.net
