@@ -91,38 +91,42 @@ func TestStartActionWaitFromTrackedGoroutine(t *testing.T) {
 	spec, progs := pingPongSpec(t)
 
 	var sequentialErr, overlapErr error
+	// One tracked root starts both drivers, so the clock knows the second
+	// before the first can block.
 	sys.Go(func() {
-		// Sequential: start, wait, start again (tag reuse GC path).
-		for i := 0; i < 3; i++ {
-			h, err := sys.StartAction(context.Background(), spec, progs)
-			if err != nil {
-				sequentialErr = err
-				return
-			}
-			for role, err := range h.Wait() {
+		sys.Go(func() {
+			// Overlapping: a second driver keeps its own instances in flight.
+			var hs []*caaction.ActionHandle
+			for i := 0; i < 5; i++ {
+				h, err := sys.StartAction(context.Background(), spec, progs)
 				if err != nil {
-					sequentialErr = fmt.Errorf("%s: %w", role, err)
+					overlapErr = err
+					return
+				}
+				hs = append(hs, h)
+			}
+			for _, h := range hs {
+				h.Wait()
+				if err := h.Err(); err != nil && overlapErr == nil {
+					overlapErr = err
 				}
 			}
-		}
-	})
-	sys.Go(func() {
-		// Overlapping: a second driver keeps its own instances in flight.
-		var hs []*caaction.ActionHandle
-		for i := 0; i < 5; i++ {
-			h, err := sys.StartAction(context.Background(), spec, progs)
-			if err != nil {
-				overlapErr = err
-				return
+		})
+		sys.Go(func() {
+			// Sequential: start, wait, start again (tag reuse GC path).
+			for i := 0; i < 3; i++ {
+				h, err := sys.StartAction(context.Background(), spec, progs)
+				if err != nil {
+					sequentialErr = err
+					return
+				}
+				for role, err := range h.Wait() {
+					if err != nil {
+						sequentialErr = fmt.Errorf("%s: %w", role, err)
+					}
+				}
 			}
-			hs = append(hs, h)
-		}
-		for _, h := range hs {
-			h.Wait()
-			if err := h.Err(); err != nil && overlapErr == nil {
-				overlapErr = err
-			}
-		}
+		})
 	})
 	sys.Wait()
 	if sequentialErr != nil {
@@ -518,26 +522,29 @@ func TestStartActionRunnersFloodWithNested(t *testing.T) {
 
 	const n = 30
 	errs := make(chan error, 2*n)
-	for i := 0; i < n; i++ {
-		sys.Go(func() {
-			h, err := sys.StartAction(context.Background(), spec, progs)
-			if err != nil {
-				errs <- err
-				return
-			}
-			h.WaitDone()
-			errs <- h.Err()
-		})
-		sys.Go(func() {
-			h, err := sys.StartAction(context.Background(), parentSpec, parentProgs)
-			if err != nil {
-				errs <- err
-				return
-			}
-			h.WaitDone()
-			errs <- h.Err()
-		})
-	}
+	// One tracked root starts every driver.
+	sys.Go(func() {
+		for i := 0; i < n; i++ {
+			sys.Go(func() {
+				h, err := sys.StartAction(context.Background(), spec, progs)
+				if err != nil {
+					errs <- err
+					return
+				}
+				h.WaitDone()
+				errs <- h.Err()
+			})
+			sys.Go(func() {
+				h, err := sys.StartAction(context.Background(), parentSpec, parentProgs)
+				if err != nil {
+					errs <- err
+					return
+				}
+				h.WaitDone()
+				errs <- h.Err()
+			})
+		}
+	})
 	for i := 0; i < 2*n; i++ {
 		if err := <-errs; err != nil {
 			t.Fatalf("instance %d: %v", i, err)

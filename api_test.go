@@ -227,8 +227,12 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	results := make(chan error, 2)
-	sys.Go(func() { results <- t1.Perform(context.Background(), spec, "producer", producer) })
-	sys.Go(func() { results <- t2.Perform(context.Background(), spec, "consumer", consumer) })
+	// One tracked root starts both roles, so the clock knows the second
+	// before the first can block.
+	sys.Go(func() {
+		sys.Go(func() { results <- t2.Perform(context.Background(), spec, "consumer", consumer) })
+		results <- t1.Perform(context.Background(), spec, "producer", producer)
+	})
 	sys.Wait()
 	close(results)
 	for err := range results {
@@ -395,22 +399,22 @@ func TestTCPTransport(t *testing.T) {
 	}
 	results := make(chan error, 2)
 	sys.Go(func() {
+		sys.Go(func() {
+			results <- t2.Perform(context.Background(), spec, "right", caaction.RoleProgram{
+				Body: func(ctx *caaction.Context) error {
+					v, err := ctx.Recv("left")
+					if err != nil {
+						return err
+					}
+					if v != "ping" {
+						t.Errorf("payload = %v", v)
+					}
+					return nil
+				},
+			})
+		})
 		results <- t1.Perform(context.Background(), spec, "left", caaction.RoleProgram{
 			Body: func(ctx *caaction.Context) error { return ctx.Send("right", "ping") },
-		})
-	})
-	sys.Go(func() {
-		results <- t2.Perform(context.Background(), spec, "right", caaction.RoleProgram{
-			Body: func(ctx *caaction.Context) error {
-				v, err := ctx.Recv("left")
-				if err != nil {
-					return err
-				}
-				if v != "ping" {
-					t.Errorf("payload = %v", v)
-				}
-				return nil
-			},
 		})
 	})
 	sys.Wait()

@@ -2,6 +2,11 @@ package caaction_test
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,168 +20,210 @@ import (
 // The benchmarks below regenerate every table and figure of the paper's
 // evaluation (§5) through the public API. Each benchmark iteration runs a
 // complete deterministic simulation; the virtual execution time the paper
-// reports is exposed as the "vsec" metric (virtual seconds), while ns/op
-// measures the simulator itself.
+// reports is exposed as the "vsec" metric (virtual seconds) and message
+// counts as "msgs", while ns/op measures the simulator itself.
+// TestPaperAnchors asserts the same figures exactly.
 
-// BenchmarkFig9Baseline is the §5.2 baseline point: Tmmax=0.2s, Tabo=0.1s,
-// Treso=0.3s, 20 iterations — the paper reports 94.36 virtual seconds.
-func BenchmarkFig9Baseline(b *testing.B) {
-	b.ReportAllocs()
-	var total time.Duration
-	for i := 0; i < b.N; i++ {
-		d, err := experiments.RunFig9Point(experiments.DefaultFig9())
-		if err != nil {
-			b.Fatal(err)
-		}
-		total = d
-	}
-	b.ReportMetric(total.Seconds(), "vsec")
+// paperAnchors are the paper's fixed points, one per benchmark: the runner
+// performs one simulation and returns the figure, and want is the value
+// BENCH_chaos.json records for the benchmark of that name.
+var paperAnchors = []struct {
+	bench string
+	unit  string // "vsec" or "msgs"
+	want  float64
+	run   func() (float64, error)
+}{
+	// §5.2 baseline: Tmmax=0.2s, Tabo=0.1s, Treso=0.3s, 20 iterations —
+	// the paper reports 94.36 virtual seconds.
+	{"BenchmarkFig9Baseline", "vsec", 94.0, func() (float64, error) { return fig9Point(nil) }},
+	// Figure 9/10 sweep points: message passing below and above the knee,
+	// abortion and resolution costs.
+	{"BenchmarkFig9TmmaxBelowKnee", "vsec", 154.0, func() (float64, error) {
+		return fig9Point(func(c *experiments.Fig9Config) { c.Tmmax = 800 * time.Millisecond })
+	}},
+	{"BenchmarkFig9TmmaxAboveKnee", "vsec", 370.0, func() (float64, error) {
+		return fig9Point(func(c *experiments.Fig9Config) { c.Tmmax = 2400 * time.Millisecond })
+	}},
+	{"BenchmarkFig9TaboHigh", "vsec", 134.0, func() (float64, error) {
+		return fig9Point(func(c *experiments.Fig9Config) { c.Tabo = 2100 * time.Millisecond })
+	}},
+	{"BenchmarkFig9TresoHigh", "vsec", 134.0, func() (float64, error) {
+		return fig9Point(func(c *experiments.Fig9Config) { c.Treso = 2300 * time.Millisecond })
+	}},
+	// §5.3 (three concurrent exceptions): the paper's algorithm against the
+	// CR-86 model; the paper reports 9.15 s vs 11.77 s at Tmmax=1.0 s,
+	// Tres=0.3 s.
+	{"BenchmarkFig12Coordinated", "vsec", 9.15, func() (float64, error) { return fig12Point(caaction.Coordinated) }},
+	{"BenchmarkFig12CR86", "vsec", 10.75, func() (float64, error) { return fig12Point(caaction.CR86) }},
+	// §3.3.3 counts at N=6 in the all-raise scenario: (N+1)(N−1),
+	// 3N(N−1) and the O(N³) CR-86 total.
+	{"BenchmarkMessagesCoordinatedN6", "msgs", 35, func() (float64, error) { return messagesN6(caaction.Coordinated) }},
+	{"BenchmarkMessagesCR86N6", "msgs", 180, func() (float64, error) { return messagesN6(caaction.CR86) }},
+	{"BenchmarkMessagesR96N6", "msgs", 90, func() (float64, error) { return messagesN6(caaction.R96) }},
+	// §3.4 signalling at N=6: the worst case (undo round) is 2N(N−1).
+	{"BenchmarkSignallingN6", "msgs", 60, signallingN6},
+	// §4: one fault-free production cycle — eight controller threads, four
+	// nesting levels, one forged plate delivered.
+	{"BenchmarkProductionCellCycle", "vsec", 2.226, prodCellCycle},
+	// Lemma 1 at nesting depth 3.
+	{"BenchmarkLemma1Depth3", "vsec", 1.4, lemma1Depth3},
 }
 
-func benchFig9(b *testing.B, mutate func(*experiments.Fig9Config)) {
-	var total time.Duration
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultFig9()
+func fig9Point(mutate func(*experiments.Fig9Config)) (float64, error) {
+	cfg := experiments.DefaultFig9()
+	if mutate != nil {
 		mutate(&cfg)
-		d, err := experiments.RunFig9Point(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total = d
 	}
-	b.ReportMetric(total.Seconds(), "vsec")
+	d, err := experiments.RunFig9Point(cfg)
+	return d.Seconds(), err
 }
 
-// Figure 9/10 sweep points: message passing below and above the knee,
-// abortion and resolution costs.
-func BenchmarkFig9TmmaxBelowKnee(b *testing.B) {
-	b.ReportAllocs()
-	benchFig9(b, func(c *experiments.Fig9Config) { c.Tmmax = 800 * time.Millisecond })
+func fig12Point(protocol caaction.ResolutionProtocol) (float64, error) {
+	d, err := experiments.RunFig12Point(experiments.Fig12Config{
+		Tmmax: time.Second, Tres: 300 * time.Millisecond,
+		Protocol: protocol,
+	})
+	return d.Seconds(), err
 }
 
-func BenchmarkFig9TmmaxAboveKnee(b *testing.B) {
-	b.ReportAllocs()
-	benchFig9(b, func(c *experiments.Fig9Config) { c.Tmmax = 2400 * time.Millisecond })
-}
-
-func BenchmarkFig9TaboHigh(b *testing.B) {
-	b.ReportAllocs()
-	benchFig9(b, func(c *experiments.Fig9Config) { c.Tabo = 2100 * time.Millisecond })
-}
-
-func BenchmarkFig9TresoHigh(b *testing.B) {
-	b.ReportAllocs()
-	benchFig9(b, func(c *experiments.Fig9Config) { c.Treso = 2300 * time.Millisecond })
-}
-
-// BenchmarkFig12 compares the paper's algorithm with the CR-86 model on the
-// §5.3 scenario (three concurrent exceptions); the paper reports 9.15 s vs
-// 11.77 s at Tmmax=1.0 s, Tres=0.3 s.
-func benchFig12(b *testing.B, protocol caaction.ResolutionProtocol) {
-	b.ReportAllocs()
-	var total time.Duration
-	for i := 0; i < b.N; i++ {
-		d, err := experiments.RunFig12Point(experiments.Fig12Config{
-			Tmmax: time.Second, Tres: 300 * time.Millisecond,
-			Protocol: protocol,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		total = d
+// messagesN6 is experiment E3: the resolution-message total at N=6 in the
+// all-raise scenario.
+func messagesN6(protocol caaction.ResolutionProtocol) (float64, error) {
+	rows, err := experiments.RunMessageComplexity([]int{6})
+	if err != nil {
+		return 0, err
 	}
-	b.ReportMetric(total.Seconds(), "vsec")
-}
-
-func BenchmarkFig12Coordinated(b *testing.B) { benchFig12(b, caaction.Coordinated) }
-func BenchmarkFig12CR86(b *testing.B)        { benchFig12(b, caaction.CR86) }
-
-// BenchmarkMessageComplexity measures experiment E3 (the §3.3.3 counts) for
-// N=2..6; the msgs metric is the resolution-message total for the largest N
-// in the all-raise scenario.
-func benchMsgs(b *testing.B, protocol caaction.ResolutionProtocol) {
-	b.ReportAllocs()
-	var last int64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunMessageComplexity([]int{6})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Protocol == protocol.Name() && r.Scenario == "all" {
-				last = r.Messages
-			}
+	for _, r := range rows {
+		if r.Protocol == protocol.Name() && r.Scenario == "all" {
+			return float64(r.Messages), nil
 		}
 	}
-	b.ReportMetric(float64(last), "msgs")
+	return 0, fmt.Errorf("no all-raise row for %s", protocol.Name())
 }
 
-func BenchmarkMessagesCoordinatedN6(b *testing.B) { benchMsgs(b, caaction.Coordinated) }
-func BenchmarkMessagesCR86N6(b *testing.B)        { benchMsgs(b, caaction.CR86) }
-func BenchmarkMessagesR96N6(b *testing.B)         { benchMsgs(b, caaction.R96) }
-
-// BenchmarkSignalling measures experiment E4 (the §3.4 exchange) at N=6;
-// worst case (undo round) is 2N(N−1) messages.
-func BenchmarkSignallingN6(b *testing.B) {
-	b.ReportAllocs()
+// signallingN6 is experiment E4: the most messages any N=6 signalling
+// scenario exchanges.
+func signallingN6() (float64, error) {
+	rows, err := experiments.RunSignalling([]int{6})
 	var worst int64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunSignalling([]int{6})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Messages > worst {
-				worst = r.Messages
-			}
-		}
+	for _, r := range rows {
+		worst = max(worst, r.Messages)
 	}
-	b.ReportMetric(float64(worst), "msgs")
+	return float64(worst), err
 }
 
-// BenchmarkProductionCellCycle runs one full fault-free §4 production cycle
-// (experiment E5): eight controller threads, four nesting levels, one forged
-// plate delivered.
-func BenchmarkProductionCellCycle(b *testing.B) {
-	b.ReportAllocs()
-	var vsec float64
-	for i := 0; i < b.N; i++ {
-		sys, err := caaction.New(
-			caaction.WithVirtualTime(),
-			caaction.WithSimTransport(time.Millisecond),
-		)
+// prodCellCycle is experiment E5: the virtual time of one production cycle.
+func prodCellCycle() (float64, error) {
+	sys, err := caaction.New(
+		caaction.WithVirtualTime(),
+		caaction.WithSimTransport(time.Millisecond),
+	)
+	if err != nil {
+		return 0, err
+	}
+	plant := prodcell.NewPlant(sys, prodcell.DefaultPlantConfig())
+	ctl, err := prodcell.NewController(sys, plant, prodcell.DefaultControlConfig())
+	if err != nil {
+		return 0, err
+	}
+	rep := ctl.RunCycle()
+	for th, err := range rep.Outcomes {
 		if err != nil {
-			b.Fatal(err)
+			return 0, fmt.Errorf("%s: %w", th, err)
 		}
-		plant := prodcell.NewPlant(sys, prodcell.DefaultPlantConfig())
-		ctl, err := prodcell.NewController(sys, plant, prodcell.DefaultControlConfig())
-		if err != nil {
-			b.Fatal(err)
+	}
+	return sys.Now().Seconds(), nil
+}
+
+// lemma1Depth3 is experiment E6 at nesting depth 3.
+func lemma1Depth3() (float64, error) {
+	rows, err := experiments.RunLemma1([]int{3},
+		200*time.Millisecond, 100*time.Millisecond, 300*time.Millisecond)
+	if err != nil {
+		return 0, err
+	}
+	return rows[0].Measured.Seconds(), nil
+}
+
+// benchAnchor runs the paper anchor named like the benchmark b.N times and
+// reports its figure.
+func benchAnchor(b *testing.B) {
+	for _, a := range paperAnchors {
+		if a.bench != b.Name() {
+			continue
 		}
-		rep := ctl.RunCycle()
-		for th, err := range rep.Outcomes {
+		b.ReportAllocs()
+		var v float64
+		for i := 0; i < b.N; i++ {
+			var err error
+			if v, err = a.run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(v, a.unit)
+		return
+	}
+	b.Fatalf("no paper anchor for %s", b.Name())
+}
+
+func BenchmarkFig9Baseline(b *testing.B)          { benchAnchor(b) }
+func BenchmarkFig9TmmaxBelowKnee(b *testing.B)    { benchAnchor(b) }
+func BenchmarkFig9TmmaxAboveKnee(b *testing.B)    { benchAnchor(b) }
+func BenchmarkFig9TaboHigh(b *testing.B)          { benchAnchor(b) }
+func BenchmarkFig9TresoHigh(b *testing.B)         { benchAnchor(b) }
+func BenchmarkFig12Coordinated(b *testing.B)      { benchAnchor(b) }
+func BenchmarkFig12CR86(b *testing.B)             { benchAnchor(b) }
+func BenchmarkMessagesCoordinatedN6(b *testing.B) { benchAnchor(b) }
+func BenchmarkMessagesCR86N6(b *testing.B)        { benchAnchor(b) }
+func BenchmarkMessagesR96N6(b *testing.B)         { benchAnchor(b) }
+func BenchmarkSignallingN6(b *testing.B)          { benchAnchor(b) }
+func BenchmarkProductionCellCycle(b *testing.B)   { benchAnchor(b) }
+func BenchmarkLemma1Depth3(b *testing.B)          { benchAnchor(b) }
+
+// TestPaperAnchors asserts every paper anchor exactly — to the nanosecond
+// of virtual time, to the message — at the value BENCH_chaos.json records
+// for its benchmark.
+func TestPaperAnchors(t *testing.T) {
+	raw, err := os.ReadFile("BENCH_chaos.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var baseline struct {
+		Benchmarks []struct {
+			Pkg, Name      string
+			VirtualSeconds *float64 `json:"virtual_seconds"`
+			Messages       *float64 `json:"messages"`
+		}
+	}
+	if err := json.Unmarshal(raw, &baseline); err != nil {
+		t.Fatal(err)
+	}
+	recorded := make(map[string]float64)
+	for _, bm := range baseline.Benchmarks {
+		if bm.Pkg != "caaction" {
+			continue
+		}
+		if bm.VirtualSeconds != nil {
+			recorded[bm.Name+"/vsec"] = *bm.VirtualSeconds
+		}
+		if bm.Messages != nil {
+			recorded[bm.Name+"/msgs"] = *bm.Messages
+		}
+	}
+	for _, a := range paperAnchors {
+		t.Run(strings.TrimPrefix(a.bench, "Benchmark"), func(t *testing.T) {
+			if rec, ok := recorded[a.bench+"/"+a.unit]; !ok || rec != a.want {
+				t.Errorf("BENCH_chaos.json records %v %s (present %v), the anchor says %v", rec, a.unit, ok, a.want)
+			}
+			got, err := a.run()
 			if err != nil {
-				b.Fatalf("%s: %v", th, err)
+				t.Fatal(err)
 			}
-		}
-		vsec = sys.Now().Seconds()
+			if math.Abs(got-a.want) > 1e-9 {
+				t.Errorf("%s = %v, want exactly %v", a.unit, got, a.want)
+			}
+		})
 	}
-	b.ReportMetric(vsec, "vsec")
-}
-
-// BenchmarkLemma1 measures experiment E6 at nesting depth 3.
-func BenchmarkLemma1Depth3(b *testing.B) {
-	b.ReportAllocs()
-	var measured time.Duration
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunLemma1([]int{3},
-			200*time.Millisecond, 100*time.Millisecond, 300*time.Millisecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		measured = rows[0].Measured
-	}
-	b.ReportMetric(measured.Seconds(), "vsec")
 }
 
 // BenchmarkStartActionCommit is the one-action-in-process rung: 16

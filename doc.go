@@ -28,9 +28,9 @@
 // AsSignalled (or errors.As) recovers the ε/µ/ƒ that was signalled.
 // Resolution protocols ("coordinated", "cr86", "r96") and transports
 // ("sim", "tcp") are selectable by name through registries, including from
-// command-line flags. The TCP transport speaks a length-prefixed binary
-// wire codec (hand-rolled for the nine protocol messages, with reused
-// encode buffers).
+// command-line flags. The TCP transport speaks one wire in every mode:
+// batched frames of a hand-rolled binary codec for the nine protocol
+// messages (with reused encode buffers), under credit flow control.
 //
 // One System hosts any number of concurrent CA-action instances:
 // System.StartAction runs every role of a spec on its own goroutine and
@@ -56,9 +56,9 @@
 // continuation, so a causal chain of ready steps crosses zero scheduler
 // hand-offs and same-process delivery skips the codec entirely (see
 // DESIGN.md, "Event-loop core"). WithoutInlineDelivery restores the
-// queue-per-thread model. The TCP transport coalesces outbound binary
-// frames per peer connection on the real clock (flushed at a byte bound or
-// a 100µs wall-clock deadline; order preserved, Close flushes — see
+// queue-per-thread model. The TCP transport coalesces outbound messages
+// per connection into batches on the real clock (flushed at a byte bound
+// or a 100µs wall-clock deadline; order preserved, Close flushes — see
 // DESIGN.md for the exact flush-deadline semantics).
 //
 // Production overload control is built in. WithMaxInFlight(n) bounds the
@@ -107,19 +107,19 @@
 // caaction/cluster/testnet scripts a multi-process local cluster with a
 // kill+restart chaos scenario (canode -testnet).
 //
-// Cross-node traffic rides one batched path: all messages
-// bound for one peer node within a coalesce window flush as a single
-// batched node frame (one header plus length-delimited entries, bounded
-// by the 64 KiB flush threshold and the per-message frame cap), with
-// thread→node resolution cached per flush window and receive-side frame
-// buffers and deliveries pooled. Flow control is credit-based per peer:
-// the accepting side advertises a message window (default 4096;
-// WithPeerWindow tunes it) and grants more as it drains, while a sender
-// past the window parks at most one further window before sends fail
-// with the typed ErrPeerStalled — so per-peer buffering is bounded at
-// two windows and overload surfaces at the sender. See DESIGN.md
-// "Cross-node fast path" for the wire format, the credit protocol and
-// the benchmark that gates it.
+// All TCP traffic, in one process or across nodes, rides one batched
+// path: the messages bound for one connection within a coalesce window
+// flush as a single batched frame (one header plus length-delimited
+// entries that name their destination thread, bounded by the 64 KiB
+// flush threshold and the per-message frame cap), with receive-side frame
+// buffers and deliveries pooled. Flow control is credit-based per
+// connection: the accepting side advertises a message window (default
+// 4096; WithPeerWindow tunes it) and grants more as it drains, while a
+// sender past the window parks at most one further window before sends
+// fail with the typed ErrPeerStalled — so per-connection buffering is
+// bounded at two windows and overload surfaces at the sender. See
+// DESIGN.md "Cross-node fast path" for the wire format, the credit
+// protocol and the benchmark that gates it.
 //
 // Crashes need not be amnesiac. WithRecorder(r) streams every protocol
 // state transition — joins, raise/exit votes, concluded outcomes — to a

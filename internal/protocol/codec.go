@@ -12,11 +12,9 @@ import (
 	"caaction/internal/except"
 )
 
-// Binary wire codec for the nine protocol messages — the TCP transport's
-// default encoding since the hot-path overhaul (gob remains available behind
-// an option for wire compatibility with older deployments).
-//
-// A frame is the payload the transport length-prefixes onto the stream:
+// Binary wire codec for the nine protocol messages, the TCP transport's
+// encoding. A frame is one message with its sender; the transport carries
+// frames inside node-wire batch entries (see AppendNodeBatchEntry):
 //
 //	frame   := tag(u8) from(string) fields...
 //	tag     := kind index + 1 (0 is invalid, catching zeroed buffers)
@@ -31,9 +29,10 @@ import (
 // encoding of the interface value, so everything that crossed the gob wire
 // still crosses the binary wire.
 //
-// AppendFrame appends to a caller-supplied buffer (the transport pools
-// them), so a steady-state send performs zero codec allocations for the
-// eight fixed-shape messages and for fast-path App payloads.
+// AppendFrame appends to a caller-supplied buffer (the transport reuses
+// one per connection), so a steady-state send performs zero codec
+// allocations for the eight fixed-shape messages and for fast-path App
+// payloads.
 
 // ErrCodec reports a malformed or truncated binary frame.
 var ErrCodec = errors.New("protocol: malformed frame")
@@ -115,54 +114,19 @@ func AppendFrame(buf []byte, from string, msg Message) ([]byte, error) {
 	return buf, nil
 }
 
-// AppendNodeFrame appends the node-qualified binary encoding of one message:
-// the destination thread address followed by the plain frame. Cluster
-// deployments multiplex every thread address a node hosts over one shared
-// listener, so — unlike the per-endpoint listeners of the plain TCP wire,
-// where the destination is implied by the socket — the destination must
-// travel on the wire for the receiving node to route the message to the
-// right thread endpoint.
+// Node wire. Every TCP connection carries length-prefixed payloads whose
+// first byte is the control escape 0x00, followed by the payload kind:
 //
-//	nodeFrame := to(string) frame
-func AppendNodeFrame(buf []byte, to, from string, msg Message) ([]byte, error) {
-	buf = appendString(buf, to)
-	return AppendFrame(buf, from, msg)
-}
-
-// DecodeNodeFrame decodes one node-qualified frame produced by
-// AppendNodeFrame.
-func DecodeNodeFrame(data []byte) (to, from string, msg Message, err error) {
-	d := decoder{data: data}
-	to = d.string()
-	if d.err != nil {
-		return "", "", nil, d.err
-	}
-	if to == "" {
-		// A legacy node frame always names a destination thread; an empty
-		// one would collide with the 0x00 control escape below.
-		return "", "", nil, fmt.Errorf("%w: node frame with empty destination", ErrCodec)
-	}
-	from, msg, err = DecodeFrame(d.data)
-	if err != nil {
-		return "", "", nil, err
-	}
-	return to, from, msg, nil
-}
-
-// Node control frames. A legacy node frame opens with uvarint(len(to)) and
-// every destination thread address is non-empty, so its first byte is never
-// 0x00 — which frees that byte as an escape for control payloads on the
-// shared node socket:
-//
-//	nodeWire  := nodeFrame                          (first byte != 0x00)
-//	           | 0x00 0x01 batch                    (batched node frames)
+//	nodeWire  := 0x00 0x01 batch                    (batched messages)
 //	           | 0x00 0x02 uvarint(grant)           (credit grant)
-//	batch     := { entryLen(u32 big-endian) nodeFrame }...
+//	batch     := { entryLen(u32 big-endian) to(string) frame }...
 //
-// A batch carries N node frames under one transport length prefix, so one
-// coalesced peer flush pays the outer header and the syscall once for the
-// whole flush window. Entries keep fixed 4-byte lengths (not uvarints) so
-// the sender can reserve the slot and backfill it after encoding in place.
+// A batch carries N messages under one transport length prefix, so one
+// coalesced flush pays the outer header and the syscall once for the whole
+// flush window. Each entry names its destination thread address, so one
+// connection can serve every thread behind the peer's listener. Entries
+// keep fixed 4-byte lengths (not uvarints) so the sender can reserve the
+// slot and backfill it after encoding in place.
 const (
 	nodeControlByte = 0x00
 	nodeKindBatch   = 0x01
@@ -177,29 +141,22 @@ const (
 	nodeBatchEntryLen  = 4
 )
 
-// NodeBatchEntry is one message of a batched node frame.
-type NodeBatchEntry struct {
-	To, From string
-	Msg      Message
-}
-
 // AppendNodeBatchHeader opens a batched node frame: the control escape plus
 // the batch kind. Entries follow via AppendNodeBatchEntry.
 func AppendNodeBatchHeader(buf []byte) []byte {
 	return append(buf, nodeControlByte, nodeKindBatch)
 }
 
-// AppendNodeBatchEntry appends one node-qualified message to an open batch:
-// a fixed 4-byte length slot backfilled after the frame is encoded in place.
-// On error buf is returned truncated to its pre-entry length, so a failed
-// entry never corrupts the open batch.
+// AppendNodeBatchEntry appends one message for destination thread to to an
+// open batch: a fixed 4-byte length slot backfilled after the entry is
+// encoded in place. On error buf is returned truncated to its pre-entry
+// length, so a failed entry never corrupts the open batch.
 func AppendNodeBatchEntry(buf []byte, to, from string, msg Message) ([]byte, error) {
 	if to == "" {
 		return buf, fmt.Errorf("%w: node frame with empty destination", ErrCodec)
 	}
 	n0 := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	out, err := AppendNodeFrame(buf, to, from, msg)
+	out, err := AppendFrame(appendString(append(buf, 0, 0, 0, 0), to), from, msg)
 	if err != nil {
 		return out[:n0], err
 	}
@@ -207,22 +164,8 @@ func AppendNodeBatchEntry(buf []byte, to, from string, msg Message) ([]byte, err
 	return out, nil
 }
 
-// AppendNodeBatch appends one complete batched node frame carrying every
-// entry, equivalent to AppendNodeBatchHeader followed by one
-// AppendNodeBatchEntry per entry.
-func AppendNodeBatch(buf []byte, entries []NodeBatchEntry) ([]byte, error) {
-	buf = AppendNodeBatchHeader(buf)
-	var err error
-	for _, e := range entries {
-		if buf, err = AppendNodeBatchEntry(buf, e.To, e.From, e.Msg); err != nil {
-			return buf, err
-		}
-	}
-	return buf, nil
-}
-
-// IsNodeControl reports whether a node wire payload is a control frame
-// (batch or credit) rather than a legacy single node frame.
+// IsNodeControl reports whether a node wire payload opens with the control
+// escape.
 func IsNodeControl(data []byte) bool {
 	return len(data) > 0 && data[0] == nodeControlByte
 }
@@ -238,12 +181,14 @@ func IsNodeCredit(data []byte) bool {
 }
 
 // DecodeNodeBatch decodes a batched node frame, invoking fn once per entry
-// in wire order. Decoding stops at the first malformed entry or the first
-// fn error; a torn batch (entry length running past the frame) is a codec
-// error even when earlier entries decoded cleanly, because the transport
-// length-prefixes whole frames — a short one means corruption, not a
-// partial read.
-func DecodeNodeBatch(data []byte, fn func(to, from string, msg Message) error) error {
+// in wire order. The destination is handed over in place, as a slice of
+// data that is valid only during the call, so a receiver can look it up
+// without allocating. Decoding stops at the first malformed entry or the
+// first fn error; a torn batch (entry length running past the frame) is a
+// codec error even when earlier entries decoded cleanly, because the
+// transport length-prefixes whole frames — a short one means corruption,
+// not a partial read.
+func DecodeNodeBatch(data []byte, fn func(to []byte, from string, msg Message) error) error {
 	if !IsNodeBatch(data) {
 		return fmt.Errorf("%w: not a node batch", ErrCodec)
 	}
@@ -257,7 +202,15 @@ func DecodeNodeBatch(data []byte, fn func(to, from string, msg Message) error) e
 		if uint64(n) > uint64(len(data)) {
 			return fmt.Errorf("%w: torn batch entry (%d bytes declared, %d remain)", ErrCodec, n, len(data))
 		}
-		to, from, msg, err := DecodeNodeFrame(data[:n])
+		d := decoder{data: data[:n]}
+		to := d.bytes()
+		if d.err != nil {
+			return d.err
+		}
+		if len(to) == 0 {
+			return fmt.Errorf("%w: node frame with empty destination", ErrCodec)
+		}
+		from, msg, err := DecodeFrame(d.data)
 		if err != nil {
 			return err
 		}
@@ -468,17 +421,22 @@ func (d *decoder) int64() int64 {
 }
 
 func (d *decoder) string() string {
+	return string(d.bytes())
+}
+
+// bytes reads a length-prefixed string in place, as a slice of the frame.
+func (d *decoder) bytes() []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(d.data)) {
 		d.fail("string")
-		return ""
+		return nil
 	}
-	s := string(d.data[:n])
+	b := d.data[:n:n]
 	d.data = d.data[n:]
-	return s
+	return b
 }
 
 // count reads a collection length, bounding it by the bytes remaining

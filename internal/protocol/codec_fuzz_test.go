@@ -50,11 +50,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 // never panic, reject torn and oversized entry lengths, and any batch it
 // accepts must re-encode entry-for-entry and decode to the same sequence.
 func FuzzNodeBatchRoundTrip(f *testing.F) {
-	var seed []NodeBatchEntry
+	var seed []batchEntry
 	for _, msg := range codecMessages() {
-		seed = append(seed, NodeBatchEntry{To: "T1", From: "seed-sender", Msg: msg})
+		seed = append(seed, batchEntry{To: "T1", From: "seed-sender", Msg: msg})
 	}
-	full, err := AppendNodeBatch(nil, seed)
+	full, err := appendBatch(nil, seed)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -65,35 +65,25 @@ func FuzzNodeBatchRoundTrip(f *testing.F) {
 	f.Add([]byte{0x00, 0x02, 0x80})                      // truncated credit, wrong kind
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var got []NodeBatchEntry
-		err := DecodeNodeBatch(data, func(to, from string, msg Message) error {
-			got = append(got, NodeBatchEntry{To: to, From: from, Msg: msg})
-			return nil
-		})
+		got, err := decodeBatch(data)
 		if err != nil {
 			return // malformed input rejected: fine
 		}
-		buf, err := AppendNodeBatch(nil, got)
+		buf, err := appendBatch(nil, got)
 		if err != nil {
 			t.Fatalf("accepted batch failed to re-encode: %v", err)
 		}
-		var got2 []NodeBatchEntry
-		if err := DecodeNodeBatch(buf, func(to, from string, msg Message) error {
-			got2 = append(got2, NodeBatchEntry{To: to, From: from, Msg: msg})
-			return nil
-		}); err != nil {
+		got2, err := decodeBatch(buf)
+		if err != nil {
 			t.Fatalf("re-encoded batch failed to decode: %v", err)
 		}
 		if len(got) != len(got2) {
 			t.Fatalf("entry count drift: %d != %d", len(got), len(got2))
 		}
-		// Compare entries via canonical re-encodings (NaN payloads).
-		for i := range got {
-			b1, err1 := AppendNodeFrame(nil, got[i].To, got[i].From, got[i].Msg)
-			b2, err2 := AppendNodeFrame(nil, got2[i].To, got2[i].From, got2[i].Msg)
-			if err1 != nil || err2 != nil || !reflect.DeepEqual(b1, b2) {
-				t.Fatalf("entry %d drift: %#v != %#v", i, got[i], got2[i])
-			}
+		// Compare via canonical re-encodings (NaN payloads).
+		buf2, err := appendBatch(nil, got2)
+		if err != nil || !reflect.DeepEqual(buf, buf2) {
+			t.Fatalf("batch drift (%v):\n first %#v\nsecond %#v", err, got, got2)
 		}
 	})
 }

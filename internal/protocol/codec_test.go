@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"encoding/gob"
 	"reflect"
 	"testing"
@@ -123,12 +124,40 @@ func TestCodecRejectsMalformedFrames(t *testing.T) {
 	}
 }
 
-func TestNodeBatchRoundTrip(t *testing.T) {
-	var want []NodeBatchEntry
-	for i, msg := range codecMessages() {
-		want = append(want, NodeBatchEntry{To: "T" + string(rune('A'+i%4)), From: "sender", Msg: msg})
+// batchEntry is one message of a test batch.
+type batchEntry struct {
+	To, From string
+	Msg      Message
+}
+
+// appendBatch appends one complete batched node frame carrying every entry.
+func appendBatch(buf []byte, entries []batchEntry) ([]byte, error) {
+	buf = AppendNodeBatchHeader(buf)
+	var err error
+	for _, e := range entries {
+		if buf, err = AppendNodeBatchEntry(buf, e.To, e.From, e.Msg); err != nil {
+			return buf, err
+		}
 	}
-	buf, err := AppendNodeBatch(nil, want)
+	return buf, nil
+}
+
+// decodeBatch collects a batch's entries in wire order.
+func decodeBatch(data []byte) ([]batchEntry, error) {
+	var got []batchEntry
+	err := DecodeNodeBatch(data, func(to []byte, from string, msg Message) error {
+		got = append(got, batchEntry{To: string(to), From: from, Msg: msg})
+		return nil
+	})
+	return got, err
+}
+
+func TestNodeBatchRoundTrip(t *testing.T) {
+	var want []batchEntry
+	for i, msg := range codecMessages() {
+		want = append(want, batchEntry{To: "T" + string(rune('A'+i%4)), From: "sender", Msg: msg})
+	}
+	buf, err := appendBatch(nil, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +165,7 @@ func TestNodeBatchRoundTrip(t *testing.T) {
 		t.Fatalf("batch misclassified: control=%v batch=%v credit=%v",
 			IsNodeControl(buf), IsNodeBatch(buf), IsNodeCredit(buf))
 	}
-	var got []NodeBatchEntry
-	err = DecodeNodeBatch(buf, func(to, from string, msg Message) error {
-		got = append(got, NodeBatchEntry{To: to, From: from, Msg: msg})
-		return nil
-	})
+	got, err := decodeBatch(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,36 +174,36 @@ func TestNodeBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNodeBatchIncremental pins that the incremental header/entry builders
-// produce the same bytes as the one-shot AppendNodeBatch, since the
-// transport builds batches entry by entry inside its coalescing buffer.
+// TestNodeBatchIncremental pins the entry layout the transport builds in
+// place, entry by entry, inside its coalescing buffer: a 4-byte big-endian
+// length slot, the destination as a length-prefixed string, then the plain
+// frame.
 func TestNodeBatchIncremental(t *testing.T) {
-	entries := []NodeBatchEntry{
+	entries := []batchEntry{
 		{To: "T1", From: "s", Msg: Ack{Action: "a#1", From: "T2", Round: 1}},
 		{To: "T2", From: "s", Msg: Enter{Action: "a#1", From: "T1", Role: "r"}},
 	}
-	oneShot, err := AppendNodeBatch(nil, entries)
+	buf, err := appendBatch(nil, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := AppendNodeBatchHeader(nil)
+	want := []byte{0x00, 0x01}
 	for _, e := range entries {
-		if buf, err = AppendNodeBatchEntry(buf, e.To, e.From, e.Msg); err != nil {
+		frame, err := AppendFrame(appendString(nil, e.To), e.From, e.Msg)
+		if err != nil {
 			t.Fatal(err)
 		}
+		want = binary.BigEndian.AppendUint32(want, uint32(len(frame)))
+		want = append(want, frame...)
 	}
-	if !reflect.DeepEqual(buf, oneShot) {
-		t.Fatalf("incremental batch differs from one-shot:\n inc %x\n one %x", buf, oneShot)
+	if !reflect.DeepEqual(buf, want) {
+		t.Fatalf("batch layout differs:\n got %x\nwant %x", buf, want)
 	}
 }
 
 func TestNodeBatchEmpty(t *testing.T) {
-	buf, err := AppendNodeBatch(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	calls := 0
-	if err := DecodeNodeBatch(buf, func(string, string, Message) error { calls++; return nil }); err != nil {
+	if err := DecodeNodeBatch(AppendNodeBatchHeader(nil), func([]byte, string, Message) error { calls++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 0 {
@@ -187,7 +212,7 @@ func TestNodeBatchEmpty(t *testing.T) {
 }
 
 func TestNodeBatchRejectsMalformed(t *testing.T) {
-	good, err := AppendNodeBatch(nil, []NodeBatchEntry{
+	good, err := appendBatch(nil, []batchEntry{
 		{To: "T1", From: "s", Msg: Ack{Action: "a#1", From: "T2", Round: 1}},
 	})
 	if err != nil {
@@ -202,7 +227,7 @@ func TestNodeBatchRejectsMalformed(t *testing.T) {
 		"garbage entry":    {0x00, 0x01, 0, 0, 0, 3, 1, 'T', 0},
 	}
 	for name, data := range cases {
-		if err := DecodeNodeBatch(data, func(string, string, Message) error { return nil }); err == nil {
+		if err := DecodeNodeBatch(data, func([]byte, string, Message) error { return nil }); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -256,16 +281,20 @@ func TestNodeCreditRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNodeFrameRejectsEmptyDestination pins the control-escape invariant:
-// a legacy node frame always opens with uvarint(len(to)) ≥ 1, so 0x00 is
-// unambiguously a control frame.
+// TestNodeFrameRejectsEmptyDestination pins that every batch entry names
+// its destination: the encoder refuses an empty one, and the decoder
+// rejects a hand-built entry that carries one.
 func TestNodeFrameRejectsEmptyDestination(t *testing.T) {
-	buf, err := AppendNodeFrame(nil, "", "s", Ack{Action: "a#1"})
+	if _, err := AppendNodeBatchEntry(AppendNodeBatchHeader(nil), "", "s", Ack{Action: "a#1"}); err == nil {
+		t.Fatal("empty destination encoded without error")
+	}
+	frame, err := AppendFrame(appendString(nil, ""), "s", Ack{Action: "a#1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := DecodeNodeFrame(buf); err == nil {
-		t.Fatal("empty-destination node frame decoded without error")
+	buf := binary.BigEndian.AppendUint32(AppendNodeBatchHeader(nil), uint32(len(frame)))
+	if err := DecodeNodeBatch(append(buf, frame...), func([]byte, string, Message) error { return nil }); err == nil {
+		t.Fatal("empty-destination entry decoded without error")
 	}
 }
 

@@ -49,43 +49,6 @@ func TestSimSendZeroAllocsDisabledLog(t *testing.T) {
 	}
 }
 
-// TestTCPSendAllocCeiling pins a hard ceiling on the binary-codec TCP
-// path: one send+receive round trip (encode, length-prefixed write, read,
-// decode, queue hand-off) must stay within a small constant allocation
-// budget. The gob wire needed several times this.
-func TestTCPSendAllocCeiling(t *testing.T) {
-	const ceiling = 16.0 // allocs per send+recv round trip
-
-	clk := vclock.NewReal()
-	net := NewTCP(clk)
-	defer func() { _ = net.Close() }()
-	a, err := net.Endpoint("T1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := net.Endpoint("T2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var msg protocol.Message = protocol.Suspended{Action: "bench#1", From: "T1", Round: 1}
-
-	cycle := func() {
-		if err := a.Send("T2", msg); err != nil {
-			panic(err)
-		}
-		if _, ok := b.Recv(); !ok {
-			panic("receive failed")
-		}
-	}
-	for i := 0; i < 32; i++ {
-		cycle() // dial, grow buffers, warm the pools
-	}
-	runtime.GC()
-	if n := testing.AllocsPerRun(100, cycle); n > ceiling {
-		t.Fatalf("binary-codec TCP send allocates %v allocs/op, ceiling %v", n, ceiling)
-	}
-}
-
 // TestCloseEndpointCleansPairHistory is the regression test for the lastAt
 // leak: per-pair FIFO clamp entries for crash-stopped or closed endpoints
 // used to be retained forever.

@@ -553,7 +553,8 @@ func (sh *muxShared) route(d Delivery) {
 // sh.mu; a transport that supports re-injection takes its own network lock
 // under it — shared-endpoint lock before network lock is the sanctioned
 // order, never the reverse. Transports without re-injection (the
-// in-process sim, plain per-endpoint TCP) drop the frame.
+// in-process sim) drop the frame, and so does TCP outside node mode unless
+// a successor endpoint is already bound.
 func (sh *muxShared) reinject(d Delivery) {
 	if rj, ok := sh.real.(interface{ Reinject(Delivery) bool }); ok {
 		rj.Reinject(d)

@@ -18,20 +18,21 @@ func TestSimPerturbDuplicate(t *testing.T) {
 		return Verdict{Copies: 2}
 	})
 	var got int
-	clk.Go(func() {
-		for {
-			if _, ok := b.RecvTimeout(time.Second); !ok {
-				return
+	clk.Run(func() {
+		clk.Go(func() {
+			for {
+				if _, ok := b.RecvTimeout(time.Second); !ok {
+					return
+				}
+				got++
 			}
-			got++
-		}
+		})
+		clk.Go(func() {
+			if err := a.Send("B", ping(1)); err != nil {
+				t.Errorf("send: %v", err)
+			}
+		})
 	})
-	clk.Go(func() {
-		if err := a.Send("B", ping(1)); err != nil {
-			t.Errorf("send: %v", err)
-		}
-	})
-	clk.Wait()
 	if got != 3 {
 		t.Fatalf("received %d copies, want 3", got)
 	}
@@ -57,20 +58,21 @@ func TestSimPerturbReorderBypassesFIFO(t *testing.T) {
 		return Verdict{}
 	})
 	var order []int
-	clk.Go(func() {
-		for i := 0; i < 2; i++ {
-			d, ok := b.Recv()
-			if !ok {
-				return
+	clk.Run(func() {
+		clk.Go(func() {
+			for i := 0; i < 2; i++ {
+				d, ok := b.Recv()
+				if !ok {
+					return
+				}
+				order = append(order, int(d.Msg.(protocol.Enter).Role[0]-'0'))
 			}
-			order = append(order, int(d.Msg.(protocol.Enter).Role[0]-'0'))
-		}
+		})
+		clk.Go(func() {
+			_ = a.Send("B", ping(1))
+			_ = a.Send("B", ping(2))
+		})
 	})
-	clk.Go(func() {
-		_ = a.Send("B", ping(1))
-		_ = a.Send("B", ping(2))
-	})
-	clk.Wait()
 	if len(order) != 2 || order[0] != 2 || order[1] != 1 {
 		t.Fatalf("delivery order = %v, want [2 1]", order)
 	}
@@ -97,21 +99,22 @@ func TestSimPerturbDropAndCorrupt(t *testing.T) {
 		}
 	})
 	var deliveries []Delivery
-	clk.Go(func() {
-		for {
-			d, ok := b.RecvTimeout(time.Second)
-			if !ok {
-				return
+	clk.Run(func() {
+		clk.Go(func() {
+			for {
+				d, ok := b.RecvTimeout(time.Second)
+				if !ok {
+					return
+				}
+				deliveries = append(deliveries, d)
 			}
-			deliveries = append(deliveries, d)
-		}
+		})
+		clk.Go(func() {
+			for i := 0; i < 3; i++ {
+				_ = a.Send("B", ping(i))
+			}
+		})
 	})
-	clk.Go(func() {
-		for i := 0; i < 3; i++ {
-			_ = a.Send("B", ping(i))
-		}
-	})
-	clk.Wait()
 	if len(deliveries) != 2 {
 		t.Fatalf("got %d deliveries, want 2 (one dropped)", len(deliveries))
 	}
@@ -189,20 +192,21 @@ func TestSimStatsConcurrentReaders(t *testing.T) {
 			}
 		}
 	}()
-	clk.Go(func() {
-		for i := 0; i < 500; i++ {
-			_ = a.Send("B", ping(i))
-			clk.Sleep(time.Microsecond)
-		}
-	})
-	clk.Go(func() {
-		for i := 0; i < 500; i++ {
-			if _, ok := b.Recv(); !ok {
-				return
+	clk.Run(func() {
+		clk.Go(func() {
+			for i := 0; i < 500; i++ {
+				_ = a.Send("B", ping(i))
+				clk.Sleep(time.Microsecond)
 			}
-		}
+		})
+		clk.Go(func() {
+			for i := 0; i < 500; i++ {
+				if _, ok := b.Recv(); !ok {
+					return
+				}
+			}
+		})
 	})
-	clk.Wait()
 	close(stop)
 	wg.Wait()
 	if st := net.Stats(); st.Sent != 500 || st.Delivered != 500 {

@@ -26,19 +26,20 @@ func TestSimDeliversWithLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	var at time.Duration
-	clk.Go(func() {
-		d, ok := b.Recv()
-		if !ok || d.From != "A" {
-			t.Errorf("recv = %+v, %v", d, ok)
-		}
-		at = clk.Now()
+	clk.Run(func() {
+		clk.Go(func() {
+			d, ok := b.Recv()
+			if !ok || d.From != "A" {
+				t.Errorf("recv = %+v, %v", d, ok)
+			}
+			at = clk.Now()
+		})
+		clk.Go(func() {
+			if err := a.Send("B", ping(1)); err != nil {
+				t.Errorf("send: %v", err)
+			}
+		})
 	})
-	clk.Go(func() {
-		if err := a.Send("B", ping(1)); err != nil {
-			t.Errorf("send: %v", err)
-		}
-	})
-	clk.Wait()
 	if at != 200*time.Millisecond {
 		t.Fatalf("delivered at %v, want 200ms", at)
 	}
@@ -54,24 +55,25 @@ func TestSimFIFOPerPairUnderJitter(t *testing.T) {
 	b, _ := net.Endpoint("B")
 	const n = 50
 	var got []string
-	clk.Go(func() {
-		for i := 0; i < n; i++ {
-			if err := a.Send("B", protocol.Suspended{Action: "x", From: string(rune('a' + i%26))}); err != nil {
-				t.Errorf("send: %v", err)
+	clk.Run(func() {
+		clk.Go(func() {
+			for i := 0; i < n; i++ {
+				if err := a.Send("B", protocol.Suspended{Action: "x", From: string(rune('a' + i%26))}); err != nil {
+					t.Errorf("send: %v", err)
+				}
 			}
-		}
-	})
-	clk.Go(func() {
-		for i := 0; i < n; i++ {
-			d, ok := b.Recv()
-			if !ok {
-				t.Error("closed early")
-				return
+		})
+		clk.Go(func() {
+			for i := 0; i < n; i++ {
+				d, ok := b.Recv()
+				if !ok {
+					t.Error("closed early")
+					return
+				}
+				got = append(got, d.Msg.(protocol.Suspended).From)
 			}
-			got = append(got, d.Msg.(protocol.Suspended).From)
-		}
+		})
 	})
-	clk.Wait()
 	for i := range got {
 		if got[i] != string(rune('a'+i%26)) {
 			t.Fatalf("out of order at %d: %q", i, got[i])
@@ -85,17 +87,18 @@ func TestSimMetricsCountByKind(t *testing.T) {
 	net := NewSim(SimConfig{Clock: clk, Metrics: &m})
 	a, _ := net.Endpoint("A")
 	b, _ := net.Endpoint("B")
-	clk.Go(func() {
-		_ = a.Send("B", protocol.Exception{Action: "x", From: "A", Exc: except.Raised{ID: "e1"}})
-		_ = a.Send("B", protocol.Suspended{Action: "x", From: "A"})
-		_ = a.Send("B", protocol.Suspended{Action: "x", From: "A"})
+	clk.Run(func() {
+		clk.Go(func() {
+			_ = a.Send("B", protocol.Exception{Action: "x", From: "A", Exc: except.Raised{ID: "e1"}})
+			_ = a.Send("B", protocol.Suspended{Action: "x", From: "A"})
+			_ = a.Send("B", protocol.Suspended{Action: "x", From: "A"})
+		})
+		clk.Go(func() {
+			for i := 0; i < 3; i++ {
+				b.Recv()
+			}
+		})
 	})
-	clk.Go(func() {
-		for i := 0; i < 3; i++ {
-			b.Recv()
-		}
-	})
-	clk.Wait()
 	if m.Get("msg.Exception") != 1 || m.Get("msg.Suspended") != 2 || m.Get("msg.total") != 3 {
 		t.Fatalf("metrics:\n%s", m.String())
 	}

@@ -21,42 +21,43 @@ import (
 // per-pair FIFO guarantee of Assumption 2; reliability within a session
 // provides Assumption 1.
 //
-// Messages travel in the hand-rolled length-prefixed binary codec
-// (internal/protocol's AppendFrame/DecodeFrame), with encode buffers
-// reused per connection so a steady-state send performs no codec
-// allocations.
+// Every connection speaks one wire, the node wire: batched frames whose
+// entries name their destination thread address (internal/protocol's
+// AppendNodeBatchEntry/DecodeNodeBatch), under per-connection credit flow
+// control. The accepting side advertises a window of messages and grants
+// more as it consumes them; a sender that exhausts the window parks up to
+// one more window of encoded entries and then fails sends with
+// ErrPeerStalled until the peer drains. Encode buffers are reused per
+// connection, so a steady-state send performs no codec allocations.
 //
-// On a real clock, outbound frames are write-coalesced per peer
-// connection: a frame is appended to the connection's pending batch and the
-// batch is flushed either once it reaches coalesceBytes or when the
-// coalesceDelay flush deadline (a wall-clock timer armed when the batch
-// opens) fires — so a burst of protocol messages to one peer costs one
-// syscall instead of one per frame, at a bounded worst-case added latency
-// of coalesceDelay. Frame order per connection is preserved (FIFO batches),
-// write errors are sticky and surface on the next Send to that peer (which
-// then re-dials), and Close flushes. Under a virtual clock each frame is
-// flushed as soon as it is encoded: a wall-clock flush timer could fire
-// outside the deterministic schedule.
+// On a real clock, entries are write-coalesced per connection: an entry
+// joins the connection's open batch, which is flushed once it holds
+// coalesceBytes or when the coalesceDelay deadline (a wall-clock timer armed
+// when the batch opens) fires — so a burst of messages to one peer costs
+// one syscall instead of one per message, at a bounded added latency of
+// coalesceDelay. Batches keep per-connection FIFO order, write errors are
+// sticky and surface on the next Send over the connection (which drops it,
+// so the send after re-dials), and Close flushes. Under a virtual clock
+// each entry is flushed as soon as it is encoded: a wall-clock flush timer
+// could fire outside the deterministic schedule.
 //
-// Endpoints created in this process listen on loopback by default; peers in
-// other processes are introduced with SetPeer. Construct with NewTCP.
+// A destination thread address resolves to a host:port through one
+// resolver. By default that is the address book: every endpoint created in
+// this process listens on its own socket (loopback unless SetListenAddr
+// says otherwise) and enters itself there, and SetPeer adds endpoints of
+// other processes. Each sending endpoint keeps its own connection per
+// destination host:port. Construct with NewTCP.
 //
 // # Node mode
 //
-// ConfigureNode switches the network into cluster node mode: instead of one
-// listener per logical endpoint, the whole process listens once and every
-// message carries its destination thread address on the wire, inside
-// batched node frames under per-peer credit flow control (see DESIGN.md
-// "Cross-node fast path"). A thread address then resolves node-first:
-// outbound sends ask the configured resolver which node (host:port)
-// currently hosts the destination thread and share one connection per
-// destination node across all local endpoints, and the node listener
-// routes inbound frames to the local endpoint bound to the frame's
-// destination address. Frames for locally-placed threads whose
-// endpoint has not bound yet (a fast peer racing the local action start)
-// are retained — bounded — and flushed when the endpoint binds; frames for
-// unknown addresses are dropped. Sends between two locally-hosted threads
-// bypass the wire and go straight to the destination receive queue.
+// ConfigureNode makes the network one node of a cluster: the process
+// listens once, endpoints get no socket of their own, the cluster's
+// directory replaces the address book as the resolver, and all local
+// endpoints share one connection per destination node. Sends between two
+// threads placed on this node bypass the wire. Frames for locally-placed
+// threads whose endpoint has not bound yet (a fast peer racing the local
+// action start) are retained — bounded — and flushed when the endpoint
+// binds; frames for addresses the node does not host are dropped.
 type TCP struct {
 	clock vclock.Clock
 
@@ -65,71 +66,61 @@ type TCP struct {
 	// it.
 	coalesce bool
 
-	// metrics, when non-nil, counts sends as "msg.<Kind>" plus "msg.total"
-	// through interned counters (see SetMetrics); counters are resolved
-	// lazily so a steady-state send costs two atomic adds.
-	metrics  *trace.Metrics
-	counters [protocol.NumKinds]atomic.Pointer[trace.Counter]
-	total    atomic.Pointer[trace.Counter]
+	// metrics, when non-nil, counts sends as "msg.<Kind>" plus "msg.total",
+	// and wire events as "tcp.*", through interned counters (see inc).
+	metrics      *trace.Metrics
+	counters     [protocol.NumKinds]atomic.Pointer[trace.Counter]
+	total        atomic.Pointer[trace.Counter]
+	batchFrames  atomic.Pointer[trace.Counter] // flushed batches
+	creditStalls atomic.Pointer[trace.Counter] // sends refused by ErrPeerStalled
+	reinjected   atomic.Pointer[trace.Counter] // deliveries re-retained by Reinject
 
-	// mu is read-mostly on the send hot path (every dial consults the book
-	// to detect address re-binds), so readers take the shared lock.
+	// mu is read-mostly on the send hot path (resolution and the connection
+	// lookup), so readers take the shared lock.
 	mu     sync.RWMutex
-	listen string            // host:port listeners bind to; loopback default
+	listen string            // host:port endpoint listeners bind to; loopback default
 	book   map[string]string // logical address -> host:port
 	eps    map[string]*tcpEndpoint
 	closed bool
 
-	// Node-mode state (ConfigureNode).
-	node        bool
-	nodeLn      net.Listener
-	local       func(addr string) bool           // thread placed on this node?
-	resolver    func(addr string) (string, bool) // thread -> hosting node's host:port
-	nodeConns   map[string]*tcpConn              // outbound, keyed by node host:port
-	nodeIn      map[net.Conn]struct{}            // accepted inbound node conns
-	retained    map[string][]Delivery            // local threads not yet bound
-	retainedLen int
-
-	// window is the per-peer credit window in messages; like node, it is
-	// written before traffic flows.
+	// window is the per-connection credit window in messages; like resolve
+	// and local, it is written before traffic flows.
 	window int
 
-	// routes caches thread→placement lookups (local + hosting node) so a
-	// burst of sends within one coalesce window consults the resolver once
-	// per destination instead of once per message. Entries are keyed by
-	// thread address (a bounded set: the deployment's placements) and expire
-	// when routeGen moves — bumped on every batch flush and on connection
-	// drops, so a restarted peer is re-resolved within one flush window.
-	routes   sync.Map // thread addr -> *nodeRoute
-	routeGen atomic.Uint64
+	// resolve maps a destination thread address to the host:port serving
+	// it: ListenAddr (the address book) by default, the cluster directory
+	// in node mode.
+	resolve func(addr string) (string, bool)
 
-	// Interned node-wire counters ("tcp.batch_frames", "tcp.credit_stalls",
-	// "tcp.reinjected").
-	batchFrames  atomic.Pointer[trace.Counter]
-	creditStalls atomic.Pointer[trace.Counter]
-	reinjected   atomic.Pointer[trace.Counter]
+	// conns holds the outbound connections; inbound the accepted ones, each
+	// with the endpoint whose listener accepted it (nil for the node
+	// listener), so closing that endpoint severs them.
+	conns   map[connKey]*tcpConn
+	inbound map[net.Conn]*tcpEndpoint
+
+	// Node-mode state (ConfigureNode).
+	nodeLn      net.Listener
+	local       func(addr string) bool // thread placed on this node?
+	retained    map[string][]Delivery  // local threads not yet bound
+	retainedLen int
 }
 
-// nodeRoute is one cached placement lookup; valid while gen matches the
-// network's routeGen.
-type nodeRoute struct {
-	local    bool
-	hostport string
-	gen      uint64
-}
+// connKey names one outbound connection: the destination host:port and,
+// for an endpoint with its own listener, the sending endpoint's address.
+// Node-mode endpoints share their node's connections (from is empty).
+type connKey struct{ from, hostport string }
 
-// ErrPeerStalled reports that a destination node's credit window and the
-// bounded pending buffer behind it are both exhausted: the peer granted
-// credits once but has stopped consuming, so accepting more traffic for it
-// would buffer without bound. The connection stays healthy — sends resume
-// as soon as the peer drains and grants again.
+// ErrPeerStalled reports that a destination's credit window and the bounded
+// pending buffer behind it are both exhausted: the peer granted credits once
+// but has stopped consuming, so accepting more traffic for it would buffer
+// without bound. The connection stays healthy — sends resume as soon as the
+// peer drains and grants again.
 var ErrPeerStalled = fmt.Errorf("transport: peer stalled (credit window exhausted)")
 
 var _ Network = (*TCP)(nil)
 
-// maxFrame bounds one binary frame (1 MiB): a length prefix beyond it marks
-// a corrupt or hostile stream and closes the connection instead of
-// attempting the allocation.
+// maxFrame bounds one encoded message (1 MiB): a batch entry beyond it is
+// refused at encode time rather than put on the wire.
 const maxFrame = 1 << 20
 
 // Write-coalescing bounds: a batch flushes as soon as it holds
@@ -146,18 +137,21 @@ const (
 
 // Node-wire bounds.
 const (
-	// defaultPeerWindow is the per-peer credit window in messages: the most
-	// a sender may have on the wire past the peer's last grant. The pending
-	// buffer behind an exhausted window holds the same again, so a stalled
-	// peer pins at most 2×window encoded messages per connection.
+	// defaultPeerWindow is the per-connection credit window in messages:
+	// the most a sender may have on the wire past the peer's last grant.
+	// The pending buffer behind an exhausted window holds the same again,
+	// so a stalled peer pins at most 2×window encoded messages per
+	// connection.
 	defaultPeerWindow = 4096
-	// maxNodeBatch bounds one batched node frame on the wire: at most one
+	// maxNodeBatch bounds one batched frame on the wire: at most one
 	// coalesce window of accumulated entries plus one maximum-size frame
-	// appended just before the size-driven flush (plus headers).
+	// appended just before the size-driven flush (plus headers). A length
+	// prefix beyond it marks a corrupt or hostile stream and closes the
+	// connection instead of attempting the allocation.
 	maxNodeBatch = maxFrame + coalesceBytes + 64
-	// grantWriteTimeout bounds a credit-grant write on an inbound node
-	// connection. A peer that does not read its grants absorbs them into its
-	// socket buffer; if even that backs up, granting stops for that
+	// grantWriteTimeout bounds a credit-grant write on an inbound
+	// connection. A peer that does not read its grants absorbs them into
+	// its socket buffer; if even that backs up, granting stops for that
 	// connection while reading continues — the peer then runs out of credit
 	// and its sends fail with ErrPeerStalled instead of the read loop
 	// stalling.
@@ -172,26 +166,30 @@ var frameBufPool = sync.Pool{
 	},
 }
 
-// NewTCP returns a TCP network speaking the binary wire codec. The clock is
-// used only for receive queues and timeouts; it should be a real clock in
+// NewTCP returns a TCP network speaking the node wire. The clock is used
+// only for receive queues and timeouts; it should be a real clock in
 // production.
 func NewTCP(clock vclock.Clock) *TCP {
 	protocol.RegisterGob() // App payload fallbacks still ride gob
 	_, real := clock.(interface{ RealTime() })
-	return &TCP{
+	t := &TCP{
 		clock:    clock,
 		coalesce: real,
 		window:   defaultPeerWindow,
 		book:     make(map[string]string),
 		eps:      make(map[string]*tcpEndpoint),
+		conns:    make(map[connKey]*tcpConn),
+		inbound:  make(map[net.Conn]*tcpEndpoint),
 	}
+	t.resolve = t.ListenAddr
+	return t
 }
 
-// SetPeerWindow sets the per-peer credit window in messages (default 4096).
-// The window is advertised to each dialling peer on the wire; a sender that
-// exhausts it buffers up to one more window and then fails sends with
-// ErrPeerStalled until the peer drains. Non-positive values are ignored.
-// Must be called before endpoints are created.
+// SetPeerWindow sets the per-connection credit window in messages (default
+// 4096). The window is advertised to each dialling peer on the wire; a
+// sender that exhausts it buffers up to one more window and then fails
+// sends with ErrPeerStalled until the peer drains. Non-positive values are
+// ignored. Must be called before endpoints are created.
 func (t *TCP) SetPeerWindow(n int) {
 	if n <= 0 {
 		return
@@ -199,49 +197,6 @@ func (t *TCP) SetPeerWindow(n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.window = n
-}
-
-// countBatchFrame records one flushed batched node frame.
-func (t *TCP) countBatchFrame() {
-	m := t.metrics
-	if m == nil {
-		return
-	}
-	c := t.batchFrames.Load()
-	if c == nil {
-		c = m.Counter("tcp.batch_frames")
-		t.batchFrames.Store(c)
-	}
-	c.Add(1)
-}
-
-// countCreditStall records one send rejected by an exhausted credit window.
-func (t *TCP) countCreditStall() {
-	m := t.metrics
-	if m == nil {
-		return
-	}
-	c := t.creditStalls.Load()
-	if c == nil {
-		c = m.Counter("tcp.credit_stalls")
-		t.creditStalls.Store(c)
-	}
-	c.Add(1)
-}
-
-// countReinject records one delivery handed back by a dying mux shared
-// endpoint and re-retained for its address's next bind.
-func (t *TCP) countReinject() {
-	m := t.metrics
-	if m == nil {
-		return
-	}
-	c := t.reinjected.Load()
-	if c == nil {
-		c = m.Counter("tcp.reinjected")
-		t.reinjected.Store(c)
-	}
-	c.Add(1)
 }
 
 // SetMetrics attaches a counter set recording per-kind send counts
@@ -254,27 +209,30 @@ func (t *TCP) SetMetrics(m *trace.Metrics) {
 	t.metrics = m
 }
 
-// count records one sent message of the given dense kind index through the
-// interned counters; a nil metrics set costs one predictable branch.
-func (t *TCP) count(kind int) {
+// inc adds one to the counter interned in slot, interning name on first
+// use; without a metrics set it costs one predictable branch.
+func (t *TCP) inc(slot *atomic.Pointer[trace.Counter], name string) {
 	m := t.metrics
 	if m == nil {
 		return
 	}
+	c := slot.Load()
+	if c == nil {
+		c = m.Counter(name)
+		slot.Store(c)
+	}
+	c.Add(1)
+}
+
+// count records one sent message of the given dense kind index.
+func (t *TCP) count(kind int) {
+	if t.metrics == nil {
+		return
+	}
 	if kind >= 0 && kind < protocol.NumKinds {
-		c := t.counters[kind].Load()
-		if c == nil {
-			c = m.Counter(protocol.MetricNames[kind])
-			t.counters[kind].Store(c)
-		}
-		c.Add(1)
+		t.inc(&t.counters[kind], protocol.MetricNames[kind])
 	}
-	tc := t.total.Load()
-	if tc == nil {
-		tc = m.Counter("msg.total")
-		t.total.Store(tc)
-	}
-	tc.Add(1)
+	t.inc(&t.total, "msg.total")
 }
 
 // nodeRetainCap bounds the deliveries a node retains for locally-placed
@@ -284,22 +242,22 @@ func (t *TCP) count(kind int) {
 const nodeRetainCap = 4096
 
 // ConfigureNode switches the network into cluster node mode (see the type
-// docs): one shared listener for the whole process, node-qualified frames,
-// resolver-based thread→node routing, and bounded retention for early
-// frames to locally-placed threads. local reports whether a thread address
-// is placed on this node; resolve maps a thread address to the host:port of
-// the node currently hosting it (consulted per send, so a peer that
-// restarts on a new port is re-dialled as soon as the resolver learns the
-// new address). Node mode needs a real clock: its batches flush on a
-// wall-clock deadline. Must be called before any Endpoint is created;
-// returns the bound listen address for exchange with peers.
+// docs): one shared listener for the whole process, resolver-based
+// thread→node routing, and bounded retention for early frames to
+// locally-placed threads. local reports whether a thread address is placed
+// on this node; resolve maps a thread address to the host:port of the node
+// currently hosting it (consulted per send, so a peer that restarts on a
+// new port is re-dialled as soon as the resolver learns the new address).
+// Node mode needs a real clock: its batches flush on a wall-clock deadline.
+// Must be called before any Endpoint is created; returns the bound listen
+// address for exchange with peers.
 func (t *TCP) ConfigureNode(listen string, local func(string) bool, resolve func(string) (string, bool)) (string, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return "", ErrClosed
 	}
-	if t.node {
+	if t.nodeLn != nil {
 		return "", fmt.Errorf("transport: node mode already configured")
 	}
 	if !t.coalesce {
@@ -318,14 +276,11 @@ func (t *TCP) ConfigureNode(listen string, local func(string) bool, resolve func
 	if err != nil {
 		return "", fmt.Errorf("transport: node listen: %w", err)
 	}
-	t.node = true
 	t.nodeLn = ln
 	t.local = local
-	t.resolver = resolve
-	t.nodeConns = make(map[string]*tcpConn)
-	t.nodeIn = make(map[net.Conn]struct{})
+	t.resolve = resolve
 	t.retained = make(map[string][]Delivery)
-	go t.nodeAcceptLoop(ln)
+	go t.nodeAcceptLoop(ln, nil)
 	return ln.Addr().String(), nil
 }
 
@@ -356,8 +311,9 @@ func (t *TCP) SetPeer(addr, hostport string) {
 	t.book[addr] = hostport
 }
 
-// ListenAddr reports the host:port a local endpoint is listening on, for
-// exchange with other processes.
+// ListenAddr reports the host:port the address book holds for a logical
+// address: a local endpoint's listener, or a peer recorded by SetPeer. It
+// is the resolver outside node mode.
 func (t *TCP) ListenAddr(addr string) (string, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -365,9 +321,10 @@ func (t *TCP) ListenAddr(addr string) (string, bool) {
 	return hp, ok
 }
 
-// Endpoint implements Network. In node mode the endpoint shares the node
-// listener (no per-endpoint socket) and any frames retained for its address
-// are flushed into its receive queue before the bind is visible.
+// Endpoint implements Network. Outside node mode the endpoint listens on a
+// socket of its own and enters it in the address book; in node mode it
+// shares the node listener, and any frames retained for its address are
+// flushed into its receive queue before the bind is visible.
 func (t *TCP) Endpoint(addr string) (Endpoint, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -377,40 +334,28 @@ func (t *TCP) Endpoint(addr string) (Endpoint, error) {
 	if _, ok := t.eps[addr]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateAddr, addr)
 	}
-	if t.node {
-		ep := &tcpEndpoint{
-			net:   t,
-			addr:  addr,
-			queue: t.clock.NewQueue(),
+	ep := &tcpEndpoint{net: t, addr: addr, queue: t.clock.NewQueue()}
+	if t.nodeLn == nil {
+		listen := t.listen
+		if listen == "" {
+			listen = "127.0.0.1:0"
 		}
-		t.eps[addr] = ep
-		if pend := t.retained[addr]; len(pend) > 0 {
-			delete(t.retained, addr)
-			t.retainedLen -= len(pend)
-			for _, d := range pend {
-				ep.queue.Put(borrowDelivery(d.From, d.Msg, d.Corrupt))
-			}
+		ln, err := net.Listen("tcp", listen)
+		if err != nil {
+			return nil, fmt.Errorf("transport: listen: %w", err)
 		}
-		return ep, nil
-	}
-	listen := t.listen
-	if listen == "" {
-		listen = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen: %w", err)
-	}
-	ep := &tcpEndpoint{
-		net:   t,
-		addr:  addr,
-		ln:    ln,
-		queue: t.clock.NewQueue(),
-		conns: make(map[string]*tcpConn),
+		ep.ln = ln
+		t.book[addr] = ln.Addr().String()
+		go t.nodeAcceptLoop(ln, ep)
 	}
 	t.eps[addr] = ep
-	t.book[addr] = ln.Addr().String()
-	go ep.acceptLoop()
+	if pend := t.retained[addr]; len(pend) > 0 {
+		delete(t.retained, addr)
+		t.retainedLen -= len(pend)
+		for _, d := range pend {
+			ep.queue.Put(borrowDelivery(d.From, d.Msg, d.Corrupt))
+		}
+	}
 	return ep, nil
 }
 
@@ -421,18 +366,18 @@ func (t *TCP) Close() error {
 	for _, ep := range t.eps {
 		eps = append(eps, ep)
 	}
-	nodeLn := t.nodeLn
-	conns := make([]*tcpConn, 0, len(t.nodeConns))
-	for _, c := range t.nodeConns {
+	conns := make([]*tcpConn, 0, len(t.conns))
+	for _, c := range t.conns {
 		conns = append(conns, c)
 	}
-	t.nodeConns = nil
-	inbound := make([]net.Conn, 0, len(t.nodeIn))
-	for conn := range t.nodeIn {
+	clear(t.conns)
+	inbound := make([]net.Conn, 0, len(t.inbound))
+	for conn := range t.inbound {
 		inbound = append(inbound, conn)
 	}
-	t.nodeIn = nil
+	clear(t.inbound)
 	t.closed = true
+	nodeLn := t.nodeLn
 	t.mu.Unlock()
 	if nodeLn != nil {
 		_ = nodeLn.Close()
@@ -461,13 +406,18 @@ func closeConn(c *tcpConn) {
 	_ = c.conn.Close()
 }
 
-// dropConn abandons a broken or stale connection: the flush timer is stopped
-// (nothing may fire on a dead socket after the owner forgot it) and the
-// socket closed, with no flush attempt — the stream is already poisoned or
-// belongs to a stale incarnation. Every teardown path must stop the timer:
-// closeConn for healthy closes, dropConn here for the re-dial paths, or a
-// batch-open timer on a forgotten connection outlives it.
-func dropConn(c *tcpConn) {
+// forget abandons a broken connection: it leaves the connection map, so the
+// next send re-dials, its flush timer is stopped (nothing may fire on a dead
+// socket after the owner forgot it) and the socket closed, with no flush
+// attempt — the stream is already poisoned or its peer gone. Every teardown
+// path must stop the timer: closeConn for healthy closes, forget for broken
+// ones, or a batch-open timer on a forgotten connection outlives it.
+func (t *TCP) forget(c *tcpConn) {
+	t.mu.Lock()
+	if t.conns[c.key] == c {
+		delete(t.conns, c.key)
+	}
+	t.mu.Unlock()
 	c.mu.Lock()
 	if c.timer != nil {
 		c.timer.Stop()
@@ -479,35 +429,26 @@ func dropConn(c *tcpConn) {
 type tcpConn struct {
 	mu   sync.Mutex
 	conn net.Conn
-	// hostport is the physical address this connection was dialled to; a
-	// cached connection is only reused while the logical address still
-	// resolves there (re-binding an address — e.g. the mux tearing a thread
-	// address down and a later instance reopening it on a fresh port —
-	// would otherwise leave peers sending into the dead incarnation).
-	hostport string
-	// owner backs the node-wire hooks a flush needs (batch-frame counting,
-	// route-cache expiry); nil on per-endpoint (non-node) connections.
+	key  connKey
+	// owner backs what a flush needs from the network: the coalescing mode
+	// and the batch-frame counter.
 	owner *TCP
 
-	// Write state (see the TCP type docs). wbuf accumulates encoded frames
-	// (on a virtual clock it holds at most the one frame being written);
-	// timer is the reused flush-deadline timer, armed whenever a batch
-	// opens on a real clock; werr is the sticky error of a failed
-	// (possibly timer-driven) flush, surfaced on the next Send so the
-	// caller drops and re-dials the connection.
-	// batching marks wbuf as one open batched node frame (outer length
-	// placeholder + batch header + entries) rather than a run of
-	// self-prefixed frames; the flush backfills the outer length.
-	wbuf     []byte
-	timer    *time.Timer
-	werr     error
-	batching bool
+	// Write state (see the TCP type docs). wbuf is the open batched frame
+	// (outer length placeholder + batch header + entries), empty when no
+	// batch is open; the flush backfills the outer length. timer is the
+	// reused flush-deadline timer, armed whenever a batch opens on a real
+	// clock; werr is the sticky error of a failed (possibly timer-driven)
+	// flush, surfaced on the next Send so the caller drops the connection.
+	wbuf  []byte
+	timer *time.Timer
+	werr  error
 
-	// Credit flow control (node connections). creditLive latches at the
-	// peer's first grant; until then sends are not credit-limited.
-	// credits is the remaining grant balance; once exhausted, encoded
-	// entries accumulate in pend (bounded to pendMax messages, FIFO ahead
-	// of new sends) until the next grant splices them into the batch.
+	// Credit flow control. creditLive latches at the peer's first grant;
+	// until then sends are not credit-limited. credits is the remaining
+	// grant balance; once exhausted, encoded entries accumulate in pend
+	// (bounded to pendMax messages, FIFO ahead of new sends) until the next
+	// grant splices them into the batch.
 	creditLive bool
 	credits    int
 	pend       []byte
@@ -515,9 +456,8 @@ type tcpConn struct {
 	pendMax    int
 }
 
-// flushLocked writes the pending batch in one syscall, closing and
-// backfilling the open batched frame first when one is open. c.mu must be
-// held.
+// flushLocked closes the open batch and writes it in one syscall. c.mu must
+// be held.
 func (c *tcpConn) flushLocked() error {
 	if c.werr != nil {
 		return c.werr
@@ -525,16 +465,8 @@ func (c *tcpConn) flushLocked() error {
 	if len(c.wbuf) == 0 {
 		return nil
 	}
-	if c.batching {
-		binary.BigEndian.PutUint32(c.wbuf[:4], uint32(len(c.wbuf)-4))
-		c.batching = false
-		if c.owner != nil {
-			c.owner.countBatchFrame()
-			// One batch flushed: expire the route cache so the next batch
-			// re-resolves its destinations (the "once per flush" contract).
-			c.owner.routeGen.Add(1)
-		}
-	}
+	binary.BigEndian.PutUint32(c.wbuf[:4], uint32(len(c.wbuf)-4))
+	c.owner.inc(&c.owner.batchFrames, "tcp.batch_frames")
 	_, err := c.conn.Write(c.wbuf)
 	if cap(c.wbuf) > coalesceMaxRetain {
 		c.wbuf = nil
@@ -545,47 +477,58 @@ func (c *tcpConn) flushLocked() error {
 	return err
 }
 
-// armTimerLocked arms (or re-arms) the flush-deadline timer. The timer is
+// openLocked opens a batch in the empty write buffer. c.mu must be held.
+func (c *tcpConn) openLocked() {
+	c.wbuf = protocol.AppendNodeBatchHeader(append(c.wbuf, 0, 0, 0, 0))
+}
+
+// scheduleLocked makes sure the open batch gets written: at once under a
+// virtual clock, otherwise when the flush deadline fires. The timer is
 // created once per connection and reused; a size-driven flush may let it
 // fire on an empty (or younger) batch, which is a harmless early flush.
 // c.mu must be held.
-func (c *tcpConn) armTimerLocked() {
+func (c *tcpConn) scheduleLocked() error {
+	if !c.owner.coalesce {
+		return c.flushLocked()
+	}
 	if c.timer == nil {
 		c.timer = time.AfterFunc(coalesceDelay, func() {
 			c.mu.Lock()
-			_ = c.flushLocked() // failure is sticky; the next Send re-dials
+			_ = c.flushLocked() // failure is sticky; the next Send drops the connection
 			c.mu.Unlock()
 		})
 	} else {
 		c.timer.Reset(coalesceDelay)
 	}
+	return nil
 }
 
-// nodeAcceptLoop accepts peer-node connections on the shared node listener.
-// Accepted connections are tracked in nodeIn so Close can sever inbound
-// streams too — peers then observe a node shutdown as a broken connection
-// rather than a silent black hole.
-func (t *TCP) nodeAcceptLoop(ln net.Listener) {
+// nodeAcceptLoop accepts connections on one listener: the node listener
+// (owner nil) or an endpoint's own. Accepted connections are tracked in
+// inbound so Close can sever them too — peers then observe a shutdown as a
+// broken connection rather than a silent black hole, and drop their
+// connection to it.
+func (t *TCP) nodeAcceptLoop(ln net.Listener, owner *tcpEndpoint) {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
 		t.mu.Lock()
-		if t.closed || t.nodeIn == nil {
+		if t.closed || (owner != nil && t.eps[owner.addr] != owner) {
 			t.mu.Unlock()
 			_ = conn.Close()
 			continue
 		}
-		t.nodeIn[conn] = struct{}{}
+		t.inbound[conn] = owner
 		t.mu.Unlock()
 		go t.nodeReadLoop(conn)
 	}
 }
 
-// nodeReadLoop decodes batched node frames off one inbound connection and
-// routes each entry to the local endpoint bound to its destination address.
-// It also runs the receiver half of the credit protocol: it advertises the
+// nodeReadLoop decodes batched frames off one inbound connection and routes
+// each entry to the local endpoint bound to its destination address. It
+// also runs the receiver half of the credit protocol: it advertises the
 // window up front and grants again each time half a window has been
 // consumed, writing grants back on the inbound connection (the only writer
 // on it, so no lock is needed).
@@ -593,7 +536,7 @@ func (t *TCP) nodeReadLoop(conn net.Conn) {
 	defer func() {
 		_ = conn.Close()
 		t.mu.Lock()
-		delete(t.nodeIn, conn)
+		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
 	br := bufio.NewReader(conn)
@@ -604,13 +547,19 @@ func (t *TCP) nodeReadLoop(conn net.Conn) {
 	window := t.window
 	t.mu.RUnlock()
 	granting := sendGrant(conn, window)
-	threshold := window / 2
-	if threshold < 1 {
-		threshold = 1
-	}
+	threshold := max(window/2, 1)
 	consumed := 0
-	deliver := func(to, from string, msg protocol.Message) error {
-		t.deliverNode(to, from, msg)
+	deliver := func(to []byte, from string, msg protocol.Message) error {
+		// Look the destination up in place (string(to) in the index
+		// expression does not allocate); only a miss converts it.
+		t.mu.RLock()
+		ep := t.eps[string(to)]
+		t.mu.RUnlock()
+		if ep != nil {
+			ep.deliver(from, msg)
+		} else {
+			t.deliverNode(string(to), from, msg)
+		}
 		consumed++
 		return nil
 	}
@@ -646,10 +595,9 @@ func (t *TCP) nodeReadLoop(conn net.Conn) {
 	}
 }
 
-// sendGrant writes one credit grant on an inbound node connection under a
-// short write deadline; false means granting should stop for this
-// connection (the peer is not draining its grant stream) while reading
-// continues.
+// sendGrant writes one credit grant on an inbound connection under a short
+// write deadline; false means granting should stop for this connection (the
+// peer is not draining its grant stream) while reading continues.
 func sendGrant(conn net.Conn, grant int) bool {
 	var scratch [24]byte
 	buf := protocol.AppendNodeCredit(scratch[:4], grant)
@@ -660,10 +608,12 @@ func sendGrant(conn net.Conn, grant int) bool {
 	return err == nil
 }
 
-// creditReadLoop runs on the dialling side of an outbound node connection,
-// consuming the grant stream the accepting peer writes back. It exits when
-// the connection closes.
+// creditReadLoop runs on the dialling side of an outbound connection,
+// consuming the grant stream the accepting peer writes back. When the
+// connection closes — the peer shut it, or this side did — the loop forgets
+// it, so the next send re-dials instead of writing into a dead stream.
 func (t *TCP) creditReadLoop(c *tcpConn) {
+	defer t.forget(c)
 	br := bufio.NewReader(c.conn)
 	var hdr [4]byte
 	var buf [64]byte
@@ -682,7 +632,7 @@ func (t *TCP) creditReadLoop(c *tcpConn) {
 		if err != nil {
 			return
 		}
-		t.handleGrant(c, grant)
+		c.handleGrant(grant)
 	}
 }
 
@@ -690,7 +640,7 @@ func (t *TCP) creditReadLoop(c *tcpConn) {
 // many pending entries as the new balance allows into the open batch,
 // flushing at the byte bound so a large backlog drains in wire-legal
 // frames.
-func (t *TCP) handleGrant(c *tcpConn, grant int) {
+func (c *tcpConn) handleGrant(grant int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.creditLive {
@@ -710,8 +660,7 @@ func (t *TCP) handleGrant(c *tcpConn, grant int) {
 	for moved < c.pendCnt && c.credits > 0 {
 		e := nodeBatchEntrySize + int(binary.BigEndian.Uint32(c.pend[off:]))
 		if len(c.wbuf) == 0 {
-			c.wbuf = protocol.AppendNodeBatchHeader(append(c.wbuf, 0, 0, 0, 0))
-			c.batching = true
+			c.openLocked()
 		}
 		c.wbuf = append(c.wbuf, c.pend[off:off+e]...)
 		off += e
@@ -730,7 +679,7 @@ func (t *TCP) handleGrant(c *tcpConn, grant int) {
 		c.pend = nil
 	}
 	if len(c.wbuf) > 0 && c.werr == nil {
-		c.armTimerLocked()
+		_ = c.scheduleLocked()
 	}
 }
 
@@ -740,7 +689,7 @@ const nodeBatchEntrySize = 4
 
 // deliverNode hands one frame to the local endpoint bound to the destination
 // address, retaining it (bounded) when the destination is a locally-placed
-// thread that has not bound yet. Frames for addresses this node does not
+// thread that has not bound yet. Frames for addresses this network does not
 // host are dropped — a stale peer routing to the wrong node must not crash
 // the right one. Reports whether the frame was delivered or retained.
 func (t *TCP) deliverNode(to, from string, msg protocol.Message) bool {
@@ -769,118 +718,41 @@ func (t *TCP) deliverNode(to, from string, msg protocol.Message) bool {
 	return true
 }
 
-// nodeSend routes one outbound message in node mode: straight into the
-// destination queue for locally-hosted threads, otherwise over the shared
-// per-node connection of whichever node the resolver says currently hosts
-// the destination thread.
-func (t *TCP) nodeSend(from, to string, msg protocol.Message) error {
-	r, err := t.routeFor(to)
-	if err != nil {
-		return err
-	}
-	kind := protocol.KindIndexOf(msg)
-	if r.local {
-		if !t.deliverNode(to, from, msg) {
-			return fmt.Errorf("transport: send to %q: local retention full", to)
-		}
-		t.count(kind)
-		return nil
-	}
-	c, err := t.dialNode(r.hostport)
-	if err != nil {
-		t.routes.Delete(to) // the cached placement may be the stale part
-		return fmt.Errorf("transport: send to %q: %w", to, err)
-	}
-	err, broken := t.writeNodeBatched(c, to, from, msg)
-	if err != nil {
-		t.routes.Delete(to)
-		if broken {
-			t.mu.Lock()
-			if t.nodeConns[r.hostport] == c {
-				delete(t.nodeConns, r.hostport)
-			}
-			t.mu.Unlock()
-			dropConn(c)
-			// A dropped connection invalidates every destination routed
-			// through it; the next sends re-resolve (and re-dial wherever
-			// the resolver now points), which is how a restarted peer heals.
-			t.routeGen.Add(1)
-		}
-		return fmt.Errorf("transport: send to %q via %s: %w", to, r.hostport, err)
-	}
-	t.count(kind)
-	return nil
-}
-
-// routeFor resolves a destination thread's placement — local, or the
-// hosting node's host:port — consulting the per-flush route cache first on
-// the fast path. A cache entry is valid while routeGen stands still, i.e.
-// within the current coalesce window of every peer connection: a burst of
-// sends to one destination inside a 100µs flush window resolves once. A
-// placement change (thread migration, peer restart) is picked up at the
-// next flush or connection drop, whichever comes first.
-func (t *TCP) routeFor(to string) (nodeRoute, error) {
-	gen := t.routeGen.Load()
-	if v, ok := t.routes.Load(to); ok {
-		if r := v.(*nodeRoute); r.gen == gen {
-			return *r, nil
-		}
-	}
+// dialNode returns the outbound connection for key, dialling on first use
+// on behalf of endpoint e. Keys carry the destination's host:port, so a
+// re-bound address or a peer restarted on a new port gets a fresh
+// connection as soon as the resolver reports the new address; the stale
+// one is dropped when its peer closes it or by the next failed write.
+func (t *TCP) dialNode(e *tcpEndpoint, key connKey) (*tcpConn, error) {
 	t.mu.RLock()
-	closed := t.closed
-	local := t.local(to)
+	c, closed := t.conns[key], t.closed
 	t.mu.RUnlock()
 	if closed {
-		return nodeRoute{}, ErrClosed
-	}
-	r := nodeRoute{local: local, gen: gen}
-	if !local {
-		hostport, ok := t.resolver(to)
-		if !ok {
-			// Not cached: an unplaced thread must heal the moment the
-			// resolver learns it, not a flush later.
-			return nodeRoute{}, fmt.Errorf("%w: %q (no live node hosts it)", ErrUnknownAddr, to)
-		}
-		r.hostport = hostport
-	}
-	t.routes.Store(to, &r)
-	return r, nil
-}
-
-// dialNode returns the shared connection to a peer node, dialling on first
-// use. Connections are keyed by the node's host:port, so a peer that
-// restarts on a new port naturally gets a fresh connection as soon as the
-// resolver reports the new address (the stale one is dropped by the next
-// failed write).
-func (t *TCP) dialNode(hostport string) (*tcpConn, error) {
-	t.mu.RLock()
-	if t.closed {
-		t.mu.RUnlock()
 		return nil, ErrClosed
 	}
-	c := t.nodeConns[hostport]
-	t.mu.RUnlock()
 	if c != nil {
 		return c, nil
 	}
-	conn, err := net.DialTimeout("tcp", hostport, 5*time.Second)
+	conn, err := net.DialTimeout("tcp", key.hostport, 5*time.Second)
 	if err != nil {
-		return nil, fmt.Errorf("transport: dial node %s: %w", hostport, err)
+		return nil, fmt.Errorf("transport: dial %s: %w", key.hostport, err)
 	}
-	c = &tcpConn{conn: conn, hostport: hostport, owner: t}
+	c = &tcpConn{conn: conn, key: key, owner: t}
 	t.mu.Lock()
 	c.pendMax = t.window
-	if t.closed {
+	if t.closed || (key.from != "" && t.eps[e.addr] != e) {
+		// The network, or the sending endpoint whose connections these
+		// are, closed while dialling.
 		t.mu.Unlock()
 		_ = conn.Close()
 		return nil, ErrClosed
 	}
-	if prev, ok := t.nodeConns[hostport]; ok {
+	if prev := t.conns[key]; prev != nil {
 		t.mu.Unlock()
 		_ = conn.Close() // lost the race; reuse the established one
 		return prev, nil
 	}
-	t.nodeConns[hostport] = c
+	t.conns[key] = c
 	t.mu.Unlock()
 	// The accepting side writes credit grants back on this connection;
 	// consume them. The loop exits when the connection closes.
@@ -901,10 +773,6 @@ type tcpEndpoint struct {
 	// delivery queued just before the switch.
 	sink atomic.Pointer[func(Delivery)]
 	dmu  sync.Mutex
-
-	mu     sync.Mutex
-	conns  map[string]*tcpConn // outbound, keyed by destination logical addr
-	closed bool
 }
 
 var _ Endpoint = (*tcpEndpoint)(nil)
@@ -974,11 +842,11 @@ func (e *tcpEndpoint) deliver(from string, msg protocol.Message) {
 // Reinject hands a delivery back to the transport after its original
 // destination endpoint closed — the mux calls it (via interface probe) when
 // a shared endpoint dies with early frames still retained for instances that
-// never opened, and deliver falls back to it when a stale reference races Close.
-// In node mode the frame is re-retained for the address's next bind (or
-// delivered straight to an already-bound successor); outside node mode
-// there is no retention and the frame is dropped, the pre-existing
-// semantics for traffic to a closed endpoint. Reports whether the frame
+// never opened, and deliver falls back to it when a stale reference races
+// Close. A successor already bound to the address gets the frame at once;
+// otherwise a node re-retains it for the address's next bind if the thread
+// is placed locally, and outside node mode (no retention) it is dropped,
+// the semantics of traffic to a closed endpoint. Reports whether the frame
 // survived.
 //
 // Lock order: callers may hold a mux shared endpoint's lock; Reinject takes
@@ -987,9 +855,6 @@ func (e *tcpEndpoint) deliver(from string, msg protocol.Message) {
 // reason.
 func (e *tcpEndpoint) Reinject(d Delivery) bool {
 	t := e.net
-	if !t.node {
-		return false
-	}
 	t.mu.Lock()
 	if ep := t.eps[e.addr]; ep != nil && ep != e {
 		// A successor already bound (it replayed the retained set before
@@ -1004,123 +869,56 @@ func (e *tcpEndpoint) Reinject(d Delivery) bool {
 	}
 	t.retained[e.addr] = append(t.retained[e.addr], Delivery{From: d.From, Msg: d.Msg, Corrupt: d.Corrupt})
 	t.retainedLen++
-	t.countReinject()
+	t.inc(&t.reinjected, "tcp.reinjected")
 	return true
 }
 
-func (e *tcpEndpoint) acceptLoop() {
-	for {
-		conn, err := e.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		go e.readLoop(conn)
-	}
-}
-
-func (e *tcpEndpoint) readLoop(conn net.Conn) {
-	defer func() { _ = conn.Close() }()
-	br := bufio.NewReader(conn)
-	var hdr [4]byte
-	bp := frameBufPool.Get().(*[]byte)
-	defer frameBufPool.Put(bp)
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n > maxFrame {
-			return // corrupt or hostile stream
-		}
-		if cap(*bp) < int(n) {
-			*bp = make([]byte, 0, n)
-		}
-		buf := (*bp)[:n]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return
-		}
-		from, msg, err := protocol.DecodeFrame(buf)
-		if err != nil {
-			return // a framing error poisons the stream; drop the connection
-		}
-		e.deliver(from, msg)
-	}
-}
-
+// Send routes one message: straight into the destination queue for a
+// thread placed on this node, otherwise over the connection to whichever
+// host:port the resolver names.
 func (e *tcpEndpoint) Send(to string, msg protocol.Message) error {
-	if e.net.node {
-		return e.net.nodeSend(e.addr, to, msg)
-	}
-	c, err := e.dial(to)
-	if err != nil {
-		return err
-	}
-	err, broken := e.net.writeFrame(c, e.addr, msg)
-	if err != nil {
-		if broken {
-			// Connection broke mid-stream: forget it so a later send
-			// re-dials. Pre-I/O codec errors (a foreign message type, an
-			// oversize frame) leave the healthy connection cached — nothing
-			// reached the wire, so the stream is not poisoned.
-			e.mu.Lock()
-			if e.conns[to] == c {
-				delete(e.conns, to)
-			}
-			e.mu.Unlock()
-			dropConn(c)
+	t := e.net
+	kind := protocol.KindIndexOf(msg)
+	if t.local != nil && t.local(to) {
+		if !t.deliverNode(to, e.addr, msg) {
+			return fmt.Errorf("transport: send to %q: local retention full", to)
 		}
+		t.count(kind)
+		return nil
+	}
+	hostport, ok := t.resolve(to)
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrUnknownAddr, to)
+	}
+	key := connKey{hostport: hostport}
+	if e.ln != nil {
+		key.from = e.addr
+	}
+	c, err := t.dialNode(e, key)
+	if err != nil {
 		return fmt.Errorf("transport: send to %q: %w", to, err)
 	}
-	e.net.count(protocol.KindIndexOf(msg))
+	if err, broken := t.writeNodeBatched(c, to, e.addr, msg); err != nil {
+		if broken {
+			// The stream is poisoned: forget it so a later send re-dials.
+			// Pre-I/O codec errors (a foreign message type, an oversize
+			// frame) and stalls leave the healthy connection cached.
+			t.forget(c)
+		}
+		return fmt.Errorf("transport: send to %q via %s: %w", to, hostport, err)
+	}
+	t.count(kind)
 	return nil
 }
 
-// writeFrame appends one encoded plain frame to a per-endpoint
-// connection's batch. On a real clock the batch flushes on the byte bound
-// and otherwise arms the flush-deadline timer when it opens; under a
-// virtual clock the frame is flushed at once. broken reports whether the
-// error (if any) poisoned the connection's byte stream, requiring a
-// re-dial; a nil return on a real clock means the frame was accepted into
-// the batch, and a failed (possibly timer-driven) flush surfaces as the
-// sticky connection error on a later write. Codec errors leave the batch
-// (and the stream) intact: nothing of the failed frame remains buffered.
-func (t *TCP) writeFrame(c *tcpConn, from string, msg protocol.Message) (err error, broken bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.werr != nil {
-		return c.werr, true // a previous (possibly timer-driven) flush failed
-	}
-	n0 := len(c.wbuf)
-	buf := append(c.wbuf, 0, 0, 0, 0) // length prefix placeholder
-	buf, err = protocol.AppendFrame(buf, from, msg)
-	if err != nil {
-		c.wbuf = buf[:n0] // keep any growth; drop the partial frame
-		return err, false
-	}
-	if len(buf)-n0-4 > maxFrame {
-		c.wbuf = buf[:n0]
-		return fmt.Errorf("%w: frame of %d bytes exceeds the %d-byte bound", protocol.ErrCodec, len(buf)-n0-4, maxFrame), false
-	}
-	binary.BigEndian.PutUint32(buf[n0:n0+4], uint32(len(buf)-n0-4))
-	c.wbuf = buf
-	if !t.coalesce || len(c.wbuf) >= coalesceBytes {
-		err := c.flushLocked()
-		return err, err != nil
-	}
-	if n0 == 0 {
-		// The batch just opened: arm the flush deadline.
-		c.armTimerLocked()
-	}
-	return nil, false
-}
-
-// writeNodeBatched appends one node-qualified message to the connection's
-// open batched frame (opening one as needed), subject to the peer's credit
-// window: out of credits, the encoded entry is parked in the bounded
-// pending buffer instead, and with that full the send fails with
-// ErrPeerStalled — the typed bounded-backpressure surface for a stalled
-// peer. Codec errors leave the batch and the stream intact.
-func (t *TCP) writeNodeBatched(c *tcpConn, nodeTo, from string, msg protocol.Message) (err error, broken bool) {
+// writeNodeBatched appends one message to the connection's open batched
+// frame (opening one as needed), subject to the peer's credit window: out
+// of credits, the encoded entry is parked in the bounded pending buffer
+// instead, and with that full the send fails with ErrPeerStalled — the
+// typed bounded-backpressure surface for a stalled peer. broken reports
+// whether the error (if any) poisoned the connection's byte stream; codec
+// errors leave the batch and the stream intact.
+func (t *TCP) writeNodeBatched(c *tcpConn, to, from string, msg protocol.Message) (err error, broken bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.werr != nil {
@@ -1130,11 +928,11 @@ func (t *TCP) writeNodeBatched(c *tcpConn, nodeTo, from string, msg protocol.Mes
 		// Credit-limited: park the encoded entry behind everything already
 		// pending (FIFO), bounded to one window of messages.
 		if c.pendCnt >= c.pendMax {
-			t.countCreditStall()
+			t.inc(&t.creditStalls, "tcp.credit_stalls")
 			return ErrPeerStalled, false
 		}
 		p0 := len(c.pend)
-		c.pend, err = protocol.AppendNodeBatchEntry(c.pend, nodeTo, from, msg)
+		c.pend, err = protocol.AppendNodeBatchEntry(c.pend, to, from, msg)
 		if err != nil {
 			return err, false
 		}
@@ -1147,81 +945,29 @@ func (t *TCP) writeNodeBatched(c *tcpConn, nodeTo, from string, msg protocol.Mes
 	}
 	opened := len(c.wbuf) == 0
 	if opened {
-		c.wbuf = protocol.AppendNodeBatchHeader(append(c.wbuf, 0, 0, 0, 0))
-		c.batching = true
+		c.openLocked()
 	}
 	n0 := len(c.wbuf)
-	c.wbuf, err = protocol.AppendNodeBatchEntry(c.wbuf, nodeTo, from, msg)
+	c.wbuf, err = protocol.AppendNodeBatchEntry(c.wbuf, to, from, msg)
+	if err == nil && len(c.wbuf)-n0-nodeBatchEntrySize > maxFrame {
+		err = fmt.Errorf("%w: frame of %d bytes exceeds the %d-byte bound", protocol.ErrCodec, len(c.wbuf)-n0-nodeBatchEntrySize, maxFrame)
+		c.wbuf = c.wbuf[:n0]
+	}
 	if err != nil {
 		if opened {
 			c.wbuf = c.wbuf[:0] // nothing else buffered; close the empty batch
-			c.batching = false
 		}
 		return err, false
-	}
-	if len(c.wbuf)-n0-nodeBatchEntrySize > maxFrame {
-		sz := len(c.wbuf) - n0 - nodeBatchEntrySize
-		c.wbuf = c.wbuf[:n0]
-		if opened {
-			c.wbuf = c.wbuf[:0]
-			c.batching = false
-		}
-		return fmt.Errorf("%w: frame of %d bytes exceeds the %d-byte bound", protocol.ErrCodec, sz, maxFrame), false
 	}
 	if c.creditLive {
 		c.credits--
 	}
 	if len(c.wbuf) >= coalesceBytes {
-		err := c.flushLocked()
-		return err, err != nil
+		err = c.flushLocked()
+	} else if opened {
+		err = c.scheduleLocked()
 	}
-	if opened {
-		c.armTimerLocked()
-	}
-	return nil, false
-}
-
-func (e *tcpEndpoint) dial(to string) (*tcpConn, error) {
-	e.net.mu.RLock()
-	hostport, ok := e.net.book[to]
-	e.net.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownAddr, to)
-	}
-
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if c, ok := e.conns[to]; ok {
-		if c.hostport == hostport {
-			e.mu.Unlock()
-			return c, nil
-		}
-		// The logical address re-bound to a new physical address since this
-		// connection was dialled: drop the stale connection and re-dial.
-		delete(e.conns, to)
-		dropConn(c)
-	}
-	e.mu.Unlock()
-
-	conn, err := net.DialTimeout("tcp", hostport, 5*time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %q: %w", to, err)
-	}
-	c := &tcpConn{conn: conn, hostport: hostport}
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if prev, ok := e.conns[to]; ok && prev.hostport == hostport {
-		_ = conn.Close() // lost the race; reuse the established one
-		return prev, nil
-	} else if ok {
-		dropConn(prev) // racing dial to a stale incarnation
-	}
-	e.conns[to] = c
-	return c, nil
+	return err, err != nil
 }
 
 func (e *tcpEndpoint) Recv() (Delivery, bool) {
@@ -1234,36 +980,52 @@ func (e *tcpEndpoint) RecvTimeout(timeout time.Duration) (Delivery, bool) {
 
 func (e *tcpEndpoint) Pending() int { return e.queue.Len() }
 
+// Close releases the endpoint. An endpoint with its own listener also
+// flushes and closes its outbound connections (so frames sent just before
+// Close still reach their peers), leaves the address book and severs the
+// connections its listener accepted, whose senders then drop them.
 func (e *tcpEndpoint) Close() error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil
-	}
-	e.closed = true
-	conns := make([]*tcpConn, 0, len(e.conns))
-	for _, c := range e.conns {
-		conns = append(conns, c)
-	}
-	e.mu.Unlock()
-
-	var err error
-	if e.ln != nil { // node-mode endpoints share the node listener
-		err = e.ln.Close()
-	}
-	for _, c := range conns {
-		// Flush any coalesced tail so frames sent just before Close still
-		// reach the peer, then stop the flush timer and the connection.
-		closeConn(c)
-	}
+	t := e.net
+	var conns []*tcpConn
+	var inbound []net.Conn
 	// Release the address before closing the queue: a receiver that sees
 	// the closed queue (the mux pump, which then forgets the address) may
 	// bind the address again at once, and must not find it still taken.
-	e.net.mu.Lock()
-	if e.net.eps[e.addr] == e {
-		delete(e.net.eps, e.addr)
+	t.mu.Lock()
+	if t.eps[e.addr] != e {
+		t.mu.Unlock()
+		return nil // already closed
 	}
-	e.net.mu.Unlock()
+	delete(t.eps, e.addr)
+	if e.ln != nil {
+		if t.book[e.addr] == e.ln.Addr().String() {
+			delete(t.book, e.addr)
+		}
+		for k, c := range t.conns {
+			if k.from == e.addr {
+				delete(t.conns, k)
+				conns = append(conns, c)
+			}
+		}
+		for conn, owner := range t.inbound {
+			if owner == e {
+				delete(t.inbound, conn)
+				inbound = append(inbound, conn)
+			}
+		}
+	}
+	t.mu.Unlock()
+
+	var err error
+	if e.ln != nil {
+		err = e.ln.Close()
+	}
+	for _, c := range conns {
+		closeConn(c)
+	}
+	for _, conn := range inbound {
+		_ = conn.Close()
+	}
 	e.queue.Close()
 	return err
 }

@@ -16,48 +16,68 @@ import (
 	"caaction/internal/vclock"
 )
 
-// Tests for the cross-node fast path: batched node frames, credit-based
-// per-peer flow control, the per-flush route cache and sink (inline)
-// receive delivery. See DESIGN.md "Cross-node fast path".
+// Tests for the node wire: batched frames, credit-based per-connection
+// flow control and sink (inline) receive delivery, in node mode and on
+// standalone endpoints. See DESIGN.md "Cross-node fast path".
 
-// TestTCPNodeBatchedSendAllocCeiling mirrors TestTCPSendAllocCeiling on the
-// batched node path: one cross-node send+receive round trip (batch append,
-// coalesced flush, batch decode, delivery) must stay within the same small
-// constant allocation budget as the per-endpoint binary path.
+// TestTCPNodeBatchedSendAllocCeiling pins a hard ceiling on the wire path:
+// one send+receive round trip (batch append, coalesced flush, batch decode,
+// delivery) must stay within a small constant allocation budget, between
+// two standalone endpoints of one process and across two nodes. The gob
+// wire needed several times this.
 func TestTCPNodeBatchedSendAllocCeiling(t *testing.T) {
 	const ceiling = 16.0 // allocs per send+recv round trip
 
-	var table sync.Map
-	n1 := nodeNet(t, map[string]bool{"A": true}, &table)
-	n2 := nodeNet(t, map[string]bool{"B": true}, &table)
-	defer func() { _ = n1.Close() }()
-	defer func() { _ = n2.Close() }()
-	table.Store("B", n2.NodeAddr())
-
-	a, err := n1.Endpoint("A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := n2.Endpoint("B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var msg protocol.Message = protocol.Suspended{Action: "bench#1", From: "A", Round: 1}
-
-	cycle := func() {
-		if err := a.Send("B", msg); err != nil {
-			panic(err)
+	standalone := func(t *testing.T) (a, b Endpoint) {
+		n := NewTCP(vclock.NewReal())
+		t.Cleanup(func() { _ = n.Close() })
+		a, err := n.Endpoint("A")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, ok := b.Recv(); !ok {
-			panic("receive failed")
+		if b, err = n.Endpoint("B"); err != nil {
+			t.Fatal(err)
 		}
+		return a, b
 	}
-	for i := 0; i < 32; i++ {
-		cycle() // dial, grow buffers, warm the pools and the route cache
+	node := func(t *testing.T) (a, b Endpoint) {
+		var table sync.Map
+		n1 := nodeNet(t, map[string]bool{"A": true}, &table)
+		n2 := nodeNet(t, map[string]bool{"B": true}, &table)
+		t.Cleanup(func() { _ = n1.Close(); _ = n2.Close() })
+		table.Store("B", n2.NodeAddr())
+		a, err := n1.Endpoint("A")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, err = n2.Endpoint("B"); err != nil {
+			t.Fatal(err)
+		}
+		return a, b
 	}
-	runtime.GC()
-	if n := testing.AllocsPerRun(100, cycle); n > ceiling {
-		t.Fatalf("batched node send allocates %v allocs/op, ceiling %v", n, ceiling)
+	for _, mode := range []struct {
+		name  string
+		setup func(*testing.T) (Endpoint, Endpoint)
+	}{{"standalone", standalone}, {"node", node}} {
+		t.Run(mode.name, func(t *testing.T) {
+			a, b := mode.setup(t)
+			var msg protocol.Message = protocol.Suspended{Action: "bench#1", From: "A", Round: 1}
+			cycle := func() {
+				if err := a.Send("B", msg); err != nil {
+					panic(err)
+				}
+				if _, ok := b.Recv(); !ok {
+					panic("receive failed")
+				}
+			}
+			for i := 0; i < 32; i++ {
+				cycle() // dial, grow buffers, warm the pools
+			}
+			runtime.GC()
+			if n := testing.AllocsPerRun(100, cycle); n > ceiling {
+				t.Fatalf("%s send allocates %v allocs/op, ceiling %v", mode.name, n, ceiling)
+			}
+		})
 	}
 }
 
@@ -159,7 +179,7 @@ func (p *fakePeer) drain(t *testing.T, count int, deadline time.Duration) int {
 		if !protocol.IsNodeBatch(buf) {
 			t.Fatalf("fake peer: %d-byte frame is not a node batch", n)
 		}
-		if err := protocol.DecodeNodeBatch(buf, func(string, string, protocol.Message) error {
+		if err := protocol.DecodeNodeBatch(buf, func([]byte, string, protocol.Message) error {
 			seen++
 			return nil
 		}); err != nil {
@@ -184,16 +204,30 @@ func (p *fakePeer) close() {
 // peer drains and grants again, the pending messages flow and none of the
 // accepted ones is lost.
 func TestTCPCreditExhaustionBoundsBufferedMessages(t *testing.T) {
+	for _, mode := range []string{"standalone", "node"} {
+		t.Run(mode, func(t *testing.T) { testCreditExhaustion(t, mode == "node") })
+	}
+}
+
+func testCreditExhaustion(t *testing.T, node bool) {
 	const window = 4
 
-	var table sync.Map
-	sender := nodeNet(t, map[string]bool{"A": true}, &table)
+	peer := newFakePeer(t, window)
+	defer peer.close()
+	var sender *TCP
+	from := "A" // standalone endpoints keep connections of their own
+	if node {
+		var table sync.Map
+		sender = nodeNet(t, map[string]bool{"A": true}, &table)
+		table.Store("B", peer.ln.Addr().String())
+		from = ""
+	} else {
+		sender = NewTCP(vclock.NewReal())
+		sender.SetPeer("B", peer.ln.Addr().String())
+	}
 	defer func() { _ = sender.Close() }()
 	m := new(trace.Metrics)
 	sender.SetMetrics(m)
-	peer := newFakePeer(t, window)
-	defer peer.close()
-	table.Store("B", peer.ln.Addr().String())
 
 	a, err := sender.Endpoint("A")
 	if err != nil {
@@ -209,13 +243,9 @@ func TestTCPCreditExhaustionBoundsBufferedMessages(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("fake peer never accepted")
 	}
-	conn := func() *tcpConn {
-		sender.mu.RLock()
-		defer sender.mu.RUnlock()
-		return sender.nodeConns[peer.ln.Addr().String()]
-	}()
+	conn := cachedConn(sender, from, "B")
 	if conn == nil {
-		t.Fatal("no node connection established")
+		t.Fatal("no connection established")
 	}
 	waitLive := func() {
 		deadline := time.Now().Add(5 * time.Second)
@@ -295,10 +325,10 @@ func TestTCPCreditExhaustionBoundsBufferedMessages(t *testing.T) {
 }
 
 // TestTCPNodeStaleRouteHealsAfterRestart kills the hosting peer while the
-// route cache still points at it: sends fail (typed, not hanging) while the
+// resolver still points at it: sends fail (typed, not hanging) while the
 // resolver is stale, and the moment the resolver learns the restarted
-// peer's new address the very next send must flow — the per-flush route
-// cache may never pin a dead placement.
+// peer's new address the very next send must flow — no cached connection
+// may pin a dead placement.
 func TestTCPNodeStaleRouteHealsAfterRestart(t *testing.T) {
 	var table sync.Map
 	n1 := nodeNet(t, map[string]bool{"A": true}, &table)
@@ -325,7 +355,7 @@ func TestTCPNodeStaleRouteHealsAfterRestart(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if err := a.Send("B", protocol.Ack{Action: "dead#1", From: "A"}); err != nil {
-			break // the break surfaced; conn dropped, route invalidated
+			break // the break surfaced; the connection is forgotten
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("sends to the dead peer never surfaced an error")

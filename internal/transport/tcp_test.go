@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -105,10 +106,7 @@ func TestTCPCodecErrorKeepsConnection(t *testing.T) {
 	if _, ok := b.RecvTimeout(5 * time.Second); !ok {
 		t.Fatal("no delivery")
 	}
-	ep := a.(*tcpEndpoint)
-	ep.mu.Lock()
-	before := ep.conns["T2"]
-	ep.mu.Unlock()
+	before := cachedConn(net, "T1", "T2")
 	if before == nil {
 		t.Fatal("no cached connection after first send")
 	}
@@ -116,10 +114,7 @@ func TestTCPCodecErrorKeepsConnection(t *testing.T) {
 	if err := a.Send("T2", foreignKindMsg{}); err == nil {
 		t.Fatal("foreign message encoded without error")
 	}
-	ep.mu.Lock()
-	after := ep.conns["T2"]
-	ep.mu.Unlock()
-	if after != before {
+	if after := cachedConn(net, "T1", "T2"); after != before {
 		t.Fatal("codec error dropped the healthy cached connection")
 	}
 	if err := a.Send("T2", protocol.Ack{Action: "y", From: "T1"}); err != nil {
@@ -128,6 +123,26 @@ func TestTCPCodecErrorKeepsConnection(t *testing.T) {
 	if _, ok := b.RecvTimeout(5 * time.Second); !ok {
 		t.Fatal("no delivery after codec error")
 	}
+}
+
+// cachedConn returns the outbound connection n holds from sender to the
+// host:port to resolves to (from is "" for a node's shared connections), or
+// nil.
+func cachedConn(n *TCP, from, to string) *tcpConn {
+	hostport, ok := n.resolve(to)
+	if !ok {
+		return nil
+	}
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.conns[connKey{from: from, hostport: hostport}]
+}
+
+// connCount reports how many outbound and accepted connections n holds.
+func connCount(n *TCP) (out, in int) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return len(n.conns), len(n.inbound)
 }
 
 type foreignKindMsg struct{}
@@ -312,6 +327,55 @@ func TestTCPRebindInvalidatesCachedConns(t *testing.T) {
 	d, ok := b2.RecvTimeout(5 * time.Second)
 	if !ok || d.Msg.(protocol.Ack).Action != "two" {
 		t.Fatalf("message went to the dead incarnation: %+v %v", d, ok)
+	}
+}
+
+// TestTCPRebindCycleNoLeak binds and closes one address 200 times while a
+// peer sends to every incarnation. Closing an endpoint severs the
+// connections its listener accepted, and the sender's credit loop then
+// forgets its connection to the dead incarnation, so goroutines and cached
+// connections return to their baseline. Without either step each re-bind
+// leaked a read loop, a credit loop and a connection.
+func TestTCPRebindCycleNoLeak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-bind cycles wait on real sockets")
+	}
+	net := NewTCP(vclock.NewReal())
+	defer func() { _ = net.Close() }()
+	a, err := net.Endpoint("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	const cycles = 200
+	for i := 0; i < cycles; i++ {
+		b, err := net.Endpoint("B")
+		if err != nil {
+			t.Fatalf("cycle %d: bind: %v", i, err)
+		}
+		if err := a.Send("B", protocol.Ack{Action: "rebind#1", From: "A", Round: i}); err != nil {
+			t.Fatalf("cycle %d: send: %v", i, err)
+		}
+		d, ok := b.RecvTimeout(5 * time.Second)
+		if !ok || d.Msg.(protocol.Ack).Round != i {
+			t.Fatalf("cycle %d: delivery %+v %v", i, d, ok)
+		}
+		if err := b.Close(); err != nil {
+			t.Fatalf("cycle %d: close: %v", i, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		g := runtime.NumGoroutine()
+		out, in := connCount(net)
+		if g <= baseline && out == 0 && in == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d re-binds: %d goroutines (baseline %d), %d outbound and %d inbound connections cached (want 0)",
+				cycles, g, baseline, out, in)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -31,11 +31,10 @@ func (c *countingConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *countingConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestTCPDropConnStopsFlushTimer pins the teardown contract of the re-dial
-// path: dropping a connection with a freshly armed coalescing batch must
+// path: forgetting a connection with a freshly armed coalescing batch must
 // stop the flush-deadline timer, so nothing fires against (and nothing is
-// written to) the abandoned socket. Before dropConn existed, the sticky-
-// write-error → re-dial paths closed the socket but left the armed timer
-// running — this test fails against that code.
+// written to) the abandoned socket. A teardown that closed the socket but
+// left the armed timer running fails this test.
 func TestTCPDropConnStopsFlushTimer(t *testing.T) {
 	clk := vclock.NewReal()
 	tn := NewTCP(clk)
@@ -45,9 +44,9 @@ func TestTCPDropConnStopsFlushTimer(t *testing.T) {
 	}
 
 	fake := newCountingConn()
-	c := &tcpConn{conn: fake, hostport: "127.0.0.1:1"}
+	c := &tcpConn{conn: fake, key: connKey{hostport: "127.0.0.1:1"}, owner: tn}
 	// One small frame: accepted into the batch, batch opens, timer armed.
-	if err, broken := tn.writeFrame(c, "A", protocol.Ack{Action: "x#1", From: "A"}); err != nil || broken {
+	if err, broken := tn.writeNodeBatched(c, "B", "A", protocol.Ack{Action: "x#1", From: "A"}); err != nil || broken {
 		t.Fatalf("write into fresh batch: err=%v broken=%v", err, broken)
 	}
 	c.mu.Lock()
@@ -57,7 +56,7 @@ func TestTCPDropConnStopsFlushTimer(t *testing.T) {
 		t.Fatal("expected an open batch with an armed flush timer")
 	}
 
-	dropConn(c)
+	tn.forget(c)
 
 	// Give a leaked timer ample opportunity (coalesceDelay is 100µs).
 	select {
@@ -73,40 +72,79 @@ func TestTCPDropConnStopsFlushTimer(t *testing.T) {
 	}
 }
 
-// TestTCPVirtualClockWritesThrough pins the plain-frame writer under a
-// virtual clock, where a wall-clock flush timer could fire outside the
-// deterministic schedule: every frame must reach the connection inside its
-// own write, with no flush timer armed and nothing left buffered.
+// TestTCPVirtualClockWritesThrough pins the writer under a virtual clock,
+// where a wall-clock flush timer could fire outside the deterministic
+// schedule: every message must reach the connection inside its own send,
+// with no flush timer armed and nothing left buffered — both for the writer
+// driven directly and for a standalone endpoint's real connection.
 func TestTCPVirtualClockWritesThrough(t *testing.T) {
 	tn := NewTCP(vclock.NewVirtual())
 	defer func() { _ = tn.Close() }()
 	if tn.coalesce {
 		t.Fatal("virtual-clock TCP must not coalesce writes")
 	}
-
-	fake := newCountingConn()
-	c := &tcpConn{conn: fake, hostport: "127.0.0.1:1"}
-	for i := 0; i < 3; i++ {
-		if err, broken := tn.writeFrame(c, "A", protocol.Ack{Action: "x#1", From: "A", Round: i}); err != nil || broken {
-			t.Fatalf("frame %d: err=%v broken=%v", i, err, broken)
-		}
-		if got := len(fake.writes); got != i+1 {
-			t.Fatalf("after frame %d: %d writes reached the connection, want %d", i, got, i+1)
-		}
+	idle := func(c *tcpConn, i int) {
+		t.Helper()
 		c.mu.Lock()
 		armed, buffered := c.timer != nil, len(c.wbuf)
 		c.mu.Unlock()
 		if armed || buffered != 0 {
-			t.Fatalf("after frame %d: timer armed=%v, %d bytes buffered; want neither", i, armed, buffered)
+			t.Fatalf("after message %d: timer armed=%v, %d bytes buffered; want neither", i, armed, buffered)
 		}
 	}
+
+	t.Run("writer", func(t *testing.T) {
+		fake := newCountingConn()
+		c := &tcpConn{conn: fake, key: connKey{hostport: "127.0.0.1:1"}, owner: tn}
+		for i := 0; i < 3; i++ {
+			if err, broken := tn.writeNodeBatched(c, "B", "A", protocol.Ack{Action: "x#1", From: "A", Round: i}); err != nil || broken {
+				t.Fatalf("message %d: err=%v broken=%v", i, err, broken)
+			}
+			if got := len(fake.writes); got != i+1 {
+				t.Fatalf("after message %d: %d writes reached the connection, want %d", i, got, i+1)
+			}
+			idle(c, i)
+		}
+	})
+
+	t.Run("standalone", func(t *testing.T) {
+		a, err := tn.Endpoint("A")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := tn.Endpoint("B")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := a.Send("B", protocol.Ack{Action: "x#1", From: "A", Round: i}); err != nil {
+				t.Fatalf("message %d: %v", i, err)
+			}
+			c := cachedConn(tn, "A", "B")
+			if c == nil {
+				t.Fatal("no cached connection from A to B")
+			}
+			idle(c, i)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for b.Pending() < 3 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of 3 written messages arrived", b.Pending())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
 }
 
-// TestTCPRedialCycleNoGoroutineLeak cycles send → peer death → sticky write
-// error → re-dial, the path that once leaked armed flush timers, and asserts
-// the process-wide goroutine high-water stays bounded (the same measure the
-// load harness's sampler gates): each cycle's network goroutines and timers
-// must be fully torn down by the next.
+// TestTCPRedialCycleNoGoroutineLeak cycles send → peer death → error →
+// re-dial, the path that once leaked armed flush timers: each cycle kills
+// the socket under the cached connection (what a peer crash looks like
+// from the sender) and then the peer itself, and sends until the failure
+// surfaces — as a sticky write error or, once the credit loop has forgotten
+// the connection, as a refused re-dial. The goroutine high-water must stay
+// bounded (the same measure the load harness's sampler gates), and
+// goroutines and cached connections must be back at their baseline after
+// the last cycle.
 func TestTCPRedialCycleNoGoroutineLeak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-dial cycles wait on real sockets")
@@ -141,20 +179,12 @@ func TestTCPRedialCycleNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("cycle %d: no delivery", i)
 		}
 
-		// Kill the socket out from under the cached connection — what a
-		// peer crash looks like from the sender — WITHOUT touching the
-		// coalescing state, then send until the sticky write error
-		// surfaces: the first sends are batched (and their deadline-driven
-		// flush fails against the dead socket), the send that observes the
-		// sticky error drops and forgets the connection.
-		ae := a.(*tcpEndpoint)
-		ae.mu.Lock()
-		c := ae.conns["B"]
-		ae.mu.Unlock()
+		c := cachedConn(n1, "A", "B")
 		if c == nil {
 			t.Fatalf("cycle %d: no cached connection to B", i)
 		}
 		_ = c.conn.Close()
+		_ = n2.Close()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			if err := a.Send("B", protocol.Ack{Action: "cycle#1", From: "A", Round: i}); err != nil {
@@ -165,23 +195,26 @@ func TestTCPRedialCycleNoGoroutineLeak(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		_ = n2.Close()
 		if g := runtime.NumGoroutine(); g > high {
 			high = g
 		}
 	}
 
-	// Settle: transient readLoop/timer goroutines from the last cycle end.
-	var final int
+	// Settle: transient read-loop/timer goroutines from the last cycle end.
+	var final, out int
 	for wait := 0; wait < 100; wait++ {
 		final = runtime.NumGoroutine()
-		if final <= baseline+4 {
+		out, _ = connCount(n1)
+		if final <= baseline+4 && out == 0 {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	if final > baseline+4 {
 		t.Fatalf("goroutines leaked across re-dial cycles: baseline %d, final %d (high-water %d)", baseline, final, high)
+	}
+	if out != 0 {
+		t.Fatalf("%d outbound connections still cached after the last peer died, want 0", out)
 	}
 	// Each cycle runs one short-lived network (~4 goroutines); a leak grows
 	// the high-water linearly with cycles.

@@ -136,11 +136,14 @@ func WithJitter(jitter time.Duration, seed int64) Option {
 	}
 }
 
-// WithTCPTransport selects the TCP network, speaking the length-prefixed
-// binary codec, for genuinely distributed deployments. addr is the host:port local endpoints listen on;
-// empty means loopback with ephemeral ports. Combine with WithPeer to
-// introduce threads served by other processes, and usually with
-// WithRealTime.
+// WithTCPTransport selects the TCP network for genuinely distributed
+// deployments. Every thread address bound in this process listens on a
+// socket of its own at addr (a host:port; empty means loopback with
+// ephemeral ports), so even single-process traffic crosses real sockets.
+// Messages travel in batched binary frames under per-connection credit
+// flow control (see WithPeerWindow). Combine with WithPeer to introduce
+// threads served by other processes, and usually with WithRealTime: under
+// a virtual clock every message is written at once instead of coalesced.
 func WithTCPTransport(addr string) Option {
 	return func(c *config) {
 		c.transportName = "tcp"
@@ -149,12 +152,13 @@ func WithTCPTransport(addr string) Option {
 	}
 }
 
-// WithPeerWindow sets the per-peer credit window, in messages, that this
-// node advertises to dialing peers (cluster nodes, tcp transport). A
-// dialing peer may have at most window unacknowledged messages on the wire
-// plus window pending locally before its sends fail typed with
-// ErrPeerStalled — so the window bounds both this node's ingress buffering
-// and the sender's memory when this node stalls. The default (4096) suits
+// WithPeerWindow sets the credit window, in messages, that this System's
+// tcp transport advertises on every connection it accepts — a cluster
+// node's shared listener or, without WithCluster, each thread's own. The
+// dialing side may have at most window unacknowledged messages on the
+// wire plus window pending locally before its sends fail typed with
+// ErrPeerStalled — so the window bounds both this side's ingress buffering
+// and the sender's memory when this side stalls. The default (4096) suits
 // LAN clusters; lower it to tighten backpressure, raise it for
 // high-latency links. n must be positive.
 func WithPeerWindow(n int) Option {
@@ -168,7 +172,9 @@ func WithPeerWindow(n int) Option {
 }
 
 // WithPeer records the host:port of a logical thread address served by
-// another process (tcp transport).
+// another process (tcp transport without WithCluster): the address book
+// entry sends to that thread resolve through, next to the entries of the
+// threads bound in this process.
 func WithPeer(thread, hostport string) Option {
 	return func(c *config) {
 		if c.env.Peers == nil {
@@ -379,6 +385,6 @@ func WithCluster(cfg ClusterConfig) Option {
 		}
 		c.cluster = &cfg
 		c.transportName = "tcp"
-		c.env.ListenAddr = "" // the node listener replaces per-endpoint listeners
+		c.env.ListenAddr = "" // the node listener replaces the endpoints' own listeners
 	}
 }

@@ -126,9 +126,9 @@ type TransportEnv struct {
 	// Peers maps logical thread addresses served by other processes to
 	// their host:port, from WithPeer.
 	Peers map[string]string
-	// PeerWindow overrides the per-peer credit window, in messages, that
-	// the tcp transport advertises to dialing peers (0 keeps the default),
-	// from WithPeerWindow.
+	// PeerWindow overrides the credit window, in messages, that the tcp
+	// transport advertises on every connection it accepts (0 keeps the
+	// default), from WithPeerWindow.
 	PeerWindow int
 }
 
@@ -183,8 +183,8 @@ func simTransport(env TransportEnv) (Network, error) {
 	}), nil
 }
 
-// tcpTransport is the built-in "tcp" transport: length-prefixed
-// binary-codec messages over TCP for genuinely distributed deployments.
+// tcpTransport is the built-in "tcp" transport: batched binary-codec
+// messages over TCP for genuinely distributed deployments.
 func tcpTransport(env TransportEnv) (Network, error) {
 	t := transport.NewTCP(env.Clock)
 	t.SetMetrics(env.Metrics)
