@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -231,19 +232,92 @@ func TestPaperAnchors(t *testing.T) {
 // once, over the sim transport on the real clock, and wait for it. ns/op
 // is wall time per action across the callers; allocs/op is per action.
 func BenchmarkStartActionCommit(b *testing.B) {
-	sys, err := caaction.New(caaction.WithRealTime(), caaction.WithSimTransport(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = sys.Close() }()
+	benchStartActionCommit(b, caaction.WithSimTransport(0))
+}
+
+// BenchmarkStartActionCommitTCP is the same action over loopback TCP: the
+// difference to BenchmarkStartActionCommit is the wire's share (encode,
+// coalesced flush, read loop, decode).
+func BenchmarkStartActionCommitTCP(b *testing.B) {
+	benchStartActionCommit(b, caaction.WithTCPTransport(""))
+}
+
+// commitSpec is the 3-role action whose roles commit at once, shared by the
+// StartActionCommit rungs and the allocation ceiling.
+func commitSpec(tb testing.TB) (*caaction.Spec, map[string]caaction.RoleProgram) {
 	spec, err := caaction.NewSpec("commit").
 		Role("a", "T1").Role("b", "T2").Role("c", "T3").
 		Build()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ok := caaction.RoleProgram{Body: func(*caaction.Context) error { return nil }}
-	progs := map[string]caaction.RoleProgram{"a": ok, "b": ok, "c": ok}
+	return spec, map[string]caaction.RoleProgram{"a": ok, "b": ok, "c": ok}
+}
+
+// TestStartActionCommitAllocCeiling pins the allocation cost of one action
+// on the in-process path: a 3-role commit over the sim transport on the
+// real clock, started and awaited by one caller. Each broadcast boxes its
+// protocol message once and routing passes the received box through; a
+// change that re-boxes a message per peer or per hop shows up here as
+// several allocations per action.
+//
+// A second action stays in flight on the same threads for the whole test,
+// as one of the benchmark's 16 callers always is: without it every action
+// would re-bind its threads' shared mux endpoints, and the ceiling would
+// measure the bind instead of the action.
+func TestStartActionCommitAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what allocates: sync.Pool drops items at random")
+	}
+	const ceiling = 27.0 // allocs per action
+	sys, err := caaction.New(caaction.WithRealTime(), caaction.WithSimTransport(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = sys.Close() }()
+	spec, progs := commitSpec(t)
+	release := make(chan struct{})
+	hold := caaction.RoleProgram{Body: func(*caaction.Context) error { <-release; return nil }}
+	holder, err := sys.StartAction(context.Background(), spec,
+		map[string]caaction.RoleProgram{"a": hold, "b": hold, "c": hold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		close(release)
+		holder.WaitDone()
+	}()
+	action := func() {
+		h, err := sys.StartAction(context.Background(), spec, progs)
+		if err != nil {
+			panic(err)
+		}
+		h.WaitDone()
+		if err := h.Err(); err != nil {
+			panic(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		action() // warm the runner, thread, frame and delivery pools
+	}
+	runtime.GC()
+	if n := testing.AllocsPerRun(200, action); n > ceiling {
+		t.Fatalf("one commit action allocates %v allocs, ceiling %v", n, ceiling)
+	}
+}
+
+// raceEnabled is set in -race builds (race_test.go), whose allocation
+// counts are not the program's.
+var raceEnabled bool
+
+func benchStartActionCommit(b *testing.B, transport caaction.Option) {
+	sys, err := caaction.New(caaction.WithRealTime(), transport)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = sys.Close() }()
+	spec, progs := commitSpec(b)
 
 	const callers = 16
 	var next atomic.Int64

@@ -428,6 +428,10 @@ type frame struct {
 	hasSigDec bool
 	votes     []transport.Delivery // same-round votes buffered before sig exists
 	epsilon   except.ID
+	// undoFn is the bound undo method handed to every exit's signalling
+	// instance. It is bound once per frame object, captures only the
+	// frame, and survives recycling (see releaseFrame).
+	undoFn func() error
 
 	// Buffers.
 	future []transport.Delivery // messages for rounds not reached yet
@@ -467,6 +471,7 @@ func (th *Thread) pushFrame(parent *frame, spec *Spec, role string, prog RolePro
 	f, _ := th.rt.framePool.Get().(*frame)
 	if f == nil {
 		f = &frame{}
+		f.undoFn = f.undo
 	}
 	f.th = th
 	f.spec = spec
@@ -510,19 +515,21 @@ func (th *Thread) popFrame(f *frame) {
 
 // releaseFrame scrubs a popped frame back to the zero state and returns it
 // to the runtime's pool. Hygiene contract: apart from the entered slice's
-// retained capacity (its length is re-established per instance) and the
-// bumped generation counter, a recycled frame is indistinguishable from a
-// freshly allocated one — no counters, buffers, parsed identifiers, protocol
-// engines or closures survive into the next incarnation. Callers must not
-// touch the frame after release; perform's control flow guarantees that (the
-// only post-pop reads are of values copied out beforehand), and stale user
-// Contexts are caught by the generation check in Context.pre.
+// retained capacity (its length is re-established per instance), the bumped
+// generation counter and the bound undo method (undoFn captures only the
+// frame object and reads its current incarnation when called), a recycled
+// frame is indistinguishable from a freshly allocated one — no counters,
+// buffers, parsed identifiers, protocol engines or per-instance closures
+// survive into the next incarnation. Callers must not touch the frame after
+// release; perform's control flow guarantees that (the only post-pop reads
+// are of values copied out beforehand), and stale user Contexts are caught
+// by the generation check in Context.pre.
 func (th *Thread) releaseFrame(f *frame) {
 	if f.sig != nil {
 		f.sig.Release()
 	}
 	ent := f.entered[:0]
-	*f = frame{entered: ent, gen: f.gen + 1}
+	*f = frame{entered: ent, gen: f.gen + 1, undoFn: f.undoFn}
 	th.rt.framePool.Put(f)
 }
 

@@ -243,9 +243,11 @@ func (th *Thread) entryBarrier(f *frame) error {
 		// Write-ahead: the join is durable before any peer can learn of it.
 		th.rt.rec.RecordJoin(th.id, f.id, f.role)
 	}
+	// One box for the whole broadcast: messages are immutable once sent.
+	var enter protocol.Message = protocol.Enter{Action: f.id, From: th.id, Role: f.role}
 	for _, p := range f.peers {
 		if p != th.id {
-			th.send(p, protocol.Enter{Action: f.id, From: th.id, Role: f.role})
+			th.send(p, enter)
 		}
 	}
 	return th.pump(f, untilEntered, 0)
@@ -268,10 +270,7 @@ func (th *Thread) exitAction(f *frame) (dec signal.Decision, decided bool, err e
 		Peers:  f.peers,
 		Round:  f.round,
 		Send:   th.sendFn,
-		Undo: func() error {
-			th.rt.counters.undos.Add(1)
-			return f.tx.Undo()
-		},
+		Undo:   f.undoFn,
 	})
 	// Replay same-round votes that arrived before the local vote was cast.
 	pending := f.votes
@@ -329,6 +328,13 @@ func (th *Thread) exitAction(f *frame) (dec signal.Decision, decided bool, err e
 	f.sig = nil
 	f.sigDec, f.hasSigDec = signal.Decision{}, false
 	return res, ok, nil
+}
+
+// undo runs the role's undo operations for the signalling exchange's
+// case 2. The frame binds it once, as undoFn, when it is first allocated.
+func (f *frame) undo() error {
+	f.th.rt.counters.undos.Add(1)
+	return f.tx.Undo()
 }
 
 // finalize commits or rolls back external effects per the coordinated signal

@@ -124,7 +124,11 @@ func runSigCase(n int, name string, votes func(i int) except.ID,
 				return
 			}
 			var derr error
-			dec, derr = inst.Deliver(d.From, d.Msg)
+			if vote, ok := d.Msg.(protocol.ToBeSignalled); ok {
+				dec, derr = inst.Deliver(d.From, vote)
+			} else {
+				derr = fmt.Errorf("%w: %T", signal.ErrUnexpected, d.Msg)
+			}
 			if derr != nil {
 				mu.Lock()
 				if firstErr == nil {

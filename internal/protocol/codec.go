@@ -33,6 +33,14 @@ import (
 // one per connection), so a steady-state send performs zero codec
 // allocations for the eight fixed-shape messages and for fast-path App
 // payloads.
+//
+// On the receive side a decode allocates the message box and its strings.
+// DecodeNodeBatch takes a per-connection Names table that interns the
+// bounded name fields — the frame sender, From, Role, ToRole, the exception
+// identifiers (Exc, Resolved, Raised.ID) and Raised.Origin — so a steady
+// stream between the same threads allocates only the box and the action
+// identifier per message. Action identifiers (unique per instance),
+// Raised.Info (free text) and App payloads are never interned.
 
 // ErrCodec reports a malformed or truncated binary frame.
 var ErrCodec = errors.New("protocol: malformed frame")
@@ -183,12 +191,13 @@ func IsNodeCredit(data []byte) bool {
 // DecodeNodeBatch decodes a batched node frame, invoking fn once per entry
 // in wire order. The destination is handed over in place, as a slice of
 // data that is valid only during the call, so a receiver can look it up
-// without allocating. Decoding stops at the first malformed entry or the
-// first fn error; a torn batch (entry length running past the frame) is a
-// codec error even when earlier entries decoded cleanly, because the
-// transport length-prefixes whole frames — a short one means corruption,
-// not a partial read.
-func DecodeNodeBatch(data []byte, fn func(to []byte, from string, msg Message) error) error {
+// without allocating. Name fields are interned through names, which one
+// connection's reader owns; nil decodes every string afresh. Decoding stops
+// at the first malformed entry or the first fn error; a torn batch (entry
+// length running past the frame) is a codec error even when earlier entries
+// decoded cleanly, because the transport length-prefixes whole frames — a
+// short one means corruption, not a partial read.
+func DecodeNodeBatch(data []byte, names *Names, fn func(to []byte, from string, msg Message) error) error {
 	if !IsNodeBatch(data) {
 		return fmt.Errorf("%w: not a node batch", ErrCodec)
 	}
@@ -202,7 +211,7 @@ func DecodeNodeBatch(data []byte, fn func(to []byte, from string, msg Message) e
 		if uint64(n) > uint64(len(data)) {
 			return fmt.Errorf("%w: torn batch entry (%d bytes declared, %d remain)", ErrCodec, n, len(data))
 		}
-		d := decoder{data: data[:n]}
+		d := decoder{data: data[:n], names: names}
 		to := d.bytes()
 		if d.err != nil {
 			return d.err
@@ -210,7 +219,7 @@ func DecodeNodeBatch(data []byte, fn func(to []byte, from string, msg Message) e
 		if len(to) == 0 {
 			return fmt.Errorf("%w: node frame with empty destination", ErrCodec)
 		}
-		from, msg, err := DecodeFrame(d.data)
+		from, msg, err := d.frame()
 		if err != nil {
 			return err
 		}
@@ -252,19 +261,24 @@ func DecodeNodeCredit(data []byte) (grant int, err error) {
 // DecodeFrame decodes one binary frame produced by AppendFrame.
 func DecodeFrame(data []byte) (from string, msg Message, err error) {
 	d := decoder{data: data}
+	return d.frame()
+}
+
+// frame decodes the rest of d's data as one frame.
+func (d *decoder) frame() (from string, msg Message, err error) {
 	tag := d.byte()
-	from = d.string()
+	from = d.name()
 	kind := int(tag) - 1
 	switch kind {
 	case KindException:
-		m := Exception{Action: d.string(), From: d.string(), Round: d.int()}
+		m := Exception{Action: d.string(), From: d.name(), Round: d.int()}
 		m.Exc = d.raised()
 		msg = m
 	case KindSuspended:
-		msg = Suspended{Action: d.string(), From: d.string(), Round: d.int()}
+		msg = Suspended{Action: d.string(), From: d.name(), Round: d.int()}
 	case KindCommit:
-		m := Commit{Action: d.string(), From: d.string(), Round: d.int(),
-			Resolved: except.ID(d.string())}
+		m := Commit{Action: d.string(), From: d.name(), Round: d.int(),
+			Resolved: except.ID(d.name())}
 		// A raised entry is at least 4 bytes: three empty strings + At.
 		if n := d.count(4); n > 0 {
 			m.Raised = make([]except.Raised, n)
@@ -274,21 +288,21 @@ func DecodeFrame(data []byte) (from string, msg Message, err error) {
 		}
 		msg = m
 	case KindRelay:
-		m := Relay{Action: d.string(), From: d.string(), Round: d.int()}
+		m := Relay{Action: d.string(), From: d.name(), Round: d.int()}
 		m.Exc = d.raised()
 		msg = m
 	case KindPropose:
-		msg = Propose{Action: d.string(), From: d.string(), Round: d.int(),
-			Resolved: except.ID(d.string())}
+		msg = Propose{Action: d.string(), From: d.name(), Round: d.int(),
+			Resolved: except.ID(d.name())}
 	case KindAck:
-		msg = Ack{Action: d.string(), From: d.string(), Round: d.int()}
+		msg = Ack{Action: d.string(), From: d.name(), Round: d.int()}
 	case KindToBeSignalled:
-		msg = ToBeSignalled{Action: d.string(), From: d.string(),
-			Exc: except.ID(d.string()), Round: d.int(), Phase: d.int()}
+		msg = ToBeSignalled{Action: d.string(), From: d.name(),
+			Exc: except.ID(d.name()), Round: d.int(), Phase: d.int()}
 	case KindEnter:
-		msg = Enter{Action: d.string(), From: d.string(), Role: d.string()}
+		msg = Enter{Action: d.string(), From: d.name(), Role: d.name()}
 	case KindApp:
-		m := App{Action: d.string(), From: d.string(), ToRole: d.string()}
+		m := App{Action: d.string(), From: d.name(), ToRole: d.name()}
 		m.Payload = d.payload()
 		msg = m
 	default:
@@ -360,9 +374,46 @@ func appendPayload(buf []byte, payload any) ([]byte, error) {
 
 // decoder is a cursor over one frame; the first malformation latches err and
 // every subsequent read returns zero values, so call sites stay linear.
+// names, when non-nil, interns the frame's name fields.
 type decoder struct {
-	data []byte
-	err  error
+	data  []byte
+	err   error
+	names *Names
+}
+
+// Names interns the bounded name fields of decoded frames for one reader:
+// thread, role and exception identifiers repeat on every message between
+// the same threads, so a hit hands back the string decoded earlier instead
+// of allocating a copy. The zero value is ready to use; a Names is confined
+// to one goroutine. It holds at most namesCap entries of at most
+// namesMaxLen bytes each and is cleared when full, so a peer that sends
+// ever-new names cannot grow it.
+type Names struct {
+	m map[string]string
+}
+
+const (
+	namesCap    = 256
+	namesMaxLen = 64
+)
+
+// intern returns b as a string, from the table when it is there. A nil
+// table, or a name too long to keep, converts b afresh.
+func (n *Names) intern(b []byte) string {
+	if n == nil || len(b) == 0 || len(b) > namesMaxLen {
+		return string(b)
+	}
+	if s, ok := n.m[string(b)]; ok {
+		return s
+	}
+	if n.m == nil {
+		n.m = make(map[string]string)
+	} else if len(n.m) >= namesCap {
+		clear(n.m)
+	}
+	s := string(b)
+	n.m[s] = s
+	return s
 }
 
 func (d *decoder) fail(what string) {
@@ -424,6 +475,11 @@ func (d *decoder) string() string {
 	return string(d.bytes())
 }
 
+// name reads a bounded name field, interned when d has a table.
+func (d *decoder) name() string {
+	return d.names.intern(d.bytes())
+}
+
 // bytes reads a length-prefixed string in place, as a slice of the frame.
 func (d *decoder) bytes() []byte {
 	n := d.uvarint()
@@ -459,8 +515,8 @@ func (d *decoder) count(minElemSize int) int {
 
 func (d *decoder) raised() except.Raised {
 	return except.Raised{
-		ID:     except.ID(d.string()),
-		Origin: d.string(),
+		ID:     except.ID(d.name()),
+		Origin: d.name(),
 		Info:   d.string(),
 		At:     time.Duration(d.int64()),
 	}

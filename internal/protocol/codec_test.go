@@ -3,6 +3,7 @@ package protocol
 import (
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -142,10 +143,11 @@ func appendBatch(buf []byte, entries []batchEntry) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeBatch collects a batch's entries in wire order.
-func decodeBatch(data []byte) ([]batchEntry, error) {
+// decodeBatch collects a batch's entries in wire order, interning names
+// through names (nil: none).
+func decodeBatch(data []byte, names *Names) ([]batchEntry, error) {
 	var got []batchEntry
-	err := DecodeNodeBatch(data, func(to []byte, from string, msg Message) error {
+	err := DecodeNodeBatch(data, names, func(to []byte, from string, msg Message) error {
 		got = append(got, batchEntry{To: string(to), From: from, Msg: msg})
 		return nil
 	})
@@ -165,13 +167,110 @@ func TestNodeBatchRoundTrip(t *testing.T) {
 		t.Fatalf("batch misclassified: control=%v batch=%v credit=%v",
 			IsNodeControl(buf), IsNodeBatch(buf), IsNodeCredit(buf))
 	}
-	got, err := decodeBatch(buf)
+	got, err := decodeBatch(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("batch round trip mismatch:\n got %#v\nwant %#v", got, want)
 	}
+	// Through one table, every decode equals the plain one: the first fills
+	// the table, the later ones hit it.
+	var names Names
+	for i := 0; i < 3; i++ {
+		got, err := decodeBatch(buf, &names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("interned decode %d mismatch:\n got %#v\nwant %#v", i, got, want)
+		}
+	}
+}
+
+// TestNamesBounded streams batches that carry more distinct names than the
+// table holds: the table never grows past its cap, and every decode still
+// returns the names that were sent.
+func TestNamesBounded(t *testing.T) {
+	var names Names
+	for i := 0; i < 3*namesCap; i++ {
+		want := batchEntry{To: "T1", From: fmt.Sprintf("node%d", i),
+			Msg: Enter{Action: "a#1", From: fmt.Sprintf("T%d", i), Role: fmt.Sprintf("r%d", i)}}
+		buf, err := appendBatch(nil, []batchEntry{want})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeBatch(buf, &names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+			t.Fatalf("entry %d: got %#v, want %#v", i, got, want)
+		}
+		if len(names.m) > namesCap {
+			t.Fatalf("after %d entries the table holds %d names, cap %d", i+1, len(names.m), namesCap)
+		}
+	}
+	long := string(make([]byte, namesMaxLen+1))
+	if names.intern([]byte(long)); len(names.m) > namesCap || names.m[long] != "" {
+		t.Fatalf("a %d-byte name entered the table", len(long))
+	}
+}
+
+// TestNamesSkipActionAndInfo pins what stays out of the table: action
+// identifiers (unique per instance) and Raised.Info (free text) are decoded
+// afresh, while the name fields around them are interned.
+func TestNamesSkipActionAndInfo(t *testing.T) {
+	raised := except.Raised{ID: "e1", Origin: "T2", Info: "disk on fire", At: time.Second}
+	buf, err := appendBatch(nil, []batchEntry{
+		{To: "T1", From: "node2", Msg: Exception{Action: "a7!outer#1", From: "T2", Round: 1, Exc: raised}},
+		{To: "T1", From: "node2", Msg: Commit{Action: "a7!outer#2", From: "T2", Resolved: "e1",
+			Raised: []except.Raised{{ID: "e2", Origin: "T3", Info: "motor stalled"}}}},
+		{To: "T1", From: "node2", Msg: App{Action: "a7!outer#3", From: "T2", ToRole: "arm", Payload: "payload text"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names Names
+	if _, err := decodeBatch(buf, &names); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"a7!outer#1", "a7!outer#2", "a7!outer#3", "disk on fire", "motor stalled", "payload text"} {
+		if _, ok := names.m[s]; ok {
+			t.Errorf("%q entered the name table", s)
+		}
+	}
+	for _, s := range []string{"node2", "T2", "T3", "e1", "e2", "arm"} {
+		if _, ok := names.m[s]; !ok {
+			t.Errorf("name %q was not interned", s)
+		}
+	}
+}
+
+// TestDecodeInternedAllocs pins the receive-side cost of a vote decoded
+// through a warm table: the message box and the action identifier.
+func TestDecodeInternedAllocs(t *testing.T) {
+	buf, err := appendBatch(nil, []batchEntry{
+		{To: "T1", From: "node2", Msg: ToBeSignalled{Action: "a7!commit#1", From: "T2", Exc: "e1", Round: 1, Phase: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names Names
+	var sink Message
+	decode := func() {
+		if err := DecodeNodeBatch(buf, &names, func(_ []byte, _ string, msg Message) error {
+			sink = msg
+			return nil
+		}); err != nil {
+			panic(err)
+		}
+	}
+	decode()
+	if n := testing.AllocsPerRun(100, decode); n > 2 {
+		t.Fatalf("interned decode of one vote allocates %v, want ≤ 2 (box and action id)", n)
+	}
+	_ = sink
 }
 
 // TestNodeBatchIncremental pins the entry layout the transport builds in
@@ -203,7 +302,7 @@ func TestNodeBatchIncremental(t *testing.T) {
 
 func TestNodeBatchEmpty(t *testing.T) {
 	calls := 0
-	if err := DecodeNodeBatch(AppendNodeBatchHeader(nil), func([]byte, string, Message) error { calls++; return nil }); err != nil {
+	if err := DecodeNodeBatch(AppendNodeBatchHeader(nil), nil, func([]byte, string, Message) error { calls++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 0 {
@@ -227,7 +326,7 @@ func TestNodeBatchRejectsMalformed(t *testing.T) {
 		"garbage entry":    {0x00, 0x01, 0, 0, 0, 3, 1, 'T', 0},
 	}
 	for name, data := range cases {
-		if err := DecodeNodeBatch(data, func([]byte, string, Message) error { return nil }); err == nil {
+		if err := DecodeNodeBatch(data, nil, func([]byte, string, Message) error { return nil }); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -293,7 +392,7 @@ func TestNodeFrameRejectsEmptyDestination(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := binary.BigEndian.AppendUint32(AppendNodeBatchHeader(nil), uint32(len(frame)))
-	if err := DecodeNodeBatch(append(buf, frame...), func([]byte, string, Message) error { return nil }); err == nil {
+	if err := DecodeNodeBatch(append(buf, frame...), nil, func([]byte, string, Message) error { return nil }); err == nil {
 		t.Fatal("empty-destination entry decoded without error")
 	}
 }

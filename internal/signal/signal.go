@@ -129,12 +129,12 @@ func (s *Instance) Start(own except.ID) Decision {
 	return s.out
 }
 
-// Deliver feeds one peer vote into the exchange.
-func (s *Instance) Deliver(from string, msg protocol.Message) (Decision, error) {
-	m, ok := msg.(protocol.ToBeSignalled)
-	if !ok {
-		return Decision{}, fmt.Errorf("%w: %T", ErrUnexpected, msg)
-	}
+// Deliver feeds one peer vote into the exchange. The vote is taken as the
+// concrete message, not as a protocol.Message: the caller has already
+// matched the type while routing, and handing the value back as an
+// interface would box it again on every received vote. A vote for another
+// action or round, or with a phase other than 1 or 2, is rejected.
+func (s *Instance) Deliver(from string, m protocol.ToBeSignalled) (Decision, error) {
 	if m.Action != s.cfg.Action {
 		return Decision{}, fmt.Errorf("%w: got %q want %q", ErrWrongAction, m.Action, s.cfg.Action)
 	}
@@ -178,16 +178,19 @@ func (s *Instance) Missing() []string {
 	return out
 }
 
+// broadcast sends one vote to every peer. The message is boxed once and
+// the same value goes to each peer: messages are immutable once sent.
 func (s *Instance) broadcast(exc except.ID, phase int) {
+	var vote protocol.Message = protocol.ToBeSignalled{
+		Action: s.cfg.Action,
+		From:   s.cfg.Self,
+		Exc:    exc,
+		Round:  s.cfg.Round,
+		Phase:  phase,
+	}
 	for _, p := range s.cfg.Peers {
 		if p != s.cfg.Self {
-			s.cfg.Send(p, protocol.ToBeSignalled{
-				Action: s.cfg.Action,
-				From:   s.cfg.Self,
-				Exc:    exc,
-				Round:  s.cfg.Round,
-				Phase:  phase,
-			})
+			s.cfg.Send(p, vote)
 		}
 	}
 }

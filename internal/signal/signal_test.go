@@ -1,6 +1,7 @@
 package signal
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -81,8 +82,13 @@ func runSignalling(t testing.TB, votes map[string]except.ID, undoFails map[strin
 				dec = inst.MarkFailed(d.From)
 				continue
 			}
+			vote, ok := d.Msg.(protocol.ToBeSignalled)
+			if !ok {
+				t.Errorf("%s: unexpected %T", self, d.Msg)
+				return
+			}
 			var err error
-			dec, err = inst.Deliver(d.From, d.Msg)
+			dec, err = inst.Deliver(d.From, vote)
 			if err != nil {
 				t.Errorf("%s: %v", self, err)
 				return
@@ -216,17 +222,16 @@ func TestDeliverValidation(t *testing.T) {
 		Send: func(string, protocol.Message) {},
 		Undo: func() error { return nil },
 	})
-	if _, err := inst.Deliver("T2", protocol.Ack{}); err == nil {
-		t.Fatal("wrong type accepted")
+	// A message of another type cannot reach Deliver: it takes the vote
+	// type itself.
+	if _, err := inst.Deliver("T2", protocol.ToBeSignalled{Action: "other", Round: 3, Phase: 1}); !errors.Is(err, ErrWrongAction) {
+		t.Fatalf("wrong action: err = %v", err)
 	}
-	if _, err := inst.Deliver("T2", protocol.ToBeSignalled{Action: "other", Round: 3, Phase: 1}); err == nil {
-		t.Fatal("wrong action accepted")
+	if _, err := inst.Deliver("T2", protocol.ToBeSignalled{Action: "A#1", Round: 2, Phase: 1}); !errors.Is(err, ErrWrongRound) {
+		t.Fatalf("wrong round: err = %v", err)
 	}
-	if _, err := inst.Deliver("T2", protocol.ToBeSignalled{Action: "A#1", Round: 2, Phase: 1}); err == nil {
-		t.Fatal("wrong round accepted")
-	}
-	if _, err := inst.Deliver("T2", protocol.ToBeSignalled{Action: "A#1", Round: 3, Phase: 7}); err == nil {
-		t.Fatal("bad phase accepted")
+	if _, err := inst.Deliver("T2", protocol.ToBeSignalled{Action: "A#1", Round: 3, Phase: 7}); !errors.Is(err, ErrUnexpected) {
+		t.Fatalf("bad phase: err = %v", err)
 	}
 }
 

@@ -549,6 +549,9 @@ func (t *TCP) nodeReadLoop(conn net.Conn) {
 	granting := sendGrant(conn, window)
 	threshold := max(window/2, 1)
 	consumed := 0
+	// The connection's name table: the peer's thread, role and exception
+	// names repeat on every message, so they are decoded once.
+	var names protocol.Names
 	deliver := func(to []byte, from string, msg protocol.Message) error {
 		// Look the destination up in place (string(to) in the index
 		// expression does not allocate); only a miss converts it.
@@ -580,7 +583,7 @@ func (t *TCP) nodeReadLoop(conn net.Conn) {
 		}
 		switch {
 		case protocol.IsNodeBatch(buf):
-			if err := protocol.DecodeNodeBatch(buf, deliver); err != nil {
+			if err := protocol.DecodeNodeBatch(buf, &names, deliver); err != nil {
 				return // a framing error poisons the stream
 			}
 		case !protocol.IsNodeControl(buf):
