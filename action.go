@@ -31,6 +31,12 @@ var ErrDraining = errors.New("caaction: system draining")
 type ActionHandle struct {
 	id    string
 	roles []string
+	// rolesArr and outcomesArr back roles and outcomes for actions of up to
+	// len(rolesArr) local roles, so the common small action keeps its
+	// bookkeeping inside the handle's one allocation; larger actions fall
+	// back to slices.
+	rolesArr    [4]string
+	outcomesArr [4]roleOutcome
 
 	done      chan struct{} // closed when every role has finished
 	cancelled atomic.Bool
@@ -39,10 +45,9 @@ type ActionHandle struct {
 	mu      sync.Mutex
 	pending int
 	// outcomes is indexed like roles: one slot per role, filled as roles
-	// finish. A slice (instead of the map the handle once carried) keeps
-	// per-action bookkeeping to a single small allocation on the
-	// StartAction hot path; Results still materialises the map view on
-	// demand.
+	// finish. A slice (instead of the map the handle once carried) needs no
+	// allocation of its own for small actions (outcomesArr); Results still
+	// materialises the map view on demand.
 	outcomes []roleOutcome
 	// doneQ is the clock-integrated completion signal for Wait under
 	// virtual time; real-time systems wait on the done channel instead, so
@@ -231,7 +236,8 @@ func WithTenant(name string) StartOption {
 // Under admission control (WithMaxInFlight, WithTenantBudget) a start over
 // budget fast-rejects with a typed *OverloadedError matching ErrOverloaded.
 func (s *System) StartAction(ctx context.Context, spec *Spec, progs map[string]RoleProgram, opts ...StartOption) (*ActionHandle, error) {
-	tag := "a" + strconv.FormatInt(s.actionSeq.Add(1), 10)
+	var buf [24]byte
+	tag := string(strconv.AppendInt(append(buf[:0], 'a'), s.actionSeq.Add(1), 10))
 	return s.startAction(ctx, tag, spec, progs, opts)
 }
 
@@ -275,7 +281,8 @@ func (s *System) startAction(ctx context.Context, tag string, spec *Spec, progs 
 	// On a cluster node only the locally-placed roles run here; the other
 	// nodes of the cluster start the rest under the same tag. Everywhere
 	// else every role is local.
-	local := make([]Role, 0, len(spec.Roles))
+	var localArr [4]Role
+	local := localArr[:0]
 	for _, r := range spec.Roles {
 		if s.clusterLocal != nil && !s.clusterLocal(r.Thread) {
 			continue
@@ -293,9 +300,9 @@ func (s *System) startAction(ctx context.Context, tag string, spec *Spec, progs 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("caaction: %s not started: %w", spec.Name, context.Cause(ctx))
 	}
-	var sc startConfig
-	for _, opt := range opts {
-		opt(&sc)
+	var tenant string
+	if len(opts) > 0 {
+		tenant = startTenant(opts)
 	}
 	// A ctx deadline propagates into the runtime as an absolute clock time:
 	// each role thread clamps its protocol and Context waits to it, so a
@@ -310,19 +317,24 @@ func (s *System) startAction(ctx context.Context, tag string, spec *Spec, progs 
 		}
 		coreDeadline = s.clock.Now() + remaining
 	}
-	if err := s.beginAction(sc.tenant); err != nil {
+	if err := s.beginAction(tenant); err != nil {
 		return nil, err
 	}
 
 	h := &ActionHandle{
-		id:       tag,
-		done:     make(chan struct{}),
-		clock:    s.waitClock(),
-		pending:  len(local),
-		outcomes: make([]roleOutcome, len(local)),
-		roles:    make([]string, 0, len(local)),
-		sys:      s,
-		tenant:   sc.tenant,
+		id:      tag,
+		done:    make(chan struct{}),
+		clock:   s.waitClock(),
+		pending: len(local),
+		sys:     s,
+		tenant:  tenant,
+	}
+	if len(local) <= len(h.rolesArr) {
+		h.outcomes = h.outcomesArr[:len(local)]
+		h.roles = h.rolesArr[:0]
+	} else {
+		h.outcomes = make([]roleOutcome, len(local))
+		h.roles = make([]string, 0, len(local))
 	}
 	mux := s.muxNet()
 	type roleThread struct {
@@ -330,14 +342,15 @@ func (s *System) startAction(ctx context.Context, tag string, spec *Spec, progs 
 		th   *core.Thread
 		ep   transport.Endpoint
 	}
-	rts := make([]roleThread, 0, len(local))
+	var rtsArr [4]roleThread
+	rts := rtsArr[:0]
 	for _, r := range local {
 		ep, err := mux.OpenIn(&h.mux, tag, r.Thread)
 		if err != nil {
 			for _, x := range rts {
 				_ = x.ep.Close()
 			}
-			s.endAction(sc.tenant)
+			s.endAction(tenant)
 			if s.draining.Load() {
 				// The mux (or transport) closed under us because shutdown
 				// began after admission; report the typed refusal rather
@@ -365,6 +378,15 @@ func (s *System) startAction(ctx context.Context, tag string, spec *Spec, progs 
 			prog: progs[x.role], th: x.th, ep: x.ep, recycleEP: !watch}
 		ts = append(ts, t)
 	}
+	var eps []transport.Endpoint
+	if watch {
+		// The watcher's own copy of the endpoints, so rts stays on the
+		// stack for unwatched actions.
+		eps = make([]transport.Endpoint, len(rts))
+		for i, x := range rts {
+			eps[i] = x.ep
+		}
+	}
 	s.runners.start(ts)
 	if watch {
 		// The watcher is untracked: it blocks on real channels, never on the
@@ -373,14 +395,24 @@ func (s *System) startAction(ctx context.Context, tag string, spec *Spec, progs 
 			select {
 			case <-ctx.Done():
 				h.cancelled.Store(true)
-				for _, x := range rts {
-					_ = x.ep.Close()
+				for _, ep := range eps {
+					_ = ep.Close()
 				}
 			case <-h.done:
 			}
 		}()
 	}
 	return h, nil
+}
+
+// startTenant applies a start's options. It is called only when there are
+// options: the config it fills escapes into them.
+func startTenant(opts []StartOption) string {
+	var sc startConfig
+	for _, opt := range opts {
+		opt(&sc)
+	}
+	return sc.tenant
 }
 
 // muxNet lazily creates the demultiplexer the System's concurrent actions

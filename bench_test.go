@@ -15,6 +15,7 @@ import (
 
 	"caaction"
 	"caaction/experiments"
+	"caaction/load"
 	"caaction/prodcell"
 )
 
@@ -270,7 +271,7 @@ func TestStartActionCommitAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates: sync.Pool drops items at random")
 	}
-	const ceiling = 27.0 // allocs per action
+	const ceiling = 21.0 // allocs per action
 	sys, err := caaction.New(caaction.WithRealTime(), caaction.WithSimTransport(0))
 	if err != nil {
 		t.Fatal(err)
@@ -304,6 +305,88 @@ func TestStartActionCommitAllocCeiling(t *testing.T) {
 	runtime.GC()
 	if n := testing.AllocsPerRun(200, action); n > ceiling {
 		t.Fatalf("one commit action allocates %v allocs, ceiling %v", n, ceiling)
+	}
+}
+
+// TestLoadKindAllocCeilings pins the allocation cost of one action of each
+// load kind — a commit, an exceptional exit through §3.4 signalling, a
+// §3.3.2 abort cascade out of a nested action, and a resolution storm — on
+// the path TestStartActionCommitAllocCeiling measures: 3 roles over the sim
+// transport on the real clock, one caller, a holder action keeping the
+// threads' shared endpoints bound. Each action's outcome is checked inside
+// the measured function with the public classifiers, so the ceilings also
+// pin that classifying an outcome allocates nothing.
+func TestLoadKindAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what allocates: sync.Pool drops items at random")
+	}
+	for _, tc := range []struct {
+		kind    string
+		ceiling float64 // allocs per action
+		ok      func(err error) bool
+	}{
+		{load.KindCommit, 21, func(err error) bool { return err == nil }},
+		{load.KindSignal, 39, func(err error) bool {
+			se, ok := caaction.AsSignalled(err)
+			return ok && se.Exc == "overload"
+		}},
+		{load.KindAbort, 66, caaction.IsUndone},
+		{load.KindStorm, 34, func(err error) bool { return err == nil }},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			sys, err := caaction.New(caaction.WithRealTime(), caaction.WithSimTransport(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = sys.Close() }()
+			spec, progs, err := load.Workload(tc.kind, 3, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			holdSpec, _, err := load.Workload(load.KindCommit, 3, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			release := make(chan struct{})
+			hold := caaction.RoleProgram{Body: func(*caaction.Context) error { <-release; return nil }}
+			holdProgs := make(map[string]caaction.RoleProgram)
+			for i := 0; i < 3; i++ {
+				holdProgs[load.RoleName(i)] = hold
+			}
+			holder, err := sys.StartAction(context.Background(), holdSpec, holdProgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				close(release)
+				holder.WaitDone()
+			}()
+			bad := false
+			action := func() {
+				h, err := sys.StartAction(context.Background(), spec, progs)
+				if err != nil {
+					panic(err)
+				}
+				h.WaitDone()
+				h.Each(func(_ string, err error) {
+					if !tc.ok(err) {
+						bad = true
+					}
+				})
+			}
+			for i := 0; i < 64; i++ {
+				action() // warm the runner, thread, frame and delivery pools
+			}
+			runtime.GC()
+			n := testing.AllocsPerRun(200, action)
+			if bad {
+				t.Fatalf("a %s action did not end in %s", tc.kind, load.Expect(tc.kind))
+			}
+			t.Logf("one %s action: %v allocs", tc.kind, n)
+			if n > tc.ceiling {
+				t.Fatalf("one %s action allocates %v allocs, ceiling %v", tc.kind, n, tc.ceiling)
+			}
+		})
 	}
 }
 

@@ -91,13 +91,7 @@ func (e *OverloadedError) Error() string {
 func (e *OverloadedError) Unwrap() error { return ErrOverloaded }
 
 // AsSignalled extracts the SignalledError from err, if any.
-func AsSignalled(err error) (*SignalledError, bool) {
-	var se *SignalledError
-	if errors.As(err, &se) {
-		return se, true
-	}
-	return nil, false
-}
+func AsSignalled(err error) (*SignalledError, bool) { return core.Signalled(err) }
 
 // IsUndone reports whether err is an action outcome of µ: aborted with all
 // effects undone.

@@ -41,8 +41,10 @@ func (c *Context) Self() string { return c.th.id }
 // Role returns the role this thread plays in the action.
 func (c *Context) Role() string { return c.f.role }
 
-// ActionID returns the action instance identifier.
-func (c *Context) ActionID() string { return c.f.id }
+// ActionID returns the action instance identifier. It is the snapshot
+// taken when the Context was created, so a Context kept past its action
+// still names that action, not the one its recycled frame now serves.
+func (c *Context) ActionID() string { return c.id }
 
 // Depth returns the action's nesting depth: 0 for a top-level action, 1
 // for its direct children, and so on. Read from the identifier's parsed
@@ -62,21 +64,34 @@ func (c *Context) Round() int { return c.f.round }
 // Now returns the current (virtual or real) time.
 func (c *Context) Now() time.Duration { return c.th.rt.clock.Now() }
 
-// Tx returns the transaction tracking this role's external-object use.
-func (c *Context) Tx() *atomicobj.Tx { return c.f.tx }
+// Tx returns the transaction tracking this role's external-object use. It
+// panics when the Context is used after its action ended: the frame may
+// since serve another action, whose transaction must not take this
+// Context's writes.
+func (c *Context) Tx() *atomicobj.Tx {
+	if c.f.gen != c.gen {
+		c.outsideFrame()
+	}
+	return c.f.tx
+}
 
 // Logf records a runtime event attributed to this thread.
 func (c *Context) Logf(format string, args ...any) {
 	c.th.logf("app", format, args...)
 }
 
+// outsideFrame panics for a Context used outside its frame. It reports the
+// snapshotted id: a recycled frame's fields belong to a different (possibly
+// concurrently running) instance.
+func (c *Context) outsideFrame() {
+	panic(fmt.Sprintf("core: Context for %s used outside its frame", c.id))
+}
+
 // pre checks that the frame is current and that no pending exception
 // obliges the caller to unwind.
 func (c *Context) pre() error {
 	if c.th.top() != c.f || c.f.gen != c.gen {
-		// Report the snapshotted id: a recycled frame's fields belong to a
-		// different (possibly concurrently running) instance.
-		panic(fmt.Sprintf("core: Context for %s used outside its frame", c.id))
+		c.outsideFrame()
 	}
 	if c.f.aborting {
 		return nil // abortion handlers run to completion, uninterrupted

@@ -426,12 +426,17 @@ type frame struct {
 	sig       *signal.Instance
 	sigDec    signal.Decision
 	hasSigDec bool
-	votes     []transport.Delivery // same-round votes buffered before sig exists
-	epsilon   except.ID
-	// undoFn is the bound undo method handed to every exit's signalling
-	// instance. It is bound once per frame object, captures only the
-	// frame, and survives recycling (see releaseFrame).
-	undoFn func() error
+	// votes buffers same-round votes that arrive before sig exists. Its
+	// backing array survives recycling, with length 0 and every slot
+	// zeroed (see releaseFrame).
+	votes   []transport.Delivery
+	epsilon except.ID
+	// undoFn and resolveFn are the bound undo and resolve methods handed to
+	// every exit's signalling instance and every round's resolution
+	// instance. They are bound once per frame object, capture only the
+	// frame, and survive recycling (see releaseFrame).
+	undoFn    func() error
+	resolveFn func(raised []except.Raised) except.ID
 
 	// Buffers.
 	future []transport.Delivery // messages for rounds not reached yet
@@ -472,6 +477,7 @@ func (th *Thread) pushFrame(parent *frame, spec *Spec, role string, prog RolePro
 	if f == nil {
 		f = &frame{}
 		f.undoFn = f.undo
+		f.resolveFn = f.resolve
 	}
 	f.th = th
 	f.spec = spec
@@ -514,22 +520,25 @@ func (th *Thread) popFrame(f *frame) {
 }
 
 // releaseFrame scrubs a popped frame back to the zero state and returns it
-// to the runtime's pool. Hygiene contract: apart from the entered slice's
-// retained capacity (its length is re-established per instance), the bumped
-// generation counter and the bound undo method (undoFn captures only the
-// frame object and reads its current incarnation when called), a recycled
-// frame is indistinguishable from a freshly allocated one — no counters,
-// buffers, parsed identifiers, protocol engines or per-instance closures
-// survive into the next incarnation. Callers must not touch the frame after
-// release; perform's control flow guarantees that (the only post-pop reads
-// are of values copied out beforehand), and stale user Contexts are caught
-// by the generation check in Context.pre.
+// to the runtime's pool. Hygiene contract: apart from the retained capacity
+// of the entered and votes slices (both at length 0; entered's length is
+// re-established per instance, and every slot of votes' backing array is
+// zeroed, so no delivery outlives its action), the bumped generation counter
+// and the bound undo and resolve methods (undoFn and resolveFn capture only
+// the frame object and read its current incarnation when called), a
+// recycled frame is indistinguishable from a freshly allocated one — no
+// counters, buffered messages, parsed identifiers, protocol engines or
+// per-instance closures survive into the next incarnation. Callers must not
+// touch the frame after release; perform's control flow guarantees that (the
+// only post-pop reads are of values copied out beforehand), and stale user
+// Contexts are caught by the generation check in Context.pre.
 func (th *Thread) releaseFrame(f *frame) {
 	if f.sig != nil {
 		f.sig.Release()
 	}
-	ent := f.entered[:0]
-	*f = frame{entered: ent, gen: f.gen + 1, undoFn: f.undoFn}
+	clear(f.votes)
+	*f = frame{entered: f.entered[:0], votes: f.votes[:0], gen: f.gen + 1,
+		undoFn: f.undoFn, resolveFn: f.resolveFn}
 	th.rt.framePool.Put(f)
 }
 
@@ -707,7 +716,9 @@ func (th *Thread) routeInnermost(f *frame, d transport.Delivery) routeVerdict {
 			f.sig.Release()
 			f.sig = nil
 			f.sigDec, f.hasSigDec = signal.Decision{}, false
-			th.logf("exit.abandoned", "%s: exception round %d during exit", f.id, r)
+			if th.logOn {
+				th.logf("exit.abandoned", "%s: exception round %d during exit", f.id, r)
+			}
 		}
 		th.ensureInstance(f)
 		out, err := f.inst.Deliver(d.From, d.Msg)
@@ -802,22 +813,28 @@ func (th *Thread) ensureInstance(f *frame) {
 		return
 	}
 	f.inst = th.rt.proto.NewInstance(resolve.Config{
-		Action: f.id,
-		Self:   th.id,
-		Peers:  f.peers,
-		Round:  f.round,
-		Send:   th.sendFn,
-		Resolve: func(raised []except.Raised) except.ID {
-			th.rt.counters.resolveCalls.Add(1)
-			th.rt.clock.Sleep(f.spec.Timing.Resolution)
-			id, err := f.spec.Graph.ResolveRaised(raised)
-			if err != nil {
-				th.logf("resolve.error", "%v", err)
-				return f.spec.Graph.Root()
-			}
-			return id
-		},
+		Action:  f.id,
+		Self:    th.id,
+		Peers:   f.peers,
+		Round:   f.round,
+		Send:    th.sendFn,
+		Resolve: f.resolveFn,
 	})
+}
+
+// resolve is the resolution procedure over the round's raised exceptions,
+// modelling its Treso cost. The frame binds it once, as resolveFn, when it
+// is first allocated.
+func (f *frame) resolve(raised []except.Raised) except.ID {
+	th := f.th
+	th.rt.counters.resolveCalls.Add(1)
+	th.rt.clock.Sleep(f.spec.Timing.Resolution)
+	id, err := f.spec.Graph.ResolveRaised(raised)
+	if err != nil {
+		th.logf("resolve.error", "%v", err)
+		return f.spec.Graph.Root()
+	}
+	return id
 }
 
 // drainFuture replays buffered messages that have become current after a

@@ -40,12 +40,20 @@ func (e *SignalledError) Error() string {
 }
 
 // Signalled extracts the SignalledError from err, if any.
-func Signalled(err error) (*SignalledError, bool) {
-	var se *SignalledError
-	if errors.As(err, &se) {
-		return se, true
+func Signalled(err error) (*SignalledError, bool) { return asError[*SignalledError](err) }
+
+// asError is errors.As for a target of type T without its allocation in the
+// common case: an unwrapped err — the outcomes Perform and StartAction
+// return, the control errors Context hands a body — is settled by a type
+// assertion, and only a wrapped one pays for errors.As, whose target
+// escapes. The target is declared past the early return, so it is allocated
+// only on that path.
+func asError[T error](err error) (T, bool) {
+	if t, ok := err.(T); ok || err == nil {
+		return t, ok
 	}
-	return nil, false
+	var t T
+	return t, errors.As(err, &t)
 }
 
 // IsUndone reports whether err is an action outcome of µ: aborted with all

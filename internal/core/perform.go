@@ -111,8 +111,7 @@ func (th *Thread) mapUserErr(ctx *Context, err error) error {
 	if err == nil {
 		return nil
 	}
-	var pe *pendingError
-	if errors.As(err, &pe) {
+	if pe, ok := asError[*pendingError](err); ok {
 		return pe
 	}
 	if errors.Is(err, ErrThreadStopped) {
@@ -145,7 +144,9 @@ func (th *Thread) conclude(ctx *Context, err error) error {
 			th.recordOutcome(f, "aborted")
 			// Log before popFrame: the pop recycles the frame, so f.id must
 			// not be read afterwards.
-			th.logf("aborted", "%s (target %s, Eab=%q)", f.id, pe.target, eab)
+			if th.logOn {
+				th.logf("aborted", "%s (target %s, Eab=%q)", f.id, pe.target, eab)
+			}
 			th.popFrame(f)
 			return &abortError{target: pe.target, eab: eab}
 		}
@@ -160,7 +161,9 @@ func (th *Thread) conclude(ctx *Context, err error) error {
 					_ = f.tx.Undo()
 					th.rt.counters.deadlined.Add(1)
 					th.recordOutcome(f, "deadline")
-					th.logf("deadline", "%s: abandoned at propagated deadline", f.id)
+					if th.logOn {
+						th.logf("deadline", "%s: abandoned at propagated deadline", f.id)
+					}
 				} else if !errors.Is(err, ErrThreadStopped) {
 					// A crash-stop (ErrThreadStopped) records nothing: its
 					// absence from the WAL is what marks the action in
@@ -272,9 +275,6 @@ func (th *Thread) exitAction(f *frame) (dec signal.Decision, decided bool, err e
 		Send:   th.sendFn,
 		Undo:   f.undoFn,
 	})
-	// Replay same-round votes that arrived before the local vote was cast.
-	pending := f.votes
-	f.votes = nil
 	if th.rt.rec != nil {
 		// Write-ahead: the exit vote is durable before it is cast.
 		th.rt.rec.RecordVote(th.id, f.id, f.round, string(f.epsilon))
@@ -282,7 +282,11 @@ func (th *Thread) exitAction(f *frame) (dec signal.Decision, decided bool, err e
 	if d0 := f.sig.Start(f.epsilon); d0.Done {
 		f.sigDec, f.hasSigDec = d0, true
 	}
-	for _, d := range pending {
+	// Replay same-round votes that arrived before the local vote was cast.
+	// Nothing appends to f.votes meanwhile: the owner is not parked, so no
+	// deliverer routes on this thread, and the buffer is emptied in place to
+	// keep its capacity for the next exit.
+	for _, d := range f.votes {
 		m, ok := d.Msg.(protocol.ToBeSignalled)
 		if !ok || m.Round != f.round || f.sig == nil {
 			continue
@@ -296,6 +300,8 @@ func (th *Thread) exitAction(f *frame) (dec signal.Decision, decided bool, err e
 			f.sigDec, f.hasSigDec = dd, true
 		}
 	}
+	clear(f.votes)
+	f.votes = f.votes[:0]
 
 	timeout := f.spec.Timing.SignalTimeout
 	if timeout == 0 {
@@ -310,7 +316,9 @@ func (th *Thread) exitAction(f *frame) (dec signal.Decision, decided bool, err e
 		// §3.4 extension: missing votes — lost messages, or votes a
 		// deadline-doomed action can no longer afford to wait for — count
 		// as ƒ, so the exit still concludes coordinately.
-		th.logf("exit.timeout", "%s: treating missing votes as ƒ", f.id)
+		if th.logOn {
+			th.logf("exit.timeout", "%s: treating missing votes as ƒ", f.id)
+		}
 		dm := f.sig.MarkFailed(f.sig.Missing()...)
 		if dm.Done {
 			f.sigDec, f.hasSigDec = dm, true
@@ -355,7 +363,9 @@ func (th *Thread) finalize(f *frame, dec signal.Decision) error {
 	case except.Undo:
 		th.rt.counters.undone.Add(1)
 		th.recordOutcome(f, "undone")
-		th.logf("exit", "%s: undone (µ)", f.id)
+		if th.logOn {
+			th.logf("exit", "%s: undone (µ)", f.id)
+		}
 		return &SignalledError{Action: f.id, Spec: f.spec.Name, Exc: except.Undo}
 	case except.Failure:
 		if !dec.UndoDone {
@@ -363,15 +373,22 @@ func (th *Thread) finalize(f *frame, dec signal.Decision) error {
 		}
 		th.rt.counters.failed.Add(1)
 		th.recordOutcome(f, "failed")
-		th.logf("exit", "%s: failed (ƒ)", f.id)
+		if th.logOn {
+			th.logf("exit", "%s: failed (ƒ)", f.id)
+		}
 		return &SignalledError{Action: f.id, Spec: f.spec.Name, Exc: except.Failure}
 	default:
 		if err := f.tx.Commit(); err != nil {
 			th.logf("commit.error", "%s: %v", f.id, err)
 		}
 		th.rt.counters.signalled.Add(1)
-		th.recordOutcome(f, "signalled:"+string(dec.Signal))
-		th.logf("exit", "%s: signalling %s", f.id, dec.Signal)
+		if th.rt.rec != nil {
+			// Built only for a recorder: the concatenation allocates.
+			th.rt.rec.RecordOutcome(th.id, f.id, "signalled:"+string(dec.Signal))
+		}
+		if th.logOn {
+			th.logf("exit", "%s: signalling %s", f.id, dec.Signal)
+		}
 		return &SignalledError{Action: f.id, Spec: f.spec.Name, Exc: dec.Signal}
 	}
 }

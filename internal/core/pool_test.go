@@ -8,6 +8,7 @@ package core
 // scrubbed fields directly rather than only on behaviour.
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -164,8 +165,10 @@ func TestRecycleMidActionIsNoop(t *testing.T) {
 }
 
 // TestFrameReleaseScrubsEverything pops a frame through releaseFrame and
-// checks the pooled object is zero apart from the entered slice's capacity
-// and the bumped generation.
+// checks, field by field, that the pooled object is zero apart from what the
+// hygiene contract lets survive: the bumped generation, the bound undo and
+// resolve methods, and the entered and votes slices at length 0 — votes
+// keeping its backing array with every slot zeroed.
 func TestFrameReleaseScrubsEverything(t *testing.T) {
 	_, rt := poolEnv(t)
 	th, err := rt.NewThread("T1")
@@ -180,25 +183,91 @@ func TestFrameReleaseScrubsEverything(t *testing.T) {
 	f.round = 3
 	f.informed = true
 	f.epsilon = "e1"
-	f.votes = append(f.votes, transport.Delivery{From: "T9"})
+	f.votes = append(f.votes, transport.Delivery{From: "T9"}, transport.Delivery{From: "T8"})
 	f.future = append(f.future, transport.Delivery{From: "T9"})
 	f.pendingAbort = append(f.pendingAbort, transport.Delivery{From: "T9"})
 	f.addApp("T9", "payload")
+	th.ensureInstance(f)
 	gen := f.gen
 	th.popFrame(f)
 
 	if f.gen != gen+1 {
 		t.Errorf("generation not bumped: %d -> %d", gen, f.gen)
 	}
-	zero := frame{entered: f.entered, gen: f.gen}
-	if f.th != nil || f.spec != nil || f.id != "" || f.pid.Raw != "" || f.role != "" ||
-		f.prog.Body != nil || f.peers != nil || f.round != 0 || f.inst != nil ||
-		f.hasDecided || f.informed || f.sig != nil || f.hasSigDec ||
-		f.votes != nil || f.epsilon != zero.epsilon || f.future != nil ||
-		f.enteredN != 0 || f.apps != nil || f.pendingAbort != nil || f.aborting || f.tx != nil {
-		t.Errorf("released frame keeps state: %+v", f)
+	v := reflect.ValueOf(f).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch name := v.Type().Field(i).Name; name {
+		case "gen", "undoFn", "resolveFn", "entered", "votes":
+			// Checked below.
+		default:
+			if !v.Field(i).IsZero() {
+				t.Errorf("released frame keeps %s: %+v", name, v.Field(i))
+			}
+		}
+	}
+	if f.undoFn == nil || f.resolveFn == nil {
+		t.Errorf("released frame dropped its bound methods: undoFn=%v resolveFn=%v", f.undoFn != nil, f.resolveFn != nil)
 	}
 	if len(f.entered) != 0 {
 		t.Errorf("released frame's entered slice has length %d, want 0", len(f.entered))
+	}
+	if len(f.votes) != 0 || cap(f.votes) < 2 {
+		t.Errorf("released frame's votes slice has length %d and capacity %d, want 0 and its old backing array", len(f.votes), cap(f.votes))
+	}
+	for i, d := range f.votes[:cap(f.votes)] {
+		if !reflect.ValueOf(d).IsZero() {
+			t.Errorf("released frame's votes slot %d keeps %+v", i, d)
+		}
+	}
+}
+
+// TestStaleContextAccessors holds a Context past its action and runs a
+// second action on the same threads, which takes the released frame from
+// the pool when the pool kept it. The held Context must still name its own
+// action, and must refuse to hand out a transaction: the frame's current one
+// belongs to the second action.
+func TestStaleContextAccessors(t *testing.T) {
+	env, rt := poolEnv(t)
+	spec := poolSpec(t, "stale")
+	t1, err := rt.NewThread("T1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2, err := rt.NewThread("T2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held *Context
+	performPair(t, env, spec, t1, t2, func(ctx *Context) error {
+		if ctx.Self() == "T1" {
+			held = ctx
+		}
+		return nil
+	})
+	var (
+		reused  bool
+		ownID   string
+		heldID  string
+		txPanic any
+	)
+	performPair(t, env, spec, t1, t2, func(ctx *Context) error {
+		if ctx.Self() != "T1" {
+			return nil
+		}
+		reused = held.f == ctx.f
+		ownID, heldID = ctx.ActionID(), held.ActionID()
+		func() {
+			defer func() { txPanic = recover() }()
+			_ = held.Tx()
+		}()
+		return nil
+	})
+	t.Logf("frame reused by the second action: %v", reused)
+	if ownID != "stale#2" || heldID != "stale#1" {
+		t.Errorf("ActionID: second action %q, held Context %q; want stale#2 and stale#1", ownID, heldID)
+	}
+	want := "core: Context for stale#1 used outside its frame"
+	if msg, _ := txPanic.(string); msg != want {
+		t.Errorf("held Context's Tx() panicked with %v, want %q", txPanic, want)
 	}
 }

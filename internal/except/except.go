@@ -9,6 +9,7 @@ package except
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -56,16 +57,15 @@ type Raised struct {
 // IDsOf extracts the distinct exception IDs from a set of raised instances,
 // sorted for determinism.
 func IDsOf(raised []Raised) []ID {
-	seen := make(map[ID]bool, len(raised))
-	var ids []ID
-	for _, r := range raised {
-		if !seen[r.ID] {
-			seen[r.ID] = true
-			ids = append(ids, r.ID)
-		}
+	if len(raised) == 0 {
+		return nil
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	ids := make([]ID, len(raised))
+	for i, r := range raised {
+		ids[i] = r.ID
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // Combined returns the canonical ID for the resolving exception covering the

@@ -338,14 +338,53 @@ func (g *Graph) Resolve(raised ...ID) (ID, error) {
 	if len(raised) == 0 {
 		return None, ErrNothingRaised
 	}
-	need := make([]uint64, g.words)
+	var buf [4]uint64
+	need := g.needSet(buf[:])
 	for _, id := range raised {
-		i, ok := g.idx[id]
-		if !ok {
+		if !g.need(need, id) {
 			return g.Root(), nil
 		}
-		need[i/64] |= 1 << (i % 64)
 	}
+	return g.cover(need), nil
+}
+
+// ResolveRaised is Resolve applied to raised-exception instances.
+func (g *Graph) ResolveRaised(raised []Raised) (ID, error) {
+	if len(raised) == 0 {
+		return None, ErrNothingRaised
+	}
+	var buf [4]uint64
+	need := g.needSet(buf[:])
+	for _, r := range raised {
+		if !g.need(need, r.ID) {
+			return g.Root(), nil
+		}
+	}
+	return g.cover(need), nil
+}
+
+// needSet returns an empty bitset over the graph's nodes, in buf when it is
+// large enough, so resolving in a graph of up to 64·len(buf) nodes
+// allocates nothing.
+func (g *Graph) needSet(buf []uint64) []uint64 {
+	if g.words <= len(buf) {
+		return buf[:g.words]
+	}
+	return make([]uint64, g.words)
+}
+
+// need adds id to the bitset, reporting false for an undeclared exception.
+func (g *Graph) need(set []uint64, id ID) bool {
+	i, ok := g.idx[id]
+	if ok {
+		set[i/64] |= 1 << (i % 64)
+	}
+	return ok
+}
+
+// cover returns the node with the smallest cover set covering every member
+// of need.
+func (g *Graph) cover(need []uint64) ID {
 	best := -1
 	for i := range g.nodes {
 		node := &g.nodes[i]
@@ -366,14 +405,9 @@ func (g *Graph) Resolve(raised ...ID) (ID, error) {
 	if best < 0 {
 		// Unreachable for valid graphs (the root covers everything),
 		// but keep a defensive answer.
-		return g.Root(), nil
+		return g.Root()
 	}
-	return g.nodes[best].id, nil
-}
-
-// ResolveRaised is Resolve applied to raised-exception instances.
-func (g *Graph) ResolveRaised(raised []Raised) (ID, error) {
-	return g.Resolve(IDsOf(raised)...)
+	return g.nodes[best].id
 }
 
 func betterCover(a, b *gnode) bool {

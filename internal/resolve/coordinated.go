@@ -29,35 +29,25 @@ var _ Protocol = Coordinated{}
 func (Coordinated) Name() string { return "coordinated" }
 
 // NewInstance implements Protocol.
-func (Coordinated) NewInstance(cfg Config) Instance {
-	return &coordInstance{cfg: cfg, state: StateNormal, entries: make(map[string]entry)}
-}
+func (Coordinated) NewInstance(cfg Config) Instance { return newCoordInstance(cfg, 1) }
 
-// entry is one participant's contribution to the LE list (§3.3.1): either a
-// raised exception (state X) or a suspension notice (state S).
-type entry struct {
-	state State
-	exc   except.Raised
-}
-
+// coordInstance runs the paper's algorithm with a resolver group of k
+// threads: Coordinated is k = 1, CoordinatedGroup any k.
 type coordInstance struct {
-	cfg     Config
-	state   State
-	entries map[string]entry
-	decided bool
-	out     Outcome
+	roundState
+	k int
 }
 
 var _ Instance = (*coordInstance)(nil)
 
-func (c *coordInstance) State() State { return c.state }
+func newCoordInstance(cfg Config, k int) *coordInstance {
+	c := &coordInstance{k: k}
+	c.init(cfg)
+	return c
+}
 
 func (c *coordInstance) Raise(exc except.Raised) Outcome {
-	c.state = StateExceptional
-	c.entries[c.cfg.Self] = entry{state: StateExceptional, exc: exc}
-	broadcast(&c.cfg, protocol.Exception{
-		Action: c.cfg.Action, From: c.cfg.Self, Round: c.cfg.Round, Exc: exc,
-	})
+	c.raise(exc)
 	c.maybeResolve()
 	return c.outcome(false)
 }
@@ -65,31 +55,30 @@ func (c *coordInstance) Raise(exc except.Raised) Outcome {
 func (c *coordInstance) Deliver(from string, msg protocol.Message) (Outcome, error) {
 	switch m := msg.(type) {
 	case protocol.Exception:
-		if err := validate(&c.cfg, m.Action, m.Round); err != nil {
+		i, err := c.sender(from, m.Action, m.Round)
+		if err != nil {
 			return Outcome{}, err
 		}
-		c.entries[from] = entry{state: StateExceptional, exc: m.Exc}
+		c.record(i, entry{state: StateExceptional, exc: m.Exc})
 		informed := c.suspendIfNormal()
 		c.maybeResolve()
 		return c.outcome(informed), nil
 
 	case protocol.Suspended:
-		if err := validate(&c.cfg, m.Action, m.Round); err != nil {
+		i, err := c.sender(from, m.Action, m.Round)
+		if err != nil {
 			return Outcome{}, err
 		}
-		c.entries[from] = entry{state: StateSuspended}
+		c.record(i, entry{state: StateSuspended})
 		informed := c.suspendIfNormal()
 		c.maybeResolve()
 		return c.outcome(informed), nil
 
 	case protocol.Commit:
-		if err := validate(&c.cfg, m.Action, m.Round); err != nil {
+		if _, err := c.sender(from, m.Action, m.Round); err != nil {
 			return Outcome{}, err
 		}
-		if !c.decided {
-			c.decided = true
-			c.out = Outcome{Decided: true, Resolved: m.Resolved, Raised: m.Raised}
-		}
+		c.decide(m.Resolved, m.Raised)
 		return c.outcome(false), nil
 
 	default:
@@ -97,57 +86,17 @@ func (c *coordInstance) Deliver(from string, msg protocol.Message) (Outcome, err
 	}
 }
 
-// suspendIfNormal implements the "if S(Ti) = N then suspend and broadcast
-// Suspended" branch; it reports whether the thread was just informed.
-func (c *coordInstance) suspendIfNormal() bool {
-	if c.state != StateNormal {
-		return false
-	}
-	c.state = StateSuspended
-	c.entries[c.cfg.Self] = entry{state: StateSuspended}
-	broadcast(&c.cfg, protocol.Suspended{
-		Action: c.cfg.Action, From: c.cfg.Self, Round: c.cfg.Round,
-	})
-	return true
-}
-
 // maybeResolve implements the resolver guard: all participants accounted for
-// and self is the largest-identified thread in state X.
+// and self among the k largest-identified threads in state X.
 func (c *coordInstance) maybeResolve() {
-	if c.decided || len(c.entries) != len(c.cfg.Peers) || c.state != StateExceptional {
+	if c.decided || !c.complete() || c.state != StateExceptional || c.largerExceptional() >= c.k {
 		return
-	}
-	for id, e := range c.entries {
-		if e.state == StateExceptional && id != c.cfg.Self && ThreadLess(c.cfg.Self, id) {
-			return // a larger-identified exceptional thread will resolve
-		}
 	}
 	raised := c.raisedSet()
 	resolved := c.cfg.Resolve(raised)
-	c.decided = true
-	c.out = Outcome{Decided: true, Resolved: resolved, Raised: raised}
+	c.decide(resolved, raised)
 	broadcast(&c.cfg, protocol.Commit{
 		Action: c.cfg.Action, From: c.cfg.Self, Round: c.cfg.Round,
 		Resolved: resolved, Raised: raised,
 	})
-}
-
-// raisedSet collects the raised exceptions in deterministic (thread) order.
-func (c *coordInstance) raisedSet() []except.Raised {
-	var out []except.Raised
-	for _, id := range c.cfg.Peers {
-		if e, ok := c.entries[id]; ok && e.state == StateExceptional {
-			out = append(out, e.exc)
-		}
-	}
-	return out
-}
-
-func (c *coordInstance) outcome(informed bool) Outcome {
-	out := c.out
-	out.Informed = informed
-	if !c.decided {
-		out = Outcome{Informed: informed}
-	}
-	return out
 }

@@ -35,38 +35,27 @@ func (CR86) Name() string { return "cr86" }
 
 // NewInstance implements Protocol.
 func (CR86) NewInstance(cfg Config) Instance {
-	return &cr86Instance{
-		cfg:      cfg,
-		state:    StateNormal,
-		entries:  make(map[string]entry),
+	c := &cr86Instance{
 		relays:   make(map[string]map[string]bool),
 		proposes: make(map[string]except.ID),
 	}
+	c.init(cfg)
+	return c
 }
 
 type cr86Instance struct {
-	cfg      Config
-	state    State
-	entries  map[string]entry           // per-thread X/S status
+	roundState
 	relays   map[string]map[string]bool // exception origin -> relayers seen
 	proposes map[string]except.ID
 	proposal except.ID
 	haveProp bool // a per-relay resolution result is available
 	proposed bool
-	decided  bool
-	out      Outcome
 }
 
 var _ Instance = (*cr86Instance)(nil)
 
-func (c *cr86Instance) State() State { return c.state }
-
 func (c *cr86Instance) Raise(exc except.Raised) Outcome {
-	c.state = StateExceptional
-	c.entries[c.cfg.Self] = entry{state: StateExceptional, exc: exc}
-	broadcast(&c.cfg, protocol.Exception{
-		Action: c.cfg.Action, From: c.cfg.Self, Round: c.cfg.Round, Exc: exc,
-	})
+	c.raise(exc)
 	c.maybePropose()
 	return c.outcome(false)
 }
@@ -74,10 +63,11 @@ func (c *cr86Instance) Raise(exc except.Raised) Outcome {
 func (c *cr86Instance) Deliver(from string, msg protocol.Message) (Outcome, error) {
 	switch m := msg.(type) {
 	case protocol.Exception:
-		if err := validate(&c.cfg, m.Action, m.Round); err != nil {
+		i, err := c.sender(from, m.Action, m.Round)
+		if err != nil {
 			return Outcome{}, err
 		}
-		c.entries[from] = entry{state: StateExceptional, exc: m.Exc}
+		c.record(i, entry{state: StateExceptional, exc: m.Exc})
 		// First-hand receipt: relay to everyone except self and raiser.
 		for _, p := range c.cfg.Peers {
 			if p != c.cfg.Self && p != from {
@@ -91,18 +81,22 @@ func (c *cr86Instance) Deliver(from string, msg protocol.Message) (Outcome, erro
 		return c.outcome(informed), nil
 
 	case protocol.Relay:
-		if err := validate(&c.cfg, m.Action, m.Round); err != nil {
+		if _, err := c.sender(from, m.Action, m.Round); err != nil {
 			return Outcome{}, err
 		}
 		origin := m.Exc.Origin
+		o, err := c.peer(origin)
+		if err != nil {
+			return Outcome{}, err
+		}
 		if c.relays[origin] == nil {
 			c.relays[origin] = make(map[string]bool)
 		}
 		c.relays[origin][from] = true
 		// A relay can outrun the first-hand copy; the exception content
 		// still counts as knowledge.
-		if _, ok := c.entries[origin]; !ok {
-			c.entries[origin] = entry{state: StateExceptional, exc: m.Exc}
+		if c.entries[o].state == 0 {
+			c.record(o, entry{state: StateExceptional, exc: m.Exc})
 		}
 		// CR-86 has no distinguished resolver: the procedure reruns on
 		// every relay.
@@ -113,16 +107,17 @@ func (c *cr86Instance) Deliver(from string, msg protocol.Message) (Outcome, erro
 		return c.outcome(informed), nil
 
 	case protocol.Suspended:
-		if err := validate(&c.cfg, m.Action, m.Round); err != nil {
+		i, err := c.sender(from, m.Action, m.Round)
+		if err != nil {
 			return Outcome{}, err
 		}
-		c.entries[from] = entry{state: StateSuspended}
+		c.record(i, entry{state: StateSuspended})
 		informed := c.suspendIfNormal()
 		c.maybePropose()
 		return c.outcome(informed), nil
 
 	case protocol.Propose:
-		if err := validate(&c.cfg, m.Action, m.Round); err != nil {
+		if _, err := c.sender(from, m.Action, m.Round); err != nil {
 			return Outcome{}, err
 		}
 		c.proposes[from] = m.Resolved
@@ -134,31 +129,19 @@ func (c *cr86Instance) Deliver(from string, msg protocol.Message) (Outcome, erro
 	}
 }
 
-func (c *cr86Instance) suspendIfNormal() bool {
-	if c.state != StateNormal {
-		return false
-	}
-	c.state = StateSuspended
-	c.entries[c.cfg.Self] = entry{state: StateSuspended}
-	broadcast(&c.cfg, protocol.Suspended{
-		Action: c.cfg.Action, From: c.cfg.Self, Round: c.cfg.Round,
-	})
-	return true
-}
-
 // maybePropose fires once phase 1 is complete: every participant accounted
 // for, and every expected relay received (for each foreign raiser r, a relay
 // from every thread other than self and r).
 func (c *cr86Instance) maybePropose() {
-	if c.proposed || len(c.entries) != len(c.cfg.Peers) {
+	if c.proposed || !c.complete() {
 		return
 	}
 	n := len(c.cfg.Peers)
-	for id, e := range c.entries {
-		if e.state != StateExceptional || id == c.cfg.Self {
+	for i, e := range c.entries {
+		if e.state != StateExceptional || i == c.self {
 			continue
 		}
-		if len(c.relays[id]) < n-2 {
+		if len(c.relays[c.cfg.Peers[i]]) < n-2 {
 			return
 		}
 	}
@@ -192,25 +175,5 @@ func (c *cr86Instance) maybeDecide() {
 			break
 		}
 	}
-	c.decided = true
-	c.out = Outcome{Decided: true, Resolved: verified, Raised: raised}
-}
-
-func (c *cr86Instance) raisedSet() []except.Raised {
-	var out []except.Raised
-	for _, id := range c.cfg.Peers {
-		if e, ok := c.entries[id]; ok && e.state == StateExceptional {
-			out = append(out, e.exc)
-		}
-	}
-	return out
-}
-
-func (c *cr86Instance) outcome(informed bool) Outcome {
-	out := c.out
-	out.Informed = informed
-	if !c.decided {
-		out = Outcome{Informed: informed}
-	}
-	return out
+	c.decide(verified, raised)
 }

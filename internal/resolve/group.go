@@ -1,11 +1,6 @@
 package resolve
 
-import (
-	"fmt"
-
-	"caaction/internal/except"
-	"caaction/internal/protocol"
-)
+import "fmt"
 
 // CoordinatedGroup is the fault-tolerance extension the paper sketches at
 // the end of §3.3.3: instead of a single resolver, the K largest-identified
@@ -37,125 +32,4 @@ func (g CoordinatedGroup) size() int {
 }
 
 // NewInstance implements Protocol.
-func (g CoordinatedGroup) NewInstance(cfg Config) Instance {
-	return &groupInstance{
-		cfg:     cfg,
-		k:       g.size(),
-		state:   StateNormal,
-		entries: make(map[string]entry),
-	}
-}
-
-type groupInstance struct {
-	cfg     Config
-	k       int
-	state   State
-	entries map[string]entry
-	decided bool
-	out     Outcome
-}
-
-var _ Instance = (*groupInstance)(nil)
-
-func (c *groupInstance) State() State { return c.state }
-
-func (c *groupInstance) Raise(exc except.Raised) Outcome {
-	c.state = StateExceptional
-	c.entries[c.cfg.Self] = entry{state: StateExceptional, exc: exc}
-	broadcast(&c.cfg, protocol.Exception{
-		Action: c.cfg.Action, From: c.cfg.Self, Round: c.cfg.Round, Exc: exc,
-	})
-	c.maybeResolve()
-	return c.outcome(false)
-}
-
-func (c *groupInstance) Deliver(from string, msg protocol.Message) (Outcome, error) {
-	switch m := msg.(type) {
-	case protocol.Exception:
-		if err := validate(&c.cfg, m.Action, m.Round); err != nil {
-			return Outcome{}, err
-		}
-		c.entries[from] = entry{state: StateExceptional, exc: m.Exc}
-		informed := c.suspendIfNormal()
-		c.maybeResolve()
-		return c.outcome(informed), nil
-
-	case protocol.Suspended:
-		if err := validate(&c.cfg, m.Action, m.Round); err != nil {
-			return Outcome{}, err
-		}
-		c.entries[from] = entry{state: StateSuspended}
-		informed := c.suspendIfNormal()
-		c.maybeResolve()
-		return c.outcome(informed), nil
-
-	case protocol.Commit:
-		if err := validate(&c.cfg, m.Action, m.Round); err != nil {
-			return Outcome{}, err
-		}
-		if !c.decided {
-			c.decided = true
-			c.out = Outcome{Decided: true, Resolved: m.Resolved, Raised: m.Raised}
-		}
-		return c.outcome(false), nil
-
-	default:
-		return Outcome{}, fmt.Errorf("%w: %T", ErrUnexpected, msg)
-	}
-}
-
-func (c *groupInstance) suspendIfNormal() bool {
-	if c.state != StateNormal {
-		return false
-	}
-	c.state = StateSuspended
-	c.entries[c.cfg.Self] = entry{state: StateSuspended}
-	broadcast(&c.cfg, protocol.Suspended{
-		Action: c.cfg.Action, From: c.cfg.Self, Round: c.cfg.Round,
-	})
-	return true
-}
-
-// maybeResolve fires when every participant is accounted for and this
-// thread is one of the K largest-identified exceptional threads.
-func (c *groupInstance) maybeResolve() {
-	if c.decided || len(c.entries) != len(c.cfg.Peers) || c.state != StateExceptional {
-		return
-	}
-	larger := 0
-	for id, e := range c.entries {
-		if e.state == StateExceptional && id != c.cfg.Self && ThreadLess(c.cfg.Self, id) {
-			larger++
-		}
-	}
-	if larger >= c.k {
-		return // not in the resolver group
-	}
-	raised := c.raisedSet()
-	resolved := c.cfg.Resolve(raised)
-	c.decided = true
-	c.out = Outcome{Decided: true, Resolved: resolved, Raised: raised}
-	broadcast(&c.cfg, protocol.Commit{
-		Action: c.cfg.Action, From: c.cfg.Self, Round: c.cfg.Round,
-		Resolved: resolved, Raised: raised,
-	})
-}
-
-func (c *groupInstance) raisedSet() []except.Raised {
-	var out []except.Raised
-	for _, id := range c.cfg.Peers {
-		if e, ok := c.entries[id]; ok && e.state == StateExceptional {
-			out = append(out, e.exc)
-		}
-	}
-	return out
-}
-
-func (c *groupInstance) outcome(informed bool) Outcome {
-	out := c.out
-	out.Informed = informed
-	if !c.decided {
-		out = Outcome{Informed: informed}
-	}
-	return out
-}
+func (g CoordinatedGroup) NewInstance(cfg Config) Instance { return newCoordInstance(cfg, g.size()) }

@@ -30,38 +30,27 @@ func (R96) Name() string { return "r96" }
 
 // NewInstance implements Protocol.
 func (R96) NewInstance(cfg Config) Instance {
-	return &r96Instance{
-		cfg:      cfg,
-		state:    StateNormal,
-		entries:  make(map[string]entry),
+	c := &r96Instance{
 		proposes: make(map[string]except.ID),
 		acks:     make(map[string]bool),
 	}
+	c.init(cfg)
+	return c
 }
 
 type r96Instance struct {
-	cfg      Config
-	state    State
-	entries  map[string]entry
+	roundState
 	proposes map[string]except.ID
 	acks     map[string]bool
 	proposal except.ID
 	proposed bool
 	acked    bool
-	decided  bool
-	out      Outcome
 }
 
 var _ Instance = (*r96Instance)(nil)
 
-func (c *r96Instance) State() State { return c.state }
-
 func (c *r96Instance) Raise(exc except.Raised) Outcome {
-	c.state = StateExceptional
-	c.entries[c.cfg.Self] = entry{state: StateExceptional, exc: exc}
-	broadcast(&c.cfg, protocol.Exception{
-		Action: c.cfg.Action, From: c.cfg.Self, Round: c.cfg.Round, Exc: exc,
-	})
+	c.raise(exc)
 	c.maybePropose()
 	return c.outcome(false)
 }
@@ -69,25 +58,27 @@ func (c *r96Instance) Raise(exc except.Raised) Outcome {
 func (c *r96Instance) Deliver(from string, msg protocol.Message) (Outcome, error) {
 	switch m := msg.(type) {
 	case protocol.Exception:
-		if err := validate(&c.cfg, m.Action, m.Round); err != nil {
+		i, err := c.sender(from, m.Action, m.Round)
+		if err != nil {
 			return Outcome{}, err
 		}
-		c.entries[from] = entry{state: StateExceptional, exc: m.Exc}
+		c.record(i, entry{state: StateExceptional, exc: m.Exc})
 		informed := c.suspendIfNormal()
 		c.maybePropose()
 		return c.outcome(informed), nil
 
 	case protocol.Suspended:
-		if err := validate(&c.cfg, m.Action, m.Round); err != nil {
+		i, err := c.sender(from, m.Action, m.Round)
+		if err != nil {
 			return Outcome{}, err
 		}
-		c.entries[from] = entry{state: StateSuspended}
+		c.record(i, entry{state: StateSuspended})
 		informed := c.suspendIfNormal()
 		c.maybePropose()
 		return c.outcome(informed), nil
 
 	case protocol.Propose:
-		if err := validate(&c.cfg, m.Action, m.Round); err != nil {
+		if _, err := c.sender(from, m.Action, m.Round); err != nil {
 			return Outcome{}, err
 		}
 		c.proposes[from] = m.Resolved
@@ -95,7 +86,7 @@ func (c *r96Instance) Deliver(from string, msg protocol.Message) (Outcome, error
 		return c.outcome(false), nil
 
 	case protocol.Ack:
-		if err := validate(&c.cfg, m.Action, m.Round); err != nil {
+		if _, err := c.sender(from, m.Action, m.Round); err != nil {
 			return Outcome{}, err
 		}
 		c.acks[from] = true
@@ -107,20 +98,8 @@ func (c *r96Instance) Deliver(from string, msg protocol.Message) (Outcome, error
 	}
 }
 
-func (c *r96Instance) suspendIfNormal() bool {
-	if c.state != StateNormal {
-		return false
-	}
-	c.state = StateSuspended
-	c.entries[c.cfg.Self] = entry{state: StateSuspended}
-	broadcast(&c.cfg, protocol.Suspended{
-		Action: c.cfg.Action, From: c.cfg.Self, Round: c.cfg.Round,
-	})
-	return true
-}
-
 func (c *r96Instance) maybePropose() {
-	if c.proposed || len(c.entries) != len(c.cfg.Peers) {
+	if c.proposed || !c.complete() {
 		return
 	}
 	c.proposal = c.cfg.Resolve(c.raisedSet())
@@ -155,25 +134,5 @@ func (c *r96Instance) maybeDecide() {
 			break
 		}
 	}
-	c.decided = true
-	c.out = Outcome{Decided: true, Resolved: resolved, Raised: c.raisedSet()}
-}
-
-func (c *r96Instance) raisedSet() []except.Raised {
-	var out []except.Raised
-	for _, id := range c.cfg.Peers {
-		if e, ok := c.entries[id]; ok && e.state == StateExceptional {
-			out = append(out, e.exc)
-		}
-	}
-	return out
-}
-
-func (c *r96Instance) outcome(informed bool) Outcome {
-	out := c.out
-	out.Informed = informed
-	if !c.decided {
-		out = Outcome{Informed: informed}
-	}
-	return out
+	c.decide(resolved, c.raisedSet())
 }

@@ -27,6 +27,7 @@ package resolve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"caaction/internal/except"
@@ -120,6 +121,9 @@ var (
 	ErrWrongRound  = errors.New("resolve: message for a different round")
 	ErrWrongAction = errors.New("resolve: message for a different action")
 	ErrUnexpected  = errors.New("resolve: unexpected message type")
+	// ErrNotPeer reports a message from, or about, a thread that is not
+	// one of the round's participants (Config.Peers).
+	ErrNotPeer = errors.New("resolve: sender is not a participant")
 )
 
 // ThreadLess orders thread identifiers the way the paper orders threads
@@ -147,13 +151,150 @@ func broadcast(cfg *Config, msg protocol.Message) {
 	}
 }
 
-// validate checks action/round tags common to all protocol messages.
-func validate(cfg *Config, action string, round int) error {
-	if action != cfg.Action {
-		return fmt.Errorf("%w: got %q want %q", ErrWrongAction, action, cfg.Action)
+// entry is one participant's contribution to the LE list (§3.3.1): either a
+// raised exception (state X) or a suspension notice (state S). The zero entry
+// marks a participant not yet accounted for.
+type entry struct {
+	state State
+	exc   except.Raised
+}
+
+// roundState is what every protocol instance keeps for its round: the
+// config, the local thread's state, the decision once known, and the LE
+// list — one entry per participant, indexed by its position in cfg.Peers.
+// Rounds of up to len(first) participants keep the list inside the
+// instance; larger rounds allocate it once.
+type roundState struct {
+	cfg     Config
+	state   State
+	self    int // Self's position in cfg.Peers
+	known   int // participants accounted for in entries
+	entries []entry
+	first   [8]entry
+	decided bool
+	out     Outcome
+}
+
+func (r *roundState) init(cfg Config) {
+	r.cfg = cfg
+	r.state = StateNormal
+	r.self = slices.Index(cfg.Peers, cfg.Self)
+	if r.self < 0 {
+		panic(fmt.Sprintf("resolve: Self %q is not in Peers %v", cfg.Self, cfg.Peers))
 	}
-	if round != cfg.Round {
-		return fmt.Errorf("%w: got %d want %d", ErrWrongRound, round, cfg.Round)
+	if n := len(cfg.Peers); n <= len(r.first) {
+		r.entries = r.first[:n]
+	} else {
+		r.entries = make([]entry, n)
 	}
-	return nil
+}
+
+// State implements Instance.
+func (r *roundState) State() State { return r.state }
+
+// sender checks a message's action and round tags and returns the position
+// of the thread it is from (or about) in cfg.Peers. A thread outside the
+// round is refused: it would take an LE-list slot no participant owns.
+func (r *roundState) sender(from, action string, round int) (int, error) {
+	if action != r.cfg.Action {
+		return -1, fmt.Errorf("%w: got %q want %q", ErrWrongAction, action, r.cfg.Action)
+	}
+	if round != r.cfg.Round {
+		return -1, fmt.Errorf("%w: got %d want %d", ErrWrongRound, round, r.cfg.Round)
+	}
+	return r.peer(from)
+}
+
+// peer returns id's position in cfg.Peers, or ErrNotPeer.
+func (r *roundState) peer(id string) (int, error) {
+	i := slices.Index(r.cfg.Peers, id)
+	if i < 0 {
+		return -1, fmt.Errorf("%w: %q in %s round %d", ErrNotPeer, id, r.cfg.Action, r.cfg.Round)
+	}
+	return i, nil
+}
+
+// record enters participant i's contribution to the LE list; a later
+// contribution replaces an earlier one.
+func (r *roundState) record(i int, e entry) {
+	if r.entries[i].state == 0 {
+		r.known++
+	}
+	r.entries[i] = e
+}
+
+// complete reports whether every participant is accounted for.
+func (r *roundState) complete() bool { return r.known == len(r.entries) }
+
+// largerExceptional counts the participants in state X that order after
+// Self.
+func (r *roundState) largerExceptional() int {
+	n := 0
+	for i, e := range r.entries {
+		if e.state == StateExceptional && i != r.self && ThreadLess(r.cfg.Self, r.cfg.Peers[i]) {
+			n++
+		}
+	}
+	return n
+}
+
+// raisedSet collects the raised exceptions in deterministic (thread) order.
+func (r *roundState) raisedSet() []except.Raised {
+	n := 0
+	for _, e := range r.entries {
+		if e.state == StateExceptional {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]except.Raised, 0, n)
+	for _, e := range r.entries {
+		if e.state == StateExceptional {
+			out = append(out, e.exc)
+		}
+	}
+	return out
+}
+
+// raise processes a local raise: state X, the local LE-list entry, and the
+// Exception broadcast.
+func (r *roundState) raise(exc except.Raised) {
+	r.state = StateExceptional
+	r.record(r.self, entry{state: StateExceptional, exc: exc})
+	broadcast(&r.cfg, protocol.Exception{
+		Action: r.cfg.Action, From: r.cfg.Self, Round: r.cfg.Round, Exc: exc,
+	})
+}
+
+// suspendIfNormal implements the "if S(Ti) = N then suspend and broadcast
+// Suspended" branch; it reports whether the thread was just informed.
+func (r *roundState) suspendIfNormal() bool {
+	if r.state != StateNormal {
+		return false
+	}
+	r.state = StateSuspended
+	r.record(r.self, entry{state: StateSuspended})
+	broadcast(&r.cfg, protocol.Suspended{
+		Action: r.cfg.Action, From: r.cfg.Self, Round: r.cfg.Round,
+	})
+	return true
+}
+
+// decide records the round's decision; the first one sticks.
+func (r *roundState) decide(resolved except.ID, raised []except.Raised) {
+	if !r.decided {
+		r.decided = true
+		r.out = Outcome{Decided: true, Resolved: resolved, Raised: raised}
+	}
+}
+
+func (r *roundState) outcome(informed bool) Outcome {
+	if !r.decided {
+		return Outcome{Informed: informed}
+	}
+	out := r.out
+	out.Informed = informed
+	return out
 }

@@ -1,6 +1,7 @@
 package resolve
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -400,6 +401,64 @@ func TestValidateRejectsWrongTags(t *testing.T) {
 	}
 	if _, err := inst.Deliver("T2", unexpectedMsg()); err == nil {
 		t.Fatal("unexpected type accepted")
+	}
+}
+
+// TestNotPeerRejected delivers, to every resolver, messages from (or, for a
+// CR-86 relay, about) a thread outside the round's Peers while a real
+// participant (T2) is still unaccounted for. Each must be refused with
+// ErrNotPeer and must not move the round: no reply is sent and nothing is
+// decided. Unchecked, a stranger would take an LE-list slot, so the list
+// would look complete with T2 missing and the round resolve without it.
+func TestNotPeerRejected(t *testing.T) {
+	const stranger = "T0" // orders before Self, so it never blocks Self's resolve
+	exc := func(from string) protocol.Exception {
+		return protocol.Exception{Action: "A#1", From: from, Exc: except.Raised{ID: "e1", Origin: from}}
+	}
+	susp := protocol.Suspended{Action: "A#1", From: stranger}
+	for _, tc := range []struct {
+		proto Protocol
+		from  string
+		msg   protocol.Message
+	}{
+		{Coordinated{}, stranger, exc(stranger)},
+		{Coordinated{}, stranger, susp},
+		{Coordinated{}, stranger, protocol.Commit{Action: "A#1", From: stranger, Resolved: "e1"}},
+		{CoordinatedGroup{K: 2}, stranger, exc(stranger)},
+		{CoordinatedGroup{K: 2}, stranger, susp},
+		{CR86{}, stranger, exc(stranger)},
+		{CR86{}, stranger, susp},
+		{CR86{}, stranger, protocol.Relay{Action: "A#1", From: stranger, Exc: except.Raised{ID: "e1", Origin: "T1"}}},
+		{CR86{}, "T1", protocol.Relay{Action: "A#1", From: "T1", Exc: except.Raised{ID: "e1", Origin: stranger}}},
+		{CR86{}, stranger, protocol.Propose{Action: "A#1", From: stranger, Resolved: "e1"}},
+		{R96{}, stranger, exc(stranger)},
+		{R96{}, stranger, susp},
+		{R96{}, stranger, protocol.Propose{Action: "A#1", From: stranger, Resolved: "e1"}},
+		{R96{}, stranger, protocol.Ack{Action: "A#1", From: stranger}},
+	} {
+		t.Run(fmt.Sprintf("%s/%T/from-%s", tc.proto.Name(), tc.msg, tc.from), func(t *testing.T) {
+			sent := 0
+			inst := tc.proto.NewInstance(Config{
+				Action: "A#1", Self: "T3", Peers: []string{"T1", "T2", "T3"},
+				Send:    func(string, protocol.Message) { sent++ },
+				Resolve: func([]except.Raised) except.ID { return "e1" },
+			})
+			inst.Raise(except.Raised{ID: "e1", Origin: "T3"})
+			if _, err := inst.Deliver("T1", exc("T1")); err != nil {
+				t.Fatal(err)
+			}
+			before := sent
+			out, err := inst.Deliver(tc.from, tc.msg)
+			if !errors.Is(err, ErrNotPeer) {
+				t.Fatalf("Deliver = %v, want ErrNotPeer", err)
+			}
+			if out.Decided || sent != before {
+				t.Fatalf("the refused message moved the round: decided=%v, %d messages sent", out.Decided, sent-before)
+			}
+			if _, err := inst.Deliver("T2", protocol.Suspended{Action: "A#1", From: "T2"}); err != nil {
+				t.Fatalf("T2's suspension after the refusal: %v", err)
+			}
+		})
 	}
 }
 
