@@ -258,21 +258,34 @@ func commitSpec(tb testing.TB) (*caaction.Spec, map[string]caaction.RoleProgram)
 
 // TestStartActionCommitAllocCeiling pins the allocation cost of one action
 // on the in-process path: a 3-role commit over the sim transport on the
-// real clock, started and awaited by one caller. Each broadcast boxes its
-// protocol message once and routing passes the received box through; a
-// change that re-boxes a message per peer or per hop shows up here as
-// several allocations per action.
+// real clock, started and awaited by one caller. Protocol messages are
+// values and are never boxed; a change that puts one on the heap, per send
+// or per hop, shows up here as several allocations per action.
 //
 // A second action stays in flight on the same threads for the whole test,
 // as one of the benchmark's 16 callers always is: without it every action
 // would re-bind its threads' shared mux endpoints, and the ceiling would
 // measure the bind instead of the action.
 func TestStartActionCommitAllocCeiling(t *testing.T) {
+	commitAllocCeiling(t, caaction.WithSimTransport(0), 15)
+}
+
+// TestStartActionCommitTCPAllocCeiling is the same action over loopback
+// TCP: on top of the in-process cost, each connection's reader allocates
+// the action's identifier once (later messages of the action find it in
+// the connection's table) and nothing per message.
+func TestStartActionCommitTCPAllocCeiling(t *testing.T) {
+	commitAllocCeiling(t, caaction.WithTCPTransport(""), 21)
+}
+
+// commitAllocCeiling fails t when one commit action over transport
+// allocates more than ceiling, measured as TestStartActionCommitAllocCeiling
+// describes.
+func commitAllocCeiling(t *testing.T, transport caaction.Option, ceiling float64) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates: sync.Pool drops items at random")
 	}
-	const ceiling = 21.0 // allocs per action
-	sys, err := caaction.New(caaction.WithRealTime(), caaction.WithSimTransport(0))
+	sys, err := caaction.New(caaction.WithRealTime(), transport)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +316,9 @@ func TestStartActionCommitAllocCeiling(t *testing.T) {
 		action() // warm the runner, thread, frame and delivery pools
 	}
 	runtime.GC()
-	if n := testing.AllocsPerRun(200, action); n > ceiling {
+	n := testing.AllocsPerRun(200, action)
+	t.Logf("one commit action: %v allocs", n)
+	if n > ceiling {
 		t.Fatalf("one commit action allocates %v allocs, ceiling %v", n, ceiling)
 	}
 }
@@ -325,13 +340,13 @@ func TestLoadKindAllocCeilings(t *testing.T) {
 		ceiling float64 // allocs per action
 		ok      func(err error) bool
 	}{
-		{load.KindCommit, 21, func(err error) bool { return err == nil }},
-		{load.KindSignal, 39, func(err error) bool {
+		{load.KindCommit, 15, func(err error) bool { return err == nil }},
+		{load.KindSignal, 22, func(err error) bool {
 			se, ok := caaction.AsSignalled(err)
 			return ok && se.Exc == "overload"
 		}},
-		{load.KindAbort, 66, caaction.IsUndone},
-		{load.KindStorm, 34, func(err error) bool { return err == nil }},
+		{load.KindAbort, 40, caaction.IsUndone},
+		{load.KindStorm, 19, func(err error) bool { return err == nil }},
 	} {
 		t.Run(tc.kind, func(t *testing.T) {
 			sys, err := caaction.New(caaction.WithRealTime(), caaction.WithSimTransport(0))

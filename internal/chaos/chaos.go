@@ -186,7 +186,7 @@ func (e *Engine) perturb(from, to string, msg protocol.Message) transport.Verdic
 		note = fmt.Sprintf("delay+%v", v.Delay)
 	}
 	if !e.frozen {
-		e.events = append(e.events, fmt.Sprintf("%8v %s->%s %s %s", now, from, to, msg.Kind(), note))
+		e.events = append(e.events, fmt.Sprintf("%8v %s->%s %s %s", now, from, to, msg.Kind, note))
 	}
 	return v
 }

@@ -242,8 +242,7 @@ func TestLostMessageDegradesToFailure(t *testing.T) {
 	cfg.MLTSignalTimeout = 2 * time.Second
 	env := newCell(t, cfg, nil)
 	env.net.SetFault(func(from, to string, msg protocol.Message) transport.Fault {
-		m, ok := msg.(protocol.ToBeSignalled)
-		if ok && from == control.ThTable && m.Action == "Produce_Blank#1/Table_Press_Robot#1/Unload_Table#1/Move_Loaded_Table#1" {
+		if msg.Kind == protocol.KindToBeSignalled && from == control.ThTable && msg.Action == "Produce_Blank#1/Table_Press_Robot#1/Unload_Table#1/Move_Loaded_Table#1" {
 			return transport.Drop
 		}
 		return transport.Deliver

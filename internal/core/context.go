@@ -21,7 +21,9 @@ var ErrTimeout = errors.New("core: receive timed out")
 // the cooperative equivalent of the paper's asynchronous transfer of control,
 // unwinding the role into coordinated exception handling.
 //
-// A Context is confined to its thread's goroutine.
+// A Context is confined to its thread's goroutine, and valid only while its
+// action runs: afterwards every method but Self, ActionID, Now and Logf
+// panics.
 type Context struct {
 	th *Thread
 	f  *frame
@@ -39,7 +41,7 @@ type Context struct {
 func (c *Context) Self() string { return c.th.id }
 
 // Role returns the role this thread plays in the action.
-func (c *Context) Role() string { return c.f.role }
+func (c *Context) Role() string { return c.frame().role }
 
 // ActionID returns the action instance identifier. It is the snapshot
 // taken when the Context was created, so a Context kept past its action
@@ -49,35 +51,38 @@ func (c *Context) ActionID() string { return c.id }
 // Depth returns the action's nesting depth: 0 for a top-level action, 1
 // for its direct children, and so on. Read from the identifier's parsed
 // form cached on the frame — no string splitting.
-func (c *Context) Depth() int { return c.f.pid.Depth }
+func (c *Context) Depth() int { return c.frame().pid.Depth }
 
 // InstanceTag returns the mux instance tag of the concurrent action
 // instance this frame belongs to ("" on the single-action wire format).
-func (c *Context) InstanceTag() string { return c.f.pid.Tag }
+func (c *Context) InstanceTag() string { return c.frame().pid.Tag }
 
 // SpecName returns the action's specification name.
-func (c *Context) SpecName() string { return c.f.spec.Name }
+func (c *Context) SpecName() string { return c.frame().spec.Name }
 
 // Round returns the number of completed resolution rounds in this action.
-func (c *Context) Round() int { return c.f.round }
+func (c *Context) Round() int { return c.frame().round }
 
 // Now returns the current (virtual or real) time.
 func (c *Context) Now() time.Duration { return c.th.rt.clock.Now() }
 
-// Tx returns the transaction tracking this role's external-object use. It
-// panics when the Context is used after its action ended: the frame may
-// since serve another action, whose transaction must not take this
-// Context's writes.
-func (c *Context) Tx() *atomicobj.Tx {
-	if c.f.gen != c.gen {
-		c.outsideFrame()
-	}
-	return c.f.tx
-}
+// Tx returns the transaction tracking this role's external-object use.
+func (c *Context) Tx() *atomicobj.Tx { return c.frame().tx }
 
 // Logf records a runtime event attributed to this thread.
 func (c *Context) Logf(format string, args ...any) {
 	c.th.logf("app", format, args...)
+}
+
+// frame returns the Context's frame, panicking once the Context's action has
+// ended: the frame may since serve another action, whose role, round and
+// transaction are not this Context's. The accessors that read the frame go
+// through it; the blocking operations check the same in pre.
+func (c *Context) frame() *frame {
+	if c.f.gen != c.gen {
+		c.outsideFrame()
+	}
+	return c.f
 }
 
 // outsideFrame panics for a Context used outside its frame. It reports the
@@ -97,7 +102,7 @@ func (c *Context) pre() error {
 		return nil // abortion handlers run to completion, uninterrupted
 	}
 	if c.f.informed || c.f.hasDecided {
-		return &pendingError{kind: kindInterrupt, frame: c.f}
+		return c.f.interruptErr
 	}
 	return nil
 }
@@ -130,17 +135,18 @@ func (c *Context) Raise(id except.ID, info string) error {
 	if out.Decided && !f.hasDecided {
 		f.decided, f.hasDecided = out, true
 	}
-	return &pendingError{kind: kindRaise, frame: f}
+	return f.raiseErr
 }
 
 // Signal declares the interface exception ε this role will signal when the
 // action exits exceptionally (or even successfully, for partial results).
 // The exception must be declared in the spec's Signals (µ and ƒ always are).
 func (c *Context) Signal(id except.ID) error {
-	if id != except.None && !c.f.spec.CanSignal(id) {
-		return fmt.Errorf("core: %s cannot signal undeclared exception %q", c.f.spec.Name, id)
+	f := c.frame()
+	if id != except.None && !f.spec.CanSignal(id) {
+		return fmt.Errorf("core: %s cannot signal undeclared exception %q", f.spec.Name, id)
 	}
-	c.f.epsilon = id
+	f.epsilon = id
 	return nil
 }
 
@@ -183,7 +189,7 @@ func (c *Context) Compute(d time.Duration) error {
 			}
 			return ErrThreadStopped
 		}
-		v := th.route(dd)
+		v := th.route(&dd)
 		if err := c.verdictErr(v); err != nil {
 			return err
 		}
@@ -208,7 +214,7 @@ func (c *Context) Checkpoint() error {
 			if !ok {
 				break
 			}
-			v := th.route(d)
+			v := th.route(&d)
 			if err := c.verdictErr(v); err != nil {
 				return err
 			}
@@ -229,9 +235,8 @@ func (c *Context) Send(role string, payload any) error {
 	if !ok {
 		return fmt.Errorf("%w: %q in %s", ErrUnknownRole, role, c.f.spec.Name)
 	}
-	c.th.send(to, protocol.App{
-		Action: c.f.id, From: c.th.id, ToRole: role, Payload: payload,
-	})
+	c.th.send(to, protocol.Message{Kind: protocol.KindApp,
+		Action: c.f.id, From: c.th.id, Role: role, Payload: payload})
 	return nil
 }
 
@@ -298,7 +303,7 @@ func (c *Context) recv(role string, timeout time.Duration) (any, error) {
 				return nil, ErrThreadStopped
 			}
 		}
-		v := th.route(d)
+		v := th.route(&d)
 		if err := c.verdictErr(v); err != nil {
 			return nil, err
 		}
@@ -322,7 +327,7 @@ func (c *Context) verdictErr(v routeVerdict) error {
 		return &pendingError{kind: kindAbort, frame: c.f, target: v.abortTarget}
 	}
 	if v.interrupt && !c.f.aborting {
-		return &pendingError{kind: kindInterrupt, frame: c.f}
+		return c.f.interruptErr
 	}
 	return nil
 }

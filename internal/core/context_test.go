@@ -170,7 +170,7 @@ func TestCorruptResolutionMessageDropped(t *testing.T) {
 	// Commit from T3).
 	corrupted := 0
 	e.Net.SetFault(func(from, to string, msg protocol.Message) transport.Fault {
-		if _, ok := msg.(protocol.Suspended); ok && from == "T1" && to == "T2" && corrupted == 0 {
+		if msg.Kind == protocol.KindSuspended && from == "T1" && to == "T2" && corrupted == 0 {
 			corrupted++
 			return transport.Corrupt
 		}

@@ -204,7 +204,7 @@ type Thread struct {
 	iep      transport.InlineEndpoint
 	router   threadRouter
 	inRoute  bool
-	deferred []transport.Outbound
+	deferred *[]transport.Outbound
 	park     parkState
 
 	stack    []*frame
@@ -380,27 +380,6 @@ func (th *Thread) instancePID(parent *frame, spec *Spec) protocol.ParsedID {
 	return protocol.ParsedID{Raw: th.prefix + base, Tag: th.tag, Base: base}
 }
 
-// roundOf extracts the resolution-round tag from resolution-protocol
-// messages.
-func roundOf(msg protocol.Message) (int, bool) {
-	switch m := msg.(type) {
-	case protocol.Exception:
-		return m.Round, true
-	case protocol.Suspended:
-		return m.Round, true
-	case protocol.Commit:
-		return m.Round, true
-	case protocol.Relay:
-		return m.Round, true
-	case protocol.Propose:
-		return m.Round, true
-	case protocol.Ack:
-		return m.Round, true
-	default:
-		return 0, false
-	}
-}
-
 // frame is one level of the thread's action stack (the paper's SAi).
 type frame struct {
 	th   *Thread
@@ -433,10 +412,14 @@ type frame struct {
 	epsilon except.ID
 	// undoFn and resolveFn are the bound undo and resolve methods handed to
 	// every exit's signalling instance and every round's resolution
-	// instance. They are bound once per frame object, capture only the
-	// frame, and survive recycling (see releaseFrame).
-	undoFn    func() error
-	resolveFn func(raised []except.Raised) except.ID
+	// instance; raiseErr and interruptErr are the control errors that
+	// unwind a body after a raise and after an interruption. All four are
+	// bound once per frame object, refer only to the frame, and survive
+	// recycling (see releaseFrame).
+	undoFn       func() error
+	resolveFn    func(raised []except.Raised) except.ID
+	raiseErr     *pendingError
+	interruptErr *pendingError
 
 	// Buffers.
 	future []transport.Delivery // messages for rounds not reached yet
@@ -478,6 +461,8 @@ func (th *Thread) pushFrame(parent *frame, spec *Spec, role string, prog RolePro
 		f = &frame{}
 		f.undoFn = f.undo
 		f.resolveFn = f.resolve
+		f.raiseErr = &pendingError{kind: kindRaise, frame: f}
+		f.interruptErr = &pendingError{kind: kindInterrupt, frame: f}
 	}
 	f.th = th
 	f.spec = spec
@@ -500,8 +485,8 @@ func (th *Thread) pushFrame(parent *frame, spec *Spec, role string, prog RolePro
 	// Consume messages that arrived before this thread entered the action.
 	if pend := th.retained[id]; len(pend) > 0 {
 		delete(th.retained, id)
-		for _, d := range pend {
-			th.route(d)
+		for i := range pend {
+			th.route(&pend[i])
 		}
 	}
 	return f
@@ -523,9 +508,10 @@ func (th *Thread) popFrame(f *frame) {
 // to the runtime's pool. Hygiene contract: apart from the retained capacity
 // of the entered and votes slices (both at length 0; entered's length is
 // re-established per instance, and every slot of votes' backing array is
-// zeroed, so no delivery outlives its action), the bumped generation counter
-// and the bound undo and resolve methods (undoFn and resolveFn capture only
-// the frame object and read its current incarnation when called), a
+// zeroed, so no delivery outlives its action), the bumped generation counter,
+// the bound undo and resolve methods and the raise and interrupt control
+// errors (all four refer only to the frame object and read its current
+// incarnation when used), a
 // recycled frame is indistinguishable from a freshly allocated one — no
 // counters, buffered messages, parsed identifiers, protocol engines or
 // per-instance closures survive into the next incarnation. Callers must not
@@ -538,7 +524,8 @@ func (th *Thread) releaseFrame(f *frame) {
 	}
 	clear(f.votes)
 	*f = frame{entered: f.entered[:0], votes: f.votes[:0], gen: f.gen + 1,
-		undoFn: f.undoFn, resolveFn: f.resolveFn}
+		undoFn: f.undoFn, resolveFn: f.resolveFn,
+		raiseErr: f.raiseErr, interruptErr: f.interruptErr}
 	th.rt.framePool.Put(f)
 }
 
@@ -610,12 +597,19 @@ func (th *Thread) frameFor(action string) (*frame, int) {
 // are deferred instead: the deliverer flushes them once it has released the
 // endpoint locks, which both avoids lock cycles between deliverers sending
 // toward each other and preserves per-pair FIFO ahead of the owner's wakeup.
-func (th *Thread) send(to string, msg protocol.Message) {
+func (th *Thread) send(to string, msg protocol.Message) { th.sendMsg(to, &msg) }
+
+// sendMsg is send for callers that hold the message: it is copied only into
+// the endpoint's Send or the deferred buffer.
+func (th *Thread) sendMsg(to string, msg *protocol.Message) {
 	if th.inRoute {
-		th.deferred = append(th.deferred, transport.Outbound{To: to, Msg: msg})
+		if th.deferred == nil {
+			th.deferred = transport.BorrowOutbound()
+		}
+		*th.deferred = append(*th.deferred, transport.Outbound{To: to, Msg: *msg})
 		return
 	}
-	if err := th.ep.Send(to, msg); err != nil {
+	if err := th.ep.Send(to, *msg); err != nil {
 		th.logf("send.error", "to %s: %v", to, err)
 	}
 }
@@ -631,10 +625,10 @@ type routeVerdict struct {
 }
 
 // route dispatches one delivery according to §3.3.2's receive rules.
-func (th *Thread) route(d transport.Delivery) routeVerdict {
-	act := protocol.ActionOf(d.Msg)
+func (th *Thread) route(d *transport.Delivery) routeVerdict {
+	act := d.Msg.Action
 	if act == "" {
-		th.logf("route.drop", "unroutable %T", d.Msg)
+		th.logf("route.drop", "unroutable protocol.%v", d.Msg.Kind)
 		return routeVerdict{}
 	}
 	// Look in the (tiny) frame stack before the dead map: live instances
@@ -647,7 +641,7 @@ func (th *Thread) route(d transport.Delivery) routeVerdict {
 		}
 		// "retain the Exception or Suspended message till Ti enters A*":
 		// the thread has not entered this action instance yet.
-		th.retained[act] = append(th.retained[act], d)
+		th.retained[act] = append(th.retained[act], *d)
 		return routeVerdict{}
 	}
 	if idx == len(th.stack)-1 {
@@ -657,32 +651,33 @@ func (th *Thread) route(d transport.Delivery) routeVerdict {
 }
 
 // routeInnermost handles a delivery for the thread's active action.
-func (th *Thread) routeInnermost(f *frame, d transport.Delivery) routeVerdict {
+func (th *Thread) routeInnermost(f *frame, d *transport.Delivery) routeVerdict {
 	if d.Corrupt {
 		return th.routeCorrupt(f, d)
 	}
-	switch m := d.Msg.(type) {
-	case protocol.Enter:
+	m := &d.Msg
+	switch m.Kind {
+	case protocol.KindEnter:
 		if !f.markEntered(m.From) && th.rt.rec != nil && f.enteredN == len(f.peers) {
 			// A duplicate Enter after the barrier completed, on a runtime
 			// with a recorder: a restarted peer is re-running its entry
 			// barrier. Answer once so its barrier can complete.
 			if f.reannounce(m.From) {
-				th.send(m.From, protocol.Enter{Action: f.id, From: th.id, Role: f.role})
+				th.send(m.From, protocol.Message{Kind: protocol.KindEnter, Action: f.id, From: th.id, Role: f.role})
 			}
 		}
 		return routeVerdict{}
 
-	case protocol.App:
+	case protocol.KindApp:
 		f.addApp(m.From, m.Payload)
 		return routeVerdict{}
 
-	case protocol.ToBeSignalled:
+	case protocol.KindToBeSignalled:
 		switch {
 		case m.Round < f.round:
 			th.logf("vote.stale", "from %s round %d < %d", m.From, m.Round, f.round)
 		case m.Round > f.round:
-			f.future = append(f.future, d)
+			f.future = append(f.future, *d)
 		case f.sig != nil:
 			dec, err := f.sig.Deliver(m.From, m)
 			if err != nil {
@@ -691,21 +686,21 @@ func (th *Thread) routeInnermost(f *frame, d transport.Delivery) routeVerdict {
 				f.sigDec, f.hasSigDec = dec, true
 			}
 		default:
-			f.votes = append(f.votes, d)
+			f.votes = append(f.votes, *d)
 		}
 		return routeVerdict{}
 
 	default:
-		r, ok := roundOf(d.Msg)
-		if !ok {
-			th.logf("route.drop", "unexpected %T for %s", d.Msg, f.id)
+		if !m.Kind.Resolution() {
+			th.logf("route.drop", "unexpected protocol.%v for %s", m.Kind, f.id)
 			return routeVerdict{}
 		}
+		r := m.Round
 		switch {
 		case r < f.round:
 			return routeVerdict{}
 		case r > f.round:
-			f.future = append(f.future, d)
+			f.future = append(f.future, *d)
 			return routeVerdict{}
 		}
 		// A same-round Exception or Suspended while an exit attempt is in
@@ -730,14 +725,14 @@ func (th *Thread) routeInnermost(f *frame, d transport.Delivery) routeVerdict {
 	}
 }
 
-func (th *Thread) applyOutcome(f *frame, d transport.Delivery, out resolve.Outcome) routeVerdict {
+func (th *Thread) applyOutcome(f *frame, d *transport.Delivery, out resolve.Outcome) routeVerdict {
 	v := routeVerdict{}
 	if out.Informed {
 		f.informed = true
 		v.interrupt = true
 		// "exception information ⇒ uninformed external objects".
-		if exc, ok := d.Msg.(protocol.Exception); ok {
-			f.tx.Inform(exc.Exc)
+		if d.Msg.Kind == protocol.KindException {
+			f.tx.Inform(d.Msg.Exc)
 		}
 	}
 	if out.Decided && !f.hasDecided {
@@ -748,19 +743,20 @@ func (th *Thread) applyOutcome(f *frame, d transport.Delivery, out resolve.Outco
 
 // routeEnclosing handles a delivery for an action the thread is nested
 // inside of.
-func (th *Thread) routeEnclosing(f *frame, d transport.Delivery) routeVerdict {
-	switch m := d.Msg.(type) {
-	case protocol.ToBeSignalled:
+func (th *Thread) routeEnclosing(f *frame, d *transport.Delivery) routeVerdict {
+	m := &d.Msg
+	switch m.Kind {
+	case protocol.KindToBeSignalled:
 		switch {
 		case m.Round < f.round:
 		case m.Round > f.round:
-			f.future = append(f.future, d)
+			f.future = append(f.future, *d)
 		default:
-			f.votes = append(f.votes, d)
+			f.votes = append(f.votes, *d)
 		}
 		return routeVerdict{}
 
-	case protocol.App:
+	case protocol.KindApp:
 		f.addApp(m.From, m.Payload)
 		return routeVerdict{}
 
@@ -774,26 +770,26 @@ func (th *Thread) routeEnclosing(f *frame, d transport.Delivery) routeVerdict {
 		// reaches it (absorbAbort). Dropping any of them — the bug this
 		// branch once had for Relay — starves protocols that need relayed
 		// knowledge and deadlocks the resolution.
-		r, ok := roundOf(d.Msg)
-		if !ok {
-			th.logf("route.drop", "unexpected %T for enclosing %s", d.Msg, f.id)
+		if !m.Kind.Resolution() {
+			th.logf("route.drop", "unexpected protocol.%v for enclosing %s", m.Kind, f.id)
 			return routeVerdict{}
 		}
+		r := m.Round
 		switch {
 		case r < f.round:
 			return routeVerdict{}
 		case r > f.round:
-			f.future = append(f.future, d)
+			f.future = append(f.future, *d)
 			return routeVerdict{}
 		}
-		f.pendingAbort = append(f.pendingAbort, d)
+		f.pendingAbort = append(f.pendingAbort, *d)
 		return routeVerdict{abortTarget: f.id}
 	}
 }
 
 // routeCorrupt applies the §3.4 extension: a corrupted message is treated as
 // a failure-exception vote during signalling, and dropped otherwise.
-func (th *Thread) routeCorrupt(f *frame, d transport.Delivery) routeVerdict {
+func (th *Thread) routeCorrupt(f *frame, d *transport.Delivery) routeVerdict {
 	if f.sig != nil {
 		dec := f.sig.MarkFailed(d.From)
 		if dec.Done {
@@ -802,7 +798,7 @@ func (th *Thread) routeCorrupt(f *frame, d transport.Delivery) routeVerdict {
 		th.logf("corrupt", "vote from %s treated as ƒ", d.From)
 		return routeVerdict{}
 	}
-	th.logf("corrupt", "dropped corrupt %T from %s", d.Msg, d.From)
+	th.logf("corrupt", "dropped corrupt protocol.%v from %s", d.Msg.Kind, d.From)
 	return routeVerdict{}
 }
 
@@ -843,8 +839,8 @@ func (th *Thread) drainFuture(f *frame) routeVerdict {
 	var verdict routeVerdict
 	pending := f.future
 	f.future = nil
-	for _, d := range pending {
-		v := th.route(d)
+	for i := range pending {
+		v := th.route(&pending[i])
 		if v.interrupt {
 			verdict.interrupt = true
 		}

@@ -611,7 +611,7 @@ func TestLostVoteDegradesToFailure(t *testing.T) {
 	t2, _ := rt.NewThread("T2")
 	// Drop T2's votes to T1 (the paper's l_mes fault).
 	sim.Net.SetFault(func(from, to string, msg protocol.Message) transport.Fault {
-		if _, ok := msg.(protocol.ToBeSignalled); ok && from == "T2" {
+		if msg.Kind == protocol.KindToBeSignalled && from == "T2" {
 			return transport.Drop
 		}
 		return transport.Deliver

@@ -85,6 +85,9 @@ var (
 // re-checks frame state after a body returns, so a swallowed pendingError
 // cannot corrupt the protocol (the body merely keeps running until its next
 // Context call or its return).
+//
+// The raise and interrupt errors are bound once per pooled frame (see
+// frame.raiseErr); only an abort, which carries its target, allocates.
 type pendingError struct {
 	kind  pendingKind
 	frame *frame

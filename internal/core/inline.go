@@ -78,7 +78,7 @@ var _ transport.InlineRouter = (*threadRouter)(nil)
 func (r *threadRouter) RouteInline(d transport.Delivery) {
 	th := r.th
 	th.inRoute = true
-	th.route(d)
+	th.route(&d)
 	th.inRoute = false
 }
 
@@ -106,7 +106,7 @@ func (r *threadRouter) ParkReady() bool {
 
 // TakeDeferred implements transport.InlineRouter; ownership of the buffered
 // sends transfers to the deliverer.
-func (r *threadRouter) TakeDeferred() []transport.Outbound {
+func (r *threadRouter) TakeDeferred() *[]transport.Outbound {
 	outs := r.th.deferred
 	r.th.deferred = nil
 	return outs
@@ -130,7 +130,7 @@ func (th *Thread) pumpInline(f *frame, cond pumpCond, deadline time.Duration) er
 			return nil
 		}
 		if d, ok := th.iep.PollInline(); ok {
-			v := th.route(d)
+			v := th.route(&d)
 			if v.abortTarget != "" && !f.aborting {
 				return &pendingError{kind: kindAbort, frame: f, target: v.abortTarget}
 			}
@@ -148,7 +148,7 @@ func (th *Thread) pumpInline(f *frame, cond pumpCond, deadline time.Duration) er
 		d, st := th.iep.AwaitInline(timeout)
 		switch st {
 		case transport.InlineDelivery:
-			v := th.route(d)
+			v := th.route(&d)
 			if v.abortTarget != "" && !f.aborting {
 				return &pendingError{kind: kindAbort, frame: f, target: v.abortTarget}
 			}
@@ -175,7 +175,7 @@ func (c *Context) computeInline(deadline time.Duration) error {
 			return &pendingError{kind: kindAbort, frame: f, target: t}
 		}
 		if !f.aborting && f.informed {
-			return &pendingError{kind: kindInterrupt, frame: f}
+			return f.interruptErr
 		}
 		now := th.rt.clock.Now()
 		if now >= deadline {
@@ -185,7 +185,7 @@ func (c *Context) computeInline(deadline time.Duration) error {
 			return nil
 		}
 		if d, ok := th.iep.PollInline(); ok {
-			v := th.route(d)
+			v := th.route(&d)
 			if err := c.verdictErr(v); err != nil {
 				return err
 			}
@@ -195,7 +195,7 @@ func (c *Context) computeInline(deadline time.Duration) error {
 		d, st := th.iep.AwaitInline(deadline - now)
 		switch st {
 		case transport.InlineDelivery:
-			v := th.route(d)
+			v := th.route(&d)
 			if err := c.verdictErr(v); err != nil {
 				return err
 			}
@@ -221,7 +221,7 @@ func (c *Context) recvInline(from string, deadline time.Duration) (any, error) {
 			return nil, &pendingError{kind: kindAbort, frame: f, target: t}
 		}
 		if !f.aborting && f.informed {
-			return nil, &pendingError{kind: kindInterrupt, frame: f}
+			return nil, f.interruptErr
 		}
 		timeout := time.Duration(-1)
 		if deadline > 0 {
@@ -235,7 +235,7 @@ func (c *Context) recvInline(from string, deadline time.Duration) (any, error) {
 		d, st := th.iep.AwaitInline(timeout)
 		switch st {
 		case transport.InlineDelivery:
-			v := th.route(d)
+			v := th.route(&d)
 			if err := c.verdictErr(v); err != nil {
 				return nil, err
 			}
@@ -257,7 +257,7 @@ func (c *Context) checkpointInline() error {
 		if !ok {
 			return nil
 		}
-		v := th.route(d)
+		v := th.route(&d)
 		if err := c.verdictErr(v); err != nil {
 			return err
 		}

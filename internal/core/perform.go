@@ -127,7 +127,7 @@ func (th *Thread) mapUserErr(ctx *Context, err error) error {
 	}
 	if ctx.f.hasPendingWork() {
 		// The body swallowed a control error but state tells the truth.
-		return &pendingError{kind: kindInterrupt, frame: ctx.f}
+		return ctx.f.interruptErr
 	}
 	return ctx.Raise(ctx.f.spec.Graph.Root(), err.Error())
 }
@@ -246,11 +246,10 @@ func (th *Thread) entryBarrier(f *frame) error {
 		// Write-ahead: the join is durable before any peer can learn of it.
 		th.rt.rec.RecordJoin(th.id, f.id, f.role)
 	}
-	// One box for the whole broadcast: messages are immutable once sent.
-	var enter protocol.Message = protocol.Enter{Action: f.id, From: th.id, Role: f.role}
+	enter := protocol.Message{Kind: protocol.KindEnter, Action: f.id, From: th.id, Role: f.role}
 	for _, p := range f.peers {
 		if p != th.id {
-			th.send(p, enter)
+			th.sendMsg(p, &enter)
 		}
 	}
 	return th.pump(f, untilEntered, 0)
@@ -286,9 +285,9 @@ func (th *Thread) exitAction(f *frame) (dec signal.Decision, decided bool, err e
 	// Nothing appends to f.votes meanwhile: the owner is not parked, so no
 	// deliverer routes on this thread, and the buffer is emptied in place to
 	// keep its capacity for the next exit.
-	for _, d := range f.votes {
-		m, ok := d.Msg.(protocol.ToBeSignalled)
-		if !ok || m.Round != f.round || f.sig == nil {
+	for i := range f.votes {
+		m := &f.votes[i].Msg
+		if m.Kind != protocol.KindToBeSignalled || m.Round != f.round || f.sig == nil {
 			continue
 		}
 		dd, derr := f.sig.Deliver(m.From, m)
@@ -423,7 +422,7 @@ func (th *Thread) runAbortion(ctx *Context) except.ID {
 // branch).
 func (th *Thread) absorbAbort(f *frame, ae *abortError) error {
 	th.ensureInstance(f)
-	kind := kindInterrupt
+	ctrl := f.interruptErr
 	if ae.eab != except.None {
 		exc := except.Raised{ID: ae.eab, Origin: th.id, Info: "abortion handler", At: th.rt.clock.Now()}
 		th.rt.counters.raises.Add(1)
@@ -435,11 +434,12 @@ func (th *Thread) absorbAbort(f *frame, ae *abortError) error {
 		if out.Decided && !f.hasDecided {
 			f.decided, f.hasDecided = out, true
 		}
-		kind = kindRaise
+		ctrl = f.raiseErr
 	}
 	pending := f.pendingAbort
 	f.pendingAbort = nil
-	for _, d := range pending {
+	for i := range pending {
+		d := &pending[i]
 		out, err := f.inst.Deliver(d.From, d.Msg)
 		if err != nil {
 			th.logf("resolve.error", "absorb: %v", err)
@@ -448,7 +448,7 @@ func (th *Thread) absorbAbort(f *frame, ae *abortError) error {
 		th.applyOutcome(f, d, out)
 	}
 	f.informed = true
-	return &pendingError{kind: kind, frame: f}
+	return ctrl
 }
 
 // enclosingAbortTarget reports the innermost enclosing frame (strictly above
@@ -532,7 +532,7 @@ func (th *Thread) pump(f *frame, cond pumpCond, deadline time.Duration) error {
 				return ErrThreadStopped
 			}
 		}
-		v := th.route(d)
+		v := th.route(&d)
 		if v.abortTarget != "" && !f.aborting {
 			return &pendingError{kind: kindAbort, frame: f, target: v.abortTarget}
 		}

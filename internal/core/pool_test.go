@@ -89,7 +89,7 @@ func TestThreadRecycleScrubsState(t *testing.T) {
 	// lane) so the recycle contract for the event-loop fields is pinned too.
 	t1.inline = true
 	t1.inRoute = true
-	t1.deferred = []transport.Outbound{{To: "T2"}}
+	t1.deferred = &[]transport.Outbound{{To: "T2"}}
 	t1.park = parkState{kind: parkCompute}
 	t1.Recycle()
 	if t1.id != "" || t1.prefix != "" || t1.tag != "" || t1.ep != nil {
@@ -100,8 +100,8 @@ func TestThreadRecycleScrubsState(t *testing.T) {
 			len(t1.stack), len(t1.retained), len(t1.dead), len(t1.seq))
 	}
 	if t1.inline || t1.iep != nil || t1.inRoute || t1.deferred != nil || t1.park != (parkState{}) {
-		t.Errorf("recycled thread keeps inline-lane state: inline=%v iep=%v inRoute=%v deferred=%d park=%+v",
-			t1.inline, t1.iep, t1.inRoute, len(t1.deferred), t1.park)
+		t.Errorf("recycled thread keeps inline-lane state: inline=%v iep=%v inRoute=%v deferred=%v park=%+v",
+			t1.inline, t1.iep, t1.inRoute, t1.deferred, t1.park)
 	}
 }
 
@@ -197,7 +197,7 @@ func TestFrameReleaseScrubsEverything(t *testing.T) {
 	v := reflect.ValueOf(f).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		switch name := v.Type().Field(i).Name; name {
-		case "gen", "undoFn", "resolveFn", "entered", "votes":
+		case "gen", "undoFn", "resolveFn", "raiseErr", "interruptErr", "entered", "votes":
 			// Checked below.
 		default:
 			if !v.Field(i).IsZero() {
@@ -207,6 +207,14 @@ func TestFrameReleaseScrubsEverything(t *testing.T) {
 	}
 	if f.undoFn == nil || f.resolveFn == nil {
 		t.Errorf("released frame dropped its bound methods: undoFn=%v resolveFn=%v", f.undoFn != nil, f.resolveFn != nil)
+	}
+	for _, e := range []struct {
+		err  *pendingError
+		kind pendingKind
+	}{{f.raiseErr, kindRaise}, {f.interruptErr, kindInterrupt}} {
+		if e.err == nil || *e.err != (pendingError{kind: e.kind, frame: f}) {
+			t.Errorf("released frame's kind %d control error is %+v, want one bound to the frame", e.kind, e.err)
+		}
 	}
 	if len(f.entered) != 0 {
 		t.Errorf("released frame's entered slice has length %d, want 0", len(f.entered))
@@ -224,8 +232,10 @@ func TestFrameReleaseScrubsEverything(t *testing.T) {
 // TestStaleContextAccessors holds a Context past its action and runs a
 // second action on the same threads, which takes the released frame from
 // the pool when the pool kept it. The held Context must still name its own
-// action, and must refuse to hand out a transaction: the frame's current one
-// belongs to the second action.
+// action, and every accessor that reads the frame must panic instead of
+// answering for the second action: its transaction, role, depth, instance
+// tag, spec name and round are not the held Context's, and neither is its
+// exit vote.
 func TestStaleContextAccessors(t *testing.T) {
 	env, rt := poolEnv(t)
 	spec := poolSpec(t, "stale")
@@ -249,6 +259,7 @@ func TestStaleContextAccessors(t *testing.T) {
 		ownID   string
 		heldID  string
 		txPanic any
+		panics  = map[string]any{}
 	)
 	performPair(t, env, spec, t1, t2, func(ctx *Context) error {
 		if ctx.Self() != "T1" {
@@ -260,6 +271,19 @@ func TestStaleContextAccessors(t *testing.T) {
 			defer func() { txPanic = recover() }()
 			_ = held.Tx()
 		}()
+		for name, use := range map[string]func(){
+			"Role":        func() { _ = held.Role() },
+			"Depth":       func() { _ = held.Depth() },
+			"InstanceTag": func() { _ = held.InstanceTag() },
+			"SpecName":    func() { _ = held.SpecName() },
+			"Round":       func() { _ = held.Round() },
+			"Signal":      func() { _ = held.Signal(except.None) },
+		} {
+			func() {
+				defer func() { panics[name] = recover() }()
+				use()
+			}()
+		}
 		return nil
 	})
 	t.Logf("frame reused by the second action: %v", reused)
@@ -269,5 +293,10 @@ func TestStaleContextAccessors(t *testing.T) {
 	want := "core: Context for stale#1 used outside its frame"
 	if msg, _ := txPanic.(string); msg != want {
 		t.Errorf("held Context's Tx() panicked with %v, want %q", txPanic, want)
+	}
+	for name, p := range panics {
+		if msg, _ := p.(string); msg != want {
+			t.Errorf("held Context's %s panicked with %v, want %q", name, p, want)
+		}
 	}
 }

@@ -124,12 +124,7 @@ func runSigCase(n int, name string, votes func(i int) except.ID,
 				return
 			}
 			var derr error
-			if vote, ok := d.Msg.(protocol.ToBeSignalled); ok {
-				dec, derr = inst.Deliver(d.From, vote)
-			} else {
-				derr = fmt.Errorf("%w: %T", signal.ErrUnexpected, d.Msg)
-			}
-			if derr != nil {
+			if dec, derr = inst.Deliver(d.From, &d.Msg); derr != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = derr

@@ -16,31 +16,42 @@ import (
 // encoding. A frame is one message with its sender; the transport carries
 // frames inside node-wire batch entries (see AppendNodeBatchEntry):
 //
-//	frame   := tag(u8) from(string) fields...
-//	tag     := kind index + 1 (0 is invalid, catching zeroed buffers)
+//	frame   := tag(u8) from(string) action(string) msgFrom(string) fields...
+//	tag     := kind + 1 (0 is invalid, catching zeroed buffers)
 //	string  := uvarint byte-length, then that many bytes
 //	int     := zigzag varint (encoding/binary's varint)
 //	raised  := id(string) origin(string) info(string) at(int, nanoseconds)
 //	[]raised:= uvarint count, then count × raised
 //
-// Fields follow each message struct's declaration order. App payloads carry
-// a type tag for the common cooperation payload types (nil, string, bool,
-// int, int64, float64, []byte); any other type falls back to a nested gob
-// encoding of the interface value, so everything that crossed the gob wire
-// still crosses the binary wire.
+// Each kind encodes its own fields after the common three, in a fixed
+// order:
+//
+//	Exception, Relay  round exc(raised)
+//	Suspended, Ack    round
+//	Commit            round resolved(string) raised([]raised)
+//	Propose           round resolved(string)
+//	ToBeSignalled     exc(string: Exc.ID) round phase(int)
+//	Enter             role(string)
+//	App               role(string) payload
+//
+// App payloads carry a type tag for the common cooperation payload types
+// (nil, string, bool, int, int64, float64, []byte); any other type falls
+// back to a nested gob encoding of the interface value.
 //
 // AppendFrame appends to a caller-supplied buffer (the transport reuses
 // one per connection), so a steady-state send performs zero codec
 // allocations for the eight fixed-shape messages and for fast-path App
 // payloads.
 //
-// On the receive side a decode allocates the message box and its strings.
+// On the receive side a frame decodes straight into a Message value.
 // DecodeNodeBatch takes a per-connection Names table that interns the
-// bounded name fields — the frame sender, From, Role, ToRole, the exception
-// identifiers (Exc, Resolved, Raised.ID) and Raised.Origin — so a steady
-// stream between the same threads allocates only the box and the action
-// identifier per message. Action identifiers (unique per instance),
-// Raised.Info (free text) and App payloads are never interned.
+// bounded name fields — the frame sender, From, Role, the exception
+// identifiers (Exc.ID, Resolved, Raised.ID) and Raised.Origin — and the
+// action identifiers, each in its own bounded table: an action's every
+// message between two nodes repeats its identifier, so a steady stream
+// allocates nothing per message but a new action's identifier, once.
+// Raised.Info (free text), Commit's raised list and App payloads are
+// decoded afresh.
 
 // ErrCodec reports a malformed or truncated binary frame.
 var ErrCodec = errors.New("protocol: malformed frame")
@@ -60,60 +71,38 @@ const (
 
 // AppendFrame appends the binary encoding of one message (with the sending
 // endpoint's logical address) to buf and returns the extended buffer.
-func AppendFrame(buf []byte, from string, msg Message) ([]byte, error) {
-	kind := KindIndexOf(msg)
-	if kind < 0 {
-		return buf, fmt.Errorf("%w: cannot encode foreign message %T", ErrCodec, msg)
+func AppendFrame(buf []byte, from string, m Message) ([]byte, error) {
+	if !m.Kind.Valid() {
+		return buf, fmt.Errorf("%w: cannot encode message of %v", ErrCodec, m.Kind)
 	}
-	buf = append(buf, byte(kind+1))
+	buf = append(buf, byte(m.Kind)+1)
 	buf = appendString(buf, from)
-	switch m := msg.(type) {
-	case Exception:
-		buf = appendString(buf, m.Action)
-		buf = appendString(buf, m.From)
+	buf = appendString(buf, m.Action)
+	buf = appendString(buf, m.From)
+	switch m.Kind {
+	case KindException, KindRelay:
 		buf = appendInt(buf, int64(m.Round))
 		buf = appendRaised(buf, m.Exc)
-	case Suspended:
-		buf = appendString(buf, m.Action)
-		buf = appendString(buf, m.From)
+	case KindSuspended, KindAck:
 		buf = appendInt(buf, int64(m.Round))
-	case Commit:
-		buf = appendString(buf, m.Action)
-		buf = appendString(buf, m.From)
+	case KindCommit:
 		buf = appendInt(buf, int64(m.Round))
 		buf = appendString(buf, string(m.Resolved))
 		buf = binary.AppendUvarint(buf, uint64(len(m.Raised)))
 		for _, r := range m.Raised {
 			buf = appendRaised(buf, r)
 		}
-	case Relay:
-		buf = appendString(buf, m.Action)
-		buf = appendString(buf, m.From)
-		buf = appendInt(buf, int64(m.Round))
-		buf = appendRaised(buf, m.Exc)
-	case Propose:
-		buf = appendString(buf, m.Action)
-		buf = appendString(buf, m.From)
+	case KindPropose:
 		buf = appendInt(buf, int64(m.Round))
 		buf = appendString(buf, string(m.Resolved))
-	case Ack:
-		buf = appendString(buf, m.Action)
-		buf = appendString(buf, m.From)
-		buf = appendInt(buf, int64(m.Round))
-	case ToBeSignalled:
-		buf = appendString(buf, m.Action)
-		buf = appendString(buf, m.From)
-		buf = appendString(buf, string(m.Exc))
+	case KindToBeSignalled:
+		buf = appendString(buf, string(m.Exc.ID))
 		buf = appendInt(buf, int64(m.Round))
 		buf = appendInt(buf, int64(m.Phase))
-	case Enter:
-		buf = appendString(buf, m.Action)
-		buf = appendString(buf, m.From)
+	case KindEnter:
 		buf = appendString(buf, m.Role)
-	case App:
-		buf = appendString(buf, m.Action)
-		buf = appendString(buf, m.From)
-		buf = appendString(buf, m.ToRole)
+	case KindApp:
+		buf = appendString(buf, m.Role)
 		var err error
 		if buf, err = appendPayload(buf, m.Payload); err != nil {
 			return buf, err
@@ -191,8 +180,9 @@ func IsNodeCredit(data []byte) bool {
 // DecodeNodeBatch decodes a batched node frame, invoking fn once per entry
 // in wire order. The destination is handed over in place, as a slice of
 // data that is valid only during the call, so a receiver can look it up
-// without allocating. Name fields are interned through names, which one
-// connection's reader owns; nil decodes every string afresh. Decoding stops
+// without allocating. Names and action identifiers are interned through
+// names, which one connection's reader owns; nil decodes every string
+// afresh. Decoding stops
 // at the first malformed entry or the first fn error; a torn batch (entry
 // length running past the frame) is a codec error even when earlier entries
 // decoded cleanly, because the transport length-prefixes whole frames — a
@@ -264,21 +254,28 @@ func DecodeFrame(data []byte) (from string, msg Message, err error) {
 	return d.frame()
 }
 
-// frame decodes the rest of d's data as one frame.
-func (d *decoder) frame() (from string, msg Message, err error) {
+// frame decodes the rest of d's data as one frame, field by field in the
+// order AppendFrame writes them.
+func (d *decoder) frame() (from string, m Message, err error) {
 	tag := d.byte()
 	from = d.name()
-	kind := int(tag) - 1
-	switch kind {
-	case KindException:
-		m := Exception{Action: d.string(), From: d.name(), Round: d.int()}
+	if m.Kind = Kind(tag - 1); !m.Kind.Valid() { // tag 0 wraps to an invalid kind
+		if d.err != nil {
+			return "", Message{}, d.err
+		}
+		return "", Message{}, fmt.Errorf("%w: unknown kind tag %d", ErrCodec, tag)
+	}
+	m.Action = d.action()
+	m.From = d.name()
+	switch m.Kind {
+	case KindException, KindRelay:
+		m.Round = d.int()
 		m.Exc = d.raised()
-		msg = m
-	case KindSuspended:
-		msg = Suspended{Action: d.string(), From: d.name(), Round: d.int()}
+	case KindSuspended, KindAck:
+		m.Round = d.int()
 	case KindCommit:
-		m := Commit{Action: d.string(), From: d.name(), Round: d.int(),
-			Resolved: except.ID(d.name())}
+		m.Round = d.int()
+		m.Resolved = except.ID(d.name())
 		// A raised entry is at least 4 bytes: three empty strings + At.
 		if n := d.count(4); n > 0 {
 			m.Raised = make([]except.Raised, n)
@@ -286,35 +283,26 @@ func (d *decoder) frame() (from string, msg Message, err error) {
 				m.Raised[i] = d.raised()
 			}
 		}
-		msg = m
-	case KindRelay:
-		m := Relay{Action: d.string(), From: d.name(), Round: d.int()}
-		m.Exc = d.raised()
-		msg = m
 	case KindPropose:
-		msg = Propose{Action: d.string(), From: d.name(), Round: d.int(),
-			Resolved: except.ID(d.name())}
-	case KindAck:
-		msg = Ack{Action: d.string(), From: d.name(), Round: d.int()}
+		m.Round = d.int()
+		m.Resolved = except.ID(d.name())
 	case KindToBeSignalled:
-		msg = ToBeSignalled{Action: d.string(), From: d.name(),
-			Exc: except.ID(d.name()), Round: d.int(), Phase: d.int()}
+		m.Exc.ID = except.ID(d.name())
+		m.Round = d.int()
+		m.Phase = d.int()
 	case KindEnter:
-		msg = Enter{Action: d.string(), From: d.name(), Role: d.name()}
+		m.Role = d.name()
 	case KindApp:
-		m := App{Action: d.string(), From: d.name(), ToRole: d.name()}
+		m.Role = d.name()
 		m.Payload = d.payload()
-		msg = m
-	default:
-		return "", nil, fmt.Errorf("%w: unknown kind tag %d", ErrCodec, tag)
 	}
 	if d.err != nil {
-		return "", nil, d.err
+		return "", Message{}, d.err
 	}
 	if len(d.data) != 0 {
-		return "", nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, len(d.data))
+		return "", Message{}, fmt.Errorf("%w: %d trailing bytes", ErrCodec, len(d.data))
 	}
-	return from, msg, nil
+	return from, m, nil
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -374,45 +362,49 @@ func appendPayload(buf []byte, payload any) ([]byte, error) {
 
 // decoder is a cursor over one frame; the first malformation latches err and
 // every subsequent read returns zero values, so call sites stay linear.
-// names, when non-nil, interns the frame's name fields.
+// names, when non-nil, interns the frame's names and action identifier.
 type decoder struct {
 	data  []byte
 	err   error
 	names *Names
 }
 
-// Names interns the bounded name fields of decoded frames for one reader:
-// thread, role and exception identifiers repeat on every message between
-// the same threads, so a hit hands back the string decoded earlier instead
-// of allocating a copy. The zero value is ready to use; a Names is confined
-// to one goroutine. It holds at most namesCap entries of at most
-// namesMaxLen bytes each and is cleared when full, so a peer that sends
-// ever-new names cannot grow it.
+// Names interns the strings of decoded frames for one reader: thread, role
+// and exception names repeat on every message between the same threads,
+// and an action identifier on every message of that action, so a hit hands
+// back the string decoded earlier instead of allocating a copy. The zero
+// value is ready to use; a Names is confined to one goroutine. Names and
+// action identifiers are kept in separate tables, so a stream of new
+// actions never evicts the names: each holds at most namesCap strings (of
+// at most namesMaxLen and idsMaxLen bytes) and is cleared when full, so a
+// peer that sends ever-new strings cannot grow it.
 type Names struct {
-	m map[string]string
+	m   map[string]string // names
+	ids map[string]string // action identifiers
 }
 
 const (
 	namesCap    = 256
 	namesMaxLen = 64
+	idsMaxLen   = 128
 )
 
-// intern returns b as a string, from the table when it is there. A nil
-// table, or a name too long to keep, converts b afresh.
-func (n *Names) intern(b []byte) string {
-	if n == nil || len(b) == 0 || len(b) > namesMaxLen {
+// intern returns b as a string, from table t when it is there, adding it
+// when it is at most maxLen bytes long.
+func intern(t *map[string]string, b []byte, maxLen int) string {
+	if len(b) == 0 || len(b) > maxLen {
 		return string(b)
 	}
-	if s, ok := n.m[string(b)]; ok {
+	if s, ok := (*t)[string(b)]; ok {
 		return s
 	}
-	if n.m == nil {
-		n.m = make(map[string]string)
-	} else if len(n.m) >= namesCap {
-		clear(n.m)
+	if *t == nil {
+		*t = make(map[string]string)
+	} else if len(*t) >= namesCap {
+		clear(*t)
 	}
 	s := string(b)
-	n.m[s] = s
+	(*t)[s] = s
 	return s
 }
 
@@ -477,7 +469,18 @@ func (d *decoder) string() string {
 
 // name reads a bounded name field, interned when d has a table.
 func (d *decoder) name() string {
-	return d.names.intern(d.bytes())
+	if d.names == nil {
+		return d.string()
+	}
+	return intern(&d.names.m, d.bytes(), namesMaxLen)
+}
+
+// action reads an action identifier, interned when d has a table.
+func (d *decoder) action() string {
+	if d.names == nil {
+		return d.string()
+	}
+	return intern(&d.names.ids, d.bytes(), idsMaxLen)
 }
 
 // bytes reads a length-prefixed string in place, as a slice of the frame.

@@ -3,6 +3,7 @@ package protocol
 import (
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"testing"
@@ -17,26 +18,26 @@ import (
 func codecMessages() []Message {
 	raised := except.Raised{ID: "e1", Origin: "T1", Info: "disk on fire", At: 1500 * time.Millisecond}
 	return []Message{
-		Exception{Action: "a7!outer#1/inner#2", From: "T1", Round: 3, Exc: raised},
-		Exception{},
-		Suspended{Action: "outer#1", From: "T2", Round: 0},
-		Commit{Action: "outer#1", From: "T1", Round: 2, Resolved: "e1+e2",
+		Message{Kind: KindException, Action: "a7!outer#1/inner#2", From: "T1", Round: 3, Exc: raised},
+		Message{Kind: KindException},
+		Message{Kind: KindSuspended, Action: "outer#1", From: "T2", Round: 0},
+		Message{Kind: KindCommit, Action: "outer#1", From: "T1", Round: 2, Resolved: "e1+e2",
 			Raised: []except.Raised{raised, {ID: "e2", Origin: "T3"}}},
-		Commit{Action: "outer#1", From: "T1", Resolved: except.None},
-		Relay{Action: "outer#1", From: "T3", Round: 1, Exc: raised},
-		Propose{Action: "outer#1", From: "T2", Round: 4, Resolved: "µ"},
-		Ack{Action: "outer#1", From: "T2", Round: 9},
-		ToBeSignalled{Action: "tag!a#1", From: "T1", Exc: "ƒ", Round: 7, Phase: 1},
-		ToBeSignalled{Action: "a#1", From: "T1", Exc: except.None},
-		Enter{Action: "outer#1", From: "T4", Role: "producer"},
-		App{Action: "outer#1", From: "T1", ToRole: "consumer", Payload: nil},
-		App{Action: "outer#1", From: "T1", ToRole: "consumer", Payload: "plate"},
-		App{Action: "outer#1", From: "T1", ToRole: "consumer", Payload: true},
-		App{Action: "outer#1", From: "T1", ToRole: "consumer", Payload: false},
-		App{Action: "outer#1", From: "T1", ToRole: "consumer", Payload: 42},
-		App{Action: "outer#1", From: "T1", ToRole: "consumer", Payload: int64(-7)},
-		App{Action: "outer#1", From: "T1", ToRole: "consumer", Payload: 2.5},
-		App{Action: "outer#1", From: "T1", ToRole: "consumer", Payload: []byte{0, 1, 255}},
+		Message{Kind: KindCommit, Action: "outer#1", From: "T1", Resolved: except.None},
+		Message{Kind: KindRelay, Action: "outer#1", From: "T3", Round: 1, Exc: raised},
+		Message{Kind: KindPropose, Action: "outer#1", From: "T2", Round: 4, Resolved: "µ"},
+		Message{Kind: KindAck, Action: "outer#1", From: "T2", Round: 9},
+		Message{Kind: KindToBeSignalled, Action: "tag!a#1", From: "T1", Exc: except.Raised{ID: "ƒ"}, Round: 7, Phase: 1},
+		Message{Kind: KindToBeSignalled, Action: "a#1", From: "T1", Exc: except.Raised{ID: except.None}},
+		Message{Kind: KindEnter, Action: "outer#1", From: "T4", Role: "producer"},
+		Message{Kind: KindApp, Action: "outer#1", From: "T1", Role: "consumer", Payload: nil},
+		Message{Kind: KindApp, Action: "outer#1", From: "T1", Role: "consumer", Payload: "plate"},
+		Message{Kind: KindApp, Action: "outer#1", From: "T1", Role: "consumer", Payload: true},
+		Message{Kind: KindApp, Action: "outer#1", From: "T1", Role: "consumer", Payload: false},
+		Message{Kind: KindApp, Action: "outer#1", From: "T1", Role: "consumer", Payload: 42},
+		Message{Kind: KindApp, Action: "outer#1", From: "T1", Role: "consumer", Payload: int64(-7)},
+		Message{Kind: KindApp, Action: "outer#1", From: "T1", Role: "consumer", Payload: 2.5},
+		Message{Kind: KindApp, Action: "outer#1", From: "T1", Role: "consumer", Payload: []byte{0, 1, 255}},
 	}
 }
 
@@ -44,14 +45,14 @@ func TestCodecRoundTripEveryKind(t *testing.T) {
 	for _, msg := range codecMessages() {
 		buf, err := AppendFrame(nil, "sender", msg)
 		if err != nil {
-			t.Fatalf("%T: encode: %v", msg, err)
+			t.Fatalf("%v: encode: %v", msg.Kind, err)
 		}
 		from, got, err := DecodeFrame(buf)
 		if err != nil {
-			t.Fatalf("%T: decode: %v", msg, err)
+			t.Fatalf("%v: decode: %v", msg.Kind, err)
 		}
 		if from != "sender" {
-			t.Fatalf("%T: from = %q", msg, from)
+			t.Fatalf("%v: from = %q", msg.Kind, from)
 		}
 		if !reflect.DeepEqual(got, msg) {
 			t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", got, msg)
@@ -66,7 +67,7 @@ type codecPayload struct {
 
 func TestCodecGobPayloadFallback(t *testing.T) {
 	gob.Register(codecPayload{})
-	msg := App{Action: "a#1", From: "T1", ToRole: "r2",
+	msg := Message{Kind: KindApp, Action: "a#1", From: "T1", Role: "r2",
 		Payload: codecPayload{Name: "forged plate", Count: 3}}
 	buf, err := AppendFrame(nil, "T1", msg)
 	if err != nil {
@@ -89,23 +90,23 @@ func TestCodecAppendReusesBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(out) <= cap(buf) && &out[0] != &buf[:1][0] {
-			t.Fatalf("%T: AppendFrame reallocated despite capacity", msg)
+			t.Fatalf("%v: AppendFrame reallocated despite capacity", msg.Kind)
 		}
 	}
 }
 
+// TestCodecRejectsForeignMessage: a message of no known kind does not
+// encode.
 func TestCodecRejectsForeignMessage(t *testing.T) {
-	if _, err := AppendFrame(nil, "s", foreignMsg{}); err == nil {
+	if _, err := AppendFrame(nil, "s", foreignMsg); err == nil {
 		t.Fatal("foreign message encoded without error")
 	}
 }
 
-type foreignMsg struct{}
-
-func (foreignMsg) Kind() string { return "Foreign" }
+var foreignMsg = Message{Kind: Kind(NumKinds), Action: "a#1"}
 
 func TestCodecRejectsMalformedFrames(t *testing.T) {
-	good, err := AppendFrame(nil, "sender", Commit{Action: "a#1", From: "T1", Round: 1,
+	good, err := AppendFrame(nil, "sender", Message{Kind: KindCommit, Action: "a#1", From: "T1", Round: 1,
 		Resolved: "e1", Raised: []except.Raised{{ID: "e1", Origin: "T1"}}})
 	if err != nil {
 		t.Fatal(err)
@@ -188,14 +189,14 @@ func TestNodeBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNamesBounded streams batches that carry more distinct names than the
-// table holds: the table never grows past its cap, and every decode still
-// returns the names that were sent.
+// TestNamesBounded streams batches that carry more distinct names and
+// action identifiers than the tables hold: neither table grows past its
+// cap, and every decode still returns the strings that were sent.
 func TestNamesBounded(t *testing.T) {
 	var names Names
 	for i := 0; i < 3*namesCap; i++ {
 		want := batchEntry{To: "T1", From: fmt.Sprintf("node%d", i),
-			Msg: Enter{Action: "a#1", From: fmt.Sprintf("T%d", i), Role: fmt.Sprintf("r%d", i)}}
+			Msg: Message{Kind: KindEnter, Action: fmt.Sprintf("a#%d", i), From: fmt.Sprintf("T%d", i), Role: fmt.Sprintf("r%d", i)}}
 		buf, err := appendBatch(nil, []batchEntry{want})
 		if err != nil {
 			t.Fatal(err)
@@ -207,26 +208,31 @@ func TestNamesBounded(t *testing.T) {
 		if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
 			t.Fatalf("entry %d: got %#v, want %#v", i, got, want)
 		}
-		if len(names.m) > namesCap {
-			t.Fatalf("after %d entries the table holds %d names, cap %d", i+1, len(names.m), namesCap)
+		if len(names.m) > namesCap || len(names.ids) > namesCap {
+			t.Fatalf("after %d entries the tables hold %d names and %d ids, cap %d",
+				i+1, len(names.m), len(names.ids), namesCap)
 		}
 	}
 	long := string(make([]byte, namesMaxLen+1))
-	if names.intern([]byte(long)); len(names.m) > namesCap || names.m[long] != "" {
+	if intern(&names.m, []byte(long), namesMaxLen); len(names.m) > namesCap || names.m[long] != "" {
 		t.Fatalf("a %d-byte name entered the table", len(long))
+	}
+	long = string(make([]byte, idsMaxLen+1))
+	if intern(&names.ids, []byte(long), idsMaxLen); names.ids[long] != "" {
+		t.Fatalf("a %d-byte action identifier entered the table", len(long))
 	}
 }
 
-// TestNamesSkipActionAndInfo pins what stays out of the table: action
-// identifiers (unique per instance) and Raised.Info (free text) are decoded
-// afresh, while the name fields around them are interned.
+// TestNamesSkipActionAndInfo pins what goes where: action identifiers are
+// interned in their own table, not among the names; Raised.Info (free text)
+// and payloads are decoded afresh; the name fields around them are interned.
 func TestNamesSkipActionAndInfo(t *testing.T) {
 	raised := except.Raised{ID: "e1", Origin: "T2", Info: "disk on fire", At: time.Second}
 	buf, err := appendBatch(nil, []batchEntry{
-		{To: "T1", From: "node2", Msg: Exception{Action: "a7!outer#1", From: "T2", Round: 1, Exc: raised}},
-		{To: "T1", From: "node2", Msg: Commit{Action: "a7!outer#2", From: "T2", Resolved: "e1",
+		{To: "T1", From: "node2", Msg: Message{Kind: KindException, Action: "a7!outer#1", From: "T2", Round: 1, Exc: raised}},
+		{To: "T1", From: "node2", Msg: Message{Kind: KindCommit, Action: "a7!outer#2", From: "T2", Resolved: "e1",
 			Raised: []except.Raised{{ID: "e2", Origin: "T3", Info: "motor stalled"}}}},
-		{To: "T1", From: "node2", Msg: App{Action: "a7!outer#3", From: "T2", ToRole: "arm", Payload: "payload text"}},
+		{To: "T1", From: "node2", Msg: Message{Kind: KindApp, Action: "a7!outer#3", From: "T2", Role: "arm", Payload: "payload text"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,6 +246,16 @@ func TestNamesSkipActionAndInfo(t *testing.T) {
 			t.Errorf("%q entered the name table", s)
 		}
 	}
+	for _, s := range []string{"a7!outer#1", "a7!outer#2", "a7!outer#3"} {
+		if _, ok := names.ids[s]; !ok {
+			t.Errorf("action identifier %q was not interned", s)
+		}
+	}
+	for _, s := range []string{"node2", "T2", "disk on fire", "motor stalled", "payload text"} {
+		if _, ok := names.ids[s]; ok {
+			t.Errorf("%q entered the action identifier table", s)
+		}
+	}
 	for _, s := range []string{"node2", "T2", "T3", "e1", "e2", "arm"} {
 		if _, ok := names.m[s]; !ok {
 			t.Errorf("name %q was not interned", s)
@@ -248,10 +264,11 @@ func TestNamesSkipActionAndInfo(t *testing.T) {
 }
 
 // TestDecodeInternedAllocs pins the receive-side cost of a vote decoded
-// through a warm table: the message box and the action identifier.
+// through a warm table: nothing. The message is a value, and its action
+// identifier and names repeat, so all come from the table.
 func TestDecodeInternedAllocs(t *testing.T) {
 	buf, err := appendBatch(nil, []batchEntry{
-		{To: "T1", From: "node2", Msg: ToBeSignalled{Action: "a7!commit#1", From: "T2", Exc: "e1", Round: 1, Phase: 1}},
+		{To: "T1", From: "node2", Msg: Message{Kind: KindToBeSignalled, Action: "a7!commit#1", From: "T2", Exc: except.Raised{ID: "e1"}, Round: 1, Phase: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,8 +284,8 @@ func TestDecodeInternedAllocs(t *testing.T) {
 		}
 	}
 	decode()
-	if n := testing.AllocsPerRun(100, decode); n > 2 {
-		t.Fatalf("interned decode of one vote allocates %v, want ≤ 2 (box and action id)", n)
+	if n := testing.AllocsPerRun(100, decode); n > 0 {
+		t.Fatalf("interned decode of one vote allocates %v, want 0", n)
 	}
 	_ = sink
 }
@@ -279,8 +296,8 @@ func TestDecodeInternedAllocs(t *testing.T) {
 // frame.
 func TestNodeBatchIncremental(t *testing.T) {
 	entries := []batchEntry{
-		{To: "T1", From: "s", Msg: Ack{Action: "a#1", From: "T2", Round: 1}},
-		{To: "T2", From: "s", Msg: Enter{Action: "a#1", From: "T1", Role: "r"}},
+		{To: "T1", From: "s", Msg: Message{Kind: KindAck, Action: "a#1", From: "T2", Round: 1}},
+		{To: "T2", From: "s", Msg: Message{Kind: KindEnter, Action: "a#1", From: "T1", Role: "r"}},
 	}
 	buf, err := appendBatch(nil, entries)
 	if err != nil {
@@ -312,7 +329,7 @@ func TestNodeBatchEmpty(t *testing.T) {
 
 func TestNodeBatchRejectsMalformed(t *testing.T) {
 	good, err := appendBatch(nil, []batchEntry{
-		{To: "T1", From: "s", Msg: Ack{Action: "a#1", From: "T2", Round: 1}},
+		{To: "T1", From: "s", Msg: Message{Kind: KindAck, Action: "a#1", From: "T2", Round: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +348,7 @@ func TestNodeBatchRejectsMalformed(t *testing.T) {
 		}
 	}
 	// An empty destination would collide with the control escape.
-	if _, err := AppendNodeBatchEntry(AppendNodeBatchHeader(nil), "", "s", Ack{}); err == nil {
+	if _, err := AppendNodeBatchEntry(AppendNodeBatchHeader(nil), "", "s", Message{Kind: KindAck}); err == nil {
 		t.Error("empty destination encoded without error")
 	}
 }
@@ -340,12 +357,12 @@ func TestNodeBatchRejectsMalformed(t *testing.T) {
 // open batch exactly as it was, so the transport can keep flushing it.
 func TestNodeBatchEntryErrorRestoresBuffer(t *testing.T) {
 	buf := AppendNodeBatchHeader(nil)
-	buf, err := AppendNodeBatchEntry(buf, "T1", "s", Ack{Action: "a#1"})
+	buf, err := AppendNodeBatchEntry(buf, "T1", "s", Message{Kind: KindAck, Action: "a#1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := append([]byte(nil), buf...)
-	if buf, err = AppendNodeBatchEntry(buf, "T2", "s", foreignMsg{}); err == nil {
+	if buf, err = AppendNodeBatchEntry(buf, "T2", "s", foreignMsg); err == nil {
 		t.Fatal("foreign message encoded without error")
 	}
 	if !reflect.DeepEqual(buf, before) {
@@ -384,10 +401,10 @@ func TestNodeCreditRoundTrip(t *testing.T) {
 // its destination: the encoder refuses an empty one, and the decoder
 // rejects a hand-built entry that carries one.
 func TestNodeFrameRejectsEmptyDestination(t *testing.T) {
-	if _, err := AppendNodeBatchEntry(AppendNodeBatchHeader(nil), "", "s", Ack{Action: "a#1"}); err == nil {
+	if _, err := AppendNodeBatchEntry(AppendNodeBatchHeader(nil), "", "s", Message{Kind: KindAck, Action: "a#1"}); err == nil {
 		t.Fatal("empty destination encoded without error")
 	}
-	frame, err := AppendFrame(appendString(nil, ""), "s", Ack{Action: "a#1"})
+	frame, err := AppendFrame(appendString(nil, ""), "s", Message{Kind: KindAck, Action: "a#1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,32 +429,27 @@ func TestCodecMatchesGobSemantics(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(viaCodec, msg) {
-			t.Fatalf("%T: codec disagrees with original", msg)
+			t.Fatalf("%v: codec disagrees with original", msg.Kind)
 		}
 	}
 }
 
-func TestKindIndexOfCoversEveryMessage(t *testing.T) {
-	seen := map[int]bool{}
-	for _, msg := range []Message{Exception{}, Suspended{}, Commit{}, Relay{},
-		Propose{}, Ack{}, ToBeSignalled{}, Enter{}, App{}} {
-		idx := KindIndexOf(msg)
-		if idx < 0 || idx >= NumKinds {
-			t.Fatalf("%T: index %d out of range", msg, idx)
+func TestKindNamesCoverEveryKind(t *testing.T) {
+	seen := map[string]bool{}
+	for k := KindException; k.Valid(); k++ {
+		if KindNames[k] == "" || seen[KindNames[k]] || k.String() != KindNames[k] {
+			t.Fatalf("kind %d: name %q, String %q", k, KindNames[k], k.String())
 		}
-		if KindNames[idx] != msg.Kind() {
-			t.Fatalf("%T: KindNames[%d] = %q, Kind() = %q", msg, idx, KindNames[idx], msg.Kind())
+		if MetricNames[k] != "msg."+KindNames[k] {
+			t.Fatalf("kind %d: MetricNames = %q", k, MetricNames[k])
 		}
-		if MetricNames[idx] != "msg."+msg.Kind() {
-			t.Fatalf("%T: MetricNames[%d] = %q", msg, idx, MetricNames[idx])
-		}
-		seen[idx] = true
+		seen[KindNames[k]] = true
 	}
 	if len(seen) != NumKinds {
-		t.Fatalf("indices not dense: %v", seen)
+		t.Fatalf("kinds not dense: %v", seen)
 	}
-	if KindIndexOf(foreignMsg{}) != -1 {
-		t.Fatal("foreign message got a kind index")
+	if k := Kind(NumKinds); k.Valid() || k.String() != "Kind(9)" {
+		t.Fatalf("Kind(%d): valid %v, String %q", k, k.Valid(), k.String())
 	}
 }
 
@@ -481,7 +493,7 @@ func TestParsedIDChild(t *testing.T) {
 }
 
 func BenchmarkCodecEncodeException(b *testing.B) {
-	msg := Exception{Action: "a7!outer#1/inner#2", From: "T1", Round: 3,
+	msg := Message{Kind: KindException, Action: "a7!outer#1/inner#2", From: "T1", Round: 3,
 		Exc: except.Raised{ID: "e1", Origin: "T1", Info: "x", At: time.Second}}
 	buf := make([]byte, 0, 256)
 	b.ReportAllocs()
@@ -495,7 +507,7 @@ func BenchmarkCodecEncodeException(b *testing.B) {
 }
 
 func BenchmarkCodecRoundTripException(b *testing.B) {
-	msg := Exception{Action: "a7!outer#1/inner#2", From: "T1", Round: 3,
+	msg := Message{Kind: KindException, Action: "a7!outer#1/inner#2", From: "T1", Round: 3,
 		Exc: except.Raised{ID: "e1", Origin: "T1", Info: "x", At: time.Second}}
 	buf, err := AppendFrame(nil, "T1", msg)
 	if err != nil {
@@ -505,6 +517,100 @@ func BenchmarkCodecRoundTripException(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := DecodeFrame(buf); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// wireKinds is one message of each of the nine kinds, with a raised list on
+// Commit and a payload on App: the messages whose encoding
+// TestWireBytesPinned fixes.
+func wireKinds() []Message {
+	raised := except.Raised{ID: "e1", Origin: "T1", Info: "disk on fire", At: 1500 * time.Millisecond}
+	return []Message{
+		Message{Kind: KindException, Action: "a7!outer#1/inner#2", From: "T1", Round: 3, Exc: raised},
+		Message{Kind: KindSuspended, Action: "a7!outer#1", From: "T2", Round: 1},
+		Message{Kind: KindCommit, Action: "a7!outer#1", From: "T3", Round: 2, Resolved: "e1+e2",
+			Raised: []except.Raised{raised, {ID: "e2", Origin: "T3", At: -2}}},
+		Message{Kind: KindRelay, Action: "outer#1", From: "T3", Round: 1, Exc: raised},
+		Message{Kind: KindPropose, Action: "outer#1", From: "T2", Round: 4, Resolved: "µ"},
+		Message{Kind: KindAck, Action: "outer#1", From: "T2", Round: 9},
+		Message{Kind: KindToBeSignalled, Action: "a7!outer#1", From: "T1", Exc: except.Raised{ID: "ƒ"}, Round: 7, Phase: 2},
+		Message{Kind: KindEnter, Action: "a7!outer#1", From: "T4", Role: "producer"},
+		Message{Kind: KindApp, Action: "a7!outer#1", From: "T1", Role: "consumer", Payload: "plate"},
+	}
+}
+
+// TestWireBytesPinned fixes the node wire byte for byte: one batch carrying
+// an entry of each kind must encode to exactly these bytes, and decode back
+// to the same messages. Any change to a kind's field order, tag or
+// encoding fails here.
+func TestWireBytesPinned(t *testing.T) {
+	const want = "00010000003902543101056e6f646532126137216f7574657223312f696e6e65" +
+		"722332025431060265310254310c6469736b206f6e206669726580bcc1960b00" +
+		"00001902543202056e6f6465320a6137216f7574657223310254320200000040" +
+		"02543303056e6f6465320a6137216f757465722331025433040565312b653202" +
+		"0265310254310c6469736b206f6e206669726580bcc1960b0265320254330003" +
+		"0000002e02543104056e6f646532076f75746572233102543302026531025431" +
+		"0c6469736b206f6e206669726580bcc1960b0000001902543205056e6f646532" +
+		"076f7574657223310254320802c2b50000001602543306056e6f646532076f75" +
+		"7465722331025432120000001d02543107056e6f6465320a6137216f75746572" +
+		"233102543102c6920e040000002102543208056e6f6465320a6137216f757465" +
+		"7223310254340870726f64756365720000002802543309056e6f6465320a6137" +
+		"216f75746572233102543108636f6e73756d65720105706c617465"
+	var entries []batchEntry
+	for i, msg := range wireKinds() {
+		entries = append(entries, batchEntry{To: fmt.Sprintf("T%d", i%3+1), From: "node2", Msg: msg})
+	}
+	buf, err := appendBatch(nil, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(buf); got != want {
+		t.Fatalf("wire bytes moved:\n got %s\nwant %s", got, want)
+	}
+	raw, err := hex.DecodeString(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeBatch(raw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, entries) {
+		t.Fatalf("pinned bytes decode to\n %#v\nwant\n %#v", got, entries)
+	}
+}
+
+// TestMessageRenderingsPinned fixes how messages print: sim logs and
+// diagnostics format them with %v, so these renderings are output.
+func TestMessageRenderingsPinned(t *testing.T) {
+	want := []string{
+		"Exception(a7!outer#1/inner#2, T1, e1)",
+		"Suspended(a7!outer#1, T2)",
+		"Commit(a7!outer#1, e1+e2)",
+		"{outer#1 T3 1 {e1 T1 disk on fire 1.5s}}",
+		"{outer#1 T2 4 µ}",
+		"{outer#1 T2 9}",
+		"toBeSignalled(a7!outer#1, T1, ƒ, r7)",
+		"{a7!outer#1 T4 producer}",
+		"{a7!outer#1 T1 consumer plate}",
+	}
+	for i, msg := range wireKinds() {
+		if got := fmt.Sprint(msg); got != want[i] {
+			t.Errorf("kind %d renders %q, want %q", i, got, want[i])
+		}
+	}
+	for _, c := range []struct {
+		msg  Message
+		want string
+	}{
+		{Message{Kind: KindToBeSignalled, Action: "a#1", From: "T2", Exc: except.Raised{ID: except.None}, Phase: 1}, "toBeSignalled(a#1, T2, φ, r0)"},
+		{Message{Kind: KindApp, Action: "a#1", From: "T2", Role: "r"}, "{a#1 T2 r <nil>}"},
+		{Message{Kind: KindApp, Action: "a#1", From: "T2", Role: "r", Payload: 42}, "{a#1 T2 r 42}"},
+		{Message{Kind: KindCommit, Action: "a#1", From: "T2", Resolved: except.None}, "Commit(a#1, )"},
+	} {
+		if got := fmt.Sprint(c.msg); got != c.want {
+			t.Errorf("%v renders %q, want %q", c.msg, got, c.want)
 		}
 	}
 }

@@ -1,11 +1,16 @@
 package protocol
 
-// Dense kind indices for the nine protocol messages. Hot paths (per-send
-// metric counters, the binary codec's tag byte, per-kind log labels) key
-// fixed-size arrays by these instead of concatenating strings around
-// Message.Kind() on every message.
+import "strconv"
+
+// Kind is the type of a protocol message. The nine kinds are dense small
+// integers, so hot paths (per-send metric counters, the binary codec's tag
+// byte, per-kind log labels) key fixed-size arrays by them instead of
+// building strings per message.
+type Kind uint8
+
+// The nine message kinds; Message documents the fields each one uses.
 const (
-	KindException = iota
+	KindException Kind = iota
 	KindSuspended
 	KindCommit
 	KindRelay
@@ -14,11 +19,12 @@ const (
 	KindToBeSignalled
 	KindEnter
 	KindApp
-	// NumKinds is the number of protocol message kinds.
-	NumKinds
 )
 
-// KindNames maps a kind index to its Message.Kind() string.
+// NumKinds is the number of protocol message kinds.
+const NumKinds = int(KindApp) + 1
+
+// KindNames maps a kind to its name.
 var KindNames = [NumKinds]string{
 	KindException:     "Exception",
 	KindSuspended:     "Suspended",
@@ -31,7 +37,7 @@ var KindNames = [NumKinds]string{
 	KindApp:           "App",
 }
 
-// MetricNames maps a kind index to its interned per-kind metric name
+// MetricNames maps a kind to its interned per-kind metric name
 // ("msg.<Kind>"), so transports never rebuild the string per send.
 var MetricNames = [NumKinds]string{
 	KindException:     "msg.Exception",
@@ -45,32 +51,20 @@ var MetricNames = [NumKinds]string{
 	KindApp:           "msg.App",
 }
 
-// KindIndexOf returns the dense kind index of one of the nine protocol
-// messages, or -1 for a foreign Message implementation (custom transports
-// may carry their own types; callers fall back to the string APIs).
-func KindIndexOf(msg Message) int {
-	switch msg.(type) {
-	case Exception:
-		return KindException
-	case Suspended:
-		return KindSuspended
-	case Commit:
-		return KindCommit
-	case Relay:
-		return KindRelay
-	case Propose:
-		return KindPropose
-	case Ack:
-		return KindAck
-	case ToBeSignalled:
-		return KindToBeSignalled
-	case Enter:
-		return KindEnter
-	case App:
-		return KindApp
-	default:
-		return -1
+// Valid reports whether k is one of the nine kinds.
+func (k Kind) Valid() bool { return int(k) < NumKinds }
+
+// Resolution reports whether k belongs to a resolution round (Exception,
+// Suspended, Commit, Relay, Propose, Ack): the kinds the resolution
+// protocols consume, routed by their Round tag.
+func (k Kind) Resolution() bool { return k <= KindAck }
+
+// String returns the kind's name, or "Kind(n)" for an invalid kind.
+func (k Kind) String() string {
+	if k.Valid() {
+		return KindNames[k]
 	}
+	return "Kind(" + strconv.Itoa(int(k)) + ")"
 }
 
 // KindLabels precomputes "<prefix><Kind>" for every kind, for transports

@@ -4,7 +4,7 @@
 // 1986, Propose/Ack for Romanovsky et al. 1996), the signalling message of
 // §3.4 (ToBeSignalled), and runtime coordination messages (Enter, App).
 //
-// Every message implements Kind, which the transports use to count traffic
+// Every message carries its Kind, which the transports use to count traffic
 // per message type so the paper's complexity theorems can be checked against
 // measured counts.
 //
@@ -33,14 +33,11 @@ import (
 	"caaction/internal/except"
 )
 
-// Message is implemented by everything that travels between threads.
-type Message interface {
-	// Kind returns a short stable name used for metrics and tracing.
-	Kind() string
-}
-
-// Exception is sent by a thread to all other threads of an action when it
-// raises exception Exc (§3.3.2: "Exception(A, Ti, E)").
+// Message is one protocol message, a value: Kind says which of the nine
+// message types it is, and each kind uses the fields listed for it below —
+// the others stay zero. Messages are passed by value through every send,
+// route and resolution step, so none is ever boxed on the heap; a message
+// is immutable once sent (Raised and Payload are shared, never written).
 //
 // Round tags the resolution round within the action instance (the number of
 // Commits already processed). The paper's algorithm leaves messages of
@@ -48,160 +45,77 @@ type Message interface {
 // when a handler raises immediately after a Commit whose delivery to some
 // peer is still in flight; explicit round numbers close it without changing
 // any message count. All resolution-protocol messages carry the same tag.
-type Exception struct {
+//
+// The kinds:
+//
+//   - Exception(Action, From, Round, Exc): a thread raised Exc (§3.3.2:
+//     "Exception(A, Ti, E)").
+//   - Suspended(Action, From, Round): a thread that raised nothing itself
+//     has learnt of others' exceptions (§3.3.2: "Suspended(A, Ti, S)").
+//   - Commit(Action, From, Round, Resolved, Raised): the resolving thread's
+//     decision; every receiver handles Resolved (§3.3.2: "Commit(A, E)").
+//     Raised carries the resolved set for diagnostics and handler context.
+//   - Relay(Action, From, Round, Exc): the CR-86 baseline only — each
+//     thread forwards every first-hand exception it learns to all others,
+//     the O(N³) pattern the paper attributes to Campbell & Randell.
+//   - Propose(Action, From, Round, Resolved): the R-96 baseline's agreement
+//     round, every thread broadcasting the exception it resolved locally.
+//   - Ack(Action, From, Round): the R-96 baseline's final round.
+//   - ToBeSignalled(Action, From, Exc.ID, Round, Phase): the §3.4
+//     signalling vote — From will signal Exc.ID (except.None for φ) to the
+//     enclosing action. Phase distinguishes the second exchange forced by
+//     an undo (µ) vote whose undo operations may fail.
+//   - Enter(Action, From, Role): From has arrived at the action's entry
+//     point playing Role; the barrier completes when a thread has received
+//     Enter from every peer.
+//   - App(Action, From, Role, Payload): application cooperation data for
+//     the thread playing Role. Payloads outside the codec's fast-path
+//     types must be gob-registered to cross the TCP transport.
+type Message struct {
+	Kind   Kind
 	Action string // action instance identifier
 	From   string // sending thread
 	Round  int
-	Exc    except.Raised
-}
-
-// Kind implements Message.
-func (Exception) Kind() string { return "Exception" }
-
-func (m Exception) String() string {
-	return fmt.Sprintf("Exception(%s, %s, %s)", m.Action, m.From, m.Exc.ID)
-}
-
-// Suspended is sent by a thread that raised no exception itself but has
-// received Exception or Suspended messages from others (§3.3.2:
-// "Suspended(A, Ti, S)").
-type Suspended struct {
-	Action string
-	From   string
-	Round  int
-}
-
-// Kind implements Message.
-func (Suspended) Kind() string { return "Suspended" }
-
-func (m Suspended) String() string {
-	return fmt.Sprintf("Suspended(%s, %s)", m.Action, m.From)
-}
-
-// Commit is sent by the resolving thread after it completes resolution;
-// every receiver invokes its handler for Resolved (§3.3.2: "Commit(A, E)").
-type Commit struct {
-	Action   string
-	From     string
-	Round    int
-	Resolved except.ID
-	// Raised carries the resolved set for diagnostics and handler context.
-	Raised []except.Raised
-}
-
-// Kind implements Message.
-func (Commit) Kind() string { return "Commit" }
-
-func (m Commit) String() string {
-	return fmt.Sprintf("Commit(%s, %s)", m.Action, m.Resolved)
-}
-
-// Relay is used only by the CR-86 baseline: each thread forwards every
-// first-hand exception it learns to all other threads, giving the O(N³)
-// message pattern the paper attributes to Campbell & Randell's scheme.
-type Relay struct {
-	Action string
-	From   string // relaying thread
-	Round  int
-	Exc    except.Raised
-}
-
-// Kind implements Message.
-func (Relay) Kind() string { return "Relay" }
-
-// Propose is used only by the R-96 baseline's agreement round: every thread
-// broadcasts the resolving exception it computed locally.
-type Propose struct {
-	Action   string
-	From     string
-	Round    int
-	Resolved except.ID
-}
-
-// Kind implements Message.
-func (Propose) Kind() string { return "Propose" }
-
-// Ack is used only by the R-96 baseline's final round.
-type Ack struct {
-	Action string
-	From   string
-	Round  int
-}
-
-// Kind implements Message.
-func (Ack) Kind() string { return "Ack" }
-
-// ToBeSignalled is the §3.4 signalling-coordination message: thread From will
-// signal exception Exc (φ when it signals nothing) to the enclosing action.
-// Round is the resolution round the vote belongs to; Phase distinguishes the
-// second exchange forced by an undo (µ) vote whose undo operations may fail.
-type ToBeSignalled struct {
-	Action string
-	From   string
-	Exc    except.ID
-	Round  int
 	Phase  int
-}
-
-// Kind implements Message.
-func (ToBeSignalled) Kind() string { return "ToBeSignalled" }
-
-func (m ToBeSignalled) String() string {
-	exc := string(m.Exc)
-	if m.Exc == except.None {
-		exc = "φ"
-	}
-	return fmt.Sprintf("toBeSignalled(%s, %s, %s, r%d)", m.Action, m.From, exc, m.Round)
-}
-
-// Enter announces that thread From has arrived at the entry point of the
-// action, playing Role; the entry barrier completes when a thread has
-// received Enter from every peer.
-type Enter struct {
-	Action string
-	From   string
-	Role   string
-}
-
-// Kind implements Message.
-func (Enter) Kind() string { return "Enter" }
-
-// App carries application-level cooperation data between two roles of an
-// action. Payloads must be gob-registered to cross the TCP transport.
-type App struct {
-	Action  string
-	From    string
-	ToRole  string
+	// Exc is the raised exception (Exception, Relay); a ToBeSignalled vote
+	// uses its ID only.
+	Exc      except.Raised
+	Resolved except.ID
+	Raised   []except.Raised
+	// Role is the sender's role (Enter) or the receiver's (App).
+	Role    string
 	Payload any
 }
 
-// Kind implements Message.
-func (App) Kind() string { return "App" }
-
-// ActionOf returns the action-instance identifier a message is tagged with,
-// or "" for an unroutable (non-protocol) message.
-func ActionOf(msg Message) string {
-	switch m := msg.(type) {
-	case Exception:
-		return m.Action
-	case Suspended:
-		return m.Action
-	case Commit:
-		return m.Action
-	case Relay:
-		return m.Action
-	case Propose:
-		return m.Action
-	case Ack:
-		return m.Action
-	case ToBeSignalled:
-		return m.Action
-	case Enter:
-		return m.Action
-	case App:
-		return m.Action
+// String renders the message as it appears in logs: the paper's notation
+// for the resolution and signalling messages, the plain field list for the
+// others.
+func (m Message) String() string {
+	switch m.Kind {
+	case KindException:
+		return fmt.Sprintf("Exception(%s, %s, %s)", m.Action, m.From, m.Exc.ID)
+	case KindSuspended:
+		return fmt.Sprintf("Suspended(%s, %s)", m.Action, m.From)
+	case KindCommit:
+		return fmt.Sprintf("Commit(%s, %s)", m.Action, m.Resolved)
+	case KindRelay:
+		return fmt.Sprintf("{%v %v %v %v}", m.Action, m.From, m.Round, m.Exc)
+	case KindPropose:
+		return fmt.Sprintf("{%v %v %v %v}", m.Action, m.From, m.Round, m.Resolved)
+	case KindAck:
+		return fmt.Sprintf("{%v %v %v}", m.Action, m.From, m.Round)
+	case KindToBeSignalled:
+		exc := string(m.Exc.ID)
+		if m.Exc.ID == except.None {
+			exc = "φ"
+		}
+		return fmt.Sprintf("toBeSignalled(%s, %s, %s, r%d)", m.Action, m.From, exc, m.Round)
+	case KindEnter:
+		return fmt.Sprintf("{%v %v %v}", m.Action, m.From, m.Role)
+	case KindApp:
+		return fmt.Sprintf("{%v %v %v %v}", m.Action, m.From, m.Role, m.Payload)
 	default:
-		return ""
+		return m.Kind.String()
 	}
 }
 
@@ -225,16 +139,8 @@ func TagInstance(tag, action string) string {
 	return tag + "!" + action
 }
 
-// RegisterGob registers every protocol message with encoding/gob so they can
-// traverse the TCP transport. Safe to call multiple times.
+// RegisterGob registers the message type with encoding/gob, so a message
+// can ride inside a gob-encoded value. Safe to call multiple times.
 func RegisterGob() {
-	gob.Register(Exception{})
-	gob.Register(Suspended{})
-	gob.Register(Commit{})
-	gob.Register(Relay{})
-	gob.Register(Propose{})
-	gob.Register(Ack{})
-	gob.Register(ToBeSignalled{})
-	gob.Register(Enter{})
-	gob.Register(App{})
+	gob.Register(Message{})
 }

@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"encoding/gob"
+	"reflect"
 	"testing"
 
 	"caaction/internal/except"
@@ -10,31 +11,30 @@ import (
 
 func allMessages() []Message {
 	return []Message{
-		Exception{Action: "a#1", From: "T1", Round: 2,
+		Message{Kind: KindException, Action: "a#1", From: "T1", Round: 2,
 			Exc: except.Raised{ID: "e1", Origin: "T1", Info: "x"}},
-		Suspended{Action: "a#1", From: "T2", Round: 2},
-		Commit{Action: "a#1", From: "T3", Round: 2, Resolved: "e1+e2",
+		Message{Kind: KindSuspended, Action: "a#1", From: "T2", Round: 2},
+		Message{Kind: KindCommit, Action: "a#1", From: "T3", Round: 2, Resolved: "e1+e2",
 			Raised: []except.Raised{{ID: "e1"}, {ID: "e2"}}},
-		Relay{Action: "a#1", From: "T2", Round: 2, Exc: except.Raised{ID: "e1", Origin: "T1"}},
-		Propose{Action: "a#1", From: "T1", Round: 2, Resolved: "e1"},
-		Ack{Action: "a#1", From: "T1", Round: 2},
-		ToBeSignalled{Action: "a#1", From: "T1", Exc: except.Undo, Round: 2, Phase: 2},
-		Enter{Action: "a#1", From: "T1", Role: "producer"},
-		App{Action: "a#1", From: "T1", ToRole: "consumer", Payload: "data"},
+		Message{Kind: KindRelay, Action: "a#1", From: "T2", Round: 2, Exc: except.Raised{ID: "e1", Origin: "T1"}},
+		Message{Kind: KindPropose, Action: "a#1", From: "T1", Round: 2, Resolved: "e1"},
+		Message{Kind: KindAck, Action: "a#1", From: "T1", Round: 2},
+		Message{Kind: KindToBeSignalled, Action: "a#1", From: "T1", Exc: except.Raised{ID: except.Undo}, Round: 2, Phase: 2},
+		Message{Kind: KindEnter, Action: "a#1", From: "T1", Role: "producer"},
+		Message{Kind: KindApp, Action: "a#1", From: "T1", Role: "consumer", Payload: "data"},
 	}
 }
 
 func TestKindsAreDistinct(t *testing.T) {
-	seen := map[string]bool{}
+	seen := map[Kind]bool{}
 	for _, m := range allMessages() {
-		k := m.Kind()
-		if k == "" {
-			t.Fatalf("%T has empty kind", m)
+		if !m.Kind.Valid() {
+			t.Fatalf("%v has an invalid kind", m)
 		}
-		if seen[k] {
-			t.Fatalf("duplicate kind %q", k)
+		if seen[m.Kind] {
+			t.Fatalf("duplicate kind %v", m.Kind)
 		}
-		seen[k] = true
+		seen[m.Kind] = true
 	}
 }
 
@@ -44,29 +44,18 @@ func TestGobRoundTrip(t *testing.T) {
 		var buf bytes.Buffer
 		wrapped := struct{ M Message }{m}
 		if err := gob.NewEncoder(&buf).Encode(&wrapped); err != nil {
-			t.Fatalf("encode %T: %v", m, err)
+			t.Fatalf("encode %v: %v", m.Kind, err)
 		}
 		var out struct{ M Message }
 		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
-			t.Fatalf("decode %T: %v", m, err)
+			t.Fatalf("decode %v: %v", m.Kind, err)
 		}
-		if out.M.Kind() != m.Kind() {
-			t.Fatalf("round trip changed kind: %q -> %q", m.Kind(), out.M.Kind())
+		if !reflect.DeepEqual(out.M, m) {
+			t.Fatalf("round trip changed the message: %#v -> %#v", m, out.M)
 		}
 	}
 	// Registration must be idempotent.
 	RegisterGob()
-}
-
-func TestActionOfCoversEveryMessage(t *testing.T) {
-	for _, m := range allMessages() {
-		if got := ActionOf(m); got != "a#1" {
-			t.Errorf("ActionOf(%T) = %q, want %q", m, got, "a#1")
-		}
-	}
-	if got := ActionOf(nil); got != "" {
-		t.Errorf("ActionOf(nil) = %q, want empty", got)
-	}
 }
 
 func TestInstanceTags(t *testing.T) {
@@ -105,10 +94,10 @@ func TestStringForms(t *testing.T) {
 		msg  interface{ String() string }
 		want string
 	}{
-		{Exception{Action: "a", From: "T1", Exc: except.Raised{ID: "e1"}}, "Exception(a, T1, e1)"},
-		{Suspended{Action: "a", From: "T2"}, "Suspended(a, T2)"},
-		{Commit{Action: "a", Resolved: "e"}, "Commit(a, e)"},
-		{ToBeSignalled{Action: "a", From: "T1", Exc: except.None, Round: 1, Phase: 1},
+		{Message{Kind: KindException, Action: "a", From: "T1", Exc: except.Raised{ID: "e1"}}, "Exception(a, T1, e1)"},
+		{Message{Kind: KindSuspended, Action: "a", From: "T2"}, "Suspended(a, T2)"},
+		{Message{Kind: KindCommit, Action: "a", Resolved: "e"}, "Commit(a, e)"},
+		{Message{Kind: KindToBeSignalled, Action: "a", From: "T1", Exc: except.Raised{ID: except.None}, Round: 1, Phase: 1},
 			"toBeSignalled(a, T1, φ, r1)"},
 	}
 	for _, tc := range cases {

@@ -53,19 +53,19 @@ func (c *coordInstance) Raise(exc except.Raised) Outcome {
 }
 
 func (c *coordInstance) Deliver(from string, msg protocol.Message) (Outcome, error) {
-	switch m := msg.(type) {
-	case protocol.Exception:
-		i, err := c.sender(from, m.Action, m.Round)
+	switch msg.Kind {
+	case protocol.KindException:
+		i, err := c.sender(from, msg.Action, msg.Round)
 		if err != nil {
 			return Outcome{}, err
 		}
-		c.record(i, entry{state: StateExceptional, exc: m.Exc})
+		c.record(i, entry{state: StateExceptional, exc: msg.Exc})
 		informed := c.suspendIfNormal()
 		c.maybeResolve()
 		return c.outcome(informed), nil
 
-	case protocol.Suspended:
-		i, err := c.sender(from, m.Action, m.Round)
+	case protocol.KindSuspended:
+		i, err := c.sender(from, msg.Action, msg.Round)
 		if err != nil {
 			return Outcome{}, err
 		}
@@ -74,15 +74,15 @@ func (c *coordInstance) Deliver(from string, msg protocol.Message) (Outcome, err
 		c.maybeResolve()
 		return c.outcome(informed), nil
 
-	case protocol.Commit:
-		if _, err := c.sender(from, m.Action, m.Round); err != nil {
+	case protocol.KindCommit:
+		if _, err := c.sender(from, msg.Action, msg.Round); err != nil {
 			return Outcome{}, err
 		}
-		c.decide(m.Resolved, m.Raised)
+		c.decide(msg.Resolved, msg.Raised)
 		return c.outcome(false), nil
 
 	default:
-		return Outcome{}, fmt.Errorf("%w: %T", ErrUnexpected, msg)
+		return Outcome{}, fmt.Errorf("%w: %v", ErrUnexpected, msg.Kind)
 	}
 }
 
@@ -95,7 +95,7 @@ func (c *coordInstance) maybeResolve() {
 	raised := c.raisedSet()
 	resolved := c.cfg.Resolve(raised)
 	c.decide(resolved, raised)
-	broadcast(&c.cfg, protocol.Commit{
+	broadcast(&c.cfg, protocol.Message{Kind: protocol.KindCommit,
 		Action: c.cfg.Action, From: c.cfg.Self, Round: c.cfg.Round,
 		Resolved: resolved, Raised: raised,
 	})

@@ -61,30 +61,29 @@ func (c *cr86Instance) Raise(exc except.Raised) Outcome {
 }
 
 func (c *cr86Instance) Deliver(from string, msg protocol.Message) (Outcome, error) {
-	switch m := msg.(type) {
-	case protocol.Exception:
-		i, err := c.sender(from, m.Action, m.Round)
+	switch msg.Kind {
+	case protocol.KindException:
+		i, err := c.sender(from, msg.Action, msg.Round)
 		if err != nil {
 			return Outcome{}, err
 		}
-		c.record(i, entry{state: StateExceptional, exc: m.Exc})
+		c.record(i, entry{state: StateExceptional, exc: msg.Exc})
 		// First-hand receipt: relay to everyone except self and raiser.
 		for _, p := range c.cfg.Peers {
 			if p != c.cfg.Self && p != from {
-				c.cfg.Send(p, protocol.Relay{
-					Action: c.cfg.Action, From: c.cfg.Self, Round: c.cfg.Round, Exc: m.Exc,
-				})
+				c.cfg.Send(p, protocol.Message{Kind: protocol.KindRelay,
+					Action: c.cfg.Action, From: c.cfg.Self, Round: c.cfg.Round, Exc: msg.Exc})
 			}
 		}
 		informed := c.suspendIfNormal()
 		c.maybePropose()
 		return c.outcome(informed), nil
 
-	case protocol.Relay:
-		if _, err := c.sender(from, m.Action, m.Round); err != nil {
+	case protocol.KindRelay:
+		if _, err := c.sender(from, msg.Action, msg.Round); err != nil {
 			return Outcome{}, err
 		}
-		origin := m.Exc.Origin
+		origin := msg.Exc.Origin
 		o, err := c.peer(origin)
 		if err != nil {
 			return Outcome{}, err
@@ -96,7 +95,7 @@ func (c *cr86Instance) Deliver(from string, msg protocol.Message) (Outcome, erro
 		// A relay can outrun the first-hand copy; the exception content
 		// still counts as knowledge.
 		if c.entries[o].state == 0 {
-			c.record(o, entry{state: StateExceptional, exc: m.Exc})
+			c.record(o, entry{state: StateExceptional, exc: msg.Exc})
 		}
 		// CR-86 has no distinguished resolver: the procedure reruns on
 		// every relay.
@@ -106,8 +105,8 @@ func (c *cr86Instance) Deliver(from string, msg protocol.Message) (Outcome, erro
 		c.maybePropose()
 		return c.outcome(informed), nil
 
-	case protocol.Suspended:
-		i, err := c.sender(from, m.Action, m.Round)
+	case protocol.KindSuspended:
+		i, err := c.sender(from, msg.Action, msg.Round)
 		if err != nil {
 			return Outcome{}, err
 		}
@@ -116,16 +115,16 @@ func (c *cr86Instance) Deliver(from string, msg protocol.Message) (Outcome, erro
 		c.maybePropose()
 		return c.outcome(informed), nil
 
-	case protocol.Propose:
-		if _, err := c.sender(from, m.Action, m.Round); err != nil {
+	case protocol.KindPropose:
+		if _, err := c.sender(from, msg.Action, msg.Round); err != nil {
 			return Outcome{}, err
 		}
-		c.proposes[from] = m.Resolved
+		c.proposes[from] = msg.Resolved
 		c.maybeDecide()
 		return c.outcome(false), nil
 
 	default:
-		return Outcome{}, fmt.Errorf("%w: %T", ErrUnexpected, msg)
+		return Outcome{}, fmt.Errorf("%w: %v", ErrUnexpected, msg.Kind)
 	}
 }
 
@@ -153,9 +152,8 @@ func (c *cr86Instance) maybePropose() {
 	}
 	c.proposed = true
 	c.proposes[c.cfg.Self] = c.proposal
-	broadcast(&c.cfg, protocol.Propose{
-		Action: c.cfg.Action, From: c.cfg.Self, Round: c.cfg.Round, Resolved: c.proposal,
-	})
+	broadcast(&c.cfg, protocol.Message{Kind: protocol.KindPropose,
+		Action: c.cfg.Action, From: c.cfg.Self, Round: c.cfg.Round, Resolved: c.proposal})
 	c.maybeDecide()
 }
 

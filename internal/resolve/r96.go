@@ -56,19 +56,19 @@ func (c *r96Instance) Raise(exc except.Raised) Outcome {
 }
 
 func (c *r96Instance) Deliver(from string, msg protocol.Message) (Outcome, error) {
-	switch m := msg.(type) {
-	case protocol.Exception:
-		i, err := c.sender(from, m.Action, m.Round)
+	switch msg.Kind {
+	case protocol.KindException:
+		i, err := c.sender(from, msg.Action, msg.Round)
 		if err != nil {
 			return Outcome{}, err
 		}
-		c.record(i, entry{state: StateExceptional, exc: m.Exc})
+		c.record(i, entry{state: StateExceptional, exc: msg.Exc})
 		informed := c.suspendIfNormal()
 		c.maybePropose()
 		return c.outcome(informed), nil
 
-	case protocol.Suspended:
-		i, err := c.sender(from, m.Action, m.Round)
+	case protocol.KindSuspended:
+		i, err := c.sender(from, msg.Action, msg.Round)
 		if err != nil {
 			return Outcome{}, err
 		}
@@ -77,16 +77,16 @@ func (c *r96Instance) Deliver(from string, msg protocol.Message) (Outcome, error
 		c.maybePropose()
 		return c.outcome(informed), nil
 
-	case protocol.Propose:
-		if _, err := c.sender(from, m.Action, m.Round); err != nil {
+	case protocol.KindPropose:
+		if _, err := c.sender(from, msg.Action, msg.Round); err != nil {
 			return Outcome{}, err
 		}
-		c.proposes[from] = m.Resolved
+		c.proposes[from] = msg.Resolved
 		c.maybeAck()
 		return c.outcome(false), nil
 
-	case protocol.Ack:
-		if _, err := c.sender(from, m.Action, m.Round); err != nil {
+	case protocol.KindAck:
+		if _, err := c.sender(from, msg.Action, msg.Round); err != nil {
 			return Outcome{}, err
 		}
 		c.acks[from] = true
@@ -94,7 +94,7 @@ func (c *r96Instance) Deliver(from string, msg protocol.Message) (Outcome, error
 		return c.outcome(false), nil
 
 	default:
-		return Outcome{}, fmt.Errorf("%w: %T", ErrUnexpected, msg)
+		return Outcome{}, fmt.Errorf("%w: %v", ErrUnexpected, msg.Kind)
 	}
 }
 
@@ -105,9 +105,8 @@ func (c *r96Instance) maybePropose() {
 	c.proposal = c.cfg.Resolve(c.raisedSet())
 	c.proposed = true
 	c.proposes[c.cfg.Self] = c.proposal
-	broadcast(&c.cfg, protocol.Propose{
-		Action: c.cfg.Action, From: c.cfg.Self, Round: c.cfg.Round, Resolved: c.proposal,
-	})
+	broadcast(&c.cfg, protocol.Message{Kind: protocol.KindPropose,
+		Action: c.cfg.Action, From: c.cfg.Self, Round: c.cfg.Round, Resolved: c.proposal})
 	c.maybeAck()
 }
 
@@ -117,9 +116,8 @@ func (c *r96Instance) maybeAck() {
 	}
 	c.acked = true
 	c.acks[c.cfg.Self] = true
-	broadcast(&c.cfg, protocol.Ack{
-		Action: c.cfg.Action, From: c.cfg.Self, Round: c.cfg.Round,
-	})
+	broadcast(&c.cfg, protocol.Message{Kind: protocol.KindAck,
+		Action: c.cfg.Action, From: c.cfg.Self, Round: c.cfg.Round})
 	c.maybeDecide()
 }
 

@@ -263,7 +263,7 @@ func (r *roundState) raisedSet() []except.Raised {
 func (r *roundState) raise(exc except.Raised) {
 	r.state = StateExceptional
 	r.record(r.self, entry{state: StateExceptional, exc: exc})
-	broadcast(&r.cfg, protocol.Exception{
+	broadcast(&r.cfg, protocol.Message{Kind: protocol.KindException,
 		Action: r.cfg.Action, From: r.cfg.Self, Round: r.cfg.Round, Exc: exc,
 	})
 }
@@ -276,7 +276,7 @@ func (r *roundState) suspendIfNormal() bool {
 	}
 	r.state = StateSuspended
 	r.record(r.self, entry{state: StateSuspended})
-	broadcast(&r.cfg, protocol.Suspended{
+	broadcast(&r.cfg, protocol.Message{Kind: protocol.KindSuspended,
 		Action: r.cfg.Action, From: r.cfg.Self, Round: r.cfg.Round,
 	})
 	return true

@@ -18,15 +18,15 @@ import (
 )
 
 func wrongRoundMsg() protocol.Message {
-	return protocol.Suspended{Action: "A#1", From: "T2", Round: 99}
+	return protocol.Message{Kind: protocol.KindSuspended, Action: "A#1", From: "T2", Round: 99}
 }
 
 func wrongActionMsg() protocol.Message {
-	return protocol.Suspended{Action: "other", From: "T2", Round: 1}
+	return protocol.Message{Kind: protocol.KindSuspended, Action: "other", From: "T2", Round: 1}
 }
 
 func unexpectedMsg() protocol.Message {
-	return protocol.Enter{Action: "A#1", From: "T2"}
+	return protocol.Message{Kind: protocol.KindEnter, Action: "A#1", From: "T2"}
 }
 
 // scenarioResult captures one simulated resolution run.
@@ -412,10 +412,10 @@ func TestValidateRejectsWrongTags(t *testing.T) {
 // would look complete with T2 missing and the round resolve without it.
 func TestNotPeerRejected(t *testing.T) {
 	const stranger = "T0" // orders before Self, so it never blocks Self's resolve
-	exc := func(from string) protocol.Exception {
-		return protocol.Exception{Action: "A#1", From: from, Exc: except.Raised{ID: "e1", Origin: from}}
+	exc := func(from string) protocol.Message {
+		return protocol.Message{Kind: protocol.KindException, Action: "A#1", From: from, Exc: except.Raised{ID: "e1", Origin: from}}
 	}
-	susp := protocol.Suspended{Action: "A#1", From: stranger}
+	susp := protocol.Message{Kind: protocol.KindSuspended, Action: "A#1", From: stranger}
 	for _, tc := range []struct {
 		proto Protocol
 		from  string
@@ -423,20 +423,20 @@ func TestNotPeerRejected(t *testing.T) {
 	}{
 		{Coordinated{}, stranger, exc(stranger)},
 		{Coordinated{}, stranger, susp},
-		{Coordinated{}, stranger, protocol.Commit{Action: "A#1", From: stranger, Resolved: "e1"}},
+		{Coordinated{}, stranger, protocol.Message{Kind: protocol.KindCommit, Action: "A#1", From: stranger, Resolved: "e1"}},
 		{CoordinatedGroup{K: 2}, stranger, exc(stranger)},
 		{CoordinatedGroup{K: 2}, stranger, susp},
 		{CR86{}, stranger, exc(stranger)},
 		{CR86{}, stranger, susp},
-		{CR86{}, stranger, protocol.Relay{Action: "A#1", From: stranger, Exc: except.Raised{ID: "e1", Origin: "T1"}}},
-		{CR86{}, "T1", protocol.Relay{Action: "A#1", From: "T1", Exc: except.Raised{ID: "e1", Origin: stranger}}},
-		{CR86{}, stranger, protocol.Propose{Action: "A#1", From: stranger, Resolved: "e1"}},
+		{CR86{}, stranger, protocol.Message{Kind: protocol.KindRelay, Action: "A#1", From: stranger, Exc: except.Raised{ID: "e1", Origin: "T1"}}},
+		{CR86{}, "T1", protocol.Message{Kind: protocol.KindRelay, Action: "A#1", From: "T1", Exc: except.Raised{ID: "e1", Origin: stranger}}},
+		{CR86{}, stranger, protocol.Message{Kind: protocol.KindPropose, Action: "A#1", From: stranger, Resolved: "e1"}},
 		{R96{}, stranger, exc(stranger)},
 		{R96{}, stranger, susp},
-		{R96{}, stranger, protocol.Propose{Action: "A#1", From: stranger, Resolved: "e1"}},
-		{R96{}, stranger, protocol.Ack{Action: "A#1", From: stranger}},
+		{R96{}, stranger, protocol.Message{Kind: protocol.KindPropose, Action: "A#1", From: stranger, Resolved: "e1"}},
+		{R96{}, stranger, protocol.Message{Kind: protocol.KindAck, Action: "A#1", From: stranger}},
 	} {
-		t.Run(fmt.Sprintf("%s/%T/from-%s", tc.proto.Name(), tc.msg, tc.from), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/protocol.%s/from-%s", tc.proto.Name(), tc.msg.Kind, tc.from), func(t *testing.T) {
 			sent := 0
 			inst := tc.proto.NewInstance(Config{
 				Action: "A#1", Self: "T3", Peers: []string{"T1", "T2", "T3"},
@@ -455,7 +455,7 @@ func TestNotPeerRejected(t *testing.T) {
 			if out.Decided || sent != before {
 				t.Fatalf("the refused message moved the round: decided=%v, %d messages sent", out.Decided, sent-before)
 			}
-			if _, err := inst.Deliver("T2", protocol.Suspended{Action: "A#1", From: "T2"}); err != nil {
+			if _, err := inst.Deliver("T2", protocol.Message{Kind: protocol.KindSuspended, Action: "A#1", From: "T2"}); err != nil {
 				t.Fatalf("T2's suspension after the refusal: %v", err)
 			}
 		})

@@ -129,12 +129,13 @@ func (s *Instance) Start(own except.ID) Decision {
 	return s.out
 }
 
-// Deliver feeds one peer vote into the exchange. The vote is taken as the
-// concrete message, not as a protocol.Message: the caller has already
-// matched the type while routing, and handing the value back as an
-// interface would box it again on every received vote. A vote for another
-// action or round, or with a phase other than 1 or 2, is rejected.
-func (s *Instance) Deliver(from string, m protocol.ToBeSignalled) (Decision, error) {
+// Deliver feeds one peer vote, a ToBeSignalled message, into the exchange.
+// Any other kind, a vote for another action or round, or one with a phase
+// other than 1 or 2 is rejected.
+func (s *Instance) Deliver(from string, m *protocol.Message) (Decision, error) {
+	if m.Kind != protocol.KindToBeSignalled {
+		return Decision{}, fmt.Errorf("%w: %v", ErrUnexpected, m.Kind)
+	}
 	if m.Action != s.cfg.Action {
 		return Decision{}, fmt.Errorf("%w: got %q want %q", ErrWrongAction, m.Action, s.cfg.Action)
 	}
@@ -144,7 +145,7 @@ func (s *Instance) Deliver(from string, m protocol.ToBeSignalled) (Decision, err
 	if m.Phase < 1 || m.Phase > 2 {
 		return Decision{}, fmt.Errorf("%w: phase %d", ErrUnexpected, m.Phase)
 	}
-	s.votes[m.Phase][from] = m.Exc
+	s.votes[m.Phase][from] = m.Exc.ID
 	s.evaluate()
 	return s.out, nil
 }
@@ -178,13 +179,13 @@ func (s *Instance) Missing() []string {
 	return out
 }
 
-// broadcast sends one vote to every peer. The message is boxed once and
-// the same value goes to each peer: messages are immutable once sent.
+// broadcast sends one vote to every peer.
 func (s *Instance) broadcast(exc except.ID, phase int) {
-	var vote protocol.Message = protocol.ToBeSignalled{
+	vote := protocol.Message{
+		Kind:   protocol.KindToBeSignalled,
 		Action: s.cfg.Action,
 		From:   s.cfg.Self,
-		Exc:    exc,
+		Exc:    except.Raised{ID: exc},
 		Round:  s.cfg.Round,
 		Phase:  phase,
 	}

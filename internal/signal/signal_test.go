@@ -32,7 +32,7 @@ func runSignalling(t testing.TB, votes map[string]except.ID, undoFails map[strin
 	env := simenv.New(simenv.Latency(time.Millisecond))
 	if len(corrupt) > 0 {
 		env.Net.SetFault(func(from, to string, msg protocol.Message) transport.Fault {
-			if m, ok := msg.(protocol.ToBeSignalled); ok && m.Phase == 1 && corrupt[from] {
+			if msg.Kind == protocol.KindToBeSignalled && msg.Phase == 1 && corrupt[from] {
 				return transport.Corrupt
 			}
 			return transport.Deliver
@@ -82,13 +82,8 @@ func runSignalling(t testing.TB, votes map[string]except.ID, undoFails map[strin
 				dec = inst.MarkFailed(d.From)
 				continue
 			}
-			vote, ok := d.Msg.(protocol.ToBeSignalled)
-			if !ok {
-				t.Errorf("%s: unexpected %T", self, d.Msg)
-				return
-			}
 			var err error
-			dec, err = inst.Deliver(d.From, vote)
+			dec, err = inst.Deliver(d.From, &d.Msg)
 			if err != nil {
 				t.Errorf("%s: %v", self, err)
 				return
@@ -224,13 +219,13 @@ func TestDeliverValidation(t *testing.T) {
 	})
 	// A message of another type cannot reach Deliver: it takes the vote
 	// type itself.
-	if _, err := inst.Deliver("T2", protocol.ToBeSignalled{Action: "other", Round: 3, Phase: 1}); !errors.Is(err, ErrWrongAction) {
+	if _, err := inst.Deliver("T2", &protocol.Message{Kind: protocol.KindToBeSignalled, Action: "other", Round: 3, Phase: 1}); !errors.Is(err, ErrWrongAction) {
 		t.Fatalf("wrong action: err = %v", err)
 	}
-	if _, err := inst.Deliver("T2", protocol.ToBeSignalled{Action: "A#1", Round: 2, Phase: 1}); !errors.Is(err, ErrWrongRound) {
+	if _, err := inst.Deliver("T2", &protocol.Message{Kind: protocol.KindToBeSignalled, Action: "A#1", Round: 2, Phase: 1}); !errors.Is(err, ErrWrongRound) {
 		t.Fatalf("wrong round: err = %v", err)
 	}
-	if _, err := inst.Deliver("T2", protocol.ToBeSignalled{Action: "A#1", Round: 3, Phase: 7}); !errors.Is(err, ErrUnexpected) {
+	if _, err := inst.Deliver("T2", &protocol.Message{Kind: protocol.KindToBeSignalled, Action: "A#1", Round: 3, Phase: 7}); !errors.Is(err, ErrUnexpected) {
 		t.Fatalf("bad phase: err = %v", err)
 	}
 }

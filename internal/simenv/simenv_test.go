@@ -26,7 +26,7 @@ func TestPeersBindBeforeAnySend(t *testing.T) {
 	err := env.Peers(names, func(i int, ep transport.Endpoint) {
 		for _, to := range names {
 			if to != names[i] {
-				if err := ep.Send(to, protocol.Enter{Action: "A#1", From: names[i]}); err != nil {
+				if err := ep.Send(to, protocol.Message{Kind: protocol.KindEnter, Action: "A#1", From: names[i]}); err != nil {
 					t.Errorf("%s -> %s: %v", names[i], to, err)
 				}
 			}

@@ -26,9 +26,7 @@ func TestSimSendZeroAllocsDisabledLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Box the message once: the struct→interface conversion is the caller's
-	// cost at construction time, not part of the transport send path.
-	var msg protocol.Message = protocol.Suspended{Action: "bench#1", From: "A", Round: 1}
+	msg := protocol.Message{Kind: protocol.KindSuspended, Action: "bench#1", From: "A", Round: 1}
 
 	cycle := func() {
 		if err := a.Send("B", msg); err != nil {

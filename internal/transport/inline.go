@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"sync"
 	"time"
 
 	"caaction/internal/protocol"
@@ -51,6 +52,21 @@ type Outbound struct {
 	Msg protocol.Message
 }
 
+// outboundPool recycles the buffers of deferred sends: a router borrows one
+// when a routed step first defers a send, and the deliverer that flushes it
+// returns it, so deferring allocates nothing in steady state.
+var outboundPool = sync.Pool{New: func() any { return new([]Outbound) }}
+
+// BorrowOutbound returns an empty pooled buffer for deferred sends.
+func BorrowOutbound() *[]Outbound { return outboundPool.Get().(*[]Outbound) }
+
+// releaseOutbound scrubs a flushed buffer and returns it to the pool.
+func releaseOutbound(outs *[]Outbound) {
+	clear(*outs)
+	*outs = (*outs)[:0]
+	outboundPool.Put(outs)
+}
+
 // InlineRouter is the thread-side half of the lane, implemented by
 // core.Thread. All four methods are invoked with the endpoint's delivery
 // lock held and the owner goroutine parked (or still blocked on the wakeup
@@ -65,8 +81,9 @@ type InlineRouter interface {
 	// durable thread state may be consulted — the owner re-checks on wake.
 	ParkReady() bool
 	// TakeDeferred hands the sends deferred by preceding RouteInline calls
-	// to the deliverer (ownership transfers; the router's buffer resets).
-	TakeDeferred() []Outbound
+	// to the deliverer, in a buffer from BorrowOutbound or nil when there
+	// are none (ownership transfers; the router's buffer resets).
+	TakeDeferred() *[]Outbound
 	// InlineSendError reports a failed deferred send; implementations may
 	// only touch state that is safe off the owner goroutine (e.g. a
 	// concurrency-safe log).
@@ -109,7 +126,7 @@ type inlineState struct {
 // released: flushing the routed step's sends, then waking the owner.
 type inlinePost struct {
 	wake   bool
-	outs   []Outbound
+	outs   *[]Outbound
 	router InlineRouter
 	// sh and rec resolve the deferred sends; captured under imu because the
 	// owner may close and recycle the endpoint once it stops parking.
@@ -117,12 +134,13 @@ type inlinePost struct {
 	rec *MuxInstance
 }
 
-// deliver buffers or inline-executes one delivery resolved to generation
-// gen of this endpoint. imu is the only lock it takes, and it pins the
-// endpoint: Close closes the lane and RecycleEndpoint bumps gen under it, so
-// a message for a completed instance is dropped and a step never races the
-// endpoint's recycling. What the step defers is left in post.
-func (e *muxEndpoint) deliver(gen uint64, d Delivery, post *inlinePost) {
+// deliver buffers or inline-executes one delivery (from, msg, corrupt)
+// resolved to generation gen of this endpoint. imu is the only lock it
+// takes, and it pins the endpoint: Close closes the lane and
+// RecycleEndpoint bumps gen under it, so a message for a completed instance
+// is dropped and a step never races the endpoint's recycling. What the
+// step defers is left in post.
+func (e *muxEndpoint) deliver(gen uint64, from string, msg *protocol.Message, corrupt bool, post *inlinePost) {
 	e.imu.Lock()
 	defer e.imu.Unlock()
 	if e.gen != gen || e.inl.closed {
@@ -132,7 +150,7 @@ func (e *muxEndpoint) deliver(gen uint64, d Delivery, post *inlinePost) {
 		// Queue mode: virtual clocks, or no thread has adopted the endpoint
 		// yet. Enqueued under imu so AdoptRouter's drain cannot interleave
 		// with a put and strand a delivery behind the mode switch.
-		if box := borrowDelivery(d.From, d.Msg, d.Corrupt); !e.queue.PutOpen(box) {
+		if box := borrowDelivery(from, msg, corrupt); !e.queue.PutOpen(box) {
 			releaseDelivery(box)
 		}
 		return
@@ -140,14 +158,14 @@ func (e *muxEndpoint) deliver(gen uint64, d Delivery, post *inlinePost) {
 	if !e.inl.parked {
 		// Owner is running: buffer the delivery by value (no box — the
 		// inbox is the zero-copy lane) for its next Await/Poll.
-		e.inl.inbox = append(e.inl.inbox, d)
+		e.inl.inbox = append(e.inl.inbox, Delivery{From: from, Msg: *msg, Corrupt: corrupt})
 		return
 	}
 	// Owner is parked: run the protocol step here, on the delivering
 	// goroutine. Sends the step produces are deferred (flushed by the
 	// caller after unlocking); the owner is woken only when the step
 	// completed its wait condition.
-	e.inl.router.RouteInline(d)
+	e.inl.router.RouteInline(Delivery{From: from, Msg: *msg, Corrupt: corrupt})
 	post.outs = e.inl.router.TakeDeferred()
 	post.router = e.inl.router
 	post.sh, post.rec = e.shared, e.rec
@@ -161,10 +179,14 @@ func (e *muxEndpoint) deliver(gen uint64, d Delivery, post *inlinePost) {
 // deferred sends first (so the woken owner's own sends cannot overtake them
 // on any pair), each resolved from the instance record, then the wakeup.
 func (e *muxEndpoint) finishInline(post *inlinePost) {
-	for _, o := range post.outs {
-		if err := post.sh.send(post.rec, o.To, o.Msg); err != nil {
-			post.router.InlineSendError(o.To, err)
+	if outs := post.outs; outs != nil {
+		for i := range *outs {
+			o := &(*outs)[i]
+			if err := post.sh.send(post.rec, o.To, &o.Msg); err != nil {
+				post.router.InlineSendError(o.To, err)
+			}
 		}
+		releaseOutbound(outs)
 	}
 	if post.wake {
 		e.inl.wake <- struct{}{}
@@ -200,35 +222,36 @@ func (e *muxEndpoint) AdoptRouter(r InlineRouter) bool {
 	return true
 }
 
-// popLocked removes the oldest buffered delivery. The inbox is a slice with
-// a head cursor so a burst drains without memmove; fully drained, it resets
-// for reuse.
-func (e *muxEndpoint) popLocked() (Delivery, bool) {
+// popLocked moves the oldest buffered delivery to d. The inbox is a slice
+// with a head cursor so a burst drains without memmove; fully drained, it
+// resets for reuse.
+func (e *muxEndpoint) popLocked(d *Delivery) bool {
 	if e.inl.head >= len(e.inl.inbox) {
-		return Delivery{}, false
+		return false
 	}
-	d := e.inl.inbox[e.inl.head]
-	e.inl.inbox[e.inl.head] = Delivery{}
+	slot := &e.inl.inbox[e.inl.head]
+	*d = *slot
+	*slot = Delivery{}
 	e.inl.head++
 	if e.inl.head == len(e.inl.inbox) {
 		e.inl.inbox = e.inl.inbox[:0]
 		e.inl.head = 0
 	}
-	return d, true
+	return true
 }
 
 // PollInline implements InlineEndpoint.
-func (e *muxEndpoint) PollInline() (Delivery, bool) {
+func (e *muxEndpoint) PollInline() (d Delivery, ok bool) {
 	e.imu.Lock()
-	d, ok := e.popLocked()
+	ok = e.popLocked(&d)
 	e.imu.Unlock()
 	return d, ok
 }
 
 // AwaitInline implements InlineEndpoint.
-func (e *muxEndpoint) AwaitInline(timeout time.Duration) (Delivery, InlineStatus) {
+func (e *muxEndpoint) AwaitInline(timeout time.Duration) (d Delivery, _ InlineStatus) {
 	e.imu.Lock()
-	if d, ok := e.popLocked(); ok {
+	if e.popLocked(&d) {
 		e.imu.Unlock()
 		return d, InlineDelivery
 	}

@@ -30,14 +30,19 @@ type stubRouter struct {
 	routed   []Delivery
 	ready    bool
 	emit     []Outbound // deferred per RouteInline call
-	deferred []Outbound
+	deferred *[]Outbound
 	sendErrs []string
 }
 
 func (r *stubRouter) RouteInline(d Delivery) {
 	r.mu.Lock()
 	r.routed = append(r.routed, d)
-	r.deferred = append(r.deferred, r.emit...)
+	if len(r.emit) > 0 {
+		if r.deferred == nil {
+			r.deferred = BorrowOutbound()
+		}
+		*r.deferred = append(*r.deferred, r.emit...)
+	}
 	r.mu.Unlock()
 }
 
@@ -47,7 +52,7 @@ func (r *stubRouter) ParkReady() bool {
 	return r.ready
 }
 
-func (r *stubRouter) TakeDeferred() []Outbound {
+func (r *stubRouter) TakeDeferred() *[]Outbound {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := r.deferred
@@ -72,7 +77,7 @@ func (r *stubRouter) routedFroms() []string {
 	defer r.mu.Unlock()
 	var froms []string
 	for _, d := range r.routed {
-		froms = append(froms, d.Msg.(protocol.Enter).From)
+		froms = append(froms, d.Msg.From)
 	}
 	return froms
 }
@@ -181,7 +186,7 @@ func TestInlineAdoptMigratesQueue(t *testing.T) {
 
 	send := func(from string) {
 		t.Helper()
-		msg := protocol.Enter{Action: protocol.TagInstance("i1", "act#1"), From: from}
+		msg := protocol.Message{Kind: protocol.KindEnter, Action: protocol.TagInstance("i1", "act#1"), From: from}
 		if err := a.Send("T2", msg); err != nil {
 			t.Fatalf("send %s: %v", from, err)
 		}
@@ -204,7 +209,7 @@ func TestInlineAdoptMigratesQueue(t *testing.T) {
 		if !ok {
 			t.Fatalf("delivery %d missing after migration", i)
 		}
-		if got := d.Msg.(protocol.Enter).From; got != want {
+		if got := d.Msg.From; got != want {
 			t.Fatalf("delivery %d = %q, want %q (order broken across mode switch)", i, got, want)
 		}
 	}
@@ -243,7 +248,7 @@ func TestInlineParkedRouteAndWake(t *testing.T) {
 
 	send := func(from string) {
 		t.Helper()
-		msg := protocol.Enter{Action: protocol.TagInstance("i1", "act#1"), From: from}
+		msg := protocol.Message{Kind: protocol.KindEnter, Action: protocol.TagInstance("i1", "act#1"), From: from}
 		if err := a.Send("T2", msg); err != nil {
 			t.Fatalf("send %s: %v", from, err)
 		}
@@ -305,7 +310,7 @@ func TestInlineBuffersWhileRunning(t *testing.T) {
 	if st != InlineDelivery {
 		t.Fatalf("AwaitInline = %v, want InlineDelivery", st)
 	}
-	if inst := protocol.InstanceOf(protocol.ActionOf(d.Msg)); inst != "i1" {
+	if inst := protocol.InstanceOf(d.Msg.Action); inst != "i1" {
 		t.Fatalf("buffered delivery for %q, want i1", inst)
 	}
 }
@@ -333,7 +338,7 @@ func TestInlineDeferredSendsFlushBeforeWake(t *testing.T) {
 	r := &stubRouter{
 		ready: true,
 		emit: []Outbound{
-			{To: "T3", Msg: protocol.Enter{Action: protocol.TagInstance("i1", "act#1"), From: "deferred"}},
+			{To: "T3", Msg: protocol.Message{Kind: protocol.KindEnter, Action: protocol.TagInstance("i1", "act#1"), From: "deferred"}},
 			{To: "NOWHERE", Msg: enter("i1", "T2")},
 		},
 	}
@@ -368,7 +373,7 @@ func TestInlineDeferredSendsFlushBeforeWake(t *testing.T) {
 	if !ok {
 		t.Fatal("T3 endpoint closed early")
 	}
-	if got := d.Msg.(protocol.Enter).From; got != "deferred" {
+	if got := d.Msg.From; got != "deferred" {
 		t.Fatalf("T3 received %q, want the deferred step send", got)
 	}
 	r.mu.Lock()
@@ -603,7 +608,7 @@ func TestInlineChurnRace(t *testing.T) {
 				}
 				sent := make(chan error, 1)
 				go func() {
-					sent <- a.Send(rx, protocol.Enter{Action: protocol.TagInstance(inst, "act#1"), From: tx})
+					sent <- a.Send(rx, protocol.Message{Kind: protocol.KindEnter, Action: protocol.TagInstance(inst, "act#1"), From: tx})
 				}()
 				// Short timed parks: the sender races the timer, so both the
 				// inline-route wakeup and the claimed-park timeout path run.
@@ -616,11 +621,11 @@ func TestInlineChurnRace(t *testing.T) {
 					d, st := ie.AwaitInline(2 * time.Millisecond)
 					switch st {
 					case InlineDelivery:
-						got = protocol.InstanceOf(protocol.ActionOf(d.Msg))
+						got = protocol.InstanceOf(d.Msg.Action)
 					case InlineWoken:
 						r.mu.Lock()
 						if len(r.routed) > 0 {
-							got = protocol.InstanceOf(protocol.ActionOf(r.routed[0].Msg))
+							got = protocol.InstanceOf(r.routed[0].Msg.Action)
 						}
 						r.mu.Unlock()
 					case InlineTimeout:

@@ -361,10 +361,10 @@ type handle struct {
 	gen uint64
 }
 
-// deliver hands d to the handle's endpoint.
-func (h handle) deliver(d Delivery) {
+// deliver hands one delivery to the handle's endpoint.
+func (h handle) deliver(from string, msg *protocol.Message, corrupt bool) {
 	var post inlinePost
-	h.ep.deliver(h.gen, d, &post)
+	h.ep.deliver(h.gen, from, msg, corrupt, &post)
 	if post.wake || post.outs != nil {
 		h.ep.finishInline(&post)
 	}
@@ -463,8 +463,8 @@ func (sh *muxShared) openLocked(rec *MuxInstance, instance string) (*muxEndpoint
 	if pend := sh.retained[instance]; len(pend) > 0 {
 		delete(sh.retained, instance)
 		sh.retainedLen -= len(pend)
-		for _, d := range pend {
-			if box := borrowDelivery(d.From, d.Msg, d.Corrupt); !ep.queue.PutOpen(box) {
+		for i := range pend {
+			if box := borrowDelivery(pend[i].From, &pend[i].Msg, pend[i].Corrupt); !ep.queue.PutOpen(box) {
 				releaseDelivery(box)
 			}
 		}
@@ -485,13 +485,13 @@ func (sh *muxShared) openLocked(rec *MuxInstance, instance string) (*muxEndpoint
 // when the message belongs to the sender's instance and the destination
 // thread has an endpoint in it; any other message arrives by tag at the
 // destination's sink (see Sim.fastSend).
-func (sh *muxShared) send(rec *MuxInstance, to string, msg protocol.Message) error {
+func (sh *muxShared) send(rec *MuxInstance, to string, msg *protocol.Message) error {
 	sim, ok := sh.real.(*simEndpoint)
 	if !ok || !sh.mux.inline {
-		return sh.real.Send(to, msg)
+		return sh.real.Send(to, *msg)
 	}
 	var h handle
-	if a := protocol.ActionOf(msg); len(a) > len(rec.tag) && a[len(rec.tag)] == '!' && a[:len(rec.tag)] == rec.tag {
+	if a := msg.Action; len(a) > len(rec.tag) && a[len(rec.tag)] == '!' && a[:len(rec.tag)] == rec.tag {
 		h = rec.find(to)
 	}
 	return sim.net.send(sim, to, msg, h)
@@ -522,7 +522,7 @@ func (sh *muxShared) pump() {
 // endpoint is dying it goes back to the transport instead, to be
 // re-retained for the address's next bind.
 func (sh *muxShared) route(d Delivery) {
-	inst := protocol.InstanceOf(protocol.ActionOf(d.Msg))
+	inst := protocol.InstanceOf(d.Msg.Action)
 	if inst == "" {
 		return // untagged stray
 	}
@@ -544,7 +544,7 @@ func (sh *muxShared) route(d Delivery) {
 		sh.mu.Unlock()
 	}
 	if h.ep != nil {
-		h.deliver(d)
+		h.deliver(d.From, &d.Msg, d.Corrupt)
 	}
 }
 
@@ -612,7 +612,7 @@ var (
 func (e *muxEndpoint) Addr() string { return e.shared.addr }
 
 func (e *muxEndpoint) Send(to string, msg protocol.Message) error {
-	return e.shared.send(e.rec, to, msg)
+	return e.shared.send(e.rec, to, &msg)
 }
 
 func (e *muxEndpoint) Recv() (Delivery, bool) {

@@ -34,7 +34,7 @@ func BenchmarkMuxDeliver(b *testing.B) {
 				b.Fatal(err)
 			}
 			eps[i][j] = ep
-			msgs[i][j] = protocol.Enter{Action: protocol.TagInstance(tag, "act#1"), From: th}
+			msgs[i][j] = protocol.Message{Kind: protocol.KindEnter, Action: protocol.TagInstance(tag, "act#1"), From: th}
 		}
 	}
 	var next atomic.Int64

@@ -19,7 +19,7 @@ func muxPair(t *testing.T) (*vclock.Virtual, *Sim, *Mux) {
 
 // enter builds the simplest routable message for one instance.
 func enter(instance, from string) protocol.Message {
-	return protocol.Enter{Action: protocol.TagInstance(instance, "act#1"), From: from}
+	return protocol.Message{Kind: protocol.KindEnter, Action: protocol.TagInstance(instance, "act#1"), From: from}
 }
 
 func closeAll(eps ...Endpoint) {
@@ -56,7 +56,7 @@ func TestMuxRoutesByInstance(t *testing.T) {
 				got <- label + ":closed"
 				return
 			}
-			got <- label + ":" + protocol.InstanceOf(protocol.ActionOf(d.Msg))
+			got <- label + ":" + protocol.InstanceOf(d.Msg.Action)
 		})
 	}
 	// One tracked root spawns the receivers: spawned one by one from the
@@ -115,7 +115,7 @@ func TestMuxRetainsEarlyTraffic(t *testing.T) {
 			t.Error("retained delivery not flushed to late-opened instance")
 			return
 		}
-		if inst := protocol.InstanceOf(protocol.ActionOf(d.Msg)); inst != "i9" {
+		if inst := protocol.InstanceOf(d.Msg.Action); inst != "i9" {
 			t.Errorf("flushed delivery for %q, want i9", inst)
 		}
 	})
@@ -207,7 +207,7 @@ func TestMuxDeadInstanceTrafficDropped(t *testing.T) {
 			t.Error("live instance closed early")
 			return
 		}
-		if inst := protocol.InstanceOf(protocol.ActionOf(d.Msg)); inst != "i2" {
+		if inst := protocol.InstanceOf(d.Msg.Action); inst != "i2" {
 			t.Errorf("live instance received %q's traffic", inst)
 		}
 		if alive.Pending() != 0 {
@@ -230,7 +230,7 @@ func TestMuxDeadInstanceTrafficDropped(t *testing.T) {
 		defer closeAll(fresh)
 		if d, ok := fresh.RecvTimeout(time.Second); !ok {
 			t.Error("early message not replayed at Open")
-		} else if inst := protocol.InstanceOf(protocol.ActionOf(d.Msg)); inst != "fresh" {
+		} else if inst := protocol.InstanceOf(d.Msg.Action); inst != "fresh" {
 			t.Errorf("replayed %q's message, want fresh", inst)
 		}
 	})
@@ -284,7 +284,7 @@ func TestMuxStaleHandleDropped(t *testing.T) {
 			t.Error("reused endpoint closed early")
 			return
 		}
-		if inst := protocol.InstanceOf(protocol.ActionOf(d.Msg)); inst != tag {
+		if inst := protocol.InstanceOf(d.Msg.Action); inst != tag {
 			t.Errorf("reused endpoint of %s received %s's message on a stale handle", tag, inst)
 		}
 	})
@@ -311,7 +311,7 @@ func TestMuxConcurrentDeliveryRace(t *testing.T) {
 		if !ok {
 			return fmt.Errorf("%s: delivery lost", inst)
 		}
-		if got := protocol.InstanceOf(protocol.ActionOf(d.Msg)); got != inst {
+		if got := protocol.InstanceOf(d.Msg.Action); got != inst {
 			return fmt.Errorf("%s received %s's message", inst, got)
 		}
 		return nil
@@ -503,14 +503,14 @@ func TestMuxShardedChurnRace(t *testing.T) {
 					return
 				}
 				act := protocol.TagInstance(inst, "act#1")
-				if err := a.Send(rx, protocol.Enter{Action: act, From: tx}); err != nil {
+				if err := a.Send(rx, protocol.Message{Kind: protocol.KindEnter, Action: act, From: tx}); err != nil {
 					errs <- fmt.Errorf("g%d c%d send: %w", g, i, err)
 					return
 				}
 				if d, ok := b.RecvTimeout(5 * time.Second); !ok {
 					errs <- fmt.Errorf("g%d c%d: delivery lost", g, i)
 					return
-				} else if got := protocol.InstanceOf(protocol.ActionOf(d.Msg)); got != inst {
+				} else if got := protocol.InstanceOf(d.Msg.Action); got != inst {
 					errs <- fmt.Errorf("g%d c%d: cross-instance delivery %q", g, i, got)
 					return
 				}

@@ -114,16 +114,6 @@ var (
 	simCrashedLabels = protocol.KindLabels("crashed.")
 )
 
-// simLabel returns the precomputed per-kind label, falling back to a
-// concatenation for foreign message types (only ever paid with an enabled
-// log).
-func simLabel(table *[protocol.NumKinds]string, kind int, prefix string, msg protocol.Message) string {
-	if kind >= 0 {
-		return table[kind]
-	}
-	return prefix + msg.Kind()
-}
-
 // Sim is an in-process simulated network. It guarantees reliable delivery
 // and per-(sender,receiver) FIFO order even under jittered latency, by
 // clamping each delivery to occur no earlier than the previous delivery on
@@ -289,21 +279,17 @@ func (s *Sim) Close() error {
 // countSend bumps the interned per-kind and total counters; no-op without a
 // Metrics. Interning is idempotent (Metrics.Counter returns the same
 // pointer), so concurrent first sends of a kind race benignly.
-func (s *Sim) countSend(kind int, msg protocol.Message) {
+func (s *Sim) countSend(kind protocol.Kind) {
 	m := s.cfg.Metrics
 	if m == nil {
 		return
 	}
-	if kind >= 0 {
-		c := s.counters[kind].Load()
-		if c == nil {
-			c = m.Counter(protocol.MetricNames[kind])
-			s.counters[kind].Store(c)
-		}
-		c.Add(1)
-	} else {
-		m.Add("msg."+msg.Kind(), 1)
+	c := s.counters[kind].Load()
+	if c == nil {
+		c = m.Counter(protocol.MetricNames[kind])
+		s.counters[kind].Store(c)
 	}
+	c.Add(1)
 	t := s.total.Load()
 	if t == nil {
 		t = m.Counter("msg.total")
@@ -313,7 +299,7 @@ func (s *Sim) countSend(kind int, msg protocol.Message) {
 }
 
 // fastSend is the lock-free hot path: real clock, zero latency, no fault
-// injector ever installed, no log, one of the nine protocol messages. A
+// injector ever installed, no log. A
 // message with a handle a Mux resolved goes straight to that endpoint; any
 // other goes to the destination's sink when one is installed, else to its
 // queue. Per-pair FIFO holds because the handle and the sink both deliver
@@ -321,7 +307,7 @@ func (s *Sim) countSend(kind int, msg protocol.Message) {
 // pristine real-time configuration that enables fastSend, so the queue is
 // bypassed uniformly per endpoint; nothing else in this configuration reads
 // send order.
-func (s *Sim) fastSend(src *simEndpoint, to string, msg protocol.Message, kind int, h handle) error {
+func (s *Sim) fastSend(src *simEndpoint, to string, msg *protocol.Message, h handle) error {
 	if src.dead.Load() {
 		return nil // crash-stopped sends never reach the wire
 	}
@@ -338,14 +324,13 @@ func (s *Sim) fastSend(src *simEndpoint, to string, msg protocol.Message, kind i
 		}
 		dst, h = x.(*simEndpoint), handle{}
 	}
-	s.countSend(kind, msg)
+	s.countSend(msg.Kind)
 	s.stats.sent.Add(1)
 	s.stats.delivered.Add(1)
-	d := Delivery{From: src.addr, Msg: msg}
 	if h.ep != nil {
-		h.deliver(d)
+		h.deliver(src.addr, msg, false)
 	} else if sp := dst.sink.Load(); sp != nil && !dst.dead.Load() {
-		(*sp)(d)
+		(*sp)(Delivery{From: src.addr, Msg: *msg})
 	} else {
 		dst.queue.Put(borrowDelivery(src.addr, msg, false))
 	}
@@ -354,15 +339,18 @@ func (s *Sim) fastSend(src *simEndpoint, to string, msg protocol.Message, kind i
 
 // send transmits msg from src to address to. h is the destination endpoint a
 // Mux resolved, or zero; only the fast path delivers by it.
-func (s *Sim) send(src *simEndpoint, to string, msg protocol.Message, h handle) error {
+func (s *Sim) send(src *simEndpoint, to string, msg *protocol.Message, h handle) error {
 	from := src.addr
-	kind := protocol.KindIndexOf(msg)
+	kind := msg.Kind
 	lg := s.cfg.Log
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	if kind >= 0 && lg == nil && s.realtime && s.zeroLat && s.pristine.Load() {
-		return s.fastSend(src, to, msg, kind, h)
+	if !kind.Valid() {
+		return fmt.Errorf("transport: send of a message of %v", kind)
+	}
+	if lg == nil && s.realtime && s.zeroLat && s.pristine.Load() {
+		return s.fastSend(src, to, msg, h)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -372,7 +360,7 @@ func (s *Sim) send(src *simEndpoint, to string, msg protocol.Message, h handle) 
 	if src.dead.Load() {
 		// A crash-stopped thread's sends never reach the wire.
 		if lg.Enabled() {
-			lg.Add(s.cfg.Clock.Now(), from, simLabel(&simCrashedLabels, kind, "crashed.", msg), "send suppressed")
+			lg.Add(s.cfg.Clock.Now(), from, simCrashedLabels[kind], "send suppressed")
 		}
 		return nil
 	}
@@ -382,34 +370,34 @@ func (s *Sim) send(src *simEndpoint, to string, msg protocol.Message, h handle) 
 	}
 	dst := x.(*simEndpoint)
 
-	s.countSend(kind, msg)
+	s.countSend(msg.Kind)
 	s.stats.sent.Add(1)
 	now := s.cfg.Clock.Now()
 	if lg.Enabled() {
-		lg.Add(now, from, simLabel(&simSendLabels, kind, "send.", msg), fmt.Sprintf("to %s: %v", to, msg))
+		lg.Add(now, from, simSendLabels[kind], fmt.Sprintf("to %s: %v", to, *msg))
 	}
 
 	fault := Deliver
 	if s.fault != nil {
-		fault = s.fault(from, to, msg)
+		fault = s.fault(from, to, *msg)
 	}
 	if fault == Drop {
 		// The perturbation hook is not consulted for messages the legacy
 		// fault injector already lost, per the SetPerturb contract.
 		s.stats.dropped.Add(1)
 		if lg.Enabled() {
-			lg.Add(now, from, simLabel(&simDropLabels, kind, "drop.", msg), "to "+to)
+			lg.Add(now, from, simDropLabels[kind], "to "+to)
 		}
 		return nil
 	}
 	var v Verdict
 	if s.perturb != nil {
-		v = s.perturb(from, to, msg)
+		v = s.perturb(from, to, *msg)
 	}
 	if v.Fault == Drop {
 		s.stats.dropped.Add(1)
 		if lg.Enabled() {
-			lg.Add(now, from, simLabel(&simDropLabels, kind, "drop.", msg), "to "+to)
+			lg.Add(now, from, simDropLabels[kind], "to "+to)
 		}
 		return nil
 	}
@@ -436,7 +424,7 @@ func (s *Sim) send(src *simEndpoint, to string, msg protocol.Message, h handle) 
 	if v.Copies > 0 {
 		s.stats.duplicated.Add(int64(v.Copies))
 		if lg.Enabled() {
-			lg.Add(now, from, simLabel(&simDupLabels, kind, "dup.", msg), fmt.Sprintf("to %s ×%d", to, copies))
+			lg.Add(now, from, simDupLabels[kind], fmt.Sprintf("to %s ×%d", to, copies))
 		}
 	}
 	for i := 0; i < copies; i++ {
@@ -483,7 +471,7 @@ func (e *simEndpoint) SetSink(fn func(Delivery)) {
 func (e *simEndpoint) MarkDaemon() { e.queue.SetDaemon() }
 
 func (e *simEndpoint) Send(to string, msg protocol.Message) error {
-	return e.net.send(e, to, msg, handle{})
+	return e.net.send(e, to, &msg, handle{})
 }
 
 // unbox copies a pooled delivery out of its box and recycles it.

@@ -65,7 +65,7 @@ func TestSimPerturbReorderBypassesFIFO(t *testing.T) {
 				if !ok {
 					return
 				}
-				order = append(order, int(d.Msg.(protocol.Enter).Role[0]-'0'))
+				order = append(order, int(d.Msg.Role[0]-'0'))
 			}
 		})
 		clk.Go(func() {

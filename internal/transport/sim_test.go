@@ -11,7 +11,7 @@ import (
 )
 
 func ping(n int) protocol.Message {
-	return protocol.Enter{Action: "a", From: "x", Role: string(rune('0' + n))}
+	return protocol.Message{Kind: protocol.KindEnter, Action: "a", From: "x", Role: string(rune('0' + n))}
 }
 
 func TestSimDeliversWithLatency(t *testing.T) {
@@ -45,6 +45,23 @@ func TestSimDeliversWithLatency(t *testing.T) {
 	}
 }
 
+// TestSimRejectsUnknownKind: the sim, like the TCP codec, refuses a message
+// of no known kind, on the locked path and on the real-time fast path.
+func TestSimRejectsUnknownKind(t *testing.T) {
+	for _, clk := range []vclock.Clock{vclock.NewVirtual(), vclock.NewReal()} {
+		net := NewSim(SimConfig{Clock: clk})
+		a, _ := net.Endpoint("A")
+		b, _ := net.Endpoint("B")
+		if err := a.Send("B", protocol.Message{Kind: protocol.Kind(protocol.NumKinds), Action: "a"}); err == nil {
+			t.Errorf("%T: message of no known kind sent without error", clk)
+		}
+		if n := b.Pending(); n != 0 {
+			t.Errorf("%T: %d deliveries after a refused send", clk, n)
+		}
+		_ = net.Close()
+	}
+}
+
 func TestSimFIFOPerPairUnderJitter(t *testing.T) {
 	clk := vclock.NewVirtual()
 	net := NewSim(SimConfig{
@@ -58,7 +75,7 @@ func TestSimFIFOPerPairUnderJitter(t *testing.T) {
 	clk.Run(func() {
 		clk.Go(func() {
 			for i := 0; i < n; i++ {
-				if err := a.Send("B", protocol.Suspended{Action: "x", From: string(rune('a' + i%26))}); err != nil {
+				if err := a.Send("B", protocol.Message{Kind: protocol.KindSuspended, Action: "x", From: string(rune('a' + i%26))}); err != nil {
 					t.Errorf("send: %v", err)
 				}
 			}
@@ -70,7 +87,7 @@ func TestSimFIFOPerPairUnderJitter(t *testing.T) {
 					t.Error("closed early")
 					return
 				}
-				got = append(got, d.Msg.(protocol.Suspended).From)
+				got = append(got, d.Msg.From)
 			}
 		})
 	})
@@ -89,9 +106,9 @@ func TestSimMetricsCountByKind(t *testing.T) {
 	b, _ := net.Endpoint("B")
 	clk.Run(func() {
 		clk.Go(func() {
-			_ = a.Send("B", protocol.Exception{Action: "x", From: "A", Exc: except.Raised{ID: "e1"}})
-			_ = a.Send("B", protocol.Suspended{Action: "x", From: "A"})
-			_ = a.Send("B", protocol.Suspended{Action: "x", From: "A"})
+			_ = a.Send("B", protocol.Message{Kind: protocol.KindException, Action: "x", From: "A", Exc: except.Raised{ID: "e1"}})
+			_ = a.Send("B", protocol.Message{Kind: protocol.KindSuspended, Action: "x", From: "A"})
+			_ = a.Send("B", protocol.Message{Kind: protocol.KindSuspended, Action: "x", From: "A"})
 		})
 		clk.Go(func() {
 			for i := 0; i < 3; i++ {

@@ -224,12 +224,12 @@ func (t *TCP) inc(slot *atomic.Pointer[trace.Counter], name string) {
 	c.Add(1)
 }
 
-// count records one sent message of the given dense kind index.
-func (t *TCP) count(kind int) {
+// count records one sent message of the given kind.
+func (t *TCP) count(kind protocol.Kind) {
 	if t.metrics == nil {
 		return
 	}
-	if kind >= 0 && kind < protocol.NumKinds {
+	if kind.Valid() {
 		t.inc(&t.counters[kind], protocol.MetricNames[kind])
 	}
 	t.inc(&t.total, "msg.total")
@@ -352,8 +352,8 @@ func (t *TCP) Endpoint(addr string) (Endpoint, error) {
 	if pend := t.retained[addr]; len(pend) > 0 {
 		delete(t.retained, addr)
 		t.retainedLen -= len(pend)
-		for _, d := range pend {
-			ep.queue.Put(borrowDelivery(d.From, d.Msg, d.Corrupt))
+		for i := range pend {
+			ep.queue.Put(borrowDelivery(pend[i].From, &pend[i].Msg, pend[i].Corrupt))
 		}
 	}
 	return ep, nil
@@ -558,10 +558,11 @@ func (t *TCP) nodeReadLoop(conn net.Conn) {
 		t.mu.RLock()
 		ep := t.eps[string(to)]
 		t.mu.RUnlock()
+		d := Delivery{From: from, Msg: msg}
 		if ep != nil {
-			ep.deliver(from, msg)
+			ep.deliver(&d)
 		} else {
-			t.deliverNode(string(to), from, msg)
+			t.deliverNode(string(to), &d)
 		}
 		consumed++
 		return nil
@@ -695,12 +696,12 @@ const nodeBatchEntrySize = 4
 // thread that has not bound yet. Frames for addresses this network does not
 // host are dropped — a stale peer routing to the wrong node must not crash
 // the right one. Reports whether the frame was delivered or retained.
-func (t *TCP) deliverNode(to, from string, msg protocol.Message) bool {
+func (t *TCP) deliverNode(to string, d *Delivery) bool {
 	t.mu.RLock()
 	ep := t.eps[to]
 	t.mu.RUnlock()
 	if ep != nil {
-		ep.deliver(from, msg)
+		ep.deliver(d)
 		return true
 	}
 	t.mu.Lock()
@@ -709,14 +710,14 @@ func (t *TCP) deliverNode(to, from string, msg protocol.Message) bool {
 		// retained frames (if any) were flushed under the same lock, so
 		// delivering now preserves arrival order.
 		t.mu.Unlock()
-		ep.deliver(from, msg)
+		ep.deliver(d)
 		return true
 	}
 	defer t.mu.Unlock()
 	if t.closed || t.local == nil || !t.local(to) || t.retainedLen >= nodeRetainCap {
 		return false
 	}
-	t.retained[to] = append(t.retained[to], Delivery{From: from, Msg: msg})
+	t.retained[to] = append(t.retained[to], *d)
 	t.retainedLen++
 	return true
 }
@@ -819,18 +820,18 @@ func (e *tcpEndpoint) SetSink(fn func(Delivery)) {
 // deliver routes one inbound delivery: through the sink when installed,
 // into the receive queue otherwise. The double-checked dmu path closes the
 // installation race (see SetSink).
-func (e *tcpEndpoint) deliver(from string, msg protocol.Message) {
+func (e *tcpEndpoint) deliver(d *Delivery) {
 	if sp := e.sink.Load(); sp != nil {
-		(*sp)(Delivery{From: from, Msg: msg})
+		(*sp)(*d)
 		return
 	}
 	e.dmu.Lock()
 	if sp := e.sink.Load(); sp != nil {
 		e.dmu.Unlock()
-		(*sp)(Delivery{From: from, Msg: msg})
+		(*sp)(*d)
 		return
 	}
-	box := borrowDelivery(from, msg, false)
+	box := borrowDelivery(d.From, &d.Msg, d.Corrupt)
 	ok := e.queue.PutOpen(box)
 	e.dmu.Unlock()
 	if !ok {
@@ -838,7 +839,7 @@ func (e *tcpEndpoint) deliver(from string, msg protocol.Message) {
 		// reference; a closed queue drops new arrivals, so hand the frame
 		// back to the retention path instead of losing it.
 		releaseDelivery(box)
-		e.Reinject(Delivery{From: from, Msg: msg})
+		e.Reinject(*d)
 	}
 }
 
@@ -863,14 +864,14 @@ func (e *tcpEndpoint) Reinject(d Delivery) bool {
 		// A successor already bound (it replayed the retained set before
 		// becoming visible); deliver straight to it.
 		t.mu.Unlock()
-		ep.deliver(d.From, d.Msg)
+		ep.deliver(&d)
 		return true
 	}
 	defer t.mu.Unlock()
 	if t.closed || t.local == nil || !t.local(e.addr) || t.retainedLen >= nodeRetainCap {
 		return false
 	}
-	t.retained[e.addr] = append(t.retained[e.addr], Delivery{From: d.From, Msg: d.Msg, Corrupt: d.Corrupt})
+	t.retained[e.addr] = append(t.retained[e.addr], d)
 	t.retainedLen++
 	t.inc(&t.reinjected, "tcp.reinjected")
 	return true
@@ -881,9 +882,9 @@ func (e *tcpEndpoint) Reinject(d Delivery) bool {
 // host:port the resolver names.
 func (e *tcpEndpoint) Send(to string, msg protocol.Message) error {
 	t := e.net
-	kind := protocol.KindIndexOf(msg)
+	kind := msg.Kind
 	if t.local != nil && t.local(to) {
-		if !t.deliverNode(to, e.addr, msg) {
+		if !t.deliverNode(to, &Delivery{From: e.addr, Msg: msg}) {
 			return fmt.Errorf("transport: send to %q: local retention full", to)
 		}
 		t.count(kind)
@@ -904,7 +905,7 @@ func (e *tcpEndpoint) Send(to string, msg protocol.Message) error {
 	if err, broken := t.writeNodeBatched(c, to, e.addr, msg); err != nil {
 		if broken {
 			// The stream is poisoned: forget it so a later send re-dials.
-			// Pre-I/O codec errors (a foreign message type, an oversize
+			// Pre-I/O codec errors (a message of no known kind, an oversize
 			// frame) and stalls leave the healthy connection cached.
 			t.forget(c)
 		}

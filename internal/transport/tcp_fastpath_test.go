@@ -24,12 +24,13 @@ import (
 // one send+receive round trip (batch append, coalesced flush, batch decode,
 // delivery) must stay within a small constant allocation budget, between
 // two standalone endpoints of one process and across two nodes. The gob
-// wire needed several times this. The budget is the message box and its
-// action id: the read loop interns the sender and From names. The
-// addresses are two bytes long because Go converts one-byte strings
-// without allocating, which would hide a name decoded afresh.
+// wire needed several allocations per message. The budget is now zero: the
+// message is a value, and the read loop interns the sender, the From name
+// and the repeated action id. The addresses are two bytes long because Go
+// converts one-byte strings without allocating, which would hide a name
+// decoded afresh.
 func TestTCPNodeBatchedSendAllocCeiling(t *testing.T) {
-	const ceiling = 2.0 // allocs per send+recv round trip
+	const ceiling = 0.0 // allocs per send+recv round trip
 
 	standalone := func(t *testing.T) (a, b Endpoint) {
 		n := NewTCP(vclock.NewReal())
@@ -64,7 +65,7 @@ func TestTCPNodeBatchedSendAllocCeiling(t *testing.T) {
 	}{{"standalone", standalone}, {"node", node}} {
 		t.Run(mode.name, func(t *testing.T) {
 			a, b := mode.setup(t)
-			var msg protocol.Message = protocol.Suspended{Action: "bench#1", From: "T1", Round: 1}
+			msg := protocol.Message{Kind: protocol.KindSuspended, Action: "bench#1", From: "T1", Round: 1}
 			cycle := func() {
 				if err := a.Send("T2", msg); err != nil {
 					panic(err)
@@ -101,7 +102,7 @@ func TestTCPNodeBatchFramesMetric(t *testing.T) {
 	b, _ := n2.Endpoint("B")
 	const burst = 200
 	for i := 0; i < burst; i++ {
-		if err := a.Send("B", protocol.Ack{Action: "m#1", From: "A", Round: i}); err != nil {
+		if err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "m#1", From: "A", Round: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,7 +111,7 @@ func TestTCPNodeBatchFramesMetric(t *testing.T) {
 		if !ok {
 			t.Fatalf("delivery %d lost", i)
 		}
-		if got := d.Msg.(protocol.Ack).Round; got != i {
+		if got := d.Msg.Round; got != i {
 			t.Fatalf("FIFO violated across batch boundaries: got round %d at %d", got, i)
 		}
 	}
@@ -238,7 +239,7 @@ func testCreditExhaustion(t *testing.T, node bool) {
 	}
 	// First send establishes the connection; wait for the advertisement to
 	// land so the window is engaged for the rest of the test.
-	if err := a.Send("B", protocol.Ack{Action: "c#1", From: "A", Round: 0}); err != nil {
+	if err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "c#1", From: "A", Round: 0}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -276,7 +277,7 @@ func testCreditExhaustion(t *testing.T, node bool) {
 	// further must fail typed, and the pending buffer must stay bounded.
 	accepted, stalled := 1, 0
 	for i := 1; i < window*5; i++ {
-		err := a.Send("B", protocol.Ack{Action: "c#1", From: "A", Round: i})
+		err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "c#1", From: "A", Round: i})
 		switch {
 		case err == nil:
 			accepted++
@@ -315,7 +316,7 @@ func testCreditExhaustion(t *testing.T, node bool) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if err := a.Send("B", protocol.Ack{Action: "c#2", From: "A", Round: 99}); err == nil {
+		if err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "c#2", From: "A", Round: 99}); err == nil {
 			break
 		} else if !errors.Is(err, ErrPeerStalled) {
 			t.Fatalf("post-recovery send: %v", err)
@@ -342,7 +343,7 @@ func TestTCPNodeStaleRouteHealsAfterRestart(t *testing.T) {
 
 	a, _ := n1.Endpoint("A")
 	b1, _ := n2.Endpoint("B")
-	if err := a.Send("B", protocol.Ack{Action: "pre#1", From: "A"}); err != nil {
+	if err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "pre#1", From: "A"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := b1.RecvTimeout(5 * time.Second); !ok {
@@ -357,7 +358,7 @@ func TestTCPNodeStaleRouteHealsAfterRestart(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if err := a.Send("B", protocol.Ack{Action: "dead#1", From: "A"}); err != nil {
+		if err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "dead#1", From: "A"}); err != nil {
 			break // the break surfaced; the connection is forgotten
 		}
 		if time.Now().After(deadline) {
@@ -374,10 +375,10 @@ func TestTCPNodeStaleRouteHealsAfterRestart(t *testing.T) {
 	}
 	b2, _ := n3.Endpoint("B")
 	table.Store("B", n3.NodeAddr())
-	if err := a.Send("B", protocol.Ack{Action: "post#1", From: "A"}); err != nil {
+	if err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "post#1", From: "A"}); err != nil {
 		t.Fatalf("send after resolver update: %v", err)
 	}
-	if d, ok := b2.RecvTimeout(5 * time.Second); !ok || d.Msg.(protocol.Ack).Action != "post#1" {
+	if d, ok := b2.RecvTimeout(5 * time.Second); !ok || d.Msg.Action != "post#1" {
 		t.Fatalf("post-restart delivery failed: %+v %v", d, ok)
 	}
 }
@@ -400,7 +401,7 @@ func TestTCPSinkInstallDrainsQueueInOrder(t *testing.T) {
 	// bind time — exactly the residue SetSink must drain.
 	const early = 5
 	for i := 0; i < early; i++ {
-		if err := a.Send("B", protocol.Ack{Action: "pre#1", From: "A", Round: i}); err != nil {
+		if err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "pre#1", From: "A", Round: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -430,7 +431,7 @@ func TestTCPSinkInstallDrainsQueueInOrder(t *testing.T) {
 	var got []int
 	b.SetSink(func(d Delivery) {
 		mu.Lock()
-		got = append(got, d.Msg.(protocol.Ack).Round)
+		got = append(got, d.Msg.Round)
 		mu.Unlock()
 	})
 	if b.queue.Len() != 0 {
@@ -438,7 +439,7 @@ func TestTCPSinkInstallDrainsQueueInOrder(t *testing.T) {
 	}
 	const late = 5
 	for i := early; i < early+late; i++ {
-		if err := a.Send("B", protocol.Ack{Action: "post#1", From: "A", Round: i}); err != nil {
+		if err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "post#1", From: "A", Round: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -531,7 +532,7 @@ func TestTCPNodeShardTeardownKeepsEarlyFrames(t *testing.T) {
 		if !ok {
 			t.Fatalf("early frame %d of %d lost in shard teardown", i+1, early)
 		}
-		if inst := protocol.InstanceOf(protocol.ActionOf(d.Msg)); inst != "i2" {
+		if inst := protocol.InstanceOf(d.Msg.Action); inst != "i2" {
 			t.Fatalf("frame %d routed instance %q, want i2", i+1, inst)
 		}
 	}

@@ -27,11 +27,10 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := protocol.Exception{
+	want := protocol.Message{Kind: protocol.KindException,
 		Action: "act#1",
 		From:   "T1",
-		Exc:    except.Raised{ID: "vm_stop", Origin: "T1", Info: "motor stalled"},
-	}
+		Exc:    except.Raised{ID: "vm_stop", Origin: "T1", Info: "motor stalled"}}
 	if err := a.Send("T2", want); err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +41,8 @@ func TestTCPRoundTrip(t *testing.T) {
 	if d.From != "T1" {
 		t.Fatalf("from = %q", d.From)
 	}
-	got, ok := d.Msg.(protocol.Exception)
-	if !ok || got.Exc.ID != "vm_stop" || got.Exc.Info != "motor stalled" {
+	got := d.Msg
+	if got.Kind != protocol.KindException || got.Exc.ID != "vm_stop" || got.Exc.Info != "motor stalled" {
 		t.Fatalf("got %#v", d.Msg)
 	}
 }
@@ -64,9 +63,9 @@ func TestTCPBinaryWireAppPayload(t *testing.T) {
 	}
 	// string payloads ride the codec fast path; send one of each shape.
 	msgs := []protocol.Message{
-		protocol.App{Action: "a#1", From: "T1", ToRole: "r2", Payload: "fast-path"},
-		protocol.App{Action: "a#1", From: "T1", ToRole: "r2", Payload: 42},
-		protocol.App{Action: "a#1", From: "T1", ToRole: "r2", Payload: nil},
+		protocol.Message{Kind: protocol.KindApp, Action: "a#1", From: "T1", Role: "r2", Payload: "fast-path"},
+		protocol.Message{Kind: protocol.KindApp, Action: "a#1", From: "T1", Role: "r2", Payload: 42},
+		protocol.Message{Kind: protocol.KindApp, Action: "a#1", From: "T1", Role: "r2", Payload: nil},
 	}
 	for _, m := range msgs {
 		if err := a.Send("T2", m); err != nil {
@@ -78,15 +77,14 @@ func TestTCPBinaryWireAppPayload(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing delivery %d", i)
 		}
-		got := d.Msg.(protocol.App)
-		if got.Payload != want.(protocol.App).Payload {
+		if got := d.Msg; got.Kind != protocol.KindApp || got.Payload != want.Payload {
 			t.Fatalf("payload %d = %#v, want %#v", i, got.Payload, want)
 		}
 	}
 }
 
-// TestTCPCodecErrorKeepsConnection: a pre-I/O encode failure (foreign
-// message type) must not tear down the healthy cached connection — nothing
+// TestTCPCodecErrorKeepsConnection: a pre-I/O encode failure (a message
+// of no known kind) must not tear down the healthy cached connection — nothing
 // reached the wire, so subsequent sends keep working without a re-dial.
 func TestTCPCodecErrorKeepsConnection(t *testing.T) {
 	clk := vclock.NewReal()
@@ -100,7 +98,7 @@ func TestTCPCodecErrorKeepsConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send("T2", protocol.Ack{Action: "x", From: "T1"}); err != nil {
+	if err := a.Send("T2", protocol.Message{Kind: protocol.KindAck, Action: "x", From: "T1"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := b.RecvTimeout(5 * time.Second); !ok {
@@ -111,13 +109,13 @@ func TestTCPCodecErrorKeepsConnection(t *testing.T) {
 		t.Fatal("no cached connection after first send")
 	}
 
-	if err := a.Send("T2", foreignKindMsg{}); err == nil {
+	if err := a.Send("T2", protocol.Message{Kind: protocol.Kind(protocol.NumKinds), Action: "x"}); err == nil {
 		t.Fatal("foreign message encoded without error")
 	}
 	if after := cachedConn(net, "T1", "T2"); after != before {
 		t.Fatal("codec error dropped the healthy cached connection")
 	}
-	if err := a.Send("T2", protocol.Ack{Action: "y", From: "T1"}); err != nil {
+	if err := a.Send("T2", protocol.Message{Kind: protocol.KindAck, Action: "y", From: "T1"}); err != nil {
 		t.Fatalf("send after codec error: %v", err)
 	}
 	if _, ok := b.RecvTimeout(5 * time.Second); !ok {
@@ -145,10 +143,6 @@ func connCount(n *TCP) (out, in int) {
 	return len(n.conns), len(n.inbound)
 }
 
-type foreignKindMsg struct{}
-
-func (foreignKindMsg) Kind() string { return "ForeignKind" }
-
 func TestTCPFIFO(t *testing.T) {
 	clk := vclock.NewReal()
 	net := NewTCP(clk)
@@ -158,7 +152,7 @@ func TestTCPFIFO(t *testing.T) {
 
 	const n = 100
 	for i := 0; i < n; i++ {
-		if err := a.Send("B", protocol.Ack{Action: "x", From: string(rune(i))}); err != nil {
+		if err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "x", From: string(rune(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +161,7 @@ func TestTCPFIFO(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing delivery %d", i)
 		}
-		if d.Msg.(protocol.Ack).From != string(rune(i)) {
+		if d.Msg.From != string(rune(i)) {
 			t.Fatalf("out of order at %d", i)
 		}
 	}
@@ -192,7 +186,7 @@ func TestTCPBidirectionalAndMultiplePeers(t *testing.T) {
 			if to == from {
 				continue
 			}
-			if err := eps[from].Send(to, protocol.Suspended{Action: "a", From: from}); err != nil {
+			if err := eps[from].Send(to, protocol.Message{Kind: protocol.KindSuspended, Action: "a", From: from}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -217,7 +211,7 @@ func TestTCPUnknownPeer(t *testing.T) {
 	net := NewTCP(clk)
 	defer func() { _ = net.Close() }()
 	a, _ := net.Endpoint("A")
-	if err := a.Send("ghost", protocol.Ack{}); err == nil {
+	if err := a.Send("ghost", protocol.Message{Kind: protocol.KindAck}); err == nil {
 		t.Fatal("send to unknown peer succeeded")
 	}
 }
@@ -307,10 +301,10 @@ func TestTCPRebindInvalidatesCachedConns(t *testing.T) {
 
 	a, _ := net.Endpoint("A")
 	b1, _ := net.Endpoint("B")
-	if err := a.Send("B", protocol.Ack{Action: "one", From: "A"}); err != nil {
+	if err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "one", From: "A"}); err != nil {
 		t.Fatal(err)
 	}
-	if d, ok := b1.RecvTimeout(5 * time.Second); !ok || d.Msg.(protocol.Ack).Action != "one" {
+	if d, ok := b1.RecvTimeout(5 * time.Second); !ok || d.Msg.Action != "one" {
 		t.Fatalf("first incarnation delivery failed: %+v %v", d, ok)
 	}
 
@@ -321,11 +315,11 @@ func TestTCPRebindInvalidatesCachedConns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send("B", protocol.Ack{Action: "two", From: "A"}); err != nil {
+	if err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "two", From: "A"}); err != nil {
 		t.Fatalf("send after re-bind: %v", err)
 	}
 	d, ok := b2.RecvTimeout(5 * time.Second)
-	if !ok || d.Msg.(protocol.Ack).Action != "two" {
+	if !ok || d.Msg.Action != "two" {
 		t.Fatalf("message went to the dead incarnation: %+v %v", d, ok)
 	}
 }
@@ -353,11 +347,11 @@ func TestTCPRebindCycleNoLeak(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cycle %d: bind: %v", i, err)
 		}
-		if err := a.Send("B", protocol.Ack{Action: "rebind#1", From: "A", Round: i}); err != nil {
+		if err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "rebind#1", From: "A", Round: i}); err != nil {
 			t.Fatalf("cycle %d: send: %v", i, err)
 		}
 		d, ok := b.RecvTimeout(5 * time.Second)
-		if !ok || d.Msg.(protocol.Ack).Round != i {
+		if !ok || d.Msg.Round != i {
 			t.Fatalf("cycle %d: delivery %+v %v", i, d, ok)
 		}
 		if err := b.Close(); err != nil {
@@ -396,11 +390,11 @@ func TestTCPSetPeerAcrossNetworks(t *testing.T) {
 	}
 	n1.SetPeer("B", bAddr)
 
-	if err := a.Send("B", protocol.Ack{Action: "cross", From: "A"}); err != nil {
+	if err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "cross", From: "A"}); err != nil {
 		t.Fatal(err)
 	}
 	d, ok := b.RecvTimeout(5 * time.Second)
-	if !ok || d.Msg.(protocol.Ack).Action != "cross" {
+	if !ok || d.Msg.Action != "cross" {
 		t.Fatalf("cross-process delivery failed: %+v %v", d, ok)
 	}
 }
@@ -421,7 +415,7 @@ func TestTCPCoalescedBurst(t *testing.T) {
 
 	const n = 5000 // ~50 bytes per frame: several 64KiB batches plus a tail
 	for i := 0; i < n; i++ {
-		if err := a.Send("B", protocol.Commit{Action: "burst#1", From: "A", Round: i}); err != nil {
+		if err := a.Send("B", protocol.Message{Kind: protocol.KindCommit, Action: "burst#1", From: "A", Round: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -430,7 +424,7 @@ func TestTCPCoalescedBurst(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing delivery %d of %d", i, n)
 		}
-		if got := d.Msg.(protocol.Commit).Round; got != i {
+		if got := d.Msg.Round; got != i {
 			t.Fatalf("out of order: got round %d at position %d", got, i)
 		}
 	}
@@ -449,7 +443,7 @@ func TestTCPCloseFlushesCoalescedTail(t *testing.T) {
 
 	const n = 7
 	for i := 0; i < n; i++ {
-		if err := a.Send("B", protocol.Commit{Action: "tail#1", From: "A", Round: i}); err != nil {
+		if err := a.Send("B", protocol.Message{Kind: protocol.KindCommit, Action: "tail#1", From: "A", Round: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -461,7 +455,7 @@ func TestTCPCloseFlushesCoalescedTail(t *testing.T) {
 		if !ok {
 			t.Fatalf("delivery %d of %d lost across Close", i, n)
 		}
-		if got := d.Msg.(protocol.Commit).Round; got != i {
+		if got := d.Msg.Round; got != i {
 			t.Fatalf("out of order: got round %d at position %d", got, i)
 		}
 	}
@@ -516,14 +510,14 @@ func TestTCPNodeModeRoundTrip(t *testing.T) {
 	b, _ := n2.Endpoint("B")
 
 	// Cross-node: A → B over n2's node listener.
-	if err := a.Send("B", protocol.Ack{Action: "x#1", From: "A"}); err != nil {
+	if err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "x#1", From: "A"}); err != nil {
 		t.Fatal(err)
 	}
-	if d, ok := b.RecvTimeout(5 * time.Second); !ok || d.From != "A" || d.Msg.(protocol.Ack).Action != "x#1" {
+	if d, ok := b.RecvTimeout(5 * time.Second); !ok || d.From != "A" || d.Msg.Action != "x#1" {
 		t.Fatalf("cross-node delivery failed: %+v %v", d, ok)
 	}
 	// Reply path B → A reuses the resolver in the other direction.
-	if err := b.Send("A", protocol.Ack{Action: "y#1", From: "B"}); err != nil {
+	if err := b.Send("A", protocol.Message{Kind: protocol.KindAck, Action: "y#1", From: "B"}); err != nil {
 		t.Fatal(err)
 	}
 	if d, ok := a.RecvTimeout(5 * time.Second); !ok || d.From != "B" {
@@ -531,14 +525,14 @@ func TestTCPNodeModeRoundTrip(t *testing.T) {
 	}
 	// Same-node: A → A2 must work without any resolver entry consultation
 	// (local bypass), even if the table lied about A2's placement.
-	if err := a.Send("A2", protocol.Ack{Action: "loc#1", From: "A"}); err != nil {
+	if err := a.Send("A2", protocol.Message{Kind: protocol.KindAck, Action: "loc#1", From: "A"}); err != nil {
 		t.Fatal(err)
 	}
-	if d, ok := a2.RecvTimeout(5 * time.Second); !ok || d.Msg.(protocol.Ack).Action != "loc#1" {
+	if d, ok := a2.RecvTimeout(5 * time.Second); !ok || d.Msg.Action != "loc#1" {
 		t.Fatalf("local bypass delivery failed: %+v %v", d, ok)
 	}
 	// Unknown destination: typed error, not a hang.
-	if err := a.Send("nowhere", protocol.Ack{Action: "z#1", From: "A"}); !errors.Is(err, ErrUnknownAddr) {
+	if err := a.Send("nowhere", protocol.Message{Kind: protocol.KindAck, Action: "z#1", From: "A"}); !errors.Is(err, ErrUnknownAddr) {
 		t.Fatalf("send to unhosted thread: err = %v, want ErrUnknownAddr", err)
 	}
 }
@@ -559,7 +553,7 @@ func TestTCPNodeRetainsForUnboundLocal(t *testing.T) {
 	// B has NOT bound yet. Sends must succeed (the frame crosses the wire
 	// and is retained by n2 on behalf of its locally-placed thread).
 	for i := 0; i < 3; i++ {
-		if err := a.Send("B", protocol.Commit{Action: "early#1", From: "A", Round: i}); err != nil {
+		if err := a.Send("B", protocol.Message{Kind: protocol.KindCommit, Action: "early#1", From: "A", Round: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -587,7 +581,7 @@ func TestTCPNodeRetainsForUnboundLocal(t *testing.T) {
 		if !ok {
 			t.Fatalf("retained frame %d lost across bind", i)
 		}
-		if got := d.Msg.(protocol.Commit).Round; got != i {
+		if got := d.Msg.Round; got != i {
 			t.Fatalf("retained frames out of order: got round %d at %d", got, i)
 		}
 	}
@@ -608,10 +602,10 @@ func TestTCPNodeRedialAfterRestart(t *testing.T) {
 
 	a, _ := n1.Endpoint("A")
 	b1, _ := n2.Endpoint("B")
-	if err := a.Send("B", protocol.Ack{Action: "pre#1", From: "A"}); err != nil {
+	if err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "pre#1", From: "A"}); err != nil {
 		t.Fatal(err)
 	}
-	if d, ok := b1.RecvTimeout(5 * time.Second); !ok || d.Msg.(protocol.Ack).Action != "pre#1" {
+	if d, ok := b1.RecvTimeout(5 * time.Second); !ok || d.Msg.Action != "pre#1" {
 		t.Fatalf("pre-restart delivery failed: %+v %v", d, ok)
 	}
 
@@ -631,10 +625,10 @@ func TestTCPNodeRedialAfterRestart(t *testing.T) {
 	// The very next send must reach the new incarnation: the resolver now
 	// reports the new host:port, and connections are keyed by host:port, so
 	// the cached conn to the dead listener is simply not consulted.
-	if err := a.Send("B", protocol.Ack{Action: "post#1", From: "A"}); err != nil {
+	if err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "post#1", From: "A"}); err != nil {
 		t.Fatalf("send after restart: %v", err)
 	}
-	if d, ok := b2.RecvTimeout(5 * time.Second); !ok || d.Msg.(protocol.Ack).Action != "post#1" {
+	if d, ok := b2.RecvTimeout(5 * time.Second); !ok || d.Msg.Action != "post#1" {
 		t.Fatalf("post-restart delivery failed: %+v %v", d, ok)
 	}
 }
@@ -655,7 +649,7 @@ func TestTCPNodeMetricsCount(t *testing.T) {
 	a, _ := n1.Endpoint("A")
 	b, _ := n2.Endpoint("B")
 	for i := 0; i < 4; i++ {
-		if err := a.Send("B", protocol.Ack{Action: "m#1", From: "A"}); err != nil {
+		if err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "m#1", From: "A"}); err != nil {
 			t.Fatal(err)
 		}
 	}

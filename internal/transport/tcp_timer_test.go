@@ -46,7 +46,7 @@ func TestTCPDropConnStopsFlushTimer(t *testing.T) {
 	fake := newCountingConn()
 	c := &tcpConn{conn: fake, key: connKey{hostport: "127.0.0.1:1"}, owner: tn}
 	// One small frame: accepted into the batch, batch opens, timer armed.
-	if err, broken := tn.writeNodeBatched(c, "B", "A", protocol.Ack{Action: "x#1", From: "A"}); err != nil || broken {
+	if err, broken := tn.writeNodeBatched(c, "B", "A", protocol.Message{Kind: protocol.KindAck, Action: "x#1", From: "A"}); err != nil || broken {
 		t.Fatalf("write into fresh batch: err=%v broken=%v", err, broken)
 	}
 	c.mu.Lock()
@@ -97,7 +97,7 @@ func TestTCPVirtualClockWritesThrough(t *testing.T) {
 		fake := newCountingConn()
 		c := &tcpConn{conn: fake, key: connKey{hostport: "127.0.0.1:1"}, owner: tn}
 		for i := 0; i < 3; i++ {
-			if err, broken := tn.writeNodeBatched(c, "B", "A", protocol.Ack{Action: "x#1", From: "A", Round: i}); err != nil || broken {
+			if err, broken := tn.writeNodeBatched(c, "B", "A", protocol.Message{Kind: protocol.KindAck, Action: "x#1", From: "A", Round: i}); err != nil || broken {
 				t.Fatalf("message %d: err=%v broken=%v", i, err, broken)
 			}
 			if got := len(fake.writes); got != i+1 {
@@ -117,7 +117,7 @@ func TestTCPVirtualClockWritesThrough(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
-			if err := a.Send("B", protocol.Ack{Action: "x#1", From: "A", Round: i}); err != nil {
+			if err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "x#1", From: "A", Round: i}); err != nil {
 				t.Fatalf("message %d: %v", i, err)
 			}
 			c := cachedConn(tn, "A", "B")
@@ -172,7 +172,7 @@ func TestTCPRedialCycleNoGoroutineLeak(t *testing.T) {
 		}
 		n1.SetPeer("B", bAddr)
 
-		if err := a.Send("B", protocol.Ack{Action: "cycle#1", From: "A", Round: i}); err != nil {
+		if err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "cycle#1", From: "A", Round: i}); err != nil {
 			t.Fatalf("cycle %d: healthy send: %v", i, err)
 		}
 		if _, ok := b.RecvTimeout(5 * time.Second); !ok {
@@ -187,7 +187,7 @@ func TestTCPRedialCycleNoGoroutineLeak(t *testing.T) {
 		_ = n2.Close()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			if err := a.Send("B", protocol.Ack{Action: "cycle#1", From: "A", Round: i}); err != nil {
+			if err := a.Send("B", protocol.Message{Kind: protocol.KindAck, Action: "cycle#1", From: "A", Round: i}); err != nil {
 				break
 			}
 			if time.Now().After(deadline) {

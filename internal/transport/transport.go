@@ -37,9 +37,9 @@ type Delivery struct {
 var deliveryPool = sync.Pool{New: func() any { return new(Delivery) }}
 
 // borrowDelivery fills a pooled delivery box.
-func borrowDelivery(from string, msg protocol.Message, corrupt bool) *Delivery {
+func borrowDelivery(from string, msg *protocol.Message, corrupt bool) *Delivery {
 	d := deliveryPool.Get().(*Delivery)
-	d.From, d.Msg, d.Corrupt = from, msg, corrupt
+	d.From, d.Msg, d.Corrupt = from, *msg, corrupt
 	return d
 }
 
@@ -52,12 +52,12 @@ func releaseDelivery(d *Delivery) {
 
 // unboxDelivery adapts a queue pop into the value-typed Endpoint.Recv
 // contract, recycling the box.
-func unboxDelivery(x any, ok bool) (Delivery, bool) {
+func unboxDelivery(x any, ok bool) (d Delivery, _ bool) {
 	if !ok {
-		return Delivery{}, false
+		return d, false
 	}
 	dp := x.(*Delivery)
-	d := *dp
+	d = *dp
 	releaseDelivery(dp)
 	return d, true
 }
