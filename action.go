@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"caaction/internal/core"
+	"caaction/internal/protocol"
 	"caaction/internal/transport"
 	"caaction/internal/vclock"
 )
@@ -221,9 +222,9 @@ func WithTenant(name string) StartOption {
 // Action identifiers of the instance are tagged with a fresh instance tag
 // (ActionHandle.ID), which is what keeps concurrent instances of the same
 // spec — same action names, same thread bindings — separate on the wire.
-// The single-action path (System.Thread + Perform) remains the untagged
-// N=1 case of the same machinery and may run alongside StartAction
-// instances, provided raw threads and specs use disjoint thread addresses.
+// Threads made with System.Thread are roles of one more instance on the
+// same demultiplexer, so they share thread addresses with StartAction
+// instances freely.
 //
 // Cancelling ctx closes the instance's endpoints: every role unwinds
 // through the cooperative interrupt path and reports an error matching both
@@ -236,9 +237,10 @@ func WithTenant(name string) StartOption {
 // Under admission control (WithMaxInFlight, WithTenantBudget) a start over
 // budget fast-rejects with a typed *OverloadedError matching ErrOverloaded.
 func (s *System) StartAction(ctx context.Context, spec *Spec, progs map[string]RoleProgram, opts ...StartOption) (*ActionHandle, error) {
+	// One allocation: the prefix "a<n>!", of which the tag is a substring.
 	var buf [24]byte
-	tag := string(strconv.AppendInt(append(buf[:0], 'a'), s.actionSeq.Add(1), 10))
-	return s.startAction(ctx, tag, spec, progs, opts)
+	prefix := string(append(strconv.AppendInt(append(buf[:0], 'a'), s.actionSeq.Add(1), 10), '!'))
+	return s.startAction(ctx, prefix, spec, progs, opts)
 }
 
 // StartTagged is StartAction with a caller-assigned instance tag. Tags
@@ -246,21 +248,24 @@ func (s *System) StartAction(ctx context.Context, spec *Spec, progs map[string]R
 // roles of one logical action instance must put the SAME tag on the wire,
 // so a coordinator — the cluster workload driver — picks the tag and hands
 // it to each node, which starts just its locally-placed roles. The tag
-// must be unique among instances whose lifetimes overlap and must not
-// contain the id metacharacters '!', '/' or '#'. On a cluster node, progs
+// must be unique among instances whose lifetimes overlap, and must neither
+// contain the id metacharacters '!', '/' or '#' nor be "t", the tag of
+// System.Thread's instance. On a cluster node, progs
 // need only cover the locally-placed roles (remote entries are ignored);
 // on a non-cluster system StartTagged behaves exactly like StartAction.
 func (s *System) StartTagged(ctx context.Context, tag string, spec *Spec, progs map[string]RoleProgram, opts ...StartOption) (*ActionHandle, error) {
 	if tag == "" {
 		return nil, fmt.Errorf("caaction: StartTagged: empty instance tag")
 	}
-	if strings.ContainsAny(tag, "!/#") {
-		return nil, fmt.Errorf("caaction: StartTagged: tag %q contains an id metacharacter ('!', '/' or '#')", tag)
+	if strings.ContainsAny(tag, "!/#") || tag == threadTag {
+		return nil, fmt.Errorf("caaction: StartTagged: tag %q contains an id metacharacter ('!', '/' or '#') or is System.Thread's", tag)
 	}
-	return s.startAction(ctx, tag, spec, progs, opts)
+	return s.startAction(ctx, protocol.TagInstance(tag, ""), spec, progs, opts)
 }
 
-func (s *System) startAction(ctx context.Context, tag string, spec *Spec, progs map[string]RoleProgram, opts []StartOption) (*ActionHandle, error) {
+// startAction starts the instance whose identifier prefix is "<tag>!".
+func (s *System) startAction(ctx context.Context, prefix string, spec *Spec, progs map[string]RoleProgram, opts []StartOption) (*ActionHandle, error) {
+	tag := prefix[:len(prefix)-1]
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -359,7 +364,7 @@ func (s *System) startAction(ctx context.Context, tag string, spec *Spec, progs 
 			}
 			return nil, fmt.Errorf("caaction: StartAction %s: %w", spec.Name, err)
 		}
-		th := s.rt.NewThreadOn(r.Thread, ep, tag)
+		th := s.rt.NewThreadOn(r.Thread, ep, prefix)
 		if coreDeadline > 0 {
 			th.SetDeadline(coreDeadline)
 		}

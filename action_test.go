@@ -177,8 +177,8 @@ func TestStartActionExceptionalOutcome(t *testing.T) {
 	}
 }
 
-// TestStartActionAlongsideThreadPerform checks the N=1 legacy path and the
-// muxed path coexist on one System (disjoint thread addresses).
+// TestStartActionAlongsideThreadPerform checks that System.Thread and
+// StartAction coexist on one System on disjoint thread addresses.
 func TestStartActionAlongsideThreadPerform(t *testing.T) {
 	sys, err := caaction.New()
 	if err != nil {
@@ -211,6 +211,68 @@ func TestStartActionAlongsideThreadPerform(t *testing.T) {
 	}
 	if err := h.Err(); err != nil {
 		t.Errorf("StartAction alongside legacy Perform: %v", err)
+	}
+}
+
+// TestThreadSharesAddressesWithStartAction runs a System.Thread action and a
+// StartAction instance of the same spec on the same thread addresses at the
+// same time. System.Thread is a role of one instance on the System's own
+// demultiplexer, so the two share T1 and T2 instead of both binding them,
+// and both commit.
+func TestThreadSharesAddressesWithStartAction(t *testing.T) {
+	sys, err := caaction.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = sys.Close() }()
+	spec, progs := pingPongSpec(t)
+	// Each role computes first, so the two actions are in flight together.
+	const work = 10 * time.Millisecond
+	slow := make(map[string]caaction.RoleProgram, len(progs))
+	for role, p := range progs {
+		body := p.Body
+		slow[role] = caaction.RoleProgram{Body: func(ctx *caaction.Context) error {
+			if err := ctx.Compute(work); err != nil {
+				return err
+			}
+			return body(ctx)
+		}}
+	}
+	t1, err := sys.Thread("T1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2, err := sys.Thread("T2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h *caaction.ActionHandle
+	var startErr error
+	threadOut := make(chan error, 2)
+	// One tracked root starts everything, so the clock knows every role
+	// before the first can block.
+	sys.Go(func() {
+		h, startErr = sys.StartAction(context.Background(), spec, slow)
+		sys.Go(func() { threadOut <- t2.Perform(context.Background(), spec, "consumer", slow["consumer"]) })
+		threadOut <- t1.Perform(context.Background(), spec, "producer", slow["producer"])
+	})
+	sys.Wait()
+	if startErr != nil {
+		t.Fatalf("StartAction on the threads' addresses: %v", startErr)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-threadOut; err != nil {
+			t.Errorf("System.Thread role: %v", err)
+		}
+	}
+	if err := h.Err(); err != nil {
+		t.Errorf("StartAction instance: %v", err)
+	}
+	if got := sys.Metrics().Get("action.completions"); got != 4 {
+		t.Errorf("action.completions = %d, want 4 (two roles of each action)", got)
+	}
+	if now := sys.Now(); now >= 2*work {
+		t.Errorf("both actions took %v, want under %v: they did not run concurrently", now, 2*work)
 	}
 }
 
@@ -337,8 +399,8 @@ func TestStartActionErrorPaths(t *testing.T) {
 	}
 }
 
-// TestThreadAfterClose pins the ErrSystemClosed contract for the legacy
-// single-action path too.
+// TestThreadAfterClose pins the ErrSystemClosed contract for System.Thread
+// too.
 func TestThreadAfterClose(t *testing.T) {
 	sys, err := caaction.New()
 	if err != nil {

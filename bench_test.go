@@ -267,7 +267,7 @@ func commitSpec(tb testing.TB) (*caaction.Spec, map[string]caaction.RoleProgram)
 // would re-bind its threads' shared mux endpoints, and the ceiling would
 // measure the bind instead of the action.
 func TestStartActionCommitAllocCeiling(t *testing.T) {
-	commitAllocCeiling(t, caaction.WithSimTransport(0), 15)
+	commitAllocCeiling(t, caaction.WithSimTransport(0), 12)
 }
 
 // TestStartActionCommitTCPAllocCeiling is the same action over loopback
@@ -275,7 +275,7 @@ func TestStartActionCommitAllocCeiling(t *testing.T) {
 // the action's identifier once (later messages of the action find it in
 // the connection's table) and nothing per message.
 func TestStartActionCommitTCPAllocCeiling(t *testing.T) {
-	commitAllocCeiling(t, caaction.WithTCPTransport(""), 21)
+	commitAllocCeiling(t, caaction.WithTCPTransport(""), 18)
 }
 
 // commitAllocCeiling fails t when one commit action over transport
@@ -340,13 +340,13 @@ func TestLoadKindAllocCeilings(t *testing.T) {
 		ceiling float64 // allocs per action
 		ok      func(err error) bool
 	}{
-		{load.KindCommit, 15, func(err error) bool { return err == nil }},
-		{load.KindSignal, 22, func(err error) bool {
+		{load.KindCommit, 12, func(err error) bool { return err == nil }},
+		{load.KindSignal, 19, func(err error) bool {
 			se, ok := caaction.AsSignalled(err)
 			return ok && se.Exc == "overload"
 		}},
-		{load.KindAbort, 40, caaction.IsUndone},
-		{load.KindStorm, 19, func(err error) bool { return err == nil }},
+		{load.KindAbort, 37, caaction.IsUndone},
+		{load.KindStorm, 16, func(err error) bool { return err == nil }},
 	} {
 		t.Run(tc.kind, func(t *testing.T) {
 			sys, err := caaction.New(caaction.WithRealTime(), caaction.WithSimTransport(0))

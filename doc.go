@@ -39,8 +39,10 @@
 // kept separate on the wire by per-instance identifier tags that a
 // demultiplexing layer routes by (one shared transport endpoint per thread
 // address, no matter how many instances are in flight; completed instances
-// are garbage-collected). Thread.Perform remains the single-action N=1 case
-// of the same machinery.
+// are garbage-collected). A Thread made with System.Thread is a role of one
+// more instance on the same demultiplexer, under the reserved tag "t", so
+// Thread.Perform runs the same code path as StartAction and shares thread
+// addresses with it.
 //
 // Sustained high-concurrency churn is cheap by construction: StartAction
 // runs each role on a reused runner goroutine (the most recently parked

@@ -109,7 +109,8 @@ func TestDrainContextCancel(t *testing.T) {
 }
 
 // TestStartTagged pins caller-assigned instance tags: the tag becomes the
-// handle id (and thus the wire prefix), and malformed tags are rejected.
+// handle id (and thus the wire prefix), and malformed tags and the
+// System.Thread instance's tag "t" are rejected.
 func TestStartTagged(t *testing.T) {
 	sys, err := caaction.New()
 	if err != nil {
@@ -120,7 +121,7 @@ func TestStartTagged(t *testing.T) {
 	progs := map[string]caaction.RoleProgram{
 		"only": {Body: func(ctx *caaction.Context) error { return nil }},
 	}
-	for _, bad := range []string{"", "a!b", "a/b", "a#1"} {
+	for _, bad := range []string{"", "a!b", "a/b", "a#1", "t"} {
 		if _, err := sys.StartTagged(context.Background(), bad, spec, progs); err == nil {
 			t.Errorf("StartTagged(%q) succeeded, want tag rejection", bad)
 		}

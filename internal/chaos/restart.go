@@ -10,6 +10,8 @@ import (
 
 	"caaction/internal/core"
 	"caaction/internal/except"
+	"caaction/internal/protocol"
+	"caaction/internal/transport"
 	"caaction/internal/vclock"
 	"caaction/internal/wal"
 )
@@ -85,7 +87,7 @@ func GenerateRestart(seed int64) Scenario {
 // participants that sleep until their virtual instant. They start after
 // every action participant, so their goroutine ids — and with them the
 // deterministic schedule — are fixed relative to the participants'.
-func restartTimers(clk *vclock.Virtual, engine *Engine, rt *core.Runtime, s Scenario, outer *core.Spec, res *Result, mu *sync.Mutex, rec *wal.Memory) []func() {
+func restartTimers(clk *vclock.Virtual, engine *Engine, rt *core.Runtime, mux *transport.Mux, s Scenario, outer *core.Spec, res *Result, mu *sync.Mutex, rec *wal.Memory) []func() {
 	plan := *s.Restart
 	return []func(){
 		func() {
@@ -95,7 +97,7 @@ func restartTimers(clk *vclock.Virtual, engine *Engine, rt *core.Runtime, s Scen
 		},
 		func() {
 			clk.Sleep(plan.RebirthAt)
-			rebirth(clk, engine, rt, s, outer, res, mu, rec, plan)
+			rebirth(clk, engine, rt, mux, s, outer, res, mu, rec, plan)
 		},
 	}
 }
@@ -107,7 +109,7 @@ func restartTimers(clk *vclock.Virtual, engine *Engine, rt *core.Runtime, s Scen
 // the survivors re-announce the entry barrier and the resolution rounds
 // continue with the reborn thread participating; anything older than the
 // window is abandoned (MarkDead), the deterministic abort.
-func rebirth(clk *vclock.Virtual, engine *Engine, rt *core.Runtime, s Scenario, outer *core.Spec, res *Result, mu *sync.Mutex, rec *wal.Memory, plan RestartPlan) {
+func rebirth(clk *vclock.Virtual, engine *Engine, rt *core.Runtime, mux *transport.Mux, s Scenario, outer *core.Spec, res *Result, mu *sync.Mutex, rec *wal.Memory, plan RestartPlan) {
 	victim := plan.Thread
 	now := clk.Now()
 	st := rec.State()
@@ -152,17 +154,20 @@ func rebirth(clk *vclock.Virtual, engine *Engine, rt *core.Runtime, s Scenario, 
 	k := open[0]
 	as := st.Actions[k]
 	age := now - time.Duration(as.JoinedWall)
-	ct, err := rt.NewThread(victim)
+	// The reborn thread is a role of the instance it was killed in.
+	tag := protocol.InstanceOf(k.Action)
+	ep, err := mux.Open(tag, victim)
 	if err != nil {
 		engine.note(now, "rebirth "+victim+": "+err.Error())
 		report("error: " + err.Error())
 		return
 	}
+	ct := rt.NewThreadOn(victim, ep, protocol.TagInstance(tag, ""))
+	defer func() { _ = ct.Close() }()
 	if age > plan.Window {
 		// The resolution window has passed: abandon deterministically
 		// rather than drag peers through a stale round (§3.4).
 		ct.MarkDead(k.Action)
-		_ = ct.Close()
 		engine.note(now, fmt.Sprintf("rebirth %s: %s outside window (age %v > %v), abandoned",
 			victim, k.Action, age, plan.Window))
 		report("lost")

@@ -66,7 +66,8 @@ type Scenario struct {
 	// action runs as that many independent concurrent instances on ONE
 	// runtime, multiplexed over shared per-thread transport endpoints
 	// (transport.Mux). Participants are then keyed "p<k>!T<i>". 0 or 1 is
-	// the single-instance regime with unchanged wire format and trace shape.
+	// the single-instance regime: one instance, "p1", keyed by bare thread
+	// ids.
 	Parallel   int
 	Resolver   string
 	Latency    time.Duration
@@ -90,13 +91,10 @@ func (s Scenario) ThreadIDs() []string {
 	return out
 }
 
-// instanceTags returns the concurrent instance tags of the run: a single ""
-// (the untagged single-instance wire format) unless Parallel > 1.
+// instanceTags returns the instance tags of the run, p1..p<Parallel> (one
+// instance when Parallel <= 1).
 func (s Scenario) instanceTags() []string {
-	if s.Parallel <= 1 {
-		return []string{""}
-	}
-	out := make([]string, s.Parallel)
+	out := make([]string, max(s.Parallel, 1))
 	for i := range out {
 		out[i] = fmt.Sprintf("p%d", i+1)
 	}
@@ -106,8 +104,8 @@ func (s Scenario) instanceTags() []string {
 // participantKey names one (instance, thread) participant in Outcomes and
 // Decisions: the bare thread id in single-instance runs, "tag!thread" when
 // the concurrent-actions axis is active.
-func participantKey(tag, thread string) string {
-	if tag == "" {
+func (s Scenario) participantKey(tag, thread string) string {
+	if s.Parallel <= 1 {
 		return thread
 	}
 	return tag + "!" + thread
@@ -255,7 +253,7 @@ func (r *Result) Participants() []string {
 	var out []string
 	for _, tag := range r.Scenario.instanceTags() {
 		for _, th := range r.Scenario.ThreadIDs() {
-			out = append(out, participantKey(tag, th))
+			out = append(out, r.Scenario.participantKey(tag, th))
 		}
 	}
 	return out
@@ -287,7 +285,6 @@ func RunWith(s Scenario, resolverName string) (*Result, error) {
 	var rec *wal.Memory
 	cfg := core.Config{
 		Clock:         clk,
-		Network:       env.Net,
 		Protocol:      proto,
 		Metrics:       env.Metrics,
 		SignalTimeout: sigTO,
@@ -331,7 +328,7 @@ func RunWith(s Scenario, resolverName string) (*Result, error) {
 	var mu sync.Mutex
 	program := func(tag string) func(core.Role) core.RoleProgram {
 		return func(r core.Role) core.RoleProgram {
-			th, key := r.Thread, participantKey(tag, r.Thread)
+			th, key := r.Thread, s.participantKey(tag, r.Thread)
 			handlers := make(map[except.ID]core.Handler, g.Len())
 			for _, id := range g.Nodes() {
 				handlers[id] = func(ctx *core.Context, resolved except.ID, raised []except.Raised) error {
@@ -370,59 +367,34 @@ func RunWith(s Scenario, resolverName string) (*Result, error) {
 	}
 
 	// The fault engine arms its crash timers and the restart plan its kill
-	// and rebirth timers, so both are set up inside the start. With the
-	// concurrent-actions axis active, every instance's threads get virtual
-	// endpoints demultiplexed from shared per-thread endpoints; the
-	// single-instance regime keeps the untagged one-endpoint-per-thread
-	// wiring (and trace shape) of earlier revisions. The order of setup —
-	// the engine, all threads of instance 1, then instance 2, …, then the
+	// and rebirth timers, so both are set up inside the start. Every
+	// instance's threads get virtual endpoints demultiplexed from shared
+	// per-thread endpoints, and each participant closes its thread when
+	// its Perform returns, so the shared endpoints (and their pumps) are
+	// released once the last instance completes. The order of setup — the
+	// engine, all threads of instance 1, then instance 2, …, then the
 	// participants in the same order, then the restart timers — fixes
 	// goroutine ids and is part of the deterministic contract.
 	var engine *Engine
 	results := make(map[string]map[string]error)
 	err = env.Run(func() ([]func(), error) {
 		engine = NewEngine(clk, env.Net, s.Seed^0x5DEECE66D, s.Faults, threads)
-		var mux *transport.Mux
-		if s.Parallel > 1 {
-			mux = transport.NewMux(clk, env.Net)
-		}
+		mux := transport.NewMux(clk, env.Net)
 		var participants []func()
 		for _, tag := range s.instanceTags() {
-			cts := make(map[string]*core.Thread, len(threads))
-			for _, th := range threads {
-				if tag == "" {
-					ct, err := rt.NewThread(th)
-					if err != nil {
-						return nil, err
-					}
-					cts[th] = ct
-					continue
-				}
-				ep, err := mux.Open(tag, th)
-				if err != nil {
-					return nil, err
-				}
-				cts[th] = rt.NewThreadOn(th, ep, tag)
+			prog := program(tag)
+			ps, outcomes, err := rt.Participants(mux, tag, outer, func(th *core.Thread, r core.Role) error {
+				return th.Perform(outer, r.Name, prog(r))
+			})
+			if err != nil {
+				return nil, err
 			}
-			ps, outcomes := core.Participants(outer, cts, program(tag))
 			results[tag] = outcomes
-			if tag != "" {
-				for i, r := range outer.Roles {
-					perform, ct := ps[i], cts[r.Thread]
-					ps[i] = func() {
-						perform()
-						// Deregister the instance so the shared endpoints
-						// (and their pumps) are garbage-collected when the
-						// last instance completes.
-						_ = ct.Close()
-					}
-				}
-			}
 			participants = append(participants, ps...)
 		}
 		if s.Restart != nil {
 			res.Reborn = make(map[string]string, 1)
-			participants = append(participants, restartTimers(clk, engine, rt, s, outer, res, &mu, rec)...)
+			participants = append(participants, restartTimers(clk, engine, rt, mux, s, outer, res, &mu, rec)...)
 		}
 		return participants, nil
 	})
@@ -431,7 +403,7 @@ func RunWith(s Scenario, resolverName string) (*Result, error) {
 	}
 	for tag, outcomes := range results {
 		for th, err := range outcomes {
-			res.Outcomes[participantKey(tag, th)] = classify(err)
+			res.Outcomes[s.participantKey(tag, th)] = classify(err)
 		}
 	}
 

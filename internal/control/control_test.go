@@ -22,7 +22,7 @@ type cellEnv struct {
 func newCell(t *testing.T, cfg control.Config, coreCfg func(*core.Config)) *cellEnv {
 	t.Helper()
 	env := simenv.New(simenv.Latency(time.Millisecond))
-	cc := core.Config{Clock: env.Clock, Network: env.Net, Metrics: env.Metrics}
+	cc := core.Config{Clock: env.Clock, Metrics: env.Metrics}
 	if coreCfg != nil {
 		coreCfg(&cc)
 	}
@@ -31,7 +31,7 @@ func newCell(t *testing.T, cfg control.Config, coreCfg func(*core.Config)) *cell
 		t.Fatal(err)
 	}
 	plant := prodcell.New(env.Clock, prodcell.DefaultConfig())
-	ctl, err := control.New(rt, plant, cfg)
+	ctl, err := control.New(rt, transport.NewMux(env.Clock, env.Net), plant, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestLostMessageDegradesToFailure(t *testing.T) {
 	cfg.MLTSignalTimeout = 2 * time.Second
 	env := newCell(t, cfg, nil)
 	env.net.SetFault(func(from, to string, msg protocol.Message) transport.Fault {
-		if msg.Kind == protocol.KindToBeSignalled && from == control.ThTable && msg.Action == "Produce_Blank#1/Table_Press_Robot#1/Unload_Table#1/Move_Loaded_Table#1" {
+		if msg.Kind == protocol.KindToBeSignalled && from == control.ThTable && msg.Action == "c1!Produce_Blank#1/Table_Press_Robot#1/Unload_Table#1/Move_Loaded_Table#1" {
 			return transport.Drop
 		}
 		return transport.Deliver

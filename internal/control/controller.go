@@ -27,6 +27,7 @@ package control
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -34,6 +35,7 @@ import (
 	"caaction/internal/except"
 	"caaction/internal/prodcell"
 	"caaction/internal/simenv"
+	"caaction/internal/transport"
 )
 
 // Thread identifiers of the controller.
@@ -158,7 +160,10 @@ type Controller struct {
 	plant *prodcell.Plant
 	cfg   Config
 
-	threads map[string]*core.Thread
+	// mux carries every cycle's threads; cycles counts the cycles run,
+	// which name their instances ("c1", "c2", …).
+	mux    *transport.Mux
+	cycles int
 
 	specProduce *core.Spec
 	specLoad    *core.Spec
@@ -173,8 +178,9 @@ type Controller struct {
 	handled map[string][]except.ID
 }
 
-// New creates the controller threads on rt and builds the action specs.
-func New(rt *core.Runtime, plant *prodcell.Plant, cfg Config) (*Controller, error) {
+// New builds the action specs of a controller whose threads run on rt, as
+// roles of one mux instance per cycle.
+func New(rt *core.Runtime, mux *transport.Mux, plant *prodcell.Plant, cfg Config) (*Controller, error) {
 	if cfg.SensorTimeout <= 0 {
 		cfg.SensorTimeout = DefaultConfig().SensorTimeout
 	}
@@ -185,15 +191,8 @@ func New(rt *core.Runtime, plant *prodcell.Plant, cfg Config) (*Controller, erro
 		rt:      rt,
 		plant:   plant,
 		cfg:     cfg,
-		threads: make(map[string]*core.Thread),
+		mux:     mux,
 		handled: make(map[string][]except.ID),
-	}
-	for _, id := range Threads() {
-		th, err := rt.NewThread(id)
-		if err != nil {
-			return nil, fmt.Errorf("control: %w", err)
-		}
-		c.threads[id] = th
 	}
 	c.buildSpecs()
 	return c, nil
@@ -317,17 +316,26 @@ func (c *Controller) note(thread string, resolved except.ID) {
 // RunCycle executes one Produce_Blank action across all threads, one
 // goroutine per controller thread, and returns once the runtime clock has
 // no goroutine left to wait for. It must be called from a goroutine the
-// clock does not track.
+// clock does not track. A thread address already bound elsewhere fails
+// every role with the bind error.
 func (c *Controller) RunCycle() *Report {
 	rep := &Report{}
-	// The threads exist since New, so setup has nothing to bind or fail.
-	_ = simenv.Start(c.rt.Clock(), func() ([]func(), error) {
+	c.cycles++
+	tag := "c" + strconv.Itoa(c.cycles)
+	err := simenv.Start(c.rt.Clock(), func() ([]func(), error) {
 		var participants []func()
-		participants, rep.Outcomes = core.Participants(c.specProduce, c.threads, func(r core.Role) core.RoleProgram {
-			return c.produceProgram(r.Name)
+		var err error
+		participants, rep.Outcomes, err = c.rt.Participants(c.mux, tag, c.specProduce, func(th *core.Thread, r core.Role) error {
+			return th.Perform(c.specProduce, r.Name, c.produceProgram(r.Name))
 		})
-		return participants, nil
+		return participants, err
 	})
+	if err != nil {
+		rep.Outcomes = make(map[string]error, len(c.specProduce.Roles))
+		for _, r := range c.specProduce.Roles {
+			rep.Outcomes[r.Thread] = err
+		}
+	}
 	c.mu.Lock()
 	rep.Handled = make(map[string][]except.ID, len(c.handled))
 	for k, v := range c.handled {

@@ -53,8 +53,8 @@ func (c *Context) ActionID() string { return c.id }
 // form cached on the frame — no string splitting.
 func (c *Context) Depth() int { return c.frame().pid.Depth }
 
-// InstanceTag returns the mux instance tag of the concurrent action
-// instance this frame belongs to ("" on the single-action wire format).
+// InstanceTag returns the mux instance tag of the action instance this
+// frame belongs to.
 func (c *Context) InstanceTag() string { return c.frame().pid.Tag }
 
 // SpecName returns the action's specification name.

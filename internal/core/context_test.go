@@ -37,7 +37,7 @@ func TestContextAccessors(t *testing.T) {
 			t.Fatalf("%s: %v", th, err)
 		}
 	}
-	if id != "acc#1" || role != "a" || self != "T1" || name != "acc" || round != 0 {
+	if id != "t!acc#1" || role != "a" || self != "T1" || name != "acc" || round != 0 {
 		t.Fatalf("accessors: %q %q %q %q %d", id, role, self, name, round)
 	}
 }

@@ -4,7 +4,7 @@
 // (§5.1), rebuilt as a Go library.
 //
 // A Runtime hosts Threads (the paper's participating execution threads),
-// each owning a transport endpoint. Threads perform CA actions described by
+// each reading from its own endpoint of a transport.Mux. Threads perform CA actions described by
 // Specs: they synchronise at the entry point, run their role bodies
 // cooperatively, raise and resolve concurrent exceptions through a pluggable
 // resolution protocol (internal/resolve), handle the resolved exception with
@@ -40,8 +40,6 @@ import (
 type Config struct {
 	// Clock drives all timing; required.
 	Clock vclock.Clock
-	// Network carries protocol messages; required.
-	Network transport.Network
 	// Objects is the external atomic-object registry; created when nil.
 	Objects *atomicobj.Registry
 	// Protocol is the resolution protocol; resolve.Coordinated when nil.
@@ -89,7 +87,6 @@ type Recorder interface {
 // or simulation.
 type Runtime struct {
 	clock   vclock.Clock
-	net     transport.Network
 	objects *atomicobj.Registry
 	proto   resolve.Protocol
 	metrics *trace.Metrics
@@ -122,9 +119,6 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Clock == nil {
 		return nil, fmt.Errorf("core: Config.Clock is required")
 	}
-	if cfg.Network == nil {
-		return nil, fmt.Errorf("core: Config.Network is required")
-	}
 	if cfg.Objects == nil {
 		cfg.Objects = atomicobj.NewRegistry(cfg.Clock)
 	}
@@ -136,7 +130,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	rt := &Runtime{
 		clock:   cfg.Clock,
-		net:     cfg.Network,
 		objects: cfg.Objects,
 		proto:   cfg.Protocol,
 		metrics: cfg.Metrics,
@@ -175,13 +168,11 @@ type Thread struct {
 	rt *Runtime
 	id string
 	ep transport.Endpoint
-	// prefix tags every top-level action instance this thread performs
-	// ("a7!" for a muxed thread, "" for the single-action path), so
-	// concurrent instances sharing a transport stay distinguishable on the
-	// wire; see internal/protocol's action-instance identifier format.
-	// tag is the bare instance tag ("a7", "" when unmuxed).
+	// prefix ("a7!") tags every top-level action instance this thread
+	// performs with its mux instance tag, so concurrent instances sharing a
+	// transport stay distinguishable on the wire; see internal/protocol's
+	// action-instance identifier format.
 	prefix string
-	tag    string
 	// logOn caches whether the runtime has a log, so hot paths skip event
 	// construction (and the boxing of logf arguments) entirely when
 	// logging is disabled.
@@ -225,25 +216,15 @@ type seqKey struct {
 	name   string
 }
 
-// NewThread creates a thread with its own transport endpoint.
-func (rt *Runtime) NewThread(id string) (*Thread, error) {
-	ep, err := rt.net.Endpoint(id)
-	if err != nil {
-		return nil, fmt.Errorf("core: thread %q: %w", id, err)
-	}
-	return rt.NewThreadOn(id, ep, ""), nil
-}
-
-// NewThreadOn creates a thread reading from an externally provided endpoint
-// — typically a virtual endpoint handed out by internal/transport.Mux — as
-// one participant of the named concurrent action instance. Every top-level
-// action the thread performs gets the instance tag as its identifier prefix,
-// which is what the mux demultiplexes inbound messages by. An empty instance
-// leaves identifiers untagged (the single-action wire format).
-func (rt *Runtime) NewThreadOn(id string, ep transport.Endpoint, instance string) *Thread {
-	prefix := ""
-	if instance != "" {
-		prefix = protocol.TagInstance(instance, "")
+// NewThreadOn creates a thread reading from a virtual endpoint handed out
+// by internal/transport.Mux, as one participant of the mux instance whose
+// identifier prefix is prefix: the tag and its '!' terminator
+// (protocol.TagInstance(tag, "")), built once per instance by the caller
+// and shared by its threads. Every top-level action the thread performs
+// gets the prefix, which is what the mux demultiplexes inbound messages by.
+func (rt *Runtime) NewThreadOn(id string, ep transport.Endpoint, prefix string) *Thread {
+	if len(prefix) < 2 || prefix[len(prefix)-1] != '!' {
+		panic(fmt.Sprintf("core: thread %q: %q is not an instance prefix", id, prefix))
 	}
 	th, _ := rt.threadPool.Get().(*Thread)
 	if th == nil {
@@ -259,7 +240,6 @@ func (rt *Runtime) NewThreadOn(id string, ep transport.Endpoint, instance string
 	th.id = id
 	th.ep = ep
 	th.prefix = prefix
-	th.tag = instance
 	th.logOn = rt.log.Enabled()
 	// Adopt the endpoint into the run-to-completion lane when it offers one
 	// (real-time mux endpoints do); deliveries then execute inline against
@@ -303,7 +283,7 @@ func (th *Thread) MarkDead(action string) {
 }
 
 // Recycle scrubs an idle, closed thread and returns it to the runtime's
-// pool, so the next NewThread/NewThreadOn reuses its allocations (the
+// pool, so the next NewThreadOn reuses its allocations (the
 // struct, its bookkeeping maps, the bound send function) instead of paying
 // full lifecycle freight per action instance. Only a thread's exclusive
 // owner may call it, after Close, and must drop every reference: a recycled
@@ -315,7 +295,7 @@ func (th *Thread) Recycle() {
 	if len(th.stack) != 0 {
 		return
 	}
-	th.id, th.prefix, th.tag = "", "", ""
+	th.id, th.prefix = "", ""
 	th.ep = nil
 	th.logOn = false
 	th.deadline = 0
@@ -374,10 +354,7 @@ func (th *Thread) instancePID(parent *frame, spec *Spec) protocol.ParsedID {
 		return parent.pid.Child(base)
 	}
 	// Top-level actions carry the mux instance tag.
-	if th.prefix == "" {
-		return protocol.ParsedID{Raw: base, Base: base}
-	}
-	return protocol.ParsedID{Raw: th.prefix + base, Tag: th.tag, Base: base}
+	return protocol.ParsedID{Raw: th.prefix + base, Tag: th.prefix[:len(th.prefix)-1], Base: base}
 }
 
 // frame is one level of the thread's action stack (the paper's SAi).

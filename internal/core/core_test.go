@@ -22,40 +22,55 @@ type env struct {
 	threads map[string]*core.Thread
 }
 
+// openThread opens the thread address id on mux as a role of the
+// long-lived instance "t", whose actions' identifiers read "t!<spec>#<n>".
+func openThread(t *testing.T, rt *core.Runtime, mux *transport.Mux, id string) *core.Thread {
+	t.Helper()
+	ep, err := mux.Open("t", id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt.NewThreadOn(id, ep, "t!")
+}
+
 func newEnv(t *testing.T, latency time.Duration, n int) *env {
 	t.Helper()
 	sim := simenv.New(simenv.Latency(latency))
-	rt, err := core.New(core.Config{Clock: sim.Clock, Network: sim.Net, Metrics: sim.Metrics})
+	rt, err := core.New(core.Config{Clock: sim.Clock, Metrics: sim.Metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := &env{Env: sim, t: t, rt: rt, threads: make(map[string]*core.Thread)}
+	mux := transport.NewMux(sim.Clock, sim.Net)
 	for i := 1; i <= n; i++ {
 		id := fmt.Sprintf("T%d", i)
-		th, err := rt.NewThread(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.threads[id] = th
+		e.threads[id] = openThread(t, rt, mux, id)
 	}
 	return e
 }
 
 // run performs the same spec on every bound thread and returns per-thread
-// outcomes.
+// outcomes. The threads stay open for the next run.
 func (e *env) run(spec *core.Spec, progs map[string]core.RoleProgram) map[string]error {
 	e.t.Helper()
-	for _, r := range spec.Roles {
+	var mu sync.Mutex
+	results := make(map[string]error, len(spec.Roles))
+	participants := make([]func(), len(spec.Roles))
+	for i, r := range spec.Roles {
+		th, prog := e.threads[r.Thread], progs[r.Name]
 		if _, ok := progs[r.Name]; !ok {
 			e.t.Fatalf("no program for role %q", r.Name)
 		}
-		if e.threads[r.Thread] == nil {
+		if th == nil {
 			e.t.Fatalf("no thread %q", r.Thread)
 		}
+		participants[i] = func() {
+			err := th.Perform(spec, r.Name, prog)
+			mu.Lock()
+			results[r.Thread] = err
+			mu.Unlock()
+		}
 	}
-	participants, results := core.Participants(spec, e.threads, func(r core.Role) core.RoleProgram {
-		return progs[r.Name]
-	})
 	e.Go(participants...)
 	return results
 }
@@ -601,14 +616,14 @@ func TestExitAbandonedByLateRaise(t *testing.T) {
 func TestLostVoteDegradesToFailure(t *testing.T) {
 	sim := simenv.New(simenv.Latency(time.Millisecond))
 	rt, err := core.New(core.Config{
-		Clock: sim.Clock, Network: sim.Net, Metrics: sim.Metrics,
+		Clock: sim.Clock, Metrics: sim.Metrics,
 		SignalTimeout: 500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, _ := rt.NewThread("T1")
-	t2, _ := rt.NewThread("T2")
+	mux := transport.NewMux(sim.Clock, sim.Net)
+	t1, t2 := openThread(t, rt, mux, "T1"), openThread(t, rt, mux, "T2")
 	// Drop T2's votes to T1 (the paper's l_mes fault).
 	sim.Net.SetFault(func(from, to string, msg protocol.Message) transport.Fault {
 		if msg.Kind == protocol.KindToBeSignalled && from == "T2" {
@@ -740,7 +755,7 @@ func TestSignalValidation(t *testing.T) {
 
 // TestContextDepthAndInstanceTag pins the parsed-identifier cache on the
 // frame: depth and mux tag are read straight from the cached form, for
-// top-level and nested frames, with and without an instance tag.
+// top-level and nested frames.
 func TestContextDepthAndInstanceTag(t *testing.T) {
 	e := newEnv(t, time.Millisecond, 2)
 	nested := spec2(t, "inner", graph3(t))
@@ -772,20 +787,20 @@ func TestContextDepthAndInstanceTag(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got.id != "outer#1" || got.d != 0 || got.tag != "" {
+	if got.id != "t!outer#1" || got.d != 0 || got.tag != "t" {
 		t.Fatalf("outer frame: id=%q depth=%d tag=%q", got.id, got.d, got.tag)
 	}
-	if got.nid != "outer#1/inner#1" || got.nd != 1 || got.ntag != "" {
+	if got.nid != "t!outer#1/inner#1" || got.nd != 1 || got.ntag != "t" {
 		t.Fatalf("nested frame: id=%q depth=%d tag=%q", got.nid, got.nd, got.ntag)
 	}
 }
 
-// TestInstanceTagOnMuxedThread: a thread created with an instance tag
-// (NewThreadOn) derives tagged identifiers whose cached parsed form carries
-// the tag at every nesting level.
+// TestInstanceTagOnMuxedThread: a thread created with an instance prefix
+// (NewThreadOn) derives identifiers tagged with it, and its cached parsed
+// form carries the bare tag.
 func TestInstanceTagOnMuxedThread(t *testing.T) {
 	sim := simenv.New()
-	rt, err := core.New(core.Config{Clock: sim.Clock, Network: sim.Net})
+	rt, err := core.New(core.Config{Clock: sim.Clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -798,7 +813,7 @@ func TestInstanceTagOnMuxedThread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	th := rt.NewThreadOn("T1", ep, "a7")
+	th := rt.NewThreadOn("T1", ep, "a7!")
 	var id, tag string
 	var depth int
 	sim.Go(func() {

@@ -23,7 +23,7 @@ func TestActionOverTCP(t *testing.T) {
 	clk := vclock.NewReal()
 	net := transport.NewTCP(clk)
 	defer func() { _ = net.Close() }()
-	rt, err := core.New(core.Config{Clock: clk, Network: net})
+	rt, err := core.New(core.Config{Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,10 @@ func TestActionOverTCP(t *testing.T) {
 	errs := make(map[string]error)
 	var mu sync.Mutex
 	// Bind every thread before any starts sending.
+	mux := transport.NewMux(clk, net)
 	threads := make([]*core.Thread, len(spec.Roles))
 	for i, r := range spec.Roles {
-		if threads[i], err = rt.NewThread(r.Thread); err != nil {
-			t.Fatal(err)
-		}
+		threads[i] = openThread(t, rt, mux, r.Thread)
 	}
 	for i, r := range spec.Roles {
 		role, th := r, threads[i]
@@ -345,7 +344,7 @@ func TestNestedAbortPreservesRelayedResolution(t *testing.T) {
 		default:
 		}
 	})
-	rt, err := core.New(core.Config{Clock: sim.Clock, Network: sim.Net, Protocol: resolve.CR86{}})
+	rt, err := core.New(core.Config{Clock: sim.Clock, Protocol: resolve.CR86{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,18 +391,18 @@ func TestNestedAbortPreservesRelayedResolution(t *testing.T) {
 		return ctx.Raise("halt", "abort the nested pair")
 	}}
 	progs := map[string]core.RoleProgram{"a": descend("a"), "b": descend("b"), "c": raiser}
-	threads := make(map[string]*core.Thread, len(outer.Roles))
-	for _, r := range outer.Roles {
-		ct, err := rt.NewThread(r.Thread)
-		if err != nil {
-			t.Fatal(err)
-		}
-		threads[r.Thread] = ct
-	}
-	participants, outcomes := core.Participants(outer, threads, func(r core.Role) core.RoleProgram {
-		return progs[r.Name]
+	var outcomes map[string]error
+	err = sim.Run(func() ([]func(), error) {
+		var participants []func()
+		var err error
+		participants, outcomes, err = rt.Participants(transport.NewMux(sim.Clock, sim.Net), "t", outer, func(th *core.Thread, r core.Role) error {
+			return th.Perform(outer, r.Name, progs[r.Name])
+		})
+		return participants, err
 	})
-	sim.Go(participants...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case info := <-failed:
 		t.Fatalf("action deadlocked — enclosing-frame resolution message lost during abort window: %s", info)

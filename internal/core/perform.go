@@ -38,26 +38,42 @@ func (th *Thread) Perform(spec *Spec, role string, prog RoleProgram) error {
 	return err
 }
 
-// Participants returns one participant per role of spec, in role order,
-// for a simulation start (simenv.Start): each performs its role on the
-// thread that threads holds under the role's thread id, with the program
-// that program returns for the role, and records the Perform result in the
-// returned map under that thread id. Read the map once every participant
-// has returned.
-func Participants(spec *Spec, threads map[string]*Thread, program func(Role) RoleProgram) ([]func(), map[string]error) {
+// Participants opens a thread for every role of spec on mux, all of them
+// participants of the one action instance tag, and returns one participant
+// per role, in role order, for a simulation start (simenv.Start): each
+// calls run with its role's thread (one Perform of the role, or several in
+// a loop), closes the thread, which releases its endpoint and with the
+// address's last one the mux pump, and records run's result in the
+// returned map under the role's thread id. Call it from the start's setup,
+// so every endpoint is bound before any participant runs, and read the map
+// once every participant has returned.
+func (rt *Runtime) Participants(mux *transport.Mux, tag string, spec *Spec, run func(*Thread, Role) error) ([]func(), map[string]error, error) {
+	prefix := protocol.TagInstance(tag, "")
+	threads := make([]*Thread, len(spec.Roles))
+	for i, r := range spec.Roles {
+		ep, err := mux.Open(tag, r.Thread)
+		if err != nil {
+			for _, th := range threads[:i] {
+				_ = th.Close()
+			}
+			return nil, nil, fmt.Errorf("core: thread %q: %w", r.Thread, err)
+		}
+		threads[i] = rt.NewThreadOn(r.Thread, ep, prefix)
+	}
 	var mu sync.Mutex
 	results := make(map[string]error, len(spec.Roles))
 	participants := make([]func(), len(spec.Roles))
 	for i, r := range spec.Roles {
-		th, prog := threads[r.Thread], program(r)
+		th := threads[i]
 		participants[i] = func() {
-			err := th.Perform(spec, r.Name, prog)
+			err := run(th, r)
+			_ = th.Close()
 			mu.Lock()
 			results[r.Thread] = err
 			mu.Unlock()
 		}
 	}
-	return participants, results
+	return participants, results, nil
 }
 
 // perform runs one action frame to completion under the given parent frame

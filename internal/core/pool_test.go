@@ -20,22 +20,39 @@ import (
 func poolEnv(t *testing.T) (*simenv.Env, *Runtime) {
 	t.Helper()
 	env := simenv.New()
-	rt, err := New(Config{Clock: env.Clock, Network: env.Net, Metrics: env.Metrics})
+	rt, err := New(Config{Clock: env.Clock, Metrics: env.Metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return env, rt
 }
 
+// poolThreads opens T1 and T2 on a fresh mux over env as roles of the
+// instance "t".
+func poolThreads(t *testing.T, env *simenv.Env, rt *Runtime) (t1, t2 *Thread) {
+	t.Helper()
+	mux := transport.NewMux(env.Clock, env.Net)
+	open := func(id string) *Thread {
+		ep, err := mux.Open("t", id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt.NewThreadOn(id, ep, "t!")
+	}
+	return open("T1"), open("T2")
+}
+
 // performPair performs poolSpec's two roles on t1 and t2, both with body.
 func performPair(t *testing.T, env *simenv.Env, spec *Spec, t1, t2 *Thread, body Body) {
 	t.Helper()
-	participants, results := Participants(spec, map[string]*Thread{"T1": t1, "T2": t2},
-		func(Role) RoleProgram { return RoleProgram{Body: body} })
-	env.Go(participants...)
-	for th, err := range results {
+	errs := make([]error, 2)
+	env.Go(
+		func() { errs[0] = t1.Perform(spec, "a", RoleProgram{Body: body}) },
+		func() { errs[1] = t2.Perform(spec, "b", RoleProgram{Body: body}) },
+	)
+	for i, err := range errs {
 		if err != nil {
-			t.Errorf("%s: %v", th, err)
+			t.Errorf("T%d: %v", i+1, err)
 		}
 	}
 }
@@ -65,14 +82,7 @@ func poolGraph(t *testing.T) *except.Graph {
 func TestThreadRecycleScrubsState(t *testing.T) {
 	env, rt := poolEnv(t)
 	spec := poolSpec(t, "hyg")
-	t1, err := rt.NewThread("T1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := rt.NewThread("T2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	t1, t2 := poolThreads(t, env, rt)
 	performPair(t, env, spec, t1, t2, func(ctx *Context) error {
 		return ctx.Compute(time.Millisecond)
 	})
@@ -92,8 +102,8 @@ func TestThreadRecycleScrubsState(t *testing.T) {
 	t1.deferred = &[]transport.Outbound{{To: "T2"}}
 	t1.park = parkState{kind: parkCompute}
 	t1.Recycle()
-	if t1.id != "" || t1.prefix != "" || t1.tag != "" || t1.ep != nil {
-		t.Errorf("recycled thread keeps identity: id=%q prefix=%q tag=%q ep=%v", t1.id, t1.prefix, t1.tag, t1.ep)
+	if t1.id != "" || t1.prefix != "" || t1.ep != nil {
+		t.Errorf("recycled thread keeps identity: id=%q prefix=%q ep=%v", t1.id, t1.prefix, t1.ep)
 	}
 	if len(t1.stack) != 0 || len(t1.retained) != 0 || len(t1.dead) != 0 || len(t1.seq) != 0 {
 		t.Errorf("recycled thread keeps state: stack=%d retained=%d dead=%d seq=%d",
@@ -114,14 +124,7 @@ func TestRecycledThreadRestartsInstanceSequence(t *testing.T) {
 	spec := poolSpec(t, "seq")
 
 	run := func() (id1, id2 string) {
-		t1, err := rt.NewThread("T1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t2, err := rt.NewThread("T2")
-		if err != nil {
-			t.Fatal(err)
-		}
+		t1, t2 := poolThreads(t, env, rt)
 		ids := make(chan string, 2)
 		body := func(ctx *Context) error {
 			ids <- ctx.ActionID()
@@ -135,24 +138,21 @@ func TestRecycledThreadRestartsInstanceSequence(t *testing.T) {
 		return <-ids, <-ids
 	}
 	id1, id2 := run()
-	if id1 != "seq#1" || id2 != "seq#1" {
-		t.Fatalf("first incarnation ids = %q/%q, want seq#1", id1, id2)
+	if id1 != "t!seq#1" || id2 != "t!seq#1" {
+		t.Fatalf("first incarnation ids = %q/%q, want t!seq#1", id1, id2)
 	}
 	// The recycled threads must restart at #1, not resume at #2.
 	id1, id2 = run()
-	if id1 != "seq#1" || id2 != "seq#1" {
-		t.Fatalf("recycled incarnation ids = %q/%q, want seq#1 (sequence state leaked)", id1, id2)
+	if id1 != "t!seq#1" || id2 != "t!seq#1" {
+		t.Fatalf("recycled incarnation ids = %q/%q, want t!seq#1 (sequence state leaked)", id1, id2)
 	}
 }
 
 // TestRecycleMidActionIsNoop: a thread still holding frames is mid-protocol
 // and must never enter the pool.
 func TestRecycleMidActionIsNoop(t *testing.T) {
-	_, rt := poolEnv(t)
-	th, err := rt.NewThread("T1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	env, rt := poolEnv(t)
+	th, _ := poolThreads(t, env, rt)
 	spec := &Spec{Name: "mid", Roles: []Role{{Name: "a", Thread: "T1"}}, Graph: poolGraph(t)}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
@@ -170,11 +170,8 @@ func TestRecycleMidActionIsNoop(t *testing.T) {
 // resolve methods, and the entered and votes slices at length 0 — votes
 // keeping its backing array with every slot zeroed.
 func TestFrameReleaseScrubsEverything(t *testing.T) {
-	_, rt := poolEnv(t)
-	th, err := rt.NewThread("T1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	env, rt := poolEnv(t)
+	th, _ := poolThreads(t, env, rt)
 	spec := &Spec{Name: "fr", Roles: []Role{{Name: "a", Thread: "T1"}}, Graph: poolGraph(t)}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
@@ -239,14 +236,7 @@ func TestFrameReleaseScrubsEverything(t *testing.T) {
 func TestStaleContextAccessors(t *testing.T) {
 	env, rt := poolEnv(t)
 	spec := poolSpec(t, "stale")
-	t1, err := rt.NewThread("T1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := rt.NewThread("T2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	t1, t2 := poolThreads(t, env, rt)
 	var held *Context
 	performPair(t, env, spec, t1, t2, func(ctx *Context) error {
 		if ctx.Self() == "T1" {
@@ -287,10 +277,10 @@ func TestStaleContextAccessors(t *testing.T) {
 		return nil
 	})
 	t.Logf("frame reused by the second action: %v", reused)
-	if ownID != "stale#2" || heldID != "stale#1" {
-		t.Errorf("ActionID: second action %q, held Context %q; want stale#2 and stale#1", ownID, heldID)
+	if ownID != "t!stale#2" || heldID != "t!stale#1" {
+		t.Errorf("ActionID: second action %q, held Context %q; want t!stale#2 and t!stale#1", ownID, heldID)
 	}
-	want := "core: Context for stale#1 used outside its frame"
+	want := "core: Context for t!stale#1 used outside its frame"
 	if msg, _ := txPanic.(string); msg != want {
 		t.Errorf("held Context's Tx() panicked with %v, want %q", txPanic, want)
 	}

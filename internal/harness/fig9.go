@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -122,26 +121,14 @@ func RunFig9Point(cfg Fig9Config) (time.Duration, error) {
 		},
 	}
 	// The application loops: each thread performs its role Loops times.
-	errs := make([]error, len(outer.Roles))
-	err = env.Run(func() ([]func(), error) {
-		threads, err := newThreads(rt, outer)
-		if err != nil {
-			return nil, err
-		}
-		participants := make([]func(), len(outer.Roles))
-		for i, r := range outer.Roles {
-			th, prog := threads[r.Thread], progs[r.Name]
-			participants[i] = func() {
-				for l := 0; l < cfg.Loops && errs[i] == nil; l++ {
-					errs[i] = th.Perform(outer, r.Name, prog)
-				}
+	err = runRoles(env, rt, outer, func(th *core.Thread, r core.Role) error {
+		for l := 0; l < cfg.Loops; l++ {
+			if err := th.Perform(outer, r.Name, progs[r.Name]); err != nil {
+				return err
 			}
 		}
-		return participants, nil
+		return nil
 	})
-	if err == nil {
-		err = errors.Join(errs...)
-	}
 	if err != nil {
 		return 0, fmt.Errorf("harness: fig9: %v", err)
 	}

@@ -18,6 +18,7 @@ import (
 	"caaction/internal/except"
 	"caaction/internal/resolve"
 	"caaction/internal/simenv"
+	"caaction/internal/transport"
 )
 
 // newSystem builds a simulated system with fixed one-way latency (the
@@ -27,39 +28,22 @@ func newSystem(latency time.Duration, proto resolve.Protocol) (*simenv.Env, *cor
 	env := simenv.New(simenv.Latency(latency))
 	rt, err := core.New(core.Config{
 		Clock:    env.Clock,
-		Network:  env.Net,
 		Protocol: proto,
 		Metrics:  env.Metrics,
 	})
 	return env, rt, err
 }
 
-// newThreads binds a thread for every role of spec.
-func newThreads(rt *core.Runtime, spec *core.Spec) (map[string]*core.Thread, error) {
-	threads := make(map[string]*core.Thread, len(spec.Roles))
-	for _, r := range spec.Roles {
-		th, err := rt.NewThread(r.Thread)
-		if err != nil {
-			return nil, err
-		}
-		threads[r.Thread] = th
-	}
-	return threads, nil
-}
-
-// perform runs one action of spec on a fresh thread per role, each role
-// with the program that program returns for it, and returns the first
-// role's error in role order.
-func perform(env *simenv.Env, rt *core.Runtime, spec *core.Spec, program func(core.Role) core.RoleProgram) error {
+// runRoles starts one instance of spec on env, one participant per role,
+// each calling run with its role's thread, and returns the first role's
+// error in role order.
+func runRoles(env *simenv.Env, rt *core.Runtime, spec *core.Spec, run func(*core.Thread, core.Role) error) error {
 	var results map[string]error
 	err := env.Run(func() ([]func(), error) {
-		threads, err := newThreads(rt, spec)
-		if err != nil {
-			return nil, err
-		}
 		var participants []func()
-		participants, results = core.Participants(spec, threads, program)
-		return participants, nil
+		var err error
+		participants, results, err = rt.Participants(transport.NewMux(env.Clock, env.Net), "h", spec, run)
+		return participants, err
 	})
 	if err != nil {
 		return err
@@ -70,6 +54,14 @@ func perform(env *simenv.Env, rt *core.Runtime, spec *core.Spec, program func(co
 		}
 	}
 	return nil
+}
+
+// perform runs one action of spec, each role with the program that program
+// returns for it, and returns the first role's error in role order.
+func perform(env *simenv.Env, rt *core.Runtime, spec *core.Spec, program func(core.Role) core.RoleProgram) error {
+	return runRoles(env, rt, spec, func(th *core.Thread, r core.Role) error {
+		return th.Perform(spec, r.Name, program(r))
+	})
 }
 
 // Seconds formats a duration as the paper prints times.

@@ -9,8 +9,7 @@ import "strings"
 type ParsedID struct {
 	// Raw is the identifier as it travels on the wire.
 	Raw string
-	// Tag is the mux instance tag ("" when untagged — the single-action
-	// wire format).
+	// Tag is the mux instance tag.
 	Tag string
 	// Parent is the enclosing action's full identifier including the tag
 	// ("" for a top-level action).

@@ -13,16 +13,12 @@
 // Every message carries the identifier of the action instance it belongs to
 // in its Action field. Identifiers are hierarchical: a nested action's
 // identifier is its parent's identifier, '/', the spec name and a per-parent
-// sequence number ("outer#1/inner#2"). Since the concurrent multi-action
-// runtime, an identifier may additionally start with a mux instance tag
-// terminated by '!' ("a7!transfer#1/leg#1"): the tag names one concurrent
-// top-level action instance multiplexed over a shared transport endpoint,
-// and the demultiplexer (internal/transport.Mux) routes inbound messages by
-// it. Tags never contain '!' or '/', and spec names may contain neither
-// (core.Spec.Validate enforces this), so InstanceOf is unambiguous.
-// Identifiers without a tag — the single-action N=1 path — are routed to
-// the thread's sole runtime instance exactly as before, which keeps the two
-// wire formats interoperable.
+// sequence number ("outer#1/inner#2"), and every identifier starts with a
+// mux instance tag terminated by '!' ("a7!transfer#1/leg#1"): the tag names
+// one top-level action instance multiplexed over a shared transport
+// endpoint, and the demultiplexer (internal/transport.Mux) routes inbound
+// messages by it. Tags never contain '!' or '/', and spec names may contain
+// neither (core.Spec.Validate enforces this), so InstanceOf is unambiguous.
 package protocol
 
 import (
@@ -120,8 +116,7 @@ func (m Message) String() string {
 }
 
 // InstanceOf extracts the mux instance tag from an action-instance
-// identifier: the prefix before the first '!', or "" when the identifier is
-// untagged (the single-action wire format).
+// identifier: the prefix before the first '!', or "" when there is none.
 func InstanceOf(action string) string {
 	if i := strings.IndexByte(action, '!'); i >= 0 {
 		return action[:i]

@@ -62,7 +62,7 @@ func TestInstanceTags(t *testing.T) {
 	cases := []struct {
 		action, instance string
 	}{
-		{"transfer#1", ""},                   // untagged single-action format
+		{"transfer#1", ""},                   // no tag
 		{"outer#1/inner#2", ""},              // nesting without a tag
 		{"a7!transfer#1", "a7"},              // tagged top-level
 		{"a7!transfer#1/leg#1", "a7"},        // tag inherited by nesting

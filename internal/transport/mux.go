@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,9 +55,11 @@ const muxShardCount = 32
 // Garbage collection: closing an instance's last endpoint leaves a bounded
 // tombstone in the tag table, and closing a thread address's last instance
 // tears its shared endpoint and pump down, releasing the address for
-// re-binding. The pump is started with Clock.Go, so under the virtual clock
-// it takes part in time advancement like every other runtime goroutine and
-// muxed simulations stay deterministic.
+// re-binding. The pump is a daemon goroutine of the clock (GoDaemon, where
+// the clock has it): under the virtual clock it takes part in time
+// advancement like every other runtime goroutine, so muxed simulations stay
+// deterministic, but Clock.Wait does not wait for it, so an endpoint left
+// open between actions (a long-lived thread) does not hold Wait up.
 type Mux struct {
 	clock vclock.Clock
 	net   Network
@@ -203,7 +206,11 @@ func (m *Mux) bind(thread string) (*muxShared, error) {
 		shard.shared = make(map[string]*muxShared)
 	}
 	shard.shared[thread] = sh
-	m.clock.Go(sh.pump)
+	if dc, ok := m.clock.(interface{ GoDaemon(func()) }); ok {
+		dc.GoDaemon(sh.pump)
+	} else {
+		m.clock.Go(sh.pump)
+	}
 	return sh, nil
 }
 
@@ -371,9 +378,10 @@ func (h handle) deliver(from string, msg *protocol.Message, corrupt bool) {
 }
 
 // MuxInstance is one action instance's record of its endpoints on a Mux:
-// the handle of each (instance, thread) endpoint, in open order. Entries are
-// only appended, so a closed endpoint's handle stays and delivery through it
-// drops on the endpoint's closed lane or generation. The first entries sit
+// the handle of each (instance, thread) endpoint, in open order. A closed
+// endpoint's handle stays, and delivery through it drops on the endpoint's
+// closed lane or generation, until a newer endpoint of its address
+// replaces it past the inline entries. The first entries sit
 // inline, so a record embedded in a per-action object (see OpenIn) costs no
 // allocation, and resolving a peer is a lock-free scan over them.
 type MuxInstance struct {
@@ -402,6 +410,7 @@ func (r *MuxInstance) find(to string) handle {
 	if n > len(r.first) {
 		r.mu.Lock()
 		defer r.mu.Unlock()
+		n = int(r.n.Load()) // an Open may have dropped entries
 	}
 	for i := n - 1; i >= 0; i-- {
 		if h := r.entry(i); h.sh.addr == to {
@@ -473,10 +482,15 @@ func (sh *muxShared) openLocked(rec *MuxInstance, instance string) (*muxEndpoint
 	ep.slot = len(sh.eps)
 	if h, n := (handle{sh: sh, ep: ep, gen: ep.gen}), int(rec.n.Load()); n < len(rec.first) {
 		rec.first[n] = h
+		rec.n.Add(1) // publishes the entry
 	} else {
+		// find returns an address's newest entry, so an older one past
+		// first is never read again: dropping it keeps a long-lived
+		// instance whose threads come and go (System.Thread's) bounded.
+		rec.more = slices.DeleteFunc(rec.more, func(o handle) bool { return o.sh.addr == sh.addr })
 		rec.more = append(rec.more, h)
+		rec.n.Store(int32(len(rec.first) + len(rec.more)))
 	}
-	rec.n.Add(1) // publishes the entry
 	return ep, nil
 }
 
@@ -523,9 +537,6 @@ func (sh *muxShared) pump() {
 // re-retained for the address's next bind.
 func (sh *muxShared) route(d Delivery) {
 	inst := protocol.InstanceOf(d.Msg.Action)
-	if inst == "" {
-		return // untagged stray
-	}
 	h, done := sh.mux.lookup(inst, sh.addr)
 	if h.ep == nil && !done {
 		sh.mu.Lock()

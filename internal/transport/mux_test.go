@@ -434,6 +434,42 @@ func TestMuxOpenCloseChurn(t *testing.T) {
 	}
 }
 
+// TestMuxLongLivedInstanceStaysBounded: one endpoint of an instance stays
+// open while its other addresses open and close over and over (threads of
+// System.Thread's instance coming and going). The instance's record keeps
+// one entry per address, not one per Open, and a message still reaches the
+// address's newest endpoint.
+func TestMuxLongLivedInstanceStaysBounded(t *testing.T) {
+	clk := vclock.NewReal()
+	mux := NewMux(clk, NewSim(SimConfig{Clock: clk}))
+	keep, err := mux.Open("t", "T0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(keep)
+	for i := 0; i < 1000; i++ {
+		ep, err := mux.Open("t", fmt.Sprintf("T%d", 1+i%3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = ep.Close()
+	}
+	if n := keep.(*muxEndpoint).rec.n.Load(); n > 4+4 {
+		t.Fatalf("record holds %d entries after 1000 opens over 4 addresses, want at most 8", n)
+	}
+	t1, err := mux.Open("t", "T1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(t1)
+	if err := keep.Send("T1", enter("t", "T0")); err != nil {
+		t.Fatal(err)
+	}
+	if d, ok := t1.RecvTimeout(5 * time.Second); !ok || d.From != "T0" {
+		t.Fatalf("newest T1 endpoint got %+v, %v; want the message from T0", d, ok)
+	}
+}
+
 func TestMuxOpenValidation(t *testing.T) {
 	_, _, mux := muxPair(t)
 	if _, err := mux.Open("", "T1"); err == nil {

@@ -33,6 +33,8 @@ type Virtual struct {
 	timers eventHeap
 	// blocked holds one record per goroutine currently inside blockLocked.
 	blocked map[*waiter]struct{}
+	// free holds the records of ended parks, for reuse.
+	free []*waiter
 
 	// sequential selects run-to-block scheduling: at most one tracked
 	// goroutine executes at a time, and when several waiters become
@@ -304,31 +306,39 @@ func (v *Virtual) fireLocked(ev event) {
 // background router): it does not count toward deadlock detection, so a
 // system whose only parked goroutines are daemons is idle, not deadlocked.
 //
-// The waiter is passed by value and copied to the heap only when the
+// The waiter is passed by value and copied into a record only when the
 // goroutine actually parks, so an already-satisfied wait (an item sitting
-// in the queue, an expired deadline) allocates nothing.
+// in the queue, an expired deadline) costs nothing, and the record is
+// reused from the free list once the park ends.
 func (v *Virtual) blockLocked(w waiter) {
 	if w.satisfied(v) {
 		return
 	}
-	wp := new(waiter)
+	var wp *waiter
+	if n := len(v.free); n > 0 {
+		wp, v.free = v.free[n-1], v.free[:n-1]
+	} else {
+		wp = new(waiter)
+	}
 	*wp = w
 	if v.sequential {
 		// The caller holds the run token, so v.current is its gid.
 		wp.gid = v.current
 		v.blockSeqLocked(wp)
-		return
+	} else {
+		v.blocked[wp] = struct{}{}
+		v.running--
+		if v.running == 0 {
+			v.advanceLocked()
+		}
+		for !wp.satisfied(v) {
+			v.cond.Wait()
+		}
+		delete(v.blocked, wp)
+		v.running++
 	}
-	v.blocked[wp] = struct{}{}
-	v.running--
-	if v.running == 0 {
-		v.advanceLocked()
-	}
-	for !wp.satisfied(v) {
-		v.cond.Wait()
-	}
-	delete(v.blocked, wp)
-	v.running++
+	*wp = waiter{} // out of blocked and granted: nothing refers to it
+	v.free = append(v.free, wp)
 }
 
 // takeTurnLocked parks a goroutine that has not run yet (Go start, Adopt)
@@ -401,20 +411,22 @@ func (v *Virtual) scheduleNextLocked() {
 }
 
 // advanceLocked fires events until at least one blocked waiter is satisfied,
-// or declares deadlock. Called with v.mu held and v.running == 0.
+// or declares deadlock. Called with v.mu held and v.running == 0. When only
+// daemon infrastructure is parked the system is idle, waiting for external
+// stimulus (a new Go, an untracked Put): it is not deadlocked, and it fires
+// only the events due now, so time does not run on to stale timers that no
+// goroutine waits for.
 func (v *Virtual) advanceLocked() {
+	idle := !v.anyNonDaemonBlockedLocked() // firing events parks no one
 	for {
 		if v.dead || v.anySatisfiedLocked() {
 			v.cond.Broadcast()
 			return
 		}
+		if idle && (len(v.timers) == 0 || v.timers[0].at > v.now) {
+			return
+		}
 		if len(v.timers) == 0 {
-			if !v.anyNonDaemonBlockedLocked() {
-				// Only daemon infrastructure is parked: the system is idle,
-				// waiting for external stimulus (a new Go, an untracked Put),
-				// not deadlocked.
-				return
-			}
 			info := fmt.Sprintf("all %d tracked goroutine(s) blocked at virtual time %v with no pending events",
 				v.tracked, v.now)
 			v.dead = true

@@ -372,3 +372,49 @@ func TestRealTryGetAndLen(t *testing.T) {
 		t.Fatalf("TryGet = %v %v", x, ok)
 	}
 }
+
+// TestVirtualIdleClockStaysAtLastEvent: a receive satisfied before its
+// timeout leaves the timeout's wake-up scheduled. Once the receiver has
+// finished and only a daemon wait is parked, the clock is idle: it must stay
+// at the receive's instant instead of running on to the stale wake-up, while
+// a delivery due at the current instant still reaches the daemon.
+func TestVirtualIdleClockStaysAtLastEvent(t *testing.T) {
+	for _, sequential := range []bool{false, true} {
+		v := NewVirtual()
+		if sequential {
+			v = NewVirtualSequential()
+		}
+		infra := v.NewQueue()
+		infra.SetDaemon()
+		var got atomic.Int64
+		q := v.NewQueue()
+		v.Run(func() {
+			v.GoDaemon(func() {
+				for {
+					x, ok := infra.Get()
+					if !ok {
+						return
+					}
+					got.Add(int64(x.(int)))
+				}
+			})
+			v.Go(func() {
+				q.PutAfter(time.Second, 1)
+				if _, ok := q.GetTimeout(time.Hour); !ok {
+					t.Error("receive timed out")
+				}
+				infra.PutAfter(0, 7)
+			})
+		})
+		if now := v.Now(); now != time.Second {
+			t.Errorf("sequential=%v: idle clock at %v, want the last event's 1s", sequential, now)
+		}
+		for deadline := time.Now().Add(5 * time.Second); got.Load() != 7; {
+			if time.Now().After(deadline) {
+				t.Fatalf("sequential=%v: the delivery due now never reached the daemon", sequential)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		infra.Close()
+	}
+}

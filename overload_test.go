@@ -108,7 +108,7 @@ func TestAdmissionBudgetReleasedOnEveryOutcome(t *testing.T) {
 			defer func() { _ = sys.Close() }()
 
 			h, gate := gatedAction(t, sys, "T1", tc.fin)
-			// Budget exhausted: a second start and a raw thread both refuse.
+			// Budget exhausted: a second start and a new thread both refuse.
 			_, err = sys.StartAction(context.Background(), soloSpec(t, "T2"), map[string]caaction.RoleProgram{
 				"only": {Body: func(ctx *caaction.Context) error { return nil }},
 			})

@@ -16,6 +16,7 @@ import (
 	"caaction"
 	"caaction/internal/control"
 	iprod "caaction/internal/prodcell"
+	"caaction/internal/transport"
 )
 
 // Plant is the simulated production cell: device axes with motors and
@@ -90,8 +91,8 @@ func Threads() []string { return control.Threads() }
 // MoveLoadedTableGraph builds the Figure 7 exception graph.
 func MoveLoadedTableGraph() *caaction.Graph { return control.MoveLoadedTableGraph() }
 
-// NewController creates the controller threads on the system and builds the
-// action specs.
+// NewController builds the action specs of a controller whose threads run
+// on the system, each cycle as one action instance.
 func NewController(sys *caaction.System, plant *Plant, cfg ControlConfig) (*Controller, error) {
-	return control.New(sys.Runtime(), plant, cfg)
+	return control.New(sys.Runtime(), transport.NewMux(sys.Clock(), sys.Network()), plant, cfg)
 }

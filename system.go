@@ -180,7 +180,6 @@ func New(opts ...Option) (*System, error) {
 
 	rt, err := core.New(core.Config{
 		Clock:         clk,
-		Network:       net,
 		Protocol:      protocol,
 		Metrics:       cfg.metrics,
 		Log:           cfg.log,
@@ -361,7 +360,7 @@ func (s *System) endAction(tenant string) {
 }
 
 // overloaded reports whether the global admission budget is currently
-// exhausted, for Thread's read-only fast-reject (creating a raw thread
+// exhausted, for Thread's read-only fast-reject (creating a thread
 // consumes no action budget, but refusing new entry points while saturated
 // keeps overload behaviour uniform across both start paths).
 func (s *System) overloaded() bool {

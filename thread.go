@@ -19,13 +19,20 @@ type Thread struct {
 	inner *core.Thread
 }
 
-// Thread creates a thread with its own transport endpoint bound to id.
-// After Drain (or Close) has begun, Thread refuses with ErrDraining (then
-// ErrSystemClosed once Close completes). While the WithMaxInFlight
-// admission budget is exhausted, Thread fast-rejects with a typed
-// *OverloadedError (matching ErrOverloaded); raw threads consume no action
-// budget themselves, but new entry points are refused while the system is
-// saturated so both start paths shed load uniformly.
+// threadTag is the instance tag of every thread made with System.Thread,
+// each one role of that instance on the System's demultiplexer: their
+// actions' identifiers read "t!<spec>#<n>".
+const threadTag = "t"
+
+// Thread creates a thread at the thread address id: a role of the System's
+// "t" instance, so the address may also carry StartAction roles, but a
+// second Thread at id fails while the first is open. After Drain (or
+// Close) has begun, Thread refuses with ErrDraining (then ErrSystemClosed
+// once Close completes). While the WithMaxInFlight admission budget is
+// exhausted, Thread fast-rejects with a typed *OverloadedError (matching
+// ErrOverloaded); threads consume no action budget themselves, but new
+// entry points are refused while the system is saturated so both start
+// paths shed load uniformly.
 func (s *System) Thread(id string) (*Thread, error) {
 	if s.closed.Load() {
 		return nil, ErrSystemClosed
@@ -37,11 +44,11 @@ func (s *System) Thread(id string) (*Thread, error) {
 		s.rejected.Add(1)
 		return nil, &OverloadedError{Limit: s.maxInFlight}
 	}
-	inner, err := s.rt.NewThread(id)
+	ep, err := s.muxNet().Open(threadTag, id)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("caaction: thread %q: %w", id, err)
 	}
-	return &Thread{sys: s, inner: inner}, nil
+	return &Thread{sys: s, inner: s.rt.NewThreadOn(id, ep, threadTag+"!")}, nil
 }
 
 // ID returns the thread identifier.
