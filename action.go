@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"caaction/internal/core"
-	"caaction/internal/protocol"
 	"caaction/internal/transport"
 	"caaction/internal/vclock"
 )
@@ -62,8 +61,10 @@ type ActionHandle struct {
 	sys    *System
 	tenant string
 	// mux records the action's endpoints on the System's Mux, so each
-	// message resolves its local peer there.
-	mux transport.MuxInstance
+	// message resolves its local peer there, and inst is the record its role
+	// threads share the instance's identifiers through.
+	mux  transport.MuxInstance
+	inst core.Instance
 }
 
 type roleOutcome struct {
@@ -237,10 +238,10 @@ func WithTenant(name string) StartOption {
 // Under admission control (WithMaxInFlight, WithTenantBudget) a start over
 // budget fast-rejects with a typed *OverloadedError matching ErrOverloaded.
 func (s *System) StartAction(ctx context.Context, spec *Spec, progs map[string]RoleProgram, opts ...StartOption) (*ActionHandle, error) {
-	// One allocation: the prefix "a<n>!", of which the tag is a substring.
+	// The tag "a<n>" is formatted in place; startAction builds the
+	// instance's one string around it.
 	var buf [24]byte
-	prefix := string(append(strconv.AppendInt(append(buf[:0], 'a'), s.actionSeq.Add(1), 10), '!'))
-	return s.startAction(ctx, prefix, spec, progs, opts)
+	return s.startAction(ctx, strconv.AppendInt(append(buf[:0], 'a'), s.actionSeq.Add(1), 10), spec, progs, opts)
 }
 
 // StartTagged is StartAction with a caller-assigned instance tag. Tags
@@ -260,12 +261,11 @@ func (s *System) StartTagged(ctx context.Context, tag string, spec *Spec, progs 
 	if strings.ContainsAny(tag, "!/#") || tag == threadTag {
 		return nil, fmt.Errorf("caaction: StartTagged: tag %q contains an id metacharacter ('!', '/' or '#') or is System.Thread's", tag)
 	}
-	return s.startAction(ctx, protocol.TagInstance(tag, ""), spec, progs, opts)
+	return s.startAction(ctx, []byte(tag), spec, progs, opts)
 }
 
-// startAction starts the instance whose identifier prefix is "<tag>!".
-func (s *System) startAction(ctx context.Context, prefix string, spec *Spec, progs map[string]RoleProgram, opts []StartOption) (*ActionHandle, error) {
-	tag := prefix[:len(prefix)-1]
+// startAction starts the instance tagged tag.
+func (s *System) startAction(ctx context.Context, tag []byte, spec *Spec, progs map[string]RoleProgram, opts []StartOption) (*ActionHandle, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -327,7 +327,6 @@ func (s *System) startAction(ctx context.Context, prefix string, spec *Spec, pro
 	}
 
 	h := &ActionHandle{
-		id:      tag,
 		done:    make(chan struct{}),
 		clock:   s.waitClock(),
 		pending: len(local),
@@ -341,6 +340,7 @@ func (s *System) startAction(ctx context.Context, prefix string, spec *Spec, pro
 		h.outcomes = make([]roleOutcome, len(local))
 		h.roles = make([]string, 0, len(local))
 	}
+	h.id = h.inst.InitFor(tag, spec)
 	mux := s.muxNet()
 	type roleThread struct {
 		role string
@@ -350,7 +350,7 @@ func (s *System) startAction(ctx context.Context, prefix string, spec *Spec, pro
 	var rtsArr [4]roleThread
 	rts := rtsArr[:0]
 	for _, r := range local {
-		ep, err := mux.OpenIn(&h.mux, tag, r.Thread)
+		ep, err := mux.OpenIn(&h.mux, h.id, r.Thread)
 		if err != nil {
 			for _, x := range rts {
 				_ = x.ep.Close()
@@ -364,7 +364,7 @@ func (s *System) startAction(ctx context.Context, prefix string, spec *Spec, pro
 			}
 			return nil, fmt.Errorf("caaction: StartAction %s: %w", spec.Name, err)
 		}
-		th := s.rt.NewThreadOn(r.Thread, ep, prefix)
+		th := s.rt.NewThreadOn(r.Thread, ep, &h.inst)
 		if coreDeadline > 0 {
 			th.SetDeadline(coreDeadline)
 		}

@@ -243,6 +243,37 @@ func BenchmarkStartActionCommitTCP(b *testing.B) {
 	benchStartActionCommit(b, caaction.WithTCPTransport(""))
 }
 
+// BenchmarkStartActionSignal, BenchmarkStartActionAbort and
+// BenchmarkStartActionStorm are the exceptional rungs next to
+// BenchmarkStartActionCommit: the same 16 callers and sim transport, each
+// action one of the load harness's 3-role actions of that kind — an
+// exceptional exit through §3.4 signalling, a §3.3.2 abort cascade out of a
+// nested action, and a resolution storm. Every role's outcome is checked
+// with the public classifiers.
+func BenchmarkStartActionSignal(b *testing.B) { benchStartActionKind(b, load.KindSignal) }
+func BenchmarkStartActionAbort(b *testing.B)  { benchStartActionKind(b, load.KindAbort) }
+func BenchmarkStartActionStorm(b *testing.B)  { benchStartActionKind(b, load.KindStorm) }
+
+func benchStartActionKind(b *testing.B, kind string) {
+	spec, progs, err := load.Workload(kind, 3, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchStartAction(b, caaction.WithSimTransport(0), spec, progs, loadKindOK[kind])
+}
+
+// loadKindOK reports whether one role's outcome is what an action of each
+// load kind ends in, allocating nothing.
+var loadKindOK = map[string]func(err error) bool{
+	load.KindCommit: func(err error) bool { return err == nil },
+	load.KindSignal: func(err error) bool {
+		se, ok := caaction.AsSignalled(err)
+		return ok && se.Exc == "overload"
+	},
+	load.KindAbort: caaction.IsUndone,
+	load.KindStorm: func(err error) bool { return err == nil },
+}
+
 // commitSpec is the 3-role action whose roles commit at once, shared by the
 // StartActionCommit rungs and the allocation ceiling.
 func commitSpec(tb testing.TB) (*caaction.Spec, map[string]caaction.RoleProgram) {
@@ -260,14 +291,16 @@ func commitSpec(tb testing.TB) (*caaction.Spec, map[string]caaction.RoleProgram)
 // on the in-process path: a 3-role commit over the sim transport on the
 // real clock, started and awaited by one caller. Protocol messages are
 // values and are never boxed; a change that puts one on the heap, per send
-// or per hop, shows up here as several allocations per action.
+// or per hop, shows up here as several allocations per action. The six
+// that remain are what the caller holds: the ActionHandle, its done
+// channel, the instance's one identifier string and a Context per role.
 //
 // A second action stays in flight on the same threads for the whole test,
 // as one of the benchmark's 16 callers always is: without it every action
 // would re-bind its threads' shared mux endpoints, and the ceiling would
 // measure the bind instead of the action.
 func TestStartActionCommitAllocCeiling(t *testing.T) {
-	commitAllocCeiling(t, caaction.WithSimTransport(0), 12)
+	commitAllocCeiling(t, caaction.WithSimTransport(0), 6)
 }
 
 // TestStartActionCommitTCPAllocCeiling is the same action over loopback
@@ -275,7 +308,7 @@ func TestStartActionCommitAllocCeiling(t *testing.T) {
 // the action's identifier once (later messages of the action find it in
 // the connection's table) and nothing per message.
 func TestStartActionCommitTCPAllocCeiling(t *testing.T) {
-	commitAllocCeiling(t, caaction.WithTCPTransport(""), 18)
+	commitAllocCeiling(t, caaction.WithTCPTransport(""), 12)
 }
 
 // commitAllocCeiling fails t when one commit action over transport
@@ -330,7 +363,12 @@ func commitAllocCeiling(t *testing.T, transport caaction.Option, ceiling float64
 // transport on the real clock, one caller, a holder action keeping the
 // threads' shared endpoints bound. Each action's outcome is checked inside
 // the measured function with the public classifiers, so the ceilings also
-// pin that classifying an outcome allocates nothing.
+// pin that classifying an outcome allocates nothing. On top of a commit's
+// six, what remains is held by a caller too: a signal adds a SignalledError
+// per role and the raised slice a handler would get; an abort adds the
+// nested action's identifier, its two roles' Contexts, a SignalledError
+// (µ) per role and the raised slice; a storm adds the raised slice its
+// handlers get.
 func TestLoadKindAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates: sync.Pool drops items at random")
@@ -338,16 +376,13 @@ func TestLoadKindAllocCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		kind    string
 		ceiling float64 // allocs per action
-		ok      func(err error) bool
 	}{
-		{load.KindCommit, 12, func(err error) bool { return err == nil }},
-		{load.KindSignal, 19, func(err error) bool {
-			se, ok := caaction.AsSignalled(err)
-			return ok && se.Exc == "overload"
-		}},
-		{load.KindAbort, 37, caaction.IsUndone},
-		{load.KindStorm, 16, func(err error) bool { return err == nil }},
+		{load.KindCommit, 6},
+		{load.KindSignal, 10},
+		{load.KindAbort, 13},
+		{load.KindStorm, 7},
 	} {
+		ok := loadKindOK[tc.kind]
 		t.Run(tc.kind, func(t *testing.T) {
 			sys, err := caaction.New(caaction.WithRealTime(), caaction.WithSimTransport(0))
 			if err != nil {
@@ -384,7 +419,7 @@ func TestLoadKindAllocCeilings(t *testing.T) {
 				}
 				h.WaitDone()
 				h.Each(func(_ string, err error) {
-					if !tc.ok(err) {
+					if !ok(err) {
 						bad = true
 					}
 				})
@@ -410,12 +445,19 @@ func TestLoadKindAllocCeilings(t *testing.T) {
 var raceEnabled bool
 
 func benchStartActionCommit(b *testing.B, transport caaction.Option) {
+	spec, progs := commitSpec(b)
+	benchStartAction(b, transport, spec, progs, loadKindOK[load.KindCommit])
+}
+
+// benchStartAction runs b.N actions of spec across 16 closed-loop callers
+// over transport on the real clock, failing b when a role's outcome does
+// not satisfy ok.
+func benchStartAction(b *testing.B, transport caaction.Option, spec *caaction.Spec, progs map[string]caaction.RoleProgram, ok func(error) bool) {
 	sys, err := caaction.New(caaction.WithRealTime(), transport)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer func() { _ = sys.Close() }()
-	spec, progs := commitSpec(b)
 
 	const callers = 16
 	var next atomic.Int64
@@ -429,10 +471,16 @@ func benchStartActionCommit(b *testing.B, transport caaction.Option) {
 			defer wg.Done()
 			for next.Add(1) <= int64(b.N) {
 				h, err := sys.StartAction(context.Background(), spec, progs)
-				if err == nil {
-					h.WaitDone()
-					err = h.Err()
+				if err != nil {
+					errs <- err
+					return
 				}
+				h.WaitDone()
+				h.Each(func(role string, rerr error) {
+					if err == nil && !ok(rerr) {
+						err = fmt.Errorf("%s role %s: unexpected outcome %v", spec.Name, role, rerr)
+					}
+				})
 				if err != nil {
 					errs <- err
 					return

@@ -267,6 +267,19 @@ func TestTxLifecycle(t *testing.T) {
 	}
 }
 
+// TestNilTxUsedNothing: the runtime creates a role's Tx on the body's first
+// Context.Tx call, so a role that never asked completes through a nil Tx.
+func TestNilTxUsedNothing(t *testing.T) {
+	var tx *Tx
+	tx.Inform(except.Raised{ID: "e1"})
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("nil Tx Commit: %v", err)
+	}
+	if err := tx.Undo(); err != nil {
+		t.Fatalf("nil Tx Undo: %v", err)
+	}
+}
+
 func TestTxUndoAggregatesFailure(t *testing.T) {
 	reg, _ := newReg(t)
 	_, _ = reg.Define("good", 1)

@@ -12,7 +12,8 @@ import (
 // instance, so they can be informed, committed or undone together at the
 // action boundary. Different roles of the same action may hold their own Tx
 // for the same action: the object-level lock is shared (it is scoped to the
-// action) and completion operations are idempotent per action.
+// action) and completion operations are idempotent per action. A nil Tx is
+// one that used no objects: Inform, Commit and Undo do nothing.
 type Tx struct {
 	reg    *Registry
 	action string
@@ -23,9 +24,7 @@ type Tx struct {
 }
 
 // Begin starts tracking object use for an action instance. The use-set map
-// is allocated lazily on first object access: most action instances in a
-// high-churn workload never touch an external object, and Begin runs on the
-// per-instance hot path.
+// is allocated lazily on first object access.
 func (r *Registry) Begin(action string) *Tx {
 	return &Tx{reg: r, action: action}
 }
@@ -90,6 +89,9 @@ func (tx *Tx) MarkDamaged(name string) error {
 
 // Inform notifies every used object of a raised exception (§3.3.2).
 func (tx *Tx) Inform(exc except.Raised) {
+	if tx == nil {
+		return
+	}
 	for _, o := range tx.objects() {
 		o.Inform(tx.action, exc)
 	}
@@ -110,6 +112,9 @@ func (tx *Tx) Used() []string {
 // Commit commits every used object. Safe to call when another role already
 // completed the action's objects.
 func (tx *Tx) Commit() error {
+	if tx == nil {
+		return nil
+	}
 	var firstErr error
 	for _, o := range tx.objects() {
 		if err := o.Commit(tx.action); err != nil && !errors.Is(err, ErrNotHeld) {
@@ -126,6 +131,9 @@ func (tx *Tx) Commit() error {
 // (wrapped) if any object could not be restored — the caller must then
 // signal ƒ instead of µ.
 func (tx *Tx) Undo() error {
+	if tx == nil {
+		return nil
+	}
 	var firstErr error
 	for _, o := range tx.objects() {
 		if err := o.Undo(tx.action); err != nil {

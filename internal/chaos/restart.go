@@ -162,7 +162,7 @@ func rebirth(clk *vclock.Virtual, engine *Engine, rt *core.Runtime, mux *transpo
 		report("error: " + err.Error())
 		return
 	}
-	ct := rt.NewThreadOn(victim, ep, protocol.TagInstance(tag, ""))
+	ct := rt.NewThreadOn(victim, ep, core.NewInstance(protocol.TagInstance(tag, "")))
 	defer func() { _ = ct.Close() }()
 	if age > plan.Window {
 		// The resolution window has passed: abandon deterministically

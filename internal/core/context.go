@@ -66,8 +66,9 @@ func (c *Context) Round() int { return c.frame().round }
 // Now returns the current (virtual or real) time.
 func (c *Context) Now() time.Duration { return c.th.rt.clock.Now() }
 
-// Tx returns the transaction tracking this role's external-object use.
-func (c *Context) Tx() *atomicobj.Tx { return c.frame().tx }
+// Tx returns the transaction tracking this role's external-object use,
+// created by the first call.
+func (c *Context) Tx() *atomicobj.Tx { return c.frame().txn() }
 
 // Logf records a runtime event attributed to this thread.
 func (c *Context) Logf(format string, args ...any) {
@@ -102,7 +103,7 @@ func (c *Context) pre() error {
 		return nil // abortion handlers run to completion, uninterrupted
 	}
 	if c.f.informed || c.f.hasDecided {
-		return c.f.interruptErr
+		return &c.f.interruptErr
 	}
 	return nil
 }
@@ -135,7 +136,7 @@ func (c *Context) Raise(id except.ID, info string) error {
 	if out.Decided && !f.hasDecided {
 		f.decided, f.hasDecided = out, true
 	}
-	return f.raiseErr
+	return &f.raiseErr
 }
 
 // Signal declares the interface exception ε this role will signal when the
@@ -170,7 +171,7 @@ func (c *Context) Compute(d time.Duration) error {
 	}
 	for {
 		if t := th.enclosingAbortTarget(f); t != "" && !f.aborting {
-			return &pendingError{kind: kindAbort, frame: f, target: t}
+			return f.abort(t)
 		}
 		now := th.rt.clock.Now()
 		if now >= deadline {
@@ -221,7 +222,7 @@ func (c *Context) Checkpoint() error {
 		}
 	}
 	if t := th.enclosingAbortTarget(f); t != "" && !f.aborting {
-		return &pendingError{kind: kindAbort, frame: f, target: t}
+		return f.abort(t)
 	}
 	return nil
 }
@@ -257,10 +258,11 @@ func (c *Context) recv(role string, timeout time.Duration) (any, error) {
 		return nil, err
 	}
 	f, th := c.f, c.th
-	from, ok := f.spec.ThreadFor(role)
+	thread, ok := f.spec.ThreadFor(role)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q in %s", ErrUnknownRole, role, f.spec.Name)
 	}
+	from := f.peerIndex(thread)
 	var deadline time.Duration
 	if timeout > 0 {
 		deadline = th.rt.clock.Now() + timeout
@@ -275,13 +277,11 @@ func (c *Context) recv(role string, timeout time.Duration) (any, error) {
 		return c.recvInline(from, deadline)
 	}
 	for {
-		if q := f.apps[from]; len(q) > 0 {
-			payload := q[0]
-			f.apps[from] = q[1:]
-			return payload, nil
+		if f.hasApp(from) {
+			return f.takeApp(from), nil
 		}
 		if t := th.enclosingAbortTarget(f); t != "" && !f.aborting {
-			return nil, &pendingError{kind: kindAbort, frame: f, target: t}
+			return nil, f.abort(t)
 		}
 		var d transport.Delivery
 		var got bool
@@ -324,10 +324,10 @@ func (th *Thread) recvDeadlineErr(now time.Duration) error {
 // propagate, honouring the non-interruptible abortion-handler mode.
 func (c *Context) verdictErr(v routeVerdict) error {
 	if v.abortTarget != "" && !c.f.aborting {
-		return &pendingError{kind: kindAbort, frame: c.f, target: v.abortTarget}
+		return c.f.abort(v.abortTarget)
 	}
 	if v.interrupt && !c.f.aborting {
-		return c.f.interruptErr
+		return &c.f.interruptErr
 	}
 	return nil
 }
@@ -365,7 +365,7 @@ func (c *Context) Enter(spec *Spec, role string, prog RoleProgram) error {
 		if e.target == c.f.id {
 			return c.th.absorbAbort(c.f, e)
 		}
-		return &pendingError{kind: kindAbort, frame: c.f, target: e.target}
+		return c.f.abort(e.target)
 	default:
 		return err
 	}

@@ -168,11 +168,12 @@ type Thread struct {
 	rt *Runtime
 	id string
 	ep transport.Endpoint
-	// prefix ("a7!") tags every top-level action instance this thread
-	// performs with its mux instance tag, so concurrent instances sharing a
-	// transport stay distinguishable on the wire; see internal/protocol's
-	// action-instance identifier format.
-	prefix string
+	// inst is the record of the mux instance this thread is a role of: its
+	// prefix ("a7!") tags every top-level action the thread performs, so
+	// concurrent instances sharing a transport stay distinguishable on the
+	// wire (see internal/protocol's action-instance identifier format), and
+	// it holds the identifiers the instance's threads share.
+	inst *Instance
 	// logOn caches whether the runtime has a log, so hot paths skip event
 	// construction (and the boxing of logf arguments) entirely when
 	// logging is disabled.
@@ -202,9 +203,9 @@ type Thread struct {
 	retained map[string][]transport.Delivery
 	dead     map[string]bool
 	seq      map[seqKey]int
-	// idBuf is scratch for building instance-identifier leaf segments; it
-	// carries no per-instance state (the built bytes are copied into the
-	// identifier string before reuse).
+	// idBuf is scratch for building instance identifiers; it carries no
+	// per-instance state (an identifier the instance has not recorded yet
+	// is copied into its own string before the buffer is reused).
 	idBuf []byte
 }
 
@@ -216,15 +217,74 @@ type seqKey struct {
 	name   string
 }
 
+// Instance is the record the role threads of one mux instance share: the
+// instance's identifier prefix, its tag and the '!' terminator
+// (protocol.TagInstance(tag, "")), and the action identifiers its threads
+// derive. Cooperating threads perform the same nesting sequence, so they
+// derive the same identifiers (the paper's "every thread has a name list of
+// the nested actions it is to participate in"); the first thread to derive
+// one records it here and the others share its string instead of building
+// their own. The record keeps the last few identifiers only: a thread that
+// finds its identifier evicted builds an equal string, so the record saves
+// allocations and never decides an identifier.
+type Instance struct {
+	prefix string
+	mu     sync.Mutex
+	ids    [4]string
+	next   int
+}
+
+// NewInstance returns the record of the instance whose identifier prefix is
+// prefix.
+func NewInstance(prefix string) *Instance {
+	if len(prefix) < 2 || prefix[len(prefix)-1] != '!' {
+		panic(fmt.Sprintf("core: %q is not an instance prefix", prefix))
+	}
+	return &Instance{prefix: prefix}
+}
+
+// InitFor readies a record, typically one embedded in the caller's
+// per-instance state, for the instance tagged tag whose threads each begin
+// with an action of spec, and returns the tag as a string. It builds that
+// action's identifier "<tag>!<spec>#1" (what instancePID derives for it) in
+// one allocation and records it, and the tag and the prefix are substrings
+// of it, so the whole instance costs one string. The tag must be a valid
+// instance tag.
+func (in *Instance) InitFor(tag []byte, spec *Spec) string {
+	var buf [64]byte
+	b := append(append(buf[:0], tag...), '!')
+	n := len(b)
+	b = append(append(b, spec.Name...), "#1"...)
+	id := string(b)
+	*in = Instance{prefix: id[:n]}
+	in.ids[0] = id
+	return id[:n-1]
+}
+
+// id returns the recorded identifier spelled b, recording a copy of b when
+// there is none.
+func (in *Instance) id(b []byte) string {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	for i := range in.ids {
+		if in.ids[i] == string(b) {
+			return in.ids[i]
+		}
+	}
+	s := string(b)
+	in.ids[in.next] = s
+	in.next = (in.next + 1) % len(in.ids)
+	return s
+}
+
 // NewThreadOn creates a thread reading from a virtual endpoint handed out
 // by internal/transport.Mux, as one participant of the mux instance whose
-// identifier prefix is prefix: the tag and its '!' terminator
-// (protocol.TagInstance(tag, "")), built once per instance by the caller
-// and shared by its threads. Every top-level action the thread performs
-// gets the prefix, which is what the mux demultiplexes inbound messages by.
-func (rt *Runtime) NewThreadOn(id string, ep transport.Endpoint, prefix string) *Thread {
-	if len(prefix) < 2 || prefix[len(prefix)-1] != '!' {
-		panic(fmt.Sprintf("core: thread %q: %q is not an instance prefix", id, prefix))
+// record is inst, shared by the instance's threads. Every top-level action
+// the thread performs gets the instance's prefix, which is what the mux
+// demultiplexes inbound messages by.
+func (rt *Runtime) NewThreadOn(id string, ep transport.Endpoint, inst *Instance) *Thread {
+	if inst == nil || inst.prefix == "" {
+		panic(fmt.Sprintf("core: thread %q: no instance record", id))
 	}
 	th, _ := rt.threadPool.Get().(*Thread)
 	if th == nil {
@@ -233,13 +293,14 @@ func (rt *Runtime) NewThreadOn(id string, ep transport.Endpoint, prefix string) 
 			retained: make(map[string][]transport.Delivery),
 			dead:     make(map[string]bool),
 			seq:      make(map[seqKey]int),
+			idBuf:    make([]byte, 0, 64),
 		}
 		th.sendFn = th.send
 		th.router.th = th
 	}
 	th.id = id
 	th.ep = ep
-	th.prefix = prefix
+	th.inst = inst
 	th.logOn = rt.log.Enabled()
 	// Adopt the endpoint into the run-to-completion lane when it offers one
 	// (real-time mux endpoints do); deliveries then execute inline against
@@ -295,7 +356,7 @@ func (th *Thread) Recycle() {
 	if len(th.stack) != 0 {
 		return
 	}
-	th.id, th.prefix = "", ""
+	th.id, th.inst = "", nil
 	th.ep = nil
 	th.logOn = false
 	th.deadline = 0
@@ -324,37 +385,31 @@ func (th *Thread) logf(kind, format string, args ...any) {
 // next instance of spec under the given parent frame (nil for top-level).
 // All participants derive identical ids because cooperating threads perform
 // the same nesting sequence — the paper's "every thread has a name list of
-// the nested actions it is to participate in". Nested identifiers extend
-// the parent frame's cached ParsedID, so nothing re-splits the parent
-// string; this runs once per action instance on the load harness's hottest
-// constructor path.
+// the nested actions it is to participate in" — and the instance record
+// hands them one shared string. The identifier is spelled in the thread's
+// scratch buffer, so only the first thread of the instance to derive it
+// allocates; the parsed form slices that string and extends the parent
+// frame's, so nothing re-splits an identifier.
 func (th *Thread) instancePID(parent *frame, spec *Spec) protocol.ParsedID {
 	key := seqKey{name: spec.Name}
+	b := th.idBuf[:0]
 	if parent != nil {
 		key.parent = parent.id
+		b = append(append(b, parent.id...), '/')
+	} else {
+		// Top-level actions carry the mux instance tag.
+		b = append(b, th.inst.prefix...)
 	}
 	th.seq[key]++
-	n := th.seq[key]
-	var base string
-	if n == 1 {
-		// First instance of this nesting sequence: the "<name>#1" leaf is
-		// cached on the immutable Spec. With thread recycling this is the
-		// common case — a pooled thread's seq map restarts per incarnation.
-		base = spec.leaf1()
-	} else {
-		// Hand-build the "<name>#<n>" leaf segment in the thread's scratch
-		// buffer; only the final string conversion allocates.
-		b := append(th.idBuf[:0], spec.Name...)
-		b = append(b, '#')
-		b = strconv.AppendInt(b, int64(n), 10)
-		th.idBuf = b
-		base = string(b)
-	}
+	b = append(b, spec.Name...)
+	b = append(b, '#')
+	b = strconv.AppendInt(b, int64(th.seq[key]), 10)
+	th.idBuf = b
+	raw := th.inst.id(b)
 	if parent != nil {
-		return parent.pid.Child(base)
+		return parent.pid.Child(raw)
 	}
-	// Top-level actions carry the mux instance tag.
-	return protocol.ParsedID{Raw: th.prefix + base, Tag: th.prefix[:len(th.prefix)-1], Base: base}
+	return protocol.ParseID(raw)
 }
 
 // frame is one level of the thread's action stack (the paper's SAi).
@@ -389,14 +444,20 @@ type frame struct {
 	epsilon except.ID
 	// undoFn and resolveFn are the bound undo and resolve methods handed to
 	// every exit's signalling instance and every round's resolution
-	// instance; raiseErr and interruptErr are the control errors that
-	// unwind a body after a raise and after an interruption. All four are
-	// bound once per frame object, refer only to the frame, and survive
-	// recycling (see releaseFrame).
+	// instance, bound once per frame object. raiseErr, interruptErr and
+	// abortErr are the control errors that unwind a body after a raise,
+	// after an interruption and for an abort cascade (abortErr's target is
+	// set when it is returned), and childAbort is the error with which a
+	// nested action aborted by a cascade returns to this frame's Enter; the
+	// frame hands out pointers to them. All six refer only to the frame and
+	// survive recycling with their per-use fields cleared (see
+	// releaseFrame).
 	undoFn       func() error
 	resolveFn    func(raised []except.Raised) except.ID
-	raiseErr     *pendingError
-	interruptErr *pendingError
+	raiseErr     pendingError
+	interruptErr pendingError
+	abortErr     pendingError
+	childAbort   abortError
 
 	// Buffers.
 	future []transport.Delivery // messages for rounds not reached yet
@@ -408,17 +469,23 @@ type frame struct {
 	// answered (a restarted peer re-joining); lazily allocated — only
 	// recovery paths ever touch it.
 	reann []bool
-	apps  map[string][]any // lazily allocated on the first App payload
+	// apps buffers cooperation payloads per sender, indexed like peers;
+	// sized on the first App payload. Its queues keep their capacity across
+	// recycling, emptied and with every slot zeroed (see releaseFrame).
+	apps []appQueue
 
 	// Abort coordination: same-round resolution messages received for this
 	// frame while the thread was nested inside it. The first one triggers
 	// the §3.3.2 abort cascade; ALL of them are replayed into the frame's
 	// resolution instance once the cascade reaches it — dropping any
 	// (including baseline-protocol Relay/Propose/Ack traffic) can starve
-	// the enclosing resolution and deadlock every participant.
+	// the enclosing resolution and deadlock every participant. Like votes,
+	// its backing array survives recycling with every slot zeroed.
 	pendingAbort []transport.Delivery
 	aborting     bool
 
+	// tx is created by the first Context.Tx call: most bodies never touch
+	// an external object, and a nil Tx informs, commits and undoes nothing.
 	tx *atomicobj.Tx
 
 	// gen counts this frame object's incarnations through the runtime's
@@ -438,8 +505,9 @@ func (th *Thread) pushFrame(parent *frame, spec *Spec, role string, prog RolePro
 		f = &frame{}
 		f.undoFn = f.undo
 		f.resolveFn = f.resolve
-		f.raiseErr = &pendingError{kind: kindRaise, frame: f}
-		f.interruptErr = &pendingError{kind: kindInterrupt, frame: f}
+		f.raiseErr = pendingError{kind: kindRaise, frame: f}
+		f.interruptErr = pendingError{kind: kindInterrupt, frame: f}
+		f.abortErr = pendingError{kind: kindAbort, frame: f}
 	}
 	f.th = th
 	f.spec = spec
@@ -456,7 +524,6 @@ func (th *Thread) pushFrame(parent *frame, spec *Spec, role string, prog RolePro
 	} else {
 		f.entered = make([]bool, len(peers))
 	}
-	f.tx = th.rt.objects.Begin(id)
 	f.markEntered(th.id)
 	th.stack = append(th.stack, f)
 	// Consume messages that arrived before this thread entered the action.
@@ -482,28 +549,56 @@ func (th *Thread) popFrame(f *frame) {
 }
 
 // releaseFrame scrubs a popped frame back to the zero state and returns it
-// to the runtime's pool. Hygiene contract: apart from the retained capacity
-// of the entered and votes slices (both at length 0; entered's length is
-// re-established per instance, and every slot of votes' backing array is
-// zeroed, so no delivery outlives its action), the bumped generation counter,
-// the bound undo and resolve methods and the raise and interrupt control
-// errors (all four refer only to the frame object and read its current
-// incarnation when used), a
-// recycled frame is indistinguishable from a freshly allocated one — no
-// counters, buffered messages, parsed identifiers, protocol engines or
-// per-instance closures survive into the next incarnation. Callers must not
-// touch the frame after release; perform's control flow guarantees that (the
-// only post-pop reads are of values copied out beforehand), and stale user
-// Contexts are caught by the generation check in Context.pre.
+// to the runtime's pool. Hygiene contract: a recycled frame is
+// indistinguishable from a freshly allocated one — no counters, buffered
+// messages or payloads, parsed identifiers, transactions, protocol engines or
+// per-instance closures survive into the next incarnation — apart from
+//   - the bumped generation counter;
+//   - the bound undo and resolve methods and the four control errors, which
+//     refer only to the frame object and read its current incarnation when
+//     used (abortErr's target and childAbort's fields are cleared);
+//   - the capacity of the entered, votes, pendingAbort and apps buffers,
+//     all at length 0 (entered's length is re-established per instance)
+//     with every slot of their backing arrays zeroed, so no delivery or
+//     payload outlives its action.
+//
+// Callers must not touch the frame after release; perform's control flow
+// guarantees that (the only post-pop reads are of values copied out
+// beforehand), and stale user Contexts are caught by the generation check
+// in Context.pre.
 func (th *Thread) releaseFrame(f *frame) {
 	if f.sig != nil {
 		f.sig.Release()
 	}
+	if f.inst != nil {
+		resolve.Release(f.inst)
+	}
 	clear(f.votes)
-	*f = frame{entered: f.entered[:0], votes: f.votes[:0], gen: f.gen + 1,
-		undoFn: f.undoFn, resolveFn: f.resolveFn,
-		raiseErr: f.raiseErr, interruptErr: f.interruptErr}
+	clear(f.pendingAbort)
+	apps := f.apps[:cap(f.apps)]
+	for i := range apps {
+		apps[i].reset()
+	}
+	*f = frame{entered: f.entered[:0], votes: f.votes[:0], pendingAbort: f.pendingAbort[:0],
+		apps: apps[:0], gen: f.gen + 1, undoFn: f.undoFn, resolveFn: f.resolveFn,
+		raiseErr: f.raiseErr, interruptErr: f.interruptErr,
+		abortErr: pendingError{kind: kindAbort, frame: f}}
 	th.rt.framePool.Put(f)
+}
+
+// abort returns the frame's abort control error, unwinding to the enclosing
+// frame whose instance id is target.
+func (f *frame) abort(target string) *pendingError {
+	f.abortErr.target = target
+	return &f.abortErr
+}
+
+// txn returns the frame's transaction, creating it on first use.
+func (f *frame) txn() *atomicobj.Tx {
+	if f.tx == nil {
+		f.tx = f.th.rt.objects.Begin(f.id)
+	}
+	return f.tx
 }
 
 // markEntered records one arrival at the frame's entry barrier, reporting
@@ -511,45 +606,93 @@ func (th *Thread) releaseFrame(f *frame) {
 // and duplicates (a chaos fault re-delivering an Enter, or a restarted
 // peer re-running its barrier) are idempotent.
 func (f *frame) markEntered(thread string) bool {
-	for i, p := range f.peers {
-		if p == thread {
-			if !f.entered[i] {
-				f.entered[i] = true
-				f.enteredN++
-				return true
-			}
-			return false
-		}
+	i := f.peerIndex(thread)
+	if i < 0 || f.entered[i] {
+		return false
 	}
-	return false
+	f.entered[i] = true
+	f.enteredN++
+	return true
 }
 
 // reannounce records that this frame answered a restarted peer's duplicate
 // Enter, returning true the first time per peer — the reply is sent once,
 // so re-join stays bounded with no Enter ping-pong.
 func (f *frame) reannounce(thread string) bool {
+	i := f.peerIndex(thread)
+	if i < 0 {
+		return false
+	}
 	if f.reann == nil {
 		f.reann = make([]bool, len(f.peers))
 	}
-	for i, p := range f.peers {
-		if p == thread {
-			if f.reann[i] {
-				return false
-			}
-			f.reann[i] = true
-			return true
-		}
+	if f.reann[i] {
+		return false
 	}
-	return false
+	f.reann[i] = true
+	return true
 }
 
-// addApp buffers one cooperation payload, allocating the per-sender map
-// lazily (most actions never exchange App messages).
-func (f *frame) addApp(from string, payload any) {
-	if f.apps == nil {
-		f.apps = make(map[string][]any)
+// appQueue is one sender's buffered cooperation payloads: buf[head:] are
+// waiting, in arrival order.
+type appQueue struct {
+	buf  []any
+	head int
+}
+
+// reset empties the queue, keeping its capacity and zeroing every slot.
+func (q *appQueue) reset() {
+	clear(q.buf)
+	*q = appQueue{buf: q.buf[:0]}
+}
+
+// peerIndex returns thread's position in the frame's peers, or -1 for a
+// thread outside the action.
+func (f *frame) peerIndex(thread string) int {
+	for i, p := range f.peers {
+		if p == thread {
+			return i
+		}
 	}
-	f.apps[from] = append(f.apps[from], payload)
+	return -1
+}
+
+// addApp buffers one cooperation payload from a peer. A payload from a
+// thread outside the action is dropped: no role can receive it.
+func (f *frame) addApp(from string, payload any) {
+	i := f.peerIndex(from)
+	if i < 0 {
+		f.th.logf("route.drop", "App from non-participant %s in %s", from, f.id)
+		return
+	}
+	if len(f.apps) < len(f.peers) {
+		if cap(f.apps) < len(f.peers) {
+			grown := make([]appQueue, len(f.peers))
+			copy(grown, f.apps[:cap(f.apps)])
+			f.apps = grown
+		}
+		f.apps = f.apps[:len(f.peers)]
+	}
+	f.apps[i].buf = append(f.apps[i].buf, payload)
+}
+
+// hasApp reports whether a payload from the peer at index i is buffered.
+func (f *frame) hasApp(i int) bool {
+	return i < len(f.apps) && f.apps[i].head < len(f.apps[i].buf)
+}
+
+// takeApp removes and returns the oldest payload from the peer at index i;
+// hasApp(i) must hold. The queue rewinds once drained, so steady traffic
+// reuses its buffer.
+func (f *frame) takeApp(i int) any {
+	q := &f.apps[i]
+	payload := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return payload
 }
 
 func (th *Thread) top() *frame {

@@ -30,7 +30,7 @@ func openThread(t *testing.T, rt *core.Runtime, mux *transport.Mux, id string) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rt.NewThreadOn(id, ep, "t!")
+	return rt.NewThreadOn(id, ep, core.NewInstance("t!"))
 }
 
 func newEnv(t *testing.T, latency time.Duration, n int) *env {
@@ -813,7 +813,7 @@ func TestInstanceTagOnMuxedThread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	th := rt.NewThreadOn("T1", ep, "a7!")
+	th := rt.NewThreadOn("T1", ep, core.NewInstance("a7!"))
 	var id, tag string
 	var depth int
 	sim.Go(func() {

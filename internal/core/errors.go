@@ -86,8 +86,8 @@ var (
 // cannot corrupt the protocol (the body merely keeps running until its next
 // Context call or its return).
 //
-// The raise and interrupt errors are bound once per pooled frame (see
-// frame.raiseErr); only an abort, which carries its target, allocates.
+// Each kind's error is bound once per pooled frame (see frame.raiseErr);
+// an abort's target is set when the frame returns it.
 type pendingError struct {
 	kind  pendingKind
 	frame *frame
@@ -125,11 +125,12 @@ func (e *pendingError) Error() string {
 // abortError propagates an abort cascade across nested Perform frames; it
 // carries the exception raised by the abortion handler of the level directly
 // below the target action (Eab in §3.3.1) — handlers of deeper levels are
-// deliberately ignored, per the algorithm.
+// deliberately ignored, per the algorithm. It is bound once per pooled
+// frame, as the enclosing frame's childAbort: the aborted frame is released
+// before its Enter reads the error.
 type abortError struct {
 	target string
 	eab    except.ID
-	info   string
 }
 
 func (e *abortError) Error() string {

@@ -60,7 +60,7 @@ type parkState struct {
 	kind parkKind
 	f    *frame
 	cond pumpCond
-	from string
+	from int // parkRecv: the awaited sender's index in the frame's peers
 }
 
 // threadRouter adapts a Thread to transport.InlineRouter without exporting
@@ -96,7 +96,7 @@ func (r *threadRouter) ParkReady() bool {
 	case parkCompute:
 		return !f.aborting && (f.informed || th.enclosingAbortTarget(f) != "")
 	case parkRecv:
-		return len(f.apps[th.park.from]) > 0 ||
+		return f.hasApp(th.park.from) ||
 			(!f.aborting && (f.informed || th.enclosingAbortTarget(f) != ""))
 	}
 	// No wait published (endpoint mid-transition): wake; the owner
@@ -124,7 +124,7 @@ func (r *threadRouter) InlineSendError(to string, err error) {
 func (th *Thread) pumpInline(f *frame, cond pumpCond, deadline time.Duration) error {
 	for {
 		if t := th.enclosingAbortTarget(f); t != "" && !f.aborting {
-			return &pendingError{kind: kindAbort, frame: f, target: t}
+			return f.abort(t)
 		}
 		if f.condMet(cond) {
 			return nil
@@ -132,7 +132,7 @@ func (th *Thread) pumpInline(f *frame, cond pumpCond, deadline time.Duration) er
 		if d, ok := th.iep.PollInline(); ok {
 			v := th.route(&d)
 			if v.abortTarget != "" && !f.aborting {
-				return &pendingError{kind: kindAbort, frame: f, target: v.abortTarget}
+				return f.abort(v.abortTarget)
 			}
 			continue
 		}
@@ -150,7 +150,7 @@ func (th *Thread) pumpInline(f *frame, cond pumpCond, deadline time.Duration) er
 		case transport.InlineDelivery:
 			v := th.route(&d)
 			if v.abortTarget != "" && !f.aborting {
-				return &pendingError{kind: kindAbort, frame: f, target: v.abortTarget}
+				return f.abort(v.abortTarget)
 			}
 		case transport.InlineTimeout:
 			if now := th.rt.clock.Now(); now >= deadline {
@@ -172,10 +172,10 @@ func (c *Context) computeInline(deadline time.Duration) error {
 	f, th := c.f, c.th
 	for {
 		if t := th.enclosingAbortTarget(f); t != "" && !f.aborting {
-			return &pendingError{kind: kindAbort, frame: f, target: t}
+			return f.abort(t)
 		}
 		if !f.aborting && f.informed {
-			return f.interruptErr
+			return &f.interruptErr
 		}
 		now := th.rt.clock.Now()
 		if now >= deadline {
@@ -209,19 +209,17 @@ func (c *Context) computeInline(deadline time.Duration) error {
 // recvInline is recv's run-to-completion twin. Payload order is preserved:
 // the buffered-payload check precedes the interruption checks, exactly as in
 // queue mode.
-func (c *Context) recvInline(from string, deadline time.Duration) (any, error) {
+func (c *Context) recvInline(from int, deadline time.Duration) (any, error) {
 	f, th := c.f, c.th
 	for {
-		if q := f.apps[from]; len(q) > 0 {
-			payload := q[0]
-			f.apps[from] = q[1:]
-			return payload, nil
+		if f.hasApp(from) {
+			return f.takeApp(from), nil
 		}
 		if t := th.enclosingAbortTarget(f); t != "" && !f.aborting {
-			return nil, &pendingError{kind: kindAbort, frame: f, target: t}
+			return nil, f.abort(t)
 		}
 		if !f.aborting && f.informed {
-			return nil, f.interruptErr
+			return nil, &f.interruptErr
 		}
 		timeout := time.Duration(-1)
 		if deadline > 0 {

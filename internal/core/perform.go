@@ -48,7 +48,7 @@ func (th *Thread) Perform(spec *Spec, role string, prog RoleProgram) error {
 // so every endpoint is bound before any participant runs, and read the map
 // once every participant has returned.
 func (rt *Runtime) Participants(mux *transport.Mux, tag string, spec *Spec, run func(*Thread, Role) error) ([]func(), map[string]error, error) {
-	prefix := protocol.TagInstance(tag, "")
+	inst := NewInstance(protocol.TagInstance(tag, ""))
 	threads := make([]*Thread, len(spec.Roles))
 	for i, r := range spec.Roles {
 		ep, err := mux.Open(tag, r.Thread)
@@ -58,7 +58,7 @@ func (rt *Runtime) Participants(mux *transport.Mux, tag string, spec *Spec, run 
 			}
 			return nil, nil, fmt.Errorf("core: thread %q: %w", r.Thread, err)
 		}
-		threads[i] = rt.NewThreadOn(r.Thread, ep, prefix)
+		threads[i] = rt.NewThreadOn(r.Thread, ep, inst)
 	}
 	var mu sync.Mutex
 	results := make(map[string]error, len(spec.Roles))
@@ -143,7 +143,7 @@ func (th *Thread) mapUserErr(ctx *Context, err error) error {
 	}
 	if ctx.f.hasPendingWork() {
 		// The body swallowed a control error but state tells the truth.
-		return ctx.f.interruptErr
+		return &ctx.f.interruptErr
 	}
 	return ctx.Raise(ctx.f.spec.Graph.Root(), err.Error())
 }
@@ -155,16 +155,26 @@ func (th *Thread) conclude(ctx *Context, err error) error {
 	f := ctx.f
 	for {
 		if pe, ok := err.(*pendingError); ok && pe.kind == kindAbort {
+			target := pe.target
 			eab := th.runAbortion(ctx)
 			th.rt.counters.aborted.Add(1)
 			th.recordOutcome(f, "aborted")
 			// Log before popFrame: the pop recycles the frame, so f.id must
 			// not be read afterwards.
 			if th.logOn {
-				th.logf("aborted", "%s (target %s, Eab=%q)", f.id, pe.target, eab)
+				th.logf("aborted", "%s (target %s, Eab=%q)", f.id, target, eab)
 			}
 			th.popFrame(f)
-			return &abortError{target: pe.target, eab: eab}
+			// The enclosing frame, now on top, consumes the error in Enter.
+			// A top-level action has none; Perform reports that case.
+			var ae *abortError
+			if p := th.top(); p != nil {
+				ae = &p.childAbort
+			} else {
+				ae = new(abortError)
+			}
+			*ae = abortError{target: target, eab: eab}
+			return ae
 		}
 		if err != nil {
 			if _, ok := err.(*pendingError); !ok {
@@ -202,6 +212,7 @@ func (th *Thread) conclude(ctx *Context, err error) error {
 		if f.hasDecided {
 			out := f.decided
 			f.decided, f.hasDecided = resolve.Outcome{}, false
+			resolve.Release(f.inst)
 			f.inst = nil
 			f.informed = false
 			f.round++
@@ -212,7 +223,7 @@ func (th *Thread) conclude(ctx *Context, err error) error {
 			}
 			v := th.drainFuture(f)
 			if v.abortTarget != "" {
-				err = &pendingError{kind: kindAbort, frame: f, target: v.abortTarget}
+				err = f.abort(v.abortTarget)
 				continue
 			}
 			err = th.dispatchHandler(ctx, out)
@@ -438,7 +449,7 @@ func (th *Thread) runAbortion(ctx *Context) except.ID {
 // branch).
 func (th *Thread) absorbAbort(f *frame, ae *abortError) error {
 	th.ensureInstance(f)
-	ctrl := f.interruptErr
+	var ctrl error = &f.interruptErr
 	if ae.eab != except.None {
 		exc := except.Raised{ID: ae.eab, Origin: th.id, Info: "abortion handler", At: th.rt.clock.Now()}
 		th.rt.counters.raises.Add(1)
@@ -450,12 +461,13 @@ func (th *Thread) absorbAbort(f *frame, ae *abortError) error {
 		if out.Decided && !f.hasDecided {
 			f.decided, f.hasDecided = out, true
 		}
-		ctrl = f.raiseErr
+		ctrl = &f.raiseErr
 	}
-	pending := f.pendingAbort
-	f.pendingAbort = nil
-	for i := range pending {
-		d := &pending[i]
+	// Nothing appends to pendingAbort meanwhile (the owner is not parked, and
+	// this frame is innermost now), so the buffer is emptied in place to keep
+	// its capacity.
+	for i := range f.pendingAbort {
+		d := &f.pendingAbort[i]
 		out, err := f.inst.Deliver(d.From, d.Msg)
 		if err != nil {
 			th.logf("resolve.error", "absorb: %v", err)
@@ -463,6 +475,8 @@ func (th *Thread) absorbAbort(f *frame, ae *abortError) error {
 		}
 		th.applyOutcome(f, d, out)
 	}
+	clear(f.pendingAbort)
+	f.pendingAbort = f.pendingAbort[:0]
 	f.informed = true
 	return ctrl
 }
@@ -523,7 +537,7 @@ func (th *Thread) pump(f *frame, cond pumpCond, deadline time.Duration) error {
 	}
 	for {
 		if t := th.enclosingAbortTarget(f); t != "" && !f.aborting {
-			return &pendingError{kind: kindAbort, frame: f, target: t}
+			return f.abort(t)
 		}
 		if f.condMet(cond) {
 			return nil
@@ -550,7 +564,7 @@ func (th *Thread) pump(f *frame, cond pumpCond, deadline time.Duration) error {
 		}
 		v := th.route(&d)
 		if v.abortTarget != "" && !f.aborting {
-			return &pendingError{kind: kindAbort, frame: f, target: v.abortTarget}
+			return f.abort(v.abortTarget)
 		}
 	}
 }

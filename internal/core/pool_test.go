@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"caaction/internal/except"
 	"caaction/internal/simenv"
@@ -32,12 +33,13 @@ func poolEnv(t *testing.T) (*simenv.Env, *Runtime) {
 func poolThreads(t *testing.T, env *simenv.Env, rt *Runtime) (t1, t2 *Thread) {
 	t.Helper()
 	mux := transport.NewMux(env.Clock, env.Net)
+	inst := NewInstance("t!")
 	open := func(id string) *Thread {
 		ep, err := mux.Open("t", id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rt.NewThreadOn(id, ep, "t!")
+		return rt.NewThreadOn(id, ep, inst)
 	}
 	return open("T1"), open("T2")
 }
@@ -102,8 +104,8 @@ func TestThreadRecycleScrubsState(t *testing.T) {
 	t1.deferred = &[]transport.Outbound{{To: "T2"}}
 	t1.park = parkState{kind: parkCompute}
 	t1.Recycle()
-	if t1.id != "" || t1.prefix != "" || t1.ep != nil {
-		t.Errorf("recycled thread keeps identity: id=%q prefix=%q ep=%v", t1.id, t1.prefix, t1.ep)
+	if t1.id != "" || t1.inst != nil || t1.ep != nil {
+		t.Errorf("recycled thread keeps identity: id=%q inst=%v ep=%v", t1.id, t1.inst, t1.ep)
 	}
 	if len(t1.stack) != 0 || len(t1.retained) != 0 || len(t1.dead) != 0 || len(t1.seq) != 0 {
 		t.Errorf("recycled thread keeps state: stack=%d retained=%d dead=%d seq=%d",
@@ -167,8 +169,11 @@ func TestRecycleMidActionIsNoop(t *testing.T) {
 // TestFrameReleaseScrubsEverything pops a frame through releaseFrame and
 // checks, field by field, that the pooled object is zero apart from what the
 // hygiene contract lets survive: the bumped generation, the bound undo and
-// resolve methods, and the entered and votes slices at length 0 — votes
-// keeping its backing array with every slot zeroed.
+// resolve methods and control errors, and the entered, votes, pendingAbort
+// and apps buffers at length 0 — each keeping its backing array with every
+// slot zeroed. The frame first gets a transaction with an object in its
+// use set, App payloads (one taken), a pending abort with the abort error's
+// target set, a child's abort error and a resolution round.
 func TestFrameReleaseScrubsEverything(t *testing.T) {
 	env, rt := poolEnv(t)
 	th, _ := poolThreads(t, env, rt)
@@ -176,14 +181,26 @@ func TestFrameReleaseScrubsEverything(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := rt.Objects().Define("acct", 1); err != nil {
+		t.Fatal(err)
+	}
 	f := th.pushFrame(nil, spec, "a", RoleProgram{Body: func(*Context) error { return nil }})
+	if err := f.txn().Write("acct", 2); err != nil {
+		t.Fatal(err)
+	}
 	f.round = 3
 	f.informed = true
 	f.epsilon = "e1"
 	f.votes = append(f.votes, transport.Delivery{From: "T9"}, transport.Delivery{From: "T8"})
 	f.future = append(f.future, transport.Delivery{From: "T9"})
 	f.pendingAbort = append(f.pendingAbort, transport.Delivery{From: "T9"})
-	f.addApp("T9", "payload")
+	f.addApp("T1", "taken")
+	f.addApp("T1", "waiting")
+	if got := f.takeApp(0); got != "taken" {
+		t.Fatalf("takeApp = %v, want the first payload", got)
+	}
+	f.abort("t!outer#1")
+	f.childAbort = abortError{target: "t!outer#1", eab: "e1"}
 	th.ensureInstance(f)
 	gen := f.gen
 	th.popFrame(f)
@@ -194,7 +211,8 @@ func TestFrameReleaseScrubsEverything(t *testing.T) {
 	v := reflect.ValueOf(f).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		switch name := v.Type().Field(i).Name; name {
-		case "gen", "undoFn", "resolveFn", "raiseErr", "interruptErr", "entered", "votes":
+		case "gen", "undoFn", "resolveFn", "raiseErr", "interruptErr", "abortErr", "childAbort",
+			"entered", "votes", "pendingAbort", "apps":
 			// Checked below.
 		default:
 			if !v.Field(i).IsZero() {
@@ -202,26 +220,142 @@ func TestFrameReleaseScrubsEverything(t *testing.T) {
 			}
 		}
 	}
+	if f.tx != nil || f.inst != nil || f.round != 0 {
+		t.Errorf("released frame keeps a transaction (%v), resolution instance (%v) or round (%d)", f.tx, f.inst, f.round)
+	}
 	if f.undoFn == nil || f.resolveFn == nil {
 		t.Errorf("released frame dropped its bound methods: undoFn=%v resolveFn=%v", f.undoFn != nil, f.resolveFn != nil)
 	}
 	for _, e := range []struct {
-		err  *pendingError
+		err  pendingError
 		kind pendingKind
-	}{{f.raiseErr, kindRaise}, {f.interruptErr, kindInterrupt}} {
-		if e.err == nil || *e.err != (pendingError{kind: e.kind, frame: f}) {
-			t.Errorf("released frame's kind %d control error is %+v, want one bound to the frame", e.kind, e.err)
+	}{{f.raiseErr, kindRaise}, {f.interruptErr, kindInterrupt}, {f.abortErr, kindAbort}} {
+		if e.err != (pendingError{kind: e.kind, frame: f}) {
+			t.Errorf("released frame's kind %d control error is %+v, want one bound to the frame with no target", e.kind, e.err)
 		}
+	}
+	if f.childAbort != (abortError{}) {
+		t.Errorf("released frame's child abort error is %+v, want a zero one", f.childAbort)
 	}
 	if len(f.entered) != 0 {
 		t.Errorf("released frame's entered slice has length %d, want 0", len(f.entered))
 	}
-	if len(f.votes) != 0 || cap(f.votes) < 2 {
-		t.Errorf("released frame's votes slice has length %d and capacity %d, want 0 and its old backing array", len(f.votes), cap(f.votes))
+	for _, b := range []struct {
+		name string
+		s    []transport.Delivery
+		min  int
+	}{{"votes", f.votes, 2}, {"pendingAbort", f.pendingAbort, 1}} {
+		if len(b.s) != 0 || cap(b.s) < b.min {
+			t.Errorf("released frame's %s slice has length %d and capacity %d, want 0 and its old backing array", b.name, len(b.s), cap(b.s))
+		}
+		for i, d := range b.s[:cap(b.s)] {
+			if !reflect.ValueOf(d).IsZero() {
+				t.Errorf("released frame's %s slot %d keeps %+v", b.name, i, d)
+			}
+		}
 	}
-	for i, d := range f.votes[:cap(f.votes)] {
-		if !reflect.ValueOf(d).IsZero() {
-			t.Errorf("released frame's votes slot %d keeps %+v", i, d)
+	if len(f.apps) != 0 || cap(f.apps) < 1 {
+		t.Fatalf("released frame's apps slice has length %d and capacity %d, want 0 and its old backing array", len(f.apps), cap(f.apps))
+	}
+	for i, q := range f.apps[:cap(f.apps)] {
+		if len(q.buf) != 0 || q.head != 0 {
+			t.Errorf("released frame's App queue %d holds %d payloads from %d", i, len(q.buf), q.head)
+		}
+		for j, p := range q.buf[:cap(q.buf)] {
+			if p != nil {
+				t.Errorf("released frame's App queue %d slot %d keeps %v", i, j, p)
+			}
+		}
+	}
+	if cap(f.apps[:1][0].buf) < 2 {
+		t.Errorf("released frame's App queue lost its capacity: %d", cap(f.apps[:1][0].buf))
+	}
+}
+
+// TestStaleContextTxPanics: a Context whose body never asked for a
+// transaction must not create one after its action ended — the frame may
+// serve another action by then, which would find a transaction it never
+// began. Tx panics like the other stale accessors, outside any action and
+// inside a later one, and the later action's frame stays without one.
+func TestStaleContextTxPanics(t *testing.T) {
+	env, rt := poolEnv(t)
+	spec := poolSpec(t, "stx")
+	t1, t2 := poolThreads(t, env, rt)
+	var held *Context
+	performPair(t, env, spec, t1, t2, func(ctx *Context) error {
+		if ctx.Self() == "T1" {
+			held = ctx
+		}
+		return nil
+	})
+	want := "core: Context for t!stx#1 used outside its frame"
+	stale := func() (p any) {
+		defer func() { p = recover() }()
+		_ = held.Tx()
+		return nil
+	}
+	if p := stale(); p != want {
+		t.Errorf("held Context's Tx() outside any action panicked with %v, want %q", p, want)
+	}
+	var inside any
+	var txCreated bool
+	performPair(t, env, spec, t1, t2, func(ctx *Context) error {
+		if ctx.Self() == "T1" {
+			inside = stale()
+			txCreated = ctx.f.tx != nil
+		}
+		return nil
+	})
+	if inside != want {
+		t.Errorf("held Context's Tx() inside a later action panicked with %v, want %q", inside, want)
+	}
+	if txCreated {
+		t.Errorf("the stale Tx() call gave the later action's frame a transaction")
+	}
+}
+
+// TestNestedIdentifiersDistinctAndShared: two nested instances of one spec
+// under one parent get distinct identifiers (#1, #2), and the threads of
+// the instance share each identifier's string instead of building their
+// own.
+func TestNestedIdentifiersDistinctAndShared(t *testing.T) {
+	env, rt := poolEnv(t)
+	outer := poolSpec(t, "outer")
+	inner := poolSpec(t, "inner")
+	t1, t2 := poolThreads(t, env, rt)
+	ids := [2][]string{}
+	body := func(i int, role string) Body {
+		return func(ctx *Context) error {
+			ids[i] = append(ids[i], ctx.ActionID())
+			for n := 0; n < 2; n++ {
+				err := ctx.Enter(inner, role, RoleProgram{Body: func(c *Context) error {
+					ids[i] = append(ids[i], c.ActionID())
+					return nil
+				}})
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	errs := make([]error, 2)
+	env.Go(
+		func() { errs[0] = t1.Perform(outer, "a", RoleProgram{Body: body(0, "a")}) },
+		func() { errs[1] = t2.Perform(outer, "b", RoleProgram{Body: body(1, "b")}) },
+	)
+	if errs[0] != nil || errs[1] != nil {
+		t.Fatalf("perform: %v, %v", errs[0], errs[1])
+	}
+	want := []string{"t!outer#1", "t!outer#1/inner#1", "t!outer#1/inner#2"}
+	for i := range ids {
+		if !reflect.DeepEqual(ids[i], want) {
+			t.Fatalf("T%d identifiers %q, want %q", i+1, ids[i], want)
+		}
+	}
+	for j := range want {
+		if unsafe.StringData(ids[0][j]) != unsafe.StringData(ids[1][j]) {
+			t.Errorf("T1 and T2 hold separate copies of %s", want[j])
 		}
 	}
 }

@@ -76,10 +76,6 @@ type Spec struct {
 		done    atomic.Bool
 		mu      sync.Mutex
 		threads []string
-		// leaf1 is the cached "<name>#1" identifier leaf — the first (and,
-		// with thread recycling, overwhelmingly common) instance-sequence
-		// number of this spec; see Thread.instancePID.
-		leaf1 string
 	}
 }
 
@@ -100,16 +96,8 @@ func (s *Spec) Validate() error {
 	threads := s.Threads()
 	resolve.SortThreads(threads)
 	s.prep.threads = threads
-	s.prep.leaf1 = s.Name + "#1"
 	s.prep.done.Store(true)
 	return nil
-}
-
-// leaf1 returns the cached "<name>#1" identifier leaf; Validate must have
-// succeeded (every Perform ensures that before frames are pushed).
-func (s *Spec) leaf1() string {
-	_ = s.Validate()
-	return s.prep.leaf1
 }
 
 // sortedThreads returns the participating threads sorted by

@@ -482,13 +482,23 @@ func TestParseID(t *testing.T) {
 
 func TestParsedIDChild(t *testing.T) {
 	p := ParseID("a7!outer#1")
-	child := p.Child("inner#2")
+	child := p.Child("a7!outer#1/inner#2")
 	if want := ParseID("a7!outer#1/inner#2"); child != want {
 		t.Fatalf("Child = %+v, want %+v", child, want)
 	}
-	grand := child.Child("leaf#1")
+	grand := child.Child("a7!outer#1/inner#2/leaf#1")
 	if want := ParseID("a7!outer#1/inner#2/leaf#1"); grand != want {
 		t.Fatalf("grandchild = %+v, want %+v", grand, want)
+	}
+	for _, raw := range []string{"a7!outer#1", "a7!outer#1/", "a7!other#1/inner#2", "a7!outer#1/inner#2/leaf#1"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Child(%q) of a7!outer#1 did not panic", raw)
+				}
+			}()
+			p.Child(raw)
+		}()
 	}
 }
 

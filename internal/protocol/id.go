@@ -41,14 +41,20 @@ func ParseID(raw string) ParsedID {
 	return p
 }
 
-// Child derives the parsed form of a nested instance identifier from its
-// already-parsed parent, without re-splitting the parent's string.
-func (p ParsedID) Child(base string) ParsedID {
+// Child returns the parsed form of raw, the identifier of an instance
+// nested directly in p ("<p.Raw>/<leaf>"), by slicing raw and extending p:
+// neither string is re-split. It panics when raw does not extend p by one
+// level — identifiers are derived programmatically, so that is a wiring bug.
+func (p ParsedID) Child(raw string) ParsedID {
+	n := len(p.Raw)
+	if len(raw) <= n+1 || raw[:n] != p.Raw || raw[n] != '/' || strings.IndexByte(raw[n+1:], '/') >= 0 {
+		panic("protocol: " + raw + " is not a child of " + p.Raw)
+	}
 	return ParsedID{
-		Raw:    p.Raw + "/" + base,
+		Raw:    raw,
 		Tag:    p.Tag,
-		Parent: p.Raw,
-		Base:   base,
+		Parent: raw[:n],
+		Base:   raw[n+1:],
 		Depth:  p.Depth + 1,
 	}
 }

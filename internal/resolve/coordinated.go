@@ -2,6 +2,7 @@ package resolve
 
 import (
 	"fmt"
+	"sync"
 
 	"caaction/internal/except"
 	"caaction/internal/protocol"
@@ -40,10 +41,23 @@ type coordInstance struct {
 
 var _ Instance = (*coordInstance)(nil)
 
+// coordPool recycles instances across rounds: an exceptional action runs
+// at least one round per role, and the instance carries no state past its
+// round. release scrubs every field, so a pooled instance is
+// indistinguishable from a fresh one.
+var coordPool = sync.Pool{New: func() any { return new(coordInstance) }}
+
 func newCoordInstance(cfg Config, k int) *coordInstance {
-	c := &coordInstance{k: k}
+	c := coordPool.Get().(*coordInstance)
+	c.k = k
 	c.init(cfg)
 	return c
+}
+
+// release returns the instance to the pool; see Release.
+func (c *coordInstance) release() {
+	*c = coordInstance{}
+	coordPool.Put(c)
 }
 
 func (c *coordInstance) Raise(exc except.Raised) Outcome {

@@ -19,9 +19,9 @@
 //     acknowledgements) with every thread resolving, 3N(N−1) messages.
 //
 // A protocol instance handles exactly one resolution round of one action
-// instance; the runtime creates a fresh instance per round. Instances are
-// confined to their owning thread's event loop and are not safe for
-// concurrent use.
+// instance; the runtime takes an instance per round and releases it when
+// the round is decided. Instances are confined to their owning thread's
+// event loop and are not safe for concurrent use.
 package resolve
 
 import (
@@ -105,6 +105,17 @@ type Instance interface {
 	Deliver(from string, msg protocol.Message) (Outcome, error)
 	// State reports the local thread's protocol state.
 	State() State
+}
+
+// Release ends inst's round: the protocol may recycle the instance for a
+// later round. Only the owning thread may call it, once, and it must drop
+// every reference to the instance; an Outcome already returned stays
+// valid. Instances this package does not recycle, a wrapper's included,
+// are left to the garbage collector.
+func Release(inst Instance) {
+	if r, ok := inst.(interface{ release() }); ok {
+		r.release()
+	}
 }
 
 // Protocol manufactures per-round instances.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -385,6 +386,31 @@ func TestResolveCostOnCriticalPath(t *testing.T) {
 	if cr < 2*ours {
 		t.Fatalf("cr86 Treso slope = %v, want at least 2x coordinated (%v)", cr, ours)
 	}
+}
+
+// TestReleaseScrubsCoordinatedInstance: a released coordinated instance
+// goes back to the pool with no field of its round left — config, state,
+// LE list or decision — and Release leaves instances it does not recycle
+// alone.
+func TestReleaseScrubsCoordinatedInstance(t *testing.T) {
+	inst := Coordinated{}.NewInstance(Config{
+		Action: "A#1", Self: "T2", Peers: []string{"T1", "T2"}, Round: 1,
+		Send:    func(string, protocol.Message) {},
+		Resolve: func([]except.Raised) except.ID { return "e1" },
+	})
+	inst.Raise(except.Raised{ID: "e1", Origin: "T2"})
+	if _, err := inst.Deliver("T1", protocol.Message{Kind: protocol.KindSuspended, Action: "A#1", From: "T1", Round: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if inst.State() != StateExceptional {
+		t.Fatalf("state %v before release, want X", inst.State())
+	}
+	Release(inst)
+	if v := reflect.ValueOf(inst).Elem(); !v.IsZero() {
+		t.Errorf("released instance keeps its round: %+v", v.Interface())
+	}
+	Release(R96{}.NewInstance(Config{Action: "A#1", Self: "T1", Peers: []string{"T1"},
+		Send: func(string, protocol.Message) {}, Resolve: func([]except.Raised) except.ID { return "e1" }}))
 }
 
 func TestValidateRejectsWrongTags(t *testing.T) {

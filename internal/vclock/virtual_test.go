@@ -210,29 +210,33 @@ func TestVirtualManyProducersConsumers(t *testing.T) {
 	const producers, perProducer = 8, 50
 	q := v.NewQueue()
 	var received atomic.Int64
-	v.Go(func() {
-		for {
-			if _, ok := q.Get(); !ok {
-				return
-			}
-			received.Add(1)
-		}
-	})
 	var remaining atomic.Int64
 	remaining.Store(producers)
-	for p := 0; p < producers; p++ {
-		p := p
+	// Run, not Go in a loop and Wait: the consumer must not block while it
+	// is the only goroutine the clock tracks, or time runs on without the
+	// producers not started yet.
+	v.Run(func() {
 		v.Go(func() {
-			for i := 0; i < perProducer; i++ {
-				v.Sleep(time.Duration(p+1) * time.Millisecond)
-				q.Put(i)
-			}
-			if remaining.Add(-1) == 0 {
-				q.Close()
+			for {
+				if _, ok := q.Get(); !ok {
+					return
+				}
+				received.Add(1)
 			}
 		})
-	}
-	v.Wait()
+		for p := 0; p < producers; p++ {
+			p := p
+			v.Go(func() {
+				for i := 0; i < perProducer; i++ {
+					v.Sleep(time.Duration(p+1) * time.Millisecond)
+					q.Put(i)
+				}
+				if remaining.Add(-1) == 0 {
+					q.Close()
+				}
+			})
+		}
+	})
 	if received.Load() != producers*perProducer {
 		t.Fatalf("received %d, want %d", received.Load(), producers*perProducer)
 	}

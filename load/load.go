@@ -476,10 +476,34 @@ func ClassifyRole(err error) string {
 		return "undone"
 	default:
 		if se, ok := caaction.AsSignalled(err); ok {
-			return "signalled:" + string(se.Exc)
+			return signalledOutcome(se.Exc)
 		}
 		return "error: " + err.Error()
 	}
+}
+
+// signalledOutcomes interns ClassifyRole's "signalled:<ε>" per exception,
+// so classifying a repeated exceptional exit allocates nothing. It stops
+// growing at maxSignalledOutcomes exceptions; later ones are built per call.
+var (
+	signalledOutcomes sync.Map // caaction.Exception -> string
+	signalledInterned atomic.Int32
+)
+
+const maxSignalledOutcomes = 256
+
+func signalledOutcome(exc caaction.Exception) string {
+	if v, ok := signalledOutcomes.Load(exc); ok {
+		return v.(string)
+	}
+	outcome := "signalled:" + string(exc)
+	if signalledInterned.Load() < maxSignalledOutcomes {
+		if v, loaded := signalledOutcomes.LoadOrStore(exc, outcome); loaded {
+			return v.(string)
+		}
+		signalledInterned.Add(1)
+	}
+	return outcome
 }
 
 // severity orders classified outcomes: failed > undone > error > signalled
@@ -538,10 +562,28 @@ type workload struct {
 	progs map[string]map[string]caaction.RoleProgram
 }
 
-func roleName(i int) string { return fmt.Sprintf("r%d", i+1) }
+func roleName(i int) string { return indexedName(&roleNames, "r", i) }
 
 // threadName returns the shared thread addresses every instance muxes over.
-func threadName(i int) string { return fmt.Sprintf("L%d", i+1) }
+func threadName(i int) string { return indexedName(&threadNames, "L", i) }
+
+// roleNames and threadNames hold the first names formatted once, so bodies
+// that name a peer per call (abort's raiser, chatter) allocate nothing.
+var roleNames, threadNames = formatNames("r"), formatNames("L")
+
+func formatNames(prefix string) (names [16]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("%s%d", prefix, i+1)
+	}
+	return names
+}
+
+func indexedName(names *[16]string, prefix string, i int) string {
+	if i >= 0 && i < len(names) {
+		return names[i]
+	}
+	return fmt.Sprintf("%s%d", prefix, i+1)
+}
 
 // RoleName returns the harness's i-th role name ("r1", "r2", ...), and
 // ThreadName the logical thread address that role is bound to ("L1", "L2",

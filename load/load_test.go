@@ -307,3 +307,18 @@ func TestWorkloadExports(t *testing.T) {
 		t.Error("naming exports out of sync with the harness")
 	}
 }
+
+// TestClassifyRoleSignalledAllocs: classifying an exceptional exit whose
+// exception was seen before allocates nothing, and the interned outcome
+// reads as the concatenation did.
+func TestClassifyRoleSignalledAllocs(t *testing.T) {
+	err := error(&caaction.SignalledError{Action: "a1!load-signal#1", Spec: "load-signal", Exc: "overload"})
+	if got := load.ClassifyRole(err); got != "signalled:overload" {
+		t.Fatalf("ClassifyRole = %q, want signalled:overload", got)
+	}
+	var outcome string
+	n := testing.AllocsPerRun(100, func() { outcome = load.ClassifyRole(err) })
+	if n != 0 || outcome != "signalled:overload" {
+		t.Fatalf("ClassifyRole of a repeated exception: %v allocs, %q; want 0 and signalled:overload", n, outcome)
+	}
+}

@@ -64,13 +64,15 @@ type System struct {
 	log     *Log
 
 	// Concurrent multi-action state: the demultiplexer StartAction instances
-	// share (created lazily), the instance-tag sequence, and the closed
-	// marker consulted by Thread and StartAction.
-	muxOnce   sync.Once
-	mux       *transport.Mux
-	noInline  bool // WithoutInlineDelivery: force the queue delivery model
-	actionSeq atomic.Int64
-	closed    atomic.Bool
+	// share (created lazily), the instance-tag sequence, the record of the
+	// instance System.Thread's threads are roles of, and the closed marker
+	// consulted by Thread and StartAction.
+	muxOnce    sync.Once
+	mux        *transport.Mux
+	noInline   bool // WithoutInlineDelivery: force the queue delivery model
+	actionSeq  atomic.Int64
+	threadInst *core.Instance
+	closed     atomic.Bool
 
 	// Drain state: once draining is set, StartAction and Thread refuse new
 	// work with ErrDraining while in-flight actions run to completion.
@@ -200,6 +202,7 @@ func New(opts ...Option) (*System, error) {
 		maxInFlight:  cfg.maxInFlight,
 		tenantBudget: cfg.tenantBudget,
 		rejected:     cfg.metrics.Counter("admission.rejected"),
+		threadInst:   core.NewInstance(threadTag + "!"),
 	}
 	s.runners.init(clk)
 	if cfg.tenantBudget > 0 {

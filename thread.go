@@ -48,7 +48,7 @@ func (s *System) Thread(id string) (*Thread, error) {
 	if err != nil {
 		return nil, fmt.Errorf("caaction: thread %q: %w", id, err)
 	}
-	return &Thread{sys: s, inner: s.rt.NewThreadOn(id, ep, threadTag+"!")}, nil
+	return &Thread{sys: s, inner: s.rt.NewThreadOn(id, ep, s.threadInst)}, nil
 }
 
 // ID returns the thread identifier.
