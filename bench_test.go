@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -243,6 +244,20 @@ func BenchmarkStartActionCommitTCP(b *testing.B) {
 	benchStartActionCommit(b, caaction.WithTCPTransport(""))
 }
 
+// BenchmarkStartActionCommitWAL is the same in-process action recorded by
+// a durable WAL at its default cadence: each role's join, vote and
+// outcome is written and fsynced before its message leaves, with the
+// callers' appends group-committed. The difference to
+// BenchmarkStartActionCommit is the WAL's share.
+func BenchmarkStartActionCommitWAL(b *testing.B) {
+	w, err := caaction.OpenWAL(filepath.Join(b.TempDir(), "node.wal"), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = w.Close() }()
+	benchStartActionCommit(b, caaction.WithSimTransport(0), caaction.WithRecorder(w))
+}
+
 // BenchmarkStartActionSignal, BenchmarkStartActionAbort and
 // BenchmarkStartActionStorm are the exceptional rungs next to
 // BenchmarkStartActionCommit: the same 16 callers and sim transport, each
@@ -259,7 +274,7 @@ func benchStartActionKind(b *testing.B, kind string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchStartAction(b, caaction.WithSimTransport(0), spec, progs, loadKindOK[kind])
+	benchStartAction(b, spec, progs, loadKindOK[kind], caaction.WithSimTransport(0))
 }
 
 // loadKindOK reports whether one role's outcome is what an action of each
@@ -444,16 +459,16 @@ func TestLoadKindAllocCeilings(t *testing.T) {
 // counts are not the program's.
 var raceEnabled bool
 
-func benchStartActionCommit(b *testing.B, transport caaction.Option) {
+func benchStartActionCommit(b *testing.B, opts ...caaction.Option) {
 	spec, progs := commitSpec(b)
-	benchStartAction(b, transport, spec, progs, loadKindOK[load.KindCommit])
+	benchStartAction(b, spec, progs, loadKindOK[load.KindCommit], opts...)
 }
 
 // benchStartAction runs b.N actions of spec across 16 closed-loop callers
-// over transport on the real clock, failing b when a role's outcome does
-// not satisfy ok.
-func benchStartAction(b *testing.B, transport caaction.Option, spec *caaction.Spec, progs map[string]caaction.RoleProgram, ok func(error) bool) {
-	sys, err := caaction.New(caaction.WithRealTime(), transport)
+// on the real clock, on a System built with opts (its transport, and any
+// recorder), failing b when a role's outcome does not satisfy ok.
+func benchStartAction(b *testing.B, spec *caaction.Spec, progs map[string]caaction.RoleProgram, ok func(error) bool, opts ...caaction.Option) {
+	sys, err := caaction.New(append([]caaction.Option{caaction.WithRealTime()}, opts...)...)
 	if err != nil {
 		b.Fatal(err)
 	}

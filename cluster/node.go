@@ -91,7 +91,7 @@ type Config struct {
 	// Empty disables durability: a crashed node forgets everything.
 	WALDir string
 	// SnapshotEvery is the WAL compaction cadence in records; <= 0 means
-	// the default (256).
+	// the default (4096).
 	SnapshotEvery int
 	// PeerWindow, when positive, overrides the per-peer credit window (in
 	// messages) this node advertises to dialing peers; see

@@ -126,9 +126,10 @@
 // Crashes need not be amnesiac. WithRecorder(r) streams every protocol
 // state transition — joins, raise/exit votes, concluded outcomes — to a
 // Recorder; OpenWAL(path, snapshotEvery) is the durable implementation, a
-// group-commit fsynced write-ahead log that forgets concluded actions and
-// instances, compacts its live state every snapshotEvery records and
-// tolerates a torn tail on replay. A restarted process reads the prior
+// write-ahead log whose concurrent appends share one write and one fsync.
+// It forgets concluded actions and instances, compacts its live state
+// every snapshotEvery records (default 4096) and tolerates a torn tail on
+// replay. A restarted process reads the prior
 // WALState back and applies the paper's §3.4 decision to what is still
 // open: an instance still inside its resolution window is re-joined live,
 // and anything older is abandoned deterministically; a concluded action

@@ -3,6 +3,7 @@ package atomicobj
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -264,6 +265,36 @@ func TestTxLifecycle(t *testing.T) {
 	}
 	if len(oa.Informed()) != 1 {
 		t.Fatal("inform not propagated")
+	}
+}
+
+// TestTxInformAllocs: a completion walk reads the use set as kept, so a
+// second Inform on the same Tx allocates nothing. (The object's own record
+// of informed exceptions grows by doubling, less than once per call over
+// the runs.)
+func TestTxInformAllocs(t *testing.T) {
+	reg, _ := newReg(t)
+	for _, n := range []string{"c", "a", "b"} {
+		if _, err := reg.Define(n, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx := reg.Begin("act#1")
+	for _, n := range []string{"c", "a", "b", "a"} {
+		if err := tx.Write(n, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tx.Used(); !slices.Equal(got, []string{"a", "b", "c"}) {
+		t.Fatalf("used = %v, want [a b c]", got)
+	}
+	exc := except.Raised{ID: "e1"}
+	tx.Inform(exc)
+	if n := testing.AllocsPerRun(100, func() { tx.Inform(exc) }); n != 0 {
+		t.Fatalf("Inform allocates %.0f times, want 0", n)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
 	}
 }
 

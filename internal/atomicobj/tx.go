@@ -2,7 +2,8 @@ package atomicobj
 
 import (
 	"errors"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"caaction/internal/except"
@@ -18,13 +19,15 @@ type Tx struct {
 	reg    *Registry
 	action string
 
-	mu   sync.Mutex
-	used map[string]*Object
+	mu sync.Mutex
+	// used is the use set sorted by name. It is replaced, never changed
+	// in place, so a completion walk iterates it outside mu.
+	used []*Object
 	done bool
 }
 
-// Begin starts tracking object use for an action instance. The use-set map
-// is allocated lazily on first object access.
+// Begin starts tracking object use for an action instance. The use set is
+// allocated on first object access.
 func (r *Registry) Begin(action string) *Tx {
 	return &Tx{reg: r, action: action}
 }
@@ -40,10 +43,10 @@ func (tx *Tx) Object(name string) (*Object, error) {
 		return nil, err
 	}
 	tx.mu.Lock()
-	if tx.used == nil {
-		tx.used = make(map[string]*Object)
+	if i, found := slices.BinarySearchFunc(tx.used, name, byName); !found {
+		// Clip makes Insert copy into a new array.
+		tx.used = slices.Insert(slices.Clip(tx.used), i, o)
 	}
-	tx.used[name] = o
 	tx.mu.Unlock()
 	return o, nil
 }
@@ -101,11 +104,10 @@ func (tx *Tx) Inform(exc except.Raised) {
 func (tx *Tx) Used() []string {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	out := make([]string, 0, len(tx.used))
-	for n := range tx.used {
-		out = append(out, n)
+	out := make([]string, len(tx.used))
+	for i, o := range tx.used {
+		out[i] = o.name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -149,20 +151,15 @@ func (tx *Tx) Undo() error {
 	return firstErr
 }
 
+// objects returns the use set in name order. The caller walks it without
+// holding mu: Object replaces the slice rather than changing it.
 func (tx *Tx) objects() []*Object {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	names := make([]string, 0, len(tx.used))
-	for n := range tx.used {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]*Object, 0, len(names))
-	for _, n := range names {
-		out = append(out, tx.used[n])
-	}
-	return out
+	return tx.used
 }
+
+func byName(o *Object, name string) int { return strings.Compare(o.name, name) }
 
 func (tx *Tx) finish() {
 	tx.mu.Lock()

@@ -10,32 +10,44 @@ import (
 
 // DefaultSnapshotEvery is the compaction cadence when File is opened with
 // snapshotEvery <= 0: after this many appended records the log is
-// rewritten as one snapshot, bounding replay length and file size.
-const DefaultSnapshotEvery = 256
+// rewritten as one snapshot, bounding replay length and file size. At
+// 4096 a full tail is 120–170 KB of protocol records and replays in a few
+// milliseconds at boot; compaction, which fsyncs a temp file and the
+// directory under the append lock, runs once per 4096 records.
+const DefaultSnapshotEvery = 4096
 
 // File is the durable on-disk WAL. Append is group-committed: every
-// append is durable (fsynced) before it returns, but concurrent appenders
-// share one fsync — the classic group-commit batch — so sustained load
-// pays one disk flush per batch, not per record.
+// append is durable (written and fsynced) before it returns, but
+// concurrent appenders share one write and one fsync — the classic
+// group-commit batch — so sustained load pays one system call pair per
+// batch, not per record.
+//
+// Append encodes its record into a pending batch under the append lock.
+// One appender at a time leads a flush: it takes the pending batch, and
+// outside the lock writes it with one write(2), fsyncs, and wakes every
+// appender whose record the batch carried. Only one leader runs at a
+// time, so batches reach the file in append order.
 //
 // File implements the core Recorder interface, stamping records with
 // wall-clock unix nanoseconds.
 type File struct {
-	mu            sync.Mutex // serialises writes, state and compaction
+	mu            sync.Mutex // serialises encoding, state and compaction
 	f             *os.File
 	path          string
-	buf           []byte // reusable encode buffer, guarded by mu
+	pending       []byte // frames encoded but not yet written, guarded by mu
+	spare         []byte // the last leader's batch buffer, reused by the next
 	state         State
 	sinceSnapshot int
 	snapshotEvery int
-	writeSeq      uint64 // records written (not necessarily synced)
+	seq           uint64 // records appended (encoded, not necessarily written)
 	compactions   uint64 // times compaction replaced f
 
-	sm        sync.Mutex // group-commit sync state
+	sm        sync.Mutex // group-commit flush state
 	syncCond  *sync.Cond
-	syncing   bool
+	syncing   bool // a leader (or Close) is flushing
 	syncedSeq uint64
 	syncErr   error
+	fsyncs    uint64 // flushes and compactions, for records per fsync
 }
 
 // Open opens (or creates) the WAL at path and replays it. A truncated
@@ -94,7 +106,7 @@ func (w *File) State() State {
 	return w.state.Clone()
 }
 
-// Append writes one record and returns once it is durable. The record is
+// Append logs one record and returns once it is durable. The record is
 // stamped with the current wall clock if Wall is zero.
 func (w *File) Append(r Record) error {
 	if r.Wall == 0 {
@@ -105,13 +117,9 @@ func (w *File) Append(r Record) error {
 		w.mu.Unlock()
 		return fmt.Errorf("wal: %s: log closed", w.path)
 	}
-	w.buf = AppendFrame(w.buf[:0], r)
-	if _, err := w.f.Write(w.buf); err != nil {
-		w.mu.Unlock()
-		return fmt.Errorf("wal: append %s: %w", w.path, err)
-	}
-	w.writeSeq++
-	seq := w.writeSeq
+	w.pending = AppendFrame(w.pending, r)
+	w.seq++
+	seq := w.seq
 	switch r.Kind {
 	case KindOutcome:
 		delete(w.state.Actions, ActionKey{Thread: r.Thread, Action: r.Action})
@@ -126,8 +134,8 @@ func (w *File) Append(r Record) error {
 			w.mu.Unlock()
 			return err
 		}
-		// Compaction fsynced and renamed; everything written so far is
-		// durable already.
+		// The snapshot holds every record applied so far and is
+		// fsynced and renamed; they are all durable already.
 		w.bumpSynced(seq)
 		w.mu.Unlock()
 		return nil
@@ -136,9 +144,9 @@ func (w *File) Append(r Record) error {
 	return w.sync(seq)
 }
 
-// sync blocks until record seq is durable, sharing fsyncs between
-// concurrent appenders: one goroutine flushes on behalf of every write
-// that landed before the flush started.
+// sync blocks until record seq is durable. The first appender to find no
+// flush running leads one on behalf of every record encoded before it
+// takes the pending batch; the others wait for a flush that covers them.
 func (w *File) sync(seq uint64) error {
 	w.sm.Lock()
 	for {
@@ -155,48 +163,70 @@ func (w *File) sync(seq uint64) error {
 	w.syncing = true
 	w.sm.Unlock()
 
-	// Capture how far writes have progressed, then flush: the fsync
-	// covers every record written before it.
+	// Take the batch and how far it reaches, then write and fsync it
+	// outside the append lock so appenders keep encoding the next one.
 	w.mu.Lock()
-	target := w.writeSeq
+	target := w.seq
+	batch := w.pending
+	w.pending, w.spare = w.spare[:0], batch
 	f, gen := w.f, w.compactions
 	w.mu.Unlock()
-	var err error
-	if f != nil {
-		err = f.Sync()
-	}
+	err := writeSync(f, batch)
 	if err != nil {
 		w.mu.Lock()
-		if w.compactions != gen {
-			// A compaction closed f under the fsync. Its snapshot was
-			// fsynced after every record up to target was written, so
-			// those records are durable already.
-			err = nil
-		}
+		// A compaction that closed f under the flush covers it: its
+		// snapshot holds every record up to target and was fsynced.
+		covered := w.compactions != gen
 		w.mu.Unlock()
+		if covered {
+			err = nil
+		} else {
+			err = fmt.Errorf("wal: flush %s: %w", w.path, err)
+		}
 	}
-
-	w.sm.Lock()
-	w.syncing = false
-	if target > w.syncedSeq {
-		w.syncedSeq = target
-	}
-	w.syncErr = err
-	w.syncCond.Broadcast()
-	w.sm.Unlock()
-	if err != nil {
-		return fmt.Errorf("wal: fsync %s: %w", w.path, err)
-	}
-	return nil
+	return w.flushed(target, err)
 }
 
-// bumpSynced marks records up to seq durable without an fsync (used after
-// compaction, which is durable by construction).
-func (w *File) bumpSynced(seq uint64) {
+// writeSync writes batch to f with one write(2), then fsyncs f.
+func writeSync(f *os.File, batch []byte) error {
+	if len(batch) > 0 {
+		if _, err := f.Write(batch); err != nil {
+			return err
+		}
+	}
+	return f.Sync()
+}
+
+// flushed ends a flush: records up to seq are settled, every appender
+// waiting on them wakes, and it returns what they return. A flush error
+// sticks until the next compaction: a failed write may leave a torn batch
+// that later batches land behind, and a failed fsync may have dropped
+// pages a later one will not report, so no later flush proves its records
+// replayable. The compaction's snapshot does.
+func (w *File) flushed(seq uint64, err error) error {
 	w.sm.Lock()
+	defer w.sm.Unlock()
+	w.syncing = false
+	w.fsyncs++
 	if seq > w.syncedSeq {
 		w.syncedSeq = seq
 	}
+	if err != nil {
+		w.syncErr = err
+	}
+	w.syncCond.Broadcast()
+	return w.syncErr
+}
+
+// bumpSynced marks records up to seq durable without a flush (used after
+// compaction, which is durable by construction).
+func (w *File) bumpSynced(seq uint64) {
+	w.sm.Lock()
+	w.fsyncs++
+	if seq > w.syncedSeq {
+		w.syncedSeq = seq
+	}
+	w.syncErr = nil
 	w.syncCond.Broadcast()
 	w.sm.Unlock()
 }
@@ -228,8 +258,10 @@ func (w *File) compactLocked() error {
 		return fmt.Errorf("wal: compact %s: %w", w.path, err)
 	}
 	// The renamed temp file is the log now; appends continue at its end.
+	// The snapshot holds the pending records, so they are not written.
 	w.f.Close()
 	w.f = tmp
+	w.pending = w.pending[:0]
 	w.compactions++
 	w.sinceSnapshot = 1 // the snapshot record itself
 	if err := syncDir(dir); err != nil {
@@ -248,19 +280,38 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// Close flushes and closes the log.
+// Close writes and fsyncs the pending batch, then closes the log. It
+// waits for a running flush and settles every appender still waiting:
+// each returns nil with its record durable, or the error Close returns.
 func (w *File) Close() error {
+	w.sm.Lock()
+	for w.syncing {
+		w.syncCond.Wait()
+	}
+	w.syncing = true
+	w.sm.Unlock()
+
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.f == nil {
+		w.mu.Unlock()
+		w.sm.Lock()
+		w.syncing = false
+		w.syncCond.Broadcast()
+		w.sm.Unlock()
 		return nil
 	}
-	err := w.f.Sync()
+	err := writeSync(w.f, w.pending)
+	w.pending = w.pending[:0]
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
 	w.f = nil
-	return err
+	seq := w.seq
+	w.mu.Unlock()
+	if err != nil {
+		err = fmt.Errorf("wal: close %s: %w", w.path, err)
+	}
+	return w.flushed(seq, err)
 }
 
 // Recorder methods: protocol state recorded by the core runtime before

@@ -31,6 +31,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrCodec reports a malformed or truncated WAL record. A truncated *tail*
@@ -132,11 +133,20 @@ func appendRecord(buf []byte, r Record) []byte {
 }
 
 // AppendFrame appends r's length-prefixed encoding to buf and returns the
-// extended buffer — the append side of the on-disk format.
+// extended buffer — the append side of the on-disk format. The body's
+// length is computed up front, so the frame is encoded in place and
+// allocates only when buf must grow.
 func AppendFrame(buf []byte, r Record) []byte {
-	body := appendRecord(nil, r)
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	return append(buf, body...)
+	buf = binary.AppendUvarint(buf, uint64(recordLen(r)))
+	return appendRecord(buf, r)
+}
+
+// recordLen is the length of appendRecord's encoding of r.
+func recordLen(r Record) int {
+	return 1 + intLen(r.Wall) + stringLen(r.Thread) + stringLen(r.Action) +
+		stringLen(r.Role) + intLen(int64(r.Round)) + stringLen(r.Exc) +
+		stringLen(r.Outcome) + stringLen(r.Tag) + stringLen(r.WorkKind) +
+		intLen(int64(r.Roles)) + uvarintLen(uint64(len(r.Blob))) + len(r.Blob)
 }
 
 // decodeRecord decodes one record body.
@@ -205,6 +215,13 @@ func appendBytes(buf, b []byte) []byte {
 func appendInt(buf []byte, v int64) []byte {
 	return binary.AppendVarint(buf, v)
 }
+
+func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+// intLen is the length of appendInt's zigzag varint encoding of v.
+func intLen(v int64) int { return uvarintLen(uint64(v)<<1 ^ uint64(v>>63)) }
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 type decoder struct {
 	data []byte

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -38,6 +39,19 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, recs) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, recs)
+	}
+	// AppendFrame writes the length prefix from recordLen before the body;
+	// it must agree with the body's encoding at every varint width.
+	edges := append(recs, pinnedRecords()...)
+	edges = append(edges,
+		Record{Kind: KindRaise, Wall: -1, Round: -64, Roles: 1 << 62},
+		Record{Kind: KindVote, Wall: -1 << 63, Round: 63, Exc: string(make([]byte, 200))},
+		Record{Kind: KindSnapshot, Wall: 1<<63 - 1, Blob: make([]byte, 1<<14)},
+	)
+	for _, r := range edges {
+		if n, want := recordLen(r), len(appendRecord(nil, r)); n != want {
+			t.Fatalf("recordLen(%+v) = %d, want %d", r.Kind, n, want)
+		}
 	}
 }
 
@@ -454,7 +468,224 @@ func BenchmarkFileAppend(b *testing.B) {
 				}(fmt.Sprintf("T%d", g))
 			}
 			wg.Wait()
+			b.StopTimer()
+			w.mu.Lock()
+			records := w.seq
+			w.mu.Unlock()
+			w.sm.Lock()
+			fsyncs := w.fsyncs
+			w.sm.Unlock()
+			b.ReportMetric(float64(records)/float64(max(fsyncs, 1)), "records/fsync")
 		})
+	}
+}
+
+// TestFileBatchesStraddleCompactions: 16 appenders, each logging joins,
+// outcomes and raises for its own actions, against a log that compacts
+// every 7 records, so flush batches keep overlapping compactions. Every
+// append succeeds, and after Close and Open the state is exactly what
+// the appended records say: concluded actions gone, the others in flight
+// with their one raise.
+func TestFileBatchesStraddleCompactions(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.wal")
+	w, err := Open(path, 7)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	const appenders, actions = 16, 250 // 500 records each
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		failed int
+		first  error
+	)
+	for g := 0; g < appenders; g++ {
+		wg.Add(1)
+		go func(th string) {
+			defer wg.Done()
+			for i := 0; i < actions; i++ {
+				a := "a#" + strconv.Itoa(i)
+				errs := []error{w.Append(Record{Kind: KindJoin, Thread: th, Action: a, Role: "r1"})}
+				if i%5 == 0 {
+					errs = append(errs, w.Append(Record{Kind: KindRaise, Thread: th, Action: a, Round: 1, Exc: "e1"}))
+				} else {
+					errs = append(errs, w.Append(Record{Kind: KindOutcome, Thread: th, Action: a, Outcome: "ok"}))
+				}
+				for _, err := range errs {
+					if err != nil {
+						mu.Lock()
+						if failed++; first == nil {
+							first = err
+						}
+						mu.Unlock()
+					}
+				}
+			}
+		}("T" + strconv.Itoa(g))
+	}
+	wg.Wait()
+	if failed > 0 {
+		t.Fatalf("%d appends failed, first: %v", failed, first)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	w2, err := Open(path, 7)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer w2.Close()
+	st := w2.State()
+	if len(st.Actions) != appenders*actions/5 {
+		t.Fatalf("reopened state holds %d actions, want %d", len(st.Actions), appenders*actions/5)
+	}
+	for g := 0; g < appenders; g++ {
+		for i := 0; i < actions; i += 5 {
+			k := ActionKey{Thread: "T" + strconv.Itoa(g), Action: "a#" + strconv.Itoa(i)}
+			if as, ok := st.Actions[k]; !ok || as.Role != "r1" || as.Raises != 1 || as.LastRound != 1 {
+				t.Fatalf("%v after reopen: %+v (present %v)", k, as, ok)
+			}
+		}
+	}
+}
+
+// TestFileCloseRacingAppenders: Close runs while appenders are blocked on
+// a flush. Every appender returns, and every join whose Append returned
+// nil is in flight in the reopened log.
+func TestFileCloseRacingAppenders(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.wal")
+	w, err := Open(path, 64)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	const appenders = 16
+	var (
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		durable []ActionKey
+		started = make(chan struct{}, appenders)
+	)
+	for g := 0; g < appenders; g++ {
+		wg.Add(1)
+		go func(th string) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				k := ActionKey{Thread: th, Action: "a#" + strconv.Itoa(i)}
+				if err := w.Append(Record{Kind: KindJoin, Thread: k.Thread, Action: k.Action, Role: "r1"}); err != nil {
+					return
+				}
+				mu.Lock()
+				durable = append(durable, k)
+				mu.Unlock()
+				if i == 4 {
+					started <- struct{}{}
+				}
+			}
+		}("T" + strconv.Itoa(g))
+	}
+	for g := 0; g < appenders; g++ {
+		<-started
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("appenders still blocked 30s after Close")
+	}
+	if err := w.Append(Record{Kind: KindJoin, Thread: "late", Action: "a#0"}); err == nil {
+		t.Fatal("Append after Close returned nil")
+	}
+	w2, err := Open(path, 64)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer w2.Close()
+	st := w2.State()
+	for _, k := range durable {
+		if _, ok := st.Actions[k]; !ok {
+			t.Fatalf("%v: Append returned nil but the reopened log lacks it (%d durable, %d replayed)", k, len(durable), len(st.Actions))
+		}
+	}
+}
+
+// TestFileFlushErrorSticksUntilCompaction: once a flush fails, appends
+// report the failure even after the file writes again, because the log
+// may hold a torn batch; the next compaction rewrites the log from the
+// live state and appends succeed again, with every record replayable.
+func TestFileFlushErrorSticksUntilCompaction(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.wal")
+	const every = 8
+	w, err := Open(path, every)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	join := func(i int) error {
+		return w.Append(Record{Kind: KindJoin, Thread: "T1", Action: "a#" + strconv.Itoa(i), Role: "r1"})
+	}
+	if err := join(1); err != nil {
+		t.Fatalf("append 1: %v", err)
+	}
+	// A read-only descriptor in place of the log: the next flush's write
+	// fails.
+	readOnly, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer readOnly.Close()
+	w.mu.Lock()
+	good := w.f
+	w.f = readOnly
+	w.mu.Unlock()
+	if err := join(2); err == nil {
+		t.Fatal("append 2 through a read-only descriptor returned nil")
+	}
+	w.mu.Lock()
+	w.f = good
+	w.mu.Unlock()
+	for i := 3; i < every; i++ {
+		if err := join(i); err == nil {
+			t.Fatalf("append %d after a failed flush returned nil before any compaction", i)
+		}
+	}
+	for i := every; i <= every+2; i++ { // record 8 compacts
+		if err := join(i); err != nil {
+			t.Fatalf("append %d after compaction: %v", i, err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	w2, err := Open(path, every)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer w2.Close()
+	if got := len(w2.State().InFlight()); got != every+2 {
+		t.Fatalf("reopened log holds %d joins, want %d", got, every+2)
+	}
+}
+
+// TestFileAppendAllocs: at steady state an Append encodes into the
+// reused batch buffer and flushes it without allocating.
+func TestFileAppendAllocs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.wal")
+	const runs = 200
+	w, err := Open(path, 4*(runs+1))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer w.Close()
+	action := func() {
+		w.RecordJoin("n1/T1", "mix-1!commit#1", "r1")
+		w.RecordVote("n1/T1", "mix-1!commit#1", 0, "")
+		w.RecordOutcome("n1/T1", "mix-1!commit#1", "ok")
+	}
+	if n := testing.AllocsPerRun(runs, action); n != 0 {
+		t.Fatalf("one join, vote and outcome allocate %.0f times, want 0", n)
 	}
 }
 
@@ -474,5 +705,87 @@ func TestMemoryStateFiltersByOutcome(t *testing.T) {
 	}
 	if got := st.Actions[ActionKey{Thread: "T2", Action: "chaos#1"}].Outcome; got != "ok" {
 		t.Fatalf("T2 outcome = %q, want ok", got)
+	}
+}
+
+// pinnedRecords is the fixed record sequence TestWALBytesPinned writes: a
+// snapshot whose frame needs a two-byte length prefix, then one record of
+// every other kind, with wall-clock-sized timestamps.
+func pinnedRecords() []Record {
+	st := NewState()
+	for i := 0; i < 4; i++ {
+		st.Actions[ActionKey{Thread: "n1/T" + strconv.Itoa(i), Action: "mix-7!commit#" + strconv.Itoa(i)}] = ActionState{
+			Role: "r" + strconv.Itoa(i), JoinedWall: 1_760_000_000_000_000_000 + int64(i), Raises: i, Votes: 1, LastRound: i, LastExc: "e1",
+		}
+	}
+	st.Instances["mix-7"] = InstanceState{Kind: "commit", Roles: 3, StartedWall: 1_760_000_000_000_000_000}
+	const wall = 1_760_000_000_123_456_789
+	return []Record{
+		{Kind: KindSnapshot, Wall: wall, Blob: EncodeState(st)},
+		{Kind: KindJoin, Wall: wall + 1, Thread: "n1/T1", Action: "mix-8!signal#1", Role: "r1"},
+		{Kind: KindRaise, Wall: wall + 2, Thread: "n1/T1", Action: "mix-8!signal#1", Round: 0, Exc: "overload"},
+		{Kind: KindVote, Wall: wall + 3, Thread: "n1/T1", Action: "mix-8!signal#1", Round: 1, Exc: "overload"},
+		{Kind: KindOutcome, Wall: wall + 4, Thread: "n1/T1", Action: "mix-8!signal#1", Outcome: "signalled:overload"},
+		{Kind: KindInstanceStart, Wall: wall + 5, Tag: "mix-8", WorkKind: "signal", Roles: 3},
+		{Kind: KindInstanceDone, Wall: wall + 6, Tag: "mix-8"},
+	}
+}
+
+// pinnedWALHex is the on-disk encoding of pinnedRecords. Replay of every
+// log ever written depends on it; a change here is a format change.
+const pinnedWALHex = "" +
+	"d30107aab4dec09babe3ec30000000000000000000be0108056e312f54300e6d" +
+	"69782d3721636f6d6d69742330027230808080cb9aabe3ec3000020002653100" +
+	"00056e312f54310e6d69782d3721636f6d6d69742331027231828080cb9aabe3" +
+	"ec300202020265310000056e312f54320e6d69782d3721636f6d6d6974233202" +
+	"7232848080cb9aabe3ec300402040265310000056e312f54330e6d69782d3721" +
+	"636f6d6d69742333027233868080cb9aabe3ec30060206026531000002056d69" +
+	"782d3706636f6d6d697406808080cb9aabe3ec3000" +
+	"2901acb4dec09babe3ec30056e312f54310e6d69782d38217369676e616c2331" +
+	"02723100000000000000" +
+	"2f02aeb4dec09babe3ec30056e312f54310e6d69782d38217369676e616c2331" +
+	"0000086f7665726c6f61640000000000" +
+	"2f03b0b4dec09babe3ec30056e312f54310e6d69782d38217369676e616c2331" +
+	"0002086f7665726c6f61640000000000" +
+	"3904b2b4dec09babe3ec30056e312f54310e6d69782d38217369676e616c2331" +
+	"000000127369676e616c6c65643a6f7665726c6f616400000000" +
+	"1f05b4b4dec09babe3ec30000000000000056d69782d38067369676e616c0600" +
+	"1906b6b4dec09babe3ec30000000000000056d69782d38000000"
+
+// TestWALBytesPinned pins the on-disk bytes: the pinned records appended
+// one at a time through File, and the same records through AppendFrame,
+// must both produce pinnedWALHex.
+func TestWALBytesPinned(t *testing.T) {
+	recs := pinnedRecords()
+	path := filepath.Join(t.TempDir(), "node.wal")
+	w, err := Open(path, 1000)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for _, r := range recs {
+		if err := w.Append(r); err != nil {
+			t.Fatalf("Append %v: %v", r.Kind, err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if got := hex.EncodeToString(data); got != pinnedWALHex {
+		t.Fatalf("File bytes changed:\n got %s\nwant %s", got, pinnedWALHex)
+	}
+	var buf []byte
+	for _, r := range recs {
+		buf = AppendFrame(buf, r)
+	}
+	if got := hex.EncodeToString(buf); got != pinnedWALHex {
+		t.Fatalf("AppendFrame bytes changed:\n got %s\nwant %s", got, pinnedWALHex)
+	}
+	back, used, err := DecodeAll(data)
+	if err != nil || used != len(data) || !reflect.DeepEqual(back, recs) {
+		t.Fatalf("DecodeAll: %d records, %d of %d bytes, err %v", len(back), used, len(data), err)
 	}
 }

@@ -23,11 +23,12 @@ import (
 // must be safe for concurrent use. A *WAL is a Recorder.
 type Recorder = core.Recorder
 
-// WAL is the durable on-disk write-ahead log: every append is fsynced
-// before it returns (concurrent appenders share flushes, group-commit
-// style), and after SnapshotEvery appends the log is compacted to one
-// snapshot of its live state, bounding replay length and file size by
-// what is in flight rather than by history.
+// WAL is the durable on-disk write-ahead log: every append is written and
+// fsynced before it returns (concurrent appenders share one write and one
+// fsync, group-commit style), and after SnapshotEvery appends (default
+// 4096) the log is compacted to one snapshot of its live state, bounding
+// replay length and file size by what is in flight rather than by
+// history.
 type WAL = wal.File
 
 // WALState is a WAL's materialised state after replay: in-flight actions
@@ -50,7 +51,7 @@ type (
 
 // OpenWAL opens (or creates) the write-ahead log at path and replays it;
 // a torn final record from a crash mid-append is discarded. snapshotEvery
-// sets the compaction cadence in records (<= 0 means the default, 256).
+// sets the compaction cadence in records (<= 0 means the default, 4096).
 func OpenWAL(path string, snapshotEvery int) (*WAL, error) {
 	return wal.Open(path, snapshotEvery)
 }
