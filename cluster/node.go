@@ -81,9 +81,10 @@ type Config struct {
 	// caaction.ErrOverloaded (see caaction.WithMaxInFlight).
 	MaxInFlight int
 	// WALDir, when non-empty, makes the node durable: protocol state —
-	// entry-barrier joins, resolution raises, exit votes, outcomes, and
-	// tagged instance starts — is appended to <WALDir>/<Name>.wal before
-	// the corresponding message leaves the node. On boot the WAL is
+	// entry-barrier joins, resolution raises and tagged instance starts —
+	// is appended to <WALDir>/<Name>.wal before the corresponding message
+	// leaves the node or the instance's roles run, and outcomes and
+	// instance completions when they conclude. On boot the WAL is
 	// replayed: instances still inside their ActionTimeout window are
 	// re-started under the same tag (re-joining surviving peers through
 	// the entry barrier's re-announce path), the rest are abandoned
@@ -478,9 +479,12 @@ func (n *Node) startInstance(req StartRequest) (StartReply, error) {
 	delete(n.recovering, req.Tag)
 	n.mu.Unlock()
 	if n.wal != nil {
-		// Durable before the roles run: a crash from here on replays the
-		// tag as an open instance.
-		_ = n.wal.AppendInstanceStart(req.Tag, req.Kind, req.Roles)
+		// Durable before the start reply: a crash from here on replays the
+		// tag as an open instance. The roles are already dispatched, so
+		// their first messages may precede this record.
+		if err := n.wal.AppendInstanceStart(req.Tag, req.Kind, req.Roles); err != nil {
+			n.cfg.Logf("node %s: wal: instance start tag=%s: %v", n.cfg.Name, req.Tag, err)
+		}
 	}
 	// Release the timeout's resources as soon as the instance finishes,
 	// and mark the tag concluded in the WAL so a later replay skips it.
@@ -488,7 +492,9 @@ func (n *Node) startInstance(req StartRequest) (StartReply, error) {
 		h.WaitDone()
 		cancel()
 		if n.wal != nil {
-			_ = n.wal.AppendInstanceDone(req.Tag)
+			if err := n.wal.AppendInstanceDone(req.Tag); err != nil {
+				n.cfg.Logf("node %s: wal: instance done tag=%s: %v", n.cfg.Name, req.Tag, err)
+			}
 		}
 	}()
 	n.cfg.Logf("node %s: started %s roles %v tag=%s", n.cfg.Name, req.Kind, h.Roles(), req.Tag)
@@ -588,7 +594,9 @@ func (n *Node) markLost(tag, why string) {
 	n.lost[tag] = true
 	n.mu.Unlock()
 	if n.wal != nil {
-		_ = n.wal.AppendInstanceDone(tag)
+		if err := n.wal.AppendInstanceDone(tag); err != nil {
+			n.cfg.Logf("node %s: wal: instance done tag=%s: %v", n.cfg.Name, tag, err)
+		}
 	}
 	n.cfg.Logf("node %s: abandoned instance tag=%s after crash: %s", n.cfg.Name, tag, why)
 }

@@ -123,9 +123,9 @@
 // DESIGN.md "Cross-node fast path" for the wire format, the credit
 // protocol and the benchmark that gates it.
 //
-// Crashes need not be amnesiac. WithRecorder(r) streams every protocol
-// state transition — joins, raise/exit votes, concluded outcomes — to a
-// Recorder; OpenWAL(path, snapshotEvery) is the durable implementation, a
+// Crashes need not be amnesiac. WithRecorder(r) streams the protocol
+// state a restart decision reads — joins, raises, concluded outcomes — to
+// a Recorder; OpenWAL(path, snapshotEvery) is the durable implementation, a
 // write-ahead log whose concurrent appends share one write and one fsync.
 // It forgets concluded actions and instances, compacts its live state
 // every snapshotEvery records (default 4096) and tolerates a torn tail on

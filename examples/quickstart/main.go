@@ -76,7 +76,7 @@ func main() {
 
 	perform(sys, spec, producer, consumer)
 	metrics := sys.Metrics()
-	fmt.Println("action completed successfully")
+	fmt.Printf("action completed successfully at virtual time %v\n", sys.Now())
 	fmt.Printf("protocol messages: %d (Exception=%d Suspended=%d Commit=%d)\n",
 		metrics.Get("msg.total"),
 		metrics.Get("msg.Exception"), metrics.Get("msg.Suspended"), metrics.Get("msg.Commit"))
@@ -98,6 +98,7 @@ func main() {
 			return ctx.Compute(50 * time.Millisecond)
 		}},
 	)
+	fmt.Printf("audit action concluded at virtual time %v\n", sys.Now())
 }
 
 // perform runs one two-role action and reports each role's typed outcome.

@@ -53,9 +53,11 @@ type Config struct {
 	// exception (the §3.4 extension for lost messages). Zero disables the
 	// timeout, which is correct for reliable transports.
 	SignalTimeout time.Duration
-	// Recorder, when non-nil, receives write-ahead protocol state: joins,
-	// raises, exit votes and outcomes are recorded before the corresponding
-	// message is sent, so a restarted node can replay them (internal/wal).
+	// Recorder, when non-nil, receives write-ahead protocol state: joins
+	// and raises are recorded before the corresponding message is sent,
+	// and outcomes when the action concludes, so a restarted node can
+	// replay them (internal/wal). Exit votes are not recorded: no recovery
+	// rule reads them, and a reborn thread that re-joins votes again.
 	// With a recorder installed, threads also answer duplicate Enter
 	// messages — a restarted peer re-running its entry barrier — once per
 	// peer per frame, which is what lets a reborn thread re-join.
@@ -73,8 +75,12 @@ type Recorder interface {
 	// RecordRaise is called before an exception is raised into the given
 	// resolution round.
 	RecordRaise(thread, action string, round int, exc string)
-	// RecordVote is called before the thread casts its exit vote (exc is
-	// "" for a clean commit).
+	// RecordVote is no longer called by the runtime. It stays so that
+	// existing recorders, including wrappers that forward to an inner
+	// recorder, still satisfy the interface. Neither §3.4 recovery rule
+	// (the chaos rebirth, the cluster's instance replay) reads a vote,
+	// and a reborn thread that re-joins casts its vote again, so logging
+	// it durably would only add an fsync round to every exit.
 	RecordVote(thread, action string, round int, exc string)
 	// RecordOutcome is called when the action concludes locally: "ok",
 	// "undone", "failed", "signalled:<exc>", "aborted", "deadline" or

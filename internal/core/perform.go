@@ -301,10 +301,6 @@ func (th *Thread) exitAction(f *frame) (dec signal.Decision, decided bool, err e
 		Send:   th.sendFn,
 		Undo:   f.undoFn,
 	})
-	if th.rt.rec != nil {
-		// Write-ahead: the exit vote is durable before it is cast.
-		th.rt.rec.RecordVote(th.id, f.id, f.round, string(f.epsilon))
-	}
 	if d0 := f.sig.Start(f.epsilon); d0.Done {
 		f.sigDec, f.hasSigDec = d0, true
 	}

@@ -329,7 +329,8 @@ func (w *File) RecordRaise(thread, action string, round int, exc string) {
 	_ = w.Append(Record{Kind: KindRaise, Thread: thread, Action: action, Round: round, Exc: exc})
 }
 
-// RecordVote logs an exit vote.
+// RecordVote logs an exit vote when called directly; the core runtime
+// no longer calls it, since no recovery rule reads a vote.
 func (w *File) RecordVote(thread, action string, round int, exc string) {
 	_ = w.Append(Record{Kind: KindVote, Thread: thread, Action: action, Round: round, Exc: exc})
 }

@@ -45,7 +45,8 @@ func (m *Memory) RecordRaise(thread, action string, round int, exc string) {
 	m.append(Record{Kind: KindRaise, Thread: thread, Action: action, Round: round, Exc: exc})
 }
 
-// RecordVote logs an exit vote.
+// RecordVote logs an exit vote when called directly; the core runtime
+// no longer calls it, since no recovery rule reads a vote.
 func (m *Memory) RecordVote(thread, action string, round int, exc string) {
 	m.append(Record{Kind: KindVote, Thread: thread, Action: action, Round: round, Exc: exc})
 }

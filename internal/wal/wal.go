@@ -1,9 +1,11 @@
 // Package wal is the durable write-ahead log of protocol state that makes
-// crash-recovery possible: entry-barrier joins, resolution-round raises,
-// exit votes and final outcomes are appended — and made durable — before
-// the corresponding protocol message leaves the node, so a restarted node
-// can replay the log, rebuild its in-flight action state, and decide per
-// §3.4 which actions to re-join and which to abort deterministically.
+// crash-recovery possible: entry-barrier joins and resolution-round raises
+// are appended — and made durable — before the corresponding protocol
+// message leaves the node, and final outcomes when the action concludes,
+// so a restarted node can replay the log, rebuild its in-flight action
+// state, and decide per §3.4 which actions to re-join and which to abort
+// deterministically. Exit votes (KindVote) are no longer written by the
+// runtime, but a log that holds them still decodes and replays.
 //
 // Two implementations share one record format: File is the fsync-batched
 // on-disk log cluster nodes open on boot, and Memory is the virtual-clock

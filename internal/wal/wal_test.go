@@ -431,9 +431,115 @@ func TestOpenPrunesConcludedSnapshot(t *testing.T) {
 	}
 }
 
-// BenchmarkFileAppend measures one action's durable appends, join → vote
-// → outcome, from 16 concurrent appenders against a log that already
-// holds 0 or 10k concluded actions. One op is one such action.
+// parentFormatLog is a log as a writer that still recorded exit votes
+// left it: a snapshot holding one open frame that had voted, then a
+// 2-role action that raised, voted and concluded, and a frame that joined
+// and voted but has no outcome. withVotes false drops every vote record
+// and the snapshot's vote count, which is the same log as written today.
+func parentFormatLog(withVotes bool) []Record {
+	open := ActionState{Role: "r1", JoinedWall: 50}
+	if withVotes {
+		open.Votes = 1
+	}
+	snap := NewState()
+	snap.Actions[ActionKey{Thread: "T1", Action: "old#1"}] = open
+	recs := []Record{
+		{Kind: KindSnapshot, Wall: 60, Blob: EncodeState(snap)},
+		{Kind: KindInstanceStart, Wall: 90, Tag: "mix-1", WorkKind: "signal", Roles: 2},
+		{Kind: KindJoin, Wall: 100, Thread: "T1", Action: "mix-1!signal#1", Role: "a"},
+		{Kind: KindJoin, Wall: 105, Thread: "T2", Action: "mix-1!signal#1", Role: "b"},
+		{Kind: KindRaise, Wall: 110, Thread: "T1", Action: "mix-1!signal#1", Round: 0, Exc: "overload"},
+		{Kind: KindVote, Wall: 120, Thread: "T1", Action: "mix-1!signal#1", Round: 1, Exc: "overload"},
+		{Kind: KindVote, Wall: 121, Thread: "T2", Action: "mix-1!signal#1", Round: 1, Exc: "overload"},
+		{Kind: KindOutcome, Wall: 130, Thread: "T1", Action: "mix-1!signal#1", Outcome: "signalled:overload"},
+		{Kind: KindOutcome, Wall: 131, Thread: "T2", Action: "mix-1!signal#1", Outcome: "signalled:overload"},
+		{Kind: KindJoin, Wall: 200, Thread: "T3", Action: "mix-2!commit#1", Role: "c"},
+		{Kind: KindVote, Wall: 230, Thread: "T3", Action: "mix-2!commit#1", Round: 0, Exc: ""},
+	}
+	if withVotes {
+		return recs
+	}
+	var out []Record
+	for _, r := range recs {
+		if r.Kind != KindVote {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// TestParentFormatLogSameDecisions: a log that holds exit votes replays,
+// through Open (the cluster's File) and through Replay (the chaos
+// engine's Memory), to the same in-flight frames, join times, raise counts
+// and open instances as the same log without them — the fields the §3.4
+// recovery rules read — so a log written before votes stopped being
+// recorded still yields the same recovery decisions.
+func TestParentFormatLogSameDecisions(t *testing.T) {
+	type decision struct {
+		InFlight  []ActionKey
+		Joined    map[ActionKey]int64
+		Raises    map[ActionKey]int
+		Outcomes  map[ActionKey]string
+		Instances []string
+	}
+	decide := func(st State) decision {
+		d := decision{
+			InFlight:  st.InFlight(),
+			Joined:    map[ActionKey]int64{},
+			Raises:    map[ActionKey]int{},
+			Outcomes:  map[ActionKey]string{},
+			Instances: st.OpenInstances(),
+		}
+		for k, as := range st.Actions {
+			d.Joined[k], d.Raises[k], d.Outcomes[k] = as.JoinedWall, as.Raises, as.Outcome
+		}
+		return d
+	}
+	open := func(recs []Record) State {
+		path := filepath.Join(t.TempDir(), "node.wal")
+		var buf []byte
+		for _, r := range recs {
+			buf = AppendFrame(buf, r)
+		}
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatalf("write log: %v", err)
+		}
+		w, err := Open(path, 0)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer w.Close()
+		return w.State()
+	}
+	replay := func(recs []Record) State {
+		st, err := Replay(recs)
+		if err != nil {
+			t.Fatalf("Replay: %v", err)
+		}
+		return st
+	}
+	old, now := parentFormatLog(true), parentFormatLog(false)
+	for _, c := range []struct {
+		name string
+		load func([]Record) State
+	}{{"Open", open}, {"Replay", replay}} {
+		got, want := decide(c.load(old)), decide(c.load(now))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: log with votes decides %+v, without %+v", c.name, got, want)
+		}
+		wantInFlight := []ActionKey{{Thread: "T1", Action: "old#1"}, {Thread: "T3", Action: "mix-2!commit#1"}}
+		if !reflect.DeepEqual(got.InFlight, wantInFlight) {
+			t.Fatalf("%s: InFlight = %v, want %v", c.name, got.InFlight, wantInFlight)
+		}
+		if j := got.Joined[ActionKey{Thread: "T3", Action: "mix-2!commit#1"}]; j != 200 {
+			t.Fatalf("%s: voted frame's JoinedWall = %d, want its join's 200", c.name, j)
+		}
+	}
+}
+
+// BenchmarkFileAppend measures one role's durable appends in a commit
+// action, join → outcome, from 16 concurrent appenders against a log that
+// already holds 0 or 10k concluded actions. One op is one such role.
 func BenchmarkFileAppend(b *testing.B) {
 	for _, concluded := range []int{0, 10000} {
 		b.Run(fmt.Sprintf("concluded=%d", concluded), func(b *testing.B) {
@@ -462,7 +568,6 @@ func BenchmarkFileAppend(b *testing.B) {
 						}
 						a := "a#" + strconv.FormatInt(i, 10)
 						w.RecordJoin(th, a, "r1")
-						w.RecordVote(th, a, 0, "")
 						w.RecordOutcome(th, a, "ok")
 					}
 				}(fmt.Sprintf("T%d", g))

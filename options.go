@@ -318,10 +318,11 @@ func WithMetrics(m *Metrics) Option {
 	}
 }
 
-// WithRecorder attaches a write-ahead recorder of protocol state: joins,
-// raises, exit votes and outcomes are recorded before the corresponding
-// message is sent, so a restarted node can replay them and re-join (or
-// deterministically abort) its in-flight actions. Pair with OpenWAL for
+// WithRecorder attaches a write-ahead recorder of protocol state: joins
+// and raises are recorded before the corresponding message is sent, and
+// outcomes when the action concludes, so a restarted node can replay them
+// and re-join (or deterministically abort) its in-flight actions. Exit
+// votes are not recorded (see Recorder). Pair with OpenWAL for
 // the durable on-disk log; see the Recorder type. By default nothing is
 // recorded.
 func WithRecorder(r Recorder) Option {

@@ -9,9 +9,10 @@ import (
 // deployments (caaction/cluster, cmd/canode) can open durable write-ahead
 // logs and replay them without reaching into internal packages.
 //
-// A Recorder receives write-ahead protocol state — entry-barrier joins,
-// resolution-round raises, exit votes and final outcomes — before the
-// corresponding message leaves the node (attach one with WithRecorder).
+// A Recorder receives write-ahead protocol state — entry-barrier joins
+// and resolution-round raises before the corresponding message leaves
+// the node, final outcomes when the action concludes (attach one with
+// WithRecorder). Exit votes are not recorded (see Recorder).
 // The WAL is the durable Recorder: OpenWAL opens an fsync-batched
 // length-prefixed binary log with periodic snapshot compaction, and its
 // State surfaces the in-flight actions and open tagged instances a
@@ -20,7 +21,10 @@ import (
 // decision.
 
 // Recorder is the write-ahead sink for protocol state; implementations
-// must be safe for concurrent use. A *WAL is a Recorder.
+// must be safe for concurrent use. A *WAL is a Recorder. The runtime calls
+// RecordJoin, RecordRaise and RecordOutcome; RecordVote stays for source
+// compatibility but is no longer called, since no recovery decision reads
+// an exit vote and a thread that re-joins votes again.
 type Recorder = core.Recorder
 
 // WAL is the durable on-disk write-ahead log: every append is written and
